@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import consistency as consistency_mod
 from . import synthesis as synthesis_mod
@@ -235,9 +235,10 @@ def _render_analysis_text(name: str, cfg: Cfg, result: ParamAnalysisResult) -> s
     return "\n".join(lines) + "\n"
 
 
-def _emit(args: argparse.Namespace, document: dict, text: str) -> None:
+def _emit(args: argparse.Namespace, document: Callable[[], dict], text: str) -> None:
+    """Print `text`, or with --format json the document that `document()` builds."""
     if args.format == "json":
-        print(json.dumps(document, indent=2))
+        print(json.dumps(document(), indent=2))
     else:
         print(text, end="")
 
@@ -245,7 +246,8 @@ def _emit(args: argparse.Namespace, document: dict, text: str) -> None:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     name, cfg = _load(args.source)
     result = analyze_param(cfg, _make_config(args))
-    _emit(args, analysis_document(name, cfg, result), _render_analysis_text(name, cfg, result))
+    text = _render_analysis_text(name, cfg, result)
+    _emit(args, lambda: analysis_document(name, cfg, result), text)
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
@@ -262,9 +264,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         print("analysis did not converge; try --widen", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     outcome = synthesis_mod.synthesize(result, cfg)
-
-    document = analysis_document(name, cfg, result)
-    document["synthesis"] = outcome.to_json()
+    report = None
     lines = [f"program: {name}", f"verdict: {outcome.verdict.value}"]
     from .conditions import render as render_condition
 
@@ -282,7 +282,6 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
             report = synthesis_mod.verify_solutions(
                 cfg, outcome, config, limit=args.verify_solutions, program_name=name
             )
-            document["oracle_reports"] = [report.to_json()]
             status = "ok" if report.passed else "FAILED"
             lines.append(
                 f"verification: {status} ({report.subsets_checked} solutions re-proved)"
@@ -291,6 +290,14 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
         lines.append(f"assertion at node {node_id}:")
         for cond, verdict in rows:
             lines.append(f"  {render_condition(cond)} -> {verdict.value}")
+
+    def document() -> dict:
+        out = analysis_document(name, cfg, result)
+        out["synthesis"] = outcome.to_json()
+        if report is not None:
+            out["oracle_reports"] = [report.to_json()]
+        return out
+
     _emit(args, document, "\n".join(lines) + "\n")
     if outcome.verdict is synthesis_mod.SynthesisVerdict.SOLUTIONS:
         return EXIT_OK
@@ -308,8 +315,6 @@ def _cmd_consistency(args: argparse.Namespace) -> int:
     report = consistency_mod.consistency_report(
         result, cfg, include_phi_table=args.phi_table or None
     )
-    document = analysis_document(name, cfg, result)
-    document["consistency"] = report.to_json()
     lines = [f"program: {name}"]
     lines.append(f"core: {format_subset(report.core, cfg.assumptions)}")
     lines.append(f"envelope: {format_subset(report.envelope, cfg.assumptions)}")
@@ -324,7 +329,11 @@ def _cmd_consistency(args: argparse.Namespace) -> int:
                 f"  {format_subset(accepted, cfg.assumptions)}"
                 f" -> {format_subset(image, cfg.assumptions)}"
             )
-    _emit(args, document, "\n".join(lines) + "\n")
+    _emit(
+        args,
+        lambda: {**analysis_document(name, cfg, result), "consistency": report.to_json()},
+        "\n".join(lines) + "\n",
+    )
     return EXIT_OK
 
 
@@ -334,9 +343,13 @@ def _cmd_check_oracle(args: argparse.Namespace) -> int:
     input_range = _parse_range(args.input_range)
     run_equivalence = args.theorem1 or not (args.theorem1 or args.soundness)
     run_soundness = args.soundness or not (args.theorem1 or args.soundness)
+    result = analyze_param(cfg, config)
+    if not result.converged:
+        print("analysis did not converge; try --widen", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     reports = []
     if run_equivalence:
-        reports.append(verify_equivalence(cfg, config, program_name=name))
+        reports.append(verify_equivalence(cfg, config, program_name=name, param=result))
     if run_soundness:
         reports.append(
             verify_soundness(
@@ -345,11 +358,9 @@ def _cmd_check_oracle(args: argparse.Namespace) -> int:
                 input_range=input_range,
                 step_bound=args.max_steps,
                 program_name=name,
+                param=result,
             )
         )
-    result = analyze_param(cfg, config)
-    document = analysis_document(name, cfg, result)
-    document["oracle_reports"] = [r.to_json() for r in reports]
     lines = [f"program: {name}"]
     for report in reports:
         status = "pass" if report.passed else f"FAIL ({len(report.mismatches)} mismatches)"
@@ -360,7 +371,14 @@ def _cmd_check_oracle(args: argparse.Namespace) -> int:
         )
         for mismatch in report.mismatches[:10]:
             lines.append(f"  mismatch: {json.dumps(mismatch)}")
-    _emit(args, document, "\n".join(lines) + "\n")
+    _emit(
+        args,
+        lambda: {
+            **analysis_document(name, cfg, result),
+            "oracle_reports": [r.to_json() for r in reports],
+        },
+        "\n".join(lines) + "\n",
+    )
     return EXIT_OK if all(r.passed for r in reports) else EXIT_MISMATCH
 
 

@@ -6,7 +6,8 @@ bit fields (bit i = assumption with index i). Satisfiability, implication,
 and equivalence are decided exactly by enumeration, realized as memoized
 truth-table bitmasks: bit A of `truth_table(cond, width)` is set when the
 subset A satisfies the condition. The width cap keeps enumeration at desk
-scale; formulas themselves stay as trees for faithful display.
+scale. `simplify` maps every condition to the canonical formula of its
+table, so formulas stay as small as the set of subsets they denote.
 
 Condition nodes cache their hash and highest atom index at construction,
 so table memoization and set operations stay cheap on shared subtrees.
@@ -247,128 +248,97 @@ def equivalent(a: Condition, b: Condition, width: int | None = None) -> bool:
 
 def satisfying_sets(cond: Condition, width: int) -> list[int]:
     """All assumption subsets satisfying the condition, ascending."""
-    table = truth_table(cond, width)
-    return [a for a in range(1 << width) if (table >> a) & 1]
+    bits = bin(truth_table(cond, width))[:1:-1]  # bit 0 first
+    return [a for a, bit in enumerate(bits) if bit == "1"]
 
 
-def _is_literal(cond: Condition) -> bool:
-    return isinstance(cond, Atom) or (isinstance(cond, Not) and isinstance(cond.operand, Atom))
+Cube = tuple[tuple[int, bool], ...]  # (atom index, positive) literals, ascending
 
 
-def _complement(cond: Condition) -> Condition:
-    return cond.operand if isinstance(cond, Not) else Not(cond)
-
-
-def _flatten(cond: Condition) -> Condition:
-    """Constant folding, double negation, flattening, and duplicate removal."""
-    if isinstance(cond, Not):
-        inner = _flatten(cond.operand)
-        if isinstance(inner, TrueCond):
-            return FALSE
-        if isinstance(inner, FalseCond):
-            return TRUE
-        if isinstance(inner, Not):
-            return inner.operand
-        return Not(inner)
-    if not isinstance(cond, (And, Or)):
-        return cond
-
-    conj = isinstance(cond, And)
-    parts: list[Condition] = []
-    seen: set[Condition] = set()
-    for raw in cond.parts:
-        p = _flatten(raw)
-        if isinstance(p, FalseCond if conj else TrueCond):
-            return FALSE if conj else TRUE
-        if isinstance(p, TrueCond if conj else FalseCond):
-            continue
-        inline = p.parts if isinstance(p, And if conj else Or) else (p,)
-        for q in inline:
-            if q in seen:
-                continue
-            if _is_literal(q) and _complement(q) in seen:
-                return FALSE if conj else TRUE
-            seen.add(q)
-            parts.append(q)
-    if not parts:
-        return TRUE if conj else FALSE
-    if len(parts) == 1:
-        return parts[0]
-    return And(parts) if conj else Or(parts)
-
-
-def _cube_for(table: int, width: int, atoms: dict[int, AssumptionId]) -> Condition | None:
-    """The conjunction of literals matching `table` exactly, if one exists."""
-    if table == 0:
-        return FALSE
+def _cube_for(table: int, width: int, indices: Iterable[int]) -> Cube | None:
+    """The literals of the cube that the nonzero `table` is exactly, if it is one."""
     full = _full_mask(width)
-    literals: list[Condition] = []
+    literals = []
     cube = full
-    for index in sorted(atoms):
+    for index in sorted(indices):
         pattern = _atom_pattern(index, width)
         if table & ~pattern == 0:
-            literals.append(Atom(atoms[index]))
+            literals.append((index, True))
             cube &= pattern
         elif table & pattern == 0:
-            literals.append(Not(Atom(atoms[index])))
+            literals.append((index, False))
             cube &= full & ~pattern
-    if cube != table:
-        return None
-    if not literals:
+    return tuple(literals) if cube == table else None
+
+
+def _cofactors(table: int, index: int, width: int) -> tuple[int, int]:
+    """The tables with atom `index` fixed false and true, spread over both halves."""
+    pattern = _atom_pattern(index, width)
+    shift = 1 << index
+    low, high = table & ~pattern, table & pattern
+    return low | low << shift, high | high >> shift
+
+
+def _isop(lower: int, upper: int, indices: list[int], width: int) -> tuple[list[Cube], int]:
+    """Irredundant sum of products covering `lower` within `upper`.
+
+    The Minato-Morreale recursion: split on the highest atom in `indices`
+    either table depends on, cover what only one cofactor must cover with
+    cubes carrying that atom's literal, and the rest with cubes free of it.
+    Returns the cubes and the table of their union.
+    """
+    if lower == 0:
+        return [], 0
+    full = _full_mask(width)
+    if upper == full:
+        return [()], full
+    for k, index in enumerate(indices):
+        lower0, lower1 = _cofactors(lower, index, width)
+        upper0, upper1 = _cofactors(upper, index, width)
+        if lower0 != lower1 or upper0 != upper1:
+            break
+    rest = indices[k + 1 :]
+    cubes0, cover0 = _isop(lower0 & ~upper1, upper0, rest, width)
+    cubes1, cover1 = _isop(lower1 & ~upper0, upper1, rest, width)
+    shared, cover = _isop(
+        (lower0 & ~cover0) | (lower1 & ~cover1), upper0 & upper1, rest, width
+    )
+    pattern = _atom_pattern(index, width)
+    cover |= (cover0 & ~pattern) | (cover1 & pattern)
+    cubes = [c + ((index, False),) for c in cubes0] + [c + ((index, True),) for c in cubes1]
+    return cubes + shared, cover
+
+
+def _conjunction(cube: Cube, atoms: Mapping[int, AssumptionId]) -> Condition:
+    parts = [Atom(atoms[i]) if positive else Not(Atom(atoms[i])) for i, positive in cube]
+    if not parts:
         return TRUE
-    if len(literals) == 1:
-        return literals[0]
-    return And(literals)
-
-
-def _prune_implied_literals(cond: And) -> Condition:
-    """Drop conjoined literals already implied by the rest of the conjunction."""
-    width = cond.max_index
-    parts = list(cond.parts)
-    tables = [truth_table(p, width) for p in parts]
-    keep = [True] * len(parts)
-    for i, p in enumerate(parts):
-        if not _is_literal(p):
-            continue
-        rest = _full_mask(width)
-        for j in range(len(parts)):
-            if j != i and keep[j]:
-                rest &= tables[j]
-        if rest & ~tables[i] == 0 and sum(keep) > 1:
-            keep[i] = False
-    kept = [p for p, k in zip(parts, keep) if k]
-    if len(kept) == 1:
-        return kept[0]
-    if len(kept) == len(parts):
-        return cond
-    return And(kept)
+    return parts[0] if len(parts) == 1 else And(parts)
 
 
 @lru_cache(maxsize=1 << 15)
 def simplify(cond: Condition) -> Condition:
-    """Equivalent but tidier condition; canonical for display only.
+    """The canonical formula of the condition's truth table.
 
-    Folds constants, removes double negation, dedups and flattens
-    connectives, drops conjoined literals already implied by the rest, and
-    replaces any condition that denotes a single conjunction of literals
-    (including tautologies and contradictions) by that minimal form.
+    That is the cube (conjunction of literals, `true` or `false`) if the
+    table is one, else the negated cube if its complement is one, else the
+    irredundant sum of products of `_isop`, literals and cubes sorted by
+    atom index. The result depends on the set of satisfying subsets alone,
+    so equivalent conditions simplify to equal trees.
     """
-    out = _flatten(cond)
-    if isinstance(out, (TrueCond, FalseCond)):
-        return out
-    width = out.max_index
-    if width <= 12:
-        table = truth_table(out, width)
-        atom_map = {a.index: a for a in atoms_of(out)}
-        cube = _cube_for(table, width, atom_map)
-        if cube is not None:
-            return cube
-        anti = _cube_for(_full_mask(width) & ~table, width, atom_map)
-        if anti is not None and not isinstance(anti, (TrueCond, FalseCond)):
-            return _complement(anti) if _is_literal(anti) else Not(anti)
-    if isinstance(out, And):
-        out = _prune_implied_literals(out)
-    return out
+    width = cond.max_index
+    table = truth_table(cond, width)
+    if table == 0:
+        return FALSE
+    atoms = {a.index: a for a in atoms_of(cond)}
+    cube = _cube_for(table, width, atoms)
+    if cube is not None:
+        return _conjunction(cube, atoms)
+    anti = _cube_for(_full_mask(width) & ~table, width, atoms)
+    if anti is not None:
+        return Not(_conjunction(anti, atoms))
+    cubes, _ = _isop(table, table, sorted(atoms, reverse=True), width)
+    return Or(tuple(_conjunction(c, atoms) for c in sorted(cubes)))
 
 
 def render(cond: Condition) -> str:

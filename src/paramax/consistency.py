@@ -78,11 +78,7 @@ def _refuting_tables(result: ParamAnalysisResult, cfg: Cfg) -> list[int]:
 
 def unrefuted(result: ParamAnalysisResult, cfg: Cfg, accepted: int) -> int:
     """Assumptions the analysis under `accepted` does not refute."""
-    out = 0
-    for aid, table in zip(cfg.assumptions, _refuting_tables(result, cfg)):
-        if not (table >> accepted) & 1:
-            out |= 1 << aid.index
-    return out
+    return _phi(_refuting_tables(result, cfg), cfg.assumptions, accepted)
 
 
 def _phi(tables: list[int], assumptions, accepted: int) -> int:
@@ -93,7 +89,9 @@ def _phi(tables: list[int], assumptions, accepted: int) -> int:
     return out
 
 
-def consistency_bounds(result: ParamAnalysisResult, cfg: Cfg) -> tuple[int, int]:
+def consistency_bounds(
+    result: ParamAnalysisResult, cfg: Cfg, tables: list[int] | None = None
+) -> tuple[int, int]:
     """(core, envelope): bounds sandwiching every consistent assumption set.
 
     The core is the least fixpoint of the squared operator, iterated from
@@ -101,9 +99,11 @@ def consistency_bounds(result: ParamAnalysisResult, cfg: Cfg) -> tuple[int, int]
     full set must land on the same pair; with an exact analysis this is
     asserted, with a merge budget the operator can lose anti-monotonicity,
     so the check is skipped and the report flagged approximate instead.
+    `tables`, if given, are the refuting tables of `_refuting_tables`.
     """
     width = len(cfg.assumptions)
-    tables = _refuting_tables(result, cfg)
+    if tables is None:
+        tables = _refuting_tables(result, cfg)
     assumptions = cfg.assumptions
 
     def phi2(accepted: int) -> int:
@@ -132,13 +132,17 @@ def consistency_bounds(result: ParamAnalysisResult, cfg: Cfg) -> tuple[int, int]
 
 
 def brute_force_fixpoints(
-    result: ParamAnalysisResult, cfg: Cfg, max_assumptions: int = 12
+    result: ParamAnalysisResult,
+    cfg: Cfg,
+    max_assumptions: int = 12,
+    tables: list[int] | None = None,
 ) -> list[int]:
     """All subsets the operator maps to themselves; the oracle for bounds."""
     width = len(cfg.assumptions)
     if width > max_assumptions:
         raise ValueError(f"refusing to enumerate 2**{width} subsets (cap {max_assumptions})")
-    tables = _refuting_tables(result, cfg)
+    if tables is None:
+        tables = _refuting_tables(result, cfg)
     return [
         a for a in range(1 << width) if _phi(tables, cfg.assumptions, a) == a
     ]
@@ -156,7 +160,8 @@ def consistency_report(
     small assumption counts (or on request).
     """
     width = len(cfg.assumptions)
-    core, envelope = consistency_bounds(result, cfg)
+    tables = _refuting_tables(result, cfg)
+    core, envelope = consistency_bounds(result, cfg, tables)
     classification = {}
     for aid in cfg.assumptions:
         bit = 1 << aid.index
@@ -173,12 +178,11 @@ def consistency_report(
         include_fixpoints = width <= 12
     phi_table = None
     if include_phi_table:
-        tables = _refuting_tables(result, cfg)
         phi_table = {
             a: _phi(tables, cfg.assumptions, a) for a in range(1 << width)
         }
     fixpoints = (
-        tuple(brute_force_fixpoints(result, cfg)) if include_fixpoints else None
+        tuple(brute_force_fixpoints(result, cfg, tables=tables)) if include_fixpoints else None
     )
     return ConsistencyReport(
         core=core,

@@ -355,6 +355,7 @@ def verify_equivalence(
     config: AnalysisConfig | None = None,
     max_assumptions: int = 12,
     program_name: str = "<program>",
+    param: ParamAnalysisResult | None = None,
 ) -> OracleReport:
     """Check the one-pass result against a fresh analysis of every variant.
 
@@ -363,7 +364,8 @@ def verify_equivalence(
     comparison is exact equality; with widening it is downgraded to
     containment of the fresh result, since the two iterations are not
     guaranteed to widen in lock step. Non-convergent runs are recorded as
-    skipped, never passed.
+    skipped, never passed. `param`, if given, is the one-pass result of
+    `analyze_param(cfg, config)`, reused instead of analyzing again.
     """
     config = config or AnalysisConfig()
     width = len(cfg.assumptions)
@@ -372,7 +374,7 @@ def verify_equivalence(
     exact = config.widening_delay is None and config.merge_budget is None
     mode = "equality" if exact else "containment"
     report = OracleReport("equivalence", program_name, 1 << width, mode)
-    param = analyze_param(cfg, config)
+    param = param or analyze_param(cfg, config)
     if not param.converged:
         report.skipped = list(range(1 << width))
         return report
@@ -404,20 +406,22 @@ def verify_soundness(
     step_bound: int = 100_000,
     max_assumptions: int = 12,
     program_name: str = "<program>",
+    param: ParamAnalysisResult | None = None,
 ) -> OracleReport:
     """Check that enumerated concrete states lie inside the abstract ones.
 
     For each assumption subset, the restricted program is executed over the
     finite input ranges and every collected concrete state is tested for
     membership in the concretization of the rule state at its node.
-    Truncated explorations are recorded as partial evidence.
+    Truncated explorations are recorded as partial evidence. `param` is
+    reused as in `verify_equivalence`.
     """
     config = config or AnalysisConfig()
     width = len(cfg.assumptions)
     if width > max_assumptions:
         raise ValueError(f"refusing to enumerate 2**{width} subsets (cap {max_assumptions})")
     report = OracleReport("soundness", program_name, 1 << width, "membership")
-    param = analyze_param(cfg, config)
+    param = param or analyze_param(cfg, config)
     if not param.converged:
         report.skipped = list(range(1 << width))
         return report

@@ -2,7 +2,7 @@ import json
 
 import jsonschema
 
-from paramax import cli
+from paramax import cli, engine
 from paramax.cli import (
     DOCUMENT_SCHEMA,
     EXIT_IMPOSSIBLE,
@@ -13,7 +13,10 @@ from paramax.cli import (
     EXIT_USAGE,
     main,
 )
+from paramax.consistency import ConsistencyReport
 from paramax.engine import OracleReport
+from paramax.param import ParamState
+from paramax.synthesis import SynthesisOutcome
 
 from conftest import CORPUS, CORPUS_DIR
 
@@ -221,6 +224,64 @@ def test_check_oracle_mutant_exits_5(capsys, monkeypatch):
     )
     assert code == EXIT_MISMATCH
     assert "FAIL" in out
+
+
+NONCONVERGENT_COUNTER = """x := input();
+i := 0;
+assume a: x >= 1;
+assume b: x <= 5;
+assume c: i >= 0;
+while (i < x) { i := i + 1; }
+"""
+
+
+def test_check_oracle_refuses_nonconvergent_analysis(tmp_path, capsys):
+    source = tmp_path / "counter.pwl"
+    source.write_text(NONCONVERGENT_COUNTER)
+    for fmt in ("text", "json"):
+        code, out, err = run(capsys, "check-oracle", str(source), "--format", fmt)
+        assert code == EXIT_NOT_CONVERGED, fmt
+        assert "analysis did not converge" in err
+        assert out == ""
+    code, out, _ = run(capsys, "check-oracle", str(source), "--widen", "2")
+    assert code == EXIT_OK
+    assert "equivalence: pass" in out
+
+
+def test_check_oracle_analyzes_once(capsys, monkeypatch):
+    calls = []
+    real = engine.analyze_param
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "analyze_param", counting)
+    monkeypatch.setattr(engine, "analyze_param", counting)
+    code, out, _ = run(capsys, "check-oracle", corpus_path("meet_narrow.pwl"))
+    assert code == EXIT_OK
+    assert "equivalence: pass" in out and "soundness: pass" in out
+    assert len(calls) == 1
+
+
+def test_text_mode_builds_no_json_document(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("text output built a JSON document")
+
+    monkeypatch.setattr(cli, "analysis_document", refuse)
+    for owner in (ParamState, SynthesisOutcome, ConsistencyReport, OracleReport):
+        monkeypatch.setattr(owner, "to_json", refuse)
+    cases = [
+        ("analyze", "example1.pwl", EXIT_OK, "true -> x:[5,5]"),
+        ("synthesize", "synth_gate.pwl", EXIT_OK, "verification: ok"),
+        ("synthesize", "unknown_assert.pwl", EXIT_UNKNOWN, "verdict: unknown"),
+        ("consistency", "mutex.pwl", EXIT_OK, "hi: never-consistent"),
+        ("check-oracle", "meet_narrow.pwl", EXIT_OK, "soundness: pass"),
+    ]
+    for command, name, expected_code, expected_line in cases:
+        code, out, _ = run(capsys, command, corpus_path(name))
+        assert code == expected_code, (command, name)
+        assert expected_line in out, (command, name)
 
 
 def test_dump_cfg(capsys):

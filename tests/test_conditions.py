@@ -25,6 +25,7 @@ from conftest import fake_assumptions
 
 A2 = fake_assumptions(2)
 A4 = fake_assumptions(4)
+A6 = fake_assumptions(6)
 a, b = Atom(A2[0]), Atom(A2[1])
 
 
@@ -77,6 +78,20 @@ def test_satisfying_sets():
     assert satisfying_sets(And((a, Not(b))), 2) == [0b01]
 
 
+def reference_satisfying_sets(cond, width):
+    """The quadratic definition `satisfying_sets` must agree with."""
+    table = truth_table(cond, width)
+    return [a for a in range(1 << width) if (table >> a) & 1]
+
+
+def test_satisfying_sets_width_16():
+    atoms = [Atom(x) for x in fake_assumptions(16)]
+    cond = Or((And((atoms[0], Not(atoms[15]))), And((atoms[7], atoms[9], atoms[15]))))
+    got = satisfying_sets(cond, 16)
+    assert got == reference_satisfying_sets(cond, 16)
+    assert len(got) == (1 << 14) + (1 << 13)
+
+
 def test_width_cap():
     with pytest.raises(WidthError):
         truth_table(a, 20)
@@ -116,16 +131,18 @@ def test_parse_condition_errors():
 
 
 @st.composite
-def conditions(draw, depth=3):
+def conditions(draw, depth=3, atoms=A4):
+    leaves = [TRUE, FALSE] + [Atom(x) for x in atoms]
     if depth == 0:
-        return draw(st.sampled_from([TRUE, FALSE] + [Atom(x) for x in A4]))
+        return draw(st.sampled_from(leaves))
     kind = draw(st.integers(0, 4))
     if kind == 0:
-        return draw(st.sampled_from([TRUE, FALSE] + [Atom(x) for x in A4]))
+        return draw(st.sampled_from(leaves))
     if kind == 1:
-        return Not(draw(conditions(depth=depth - 1)))
+        return Not(draw(conditions(depth=depth - 1, atoms=atoms)))
     parts = tuple(
-        draw(conditions(depth=depth - 1)) for _ in range(draw(st.integers(1, 3)))
+        draw(conditions(depth=depth - 1, atoms=atoms))
+        for _ in range(draw(st.integers(1, 3)))
     )
     return And(parts) if kind in (2, 3) else Or(parts)
 
@@ -160,3 +177,50 @@ def test_render_parse_round_trips_semantics(cond):
     atoms = {x.label: x for x in A4}
     again = parse_condition(render(cond), atoms)
     assert equivalent(cond, again, width=4)
+
+
+@given(conditions(atoms=A6), st.integers(6, 8))
+def test_satisfying_sets_matches_reference(cond, width):
+    assert satisfying_sets(cond, width) == reference_satisfying_sets(cond, width)
+
+
+def _minterms(cond, width):
+    """The sum of the condition's minterms: equivalent, structurally unrelated."""
+    atoms = [Atom(x) for x in fake_assumptions(width)]
+    cubes = [
+        And(tuple(x if (s >> i) & 1 else Not(x) for i, x in enumerate(atoms)))
+        for s in satisfying_sets(cond, width)
+    ]
+    return Or(tuple(cubes)) if cubes else FALSE
+
+
+@given(conditions(atoms=A6), conditions(atoms=A6))
+def test_equivalent_conditions_simplify_equal(x, y):
+    # rewrites that keep the meaning but not the shape, some on more atoms
+    for z in (_minterms(x, 6), Not(Not(x)), Or((And((x, y)), And((Not(y), x))))):
+        assert equivalent(x, z)
+        assert simplify(x) == simplify(z)
+    if equivalent(x, y):
+        assert simplify(x) == simplify(y)
+
+
+@given(conditions(atoms=A6))
+def test_simplify_idempotent(cond):
+    once = simplify(cond)
+    assert simplify(once) == once
+
+
+@given(conditions(atoms=A6))
+def test_simplify_sum_of_products_is_prime_and_irredundant(cond):
+    out = simplify(cond)
+    if not isinstance(out, Or):
+        return
+    width = 6
+    table = truth_table(out, width)
+    cubes = [p.parts if isinstance(p, And) else (p,) for p in out.parts]
+    for k, cube in enumerate(cubes):
+        rest = Or(tuple(p for i, p in enumerate(out.parts) if i != k))
+        assert truth_table(rest, width) != table  # irredundant
+        for j in range(len(cube)):
+            wider = And(cube[:j] + cube[j + 1 :]) if len(cube) > 1 else TRUE
+            assert truth_table(wider, width) & ~table  # prime

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from paramax import consistency
 from paramax.conditions import render
 from paramax.consistency import (
     Membership,
@@ -169,3 +170,18 @@ def test_classification_matches_brute_force():
                 assert all(f & bit for f in fixpoints), (name, label)
             if report.classification[label] is Membership.NEVER:
                 assert not any(f & bit for f in fixpoints), (name, label)
+
+
+def test_report_builds_refuting_tables_once(monkeypatch):
+    cfg, result = analyzed("mutex.pwl")
+    calls = []
+    real = consistency.refuting_condition
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(consistency, "refuting_condition", counting)
+    report = consistency_report(result, cfg, include_phi_table=True, include_fixpoints=True)
+    assert report.phi_table is not None and report.fixpoints is not None
+    assert len(calls) == len(cfg.assumptions)

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from paramax.conditions import And, Atom, FALSE, Not, TRUE, truth_table
-from paramax.frontend import AtomicConstraint, Bound, Rel
+from paramax.conditions import WIDTH_CAP, And, Atom, FALSE, Not, TRUE, render, truth_table
+from paramax.engine import analyze_param
+from paramax.frontend import AtomicConstraint, Bound, Rel, parse_cfg
 from paramax.intervals import BOTTOM, AssumeState, NEG_INF, POS_INF
 from paramax.param import (
     ParamState,
@@ -311,3 +312,19 @@ def test_normal_form_unique_for_any_reduction_order():
             assert canonical_rule_key(current) == expected
             for accepted in range(1 << width):
                 assert current.state_for(accepted) == state.state_for(accepted)
+
+
+def test_rule_conditions_stay_small_at_the_width_cap():
+    # stacked lower bounds as in the acceptance suite's wide program, plus
+    # upper bounds, so the rule tables mix both kinds of refinement
+    lines = ["x := input();"]
+    lines += [f"assume w{i}: x >= {i};" for i in range(1, 14)]
+    lines += ["assume u1: x <= 20;", "assume u2: x <= 9;", "assume u3: x <= 4;"]
+    lines += ["y := x + 1;", "assert y >= 5;"]
+    cfg = parse_cfg("\n".join(lines))
+    assert len(cfg.assumptions) == WIDTH_CAP
+    result = analyze_param(cfg)
+    assert result.converged
+    for node, state in zip(cfg.nodes, result.states):
+        for rule in state.rules:
+            assert len(render(rule.condition)) <= 2000, (node.id, render(rule.condition)[:200])
