@@ -246,10 +246,15 @@ def equivalent(a: Condition, b: Condition, width: int | None = None) -> bool:
     return truth_table(a, width) == truth_table(b, width)
 
 
+def members(mask: int) -> list[int]:
+    """The subsets whose bits are set in a subset mask, ascending."""
+    bits = bin(mask)[:1:-1]  # bit 0 first
+    return [a for a, bit in enumerate(bits) if bit == "1"]
+
+
 def satisfying_sets(cond: Condition, width: int) -> list[int]:
     """All assumption subsets satisfying the condition, ascending."""
-    bits = bin(truth_table(cond, width))[:1:-1]  # bit 0 first
-    return [a for a, bit in enumerate(bits) if bit == "1"]
+    return members(truth_table(cond, width))
 
 
 Cube = tuple[tuple[int, bool], ...]  # (atom index, positive) literals, ascending

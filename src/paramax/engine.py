@@ -4,18 +4,22 @@
 `analyze_param` runs the one-pass analysis whose per-node result maps every
 assumption subset to the interval state that the plain analysis would
 compute for the matching restricted program. `run_collecting` enumerates
-concrete executions over finite input ranges. The two `verify_*` functions
-exhaustively check the per-subset equality and the concretization-membership
-soundness claim against those oracles.
+concrete executions over finite input ranges once for all assumption
+subsets, labelling each reached state with the mask of the subsets whose
+restricted programs reach it. The two `verify_*` functions exhaustively
+check the per-subset equality (one fresh analysis per subset) and the
+concretization-membership soundness claim (one labelled enumeration) against
+those oracles.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .conditions import WIDTH_CAP
+from .conditions import TRUE, WIDTH_CAP, Atom, Not, members, truth_table
 from .frontend import (
     Assign,
     Assume,
@@ -82,13 +86,17 @@ class ParamAnalysisResult:
     config: AnalysisConfig
 
 
-ConcreteState = Mapping[str, int]
+ConcreteValues = tuple[int, ...]  # one concrete state, values in `Cfg.variables` order
 
 
 @dataclass
 class CollectingResult:
-    states: list[list[dict[str, int]]]  # per node, deterministic order
-    truncated: bool
+    """Concrete states per node, sorted, each subset's as in `restrict(cfg, subset)`."""
+
+    states: list[list[dict[str, int]]]  # with every assumption accepted
+    truncated: bool  # that run hit the step bound
+    labelled: list[list[tuple[dict[str, int], int]]]  # (state, mask of the subsets reaching it)
+    truncated_subsets: int  # mask of the subsets whose runs hit the step bound
 
 
 @dataclass
@@ -272,19 +280,54 @@ def analyze_param(
     return ParamAnalysisResult(states, evals, converged, config)
 
 
-def _concrete_guard(test, values: Mapping[str, int]) -> bool:
-    def val(operand):
-        return operand if isinstance(operand, int) else values[operand]
+_RELATIONS = {
+    Rel.LE: operator.le,
+    Rel.LT: operator.lt,
+    Rel.GE: operator.ge,
+    Rel.GT: operator.gt,
+    Rel.EQ: operator.eq,
+    Rel.NE: operator.ne,
+}
 
-    a, b = val(test.lhs), val(test.rhs)
-    return {
-        Rel.LE: a <= b,
-        Rel.LT: a < b,
-        Rel.GE: a >= b,
-        Rel.GT: a > b,
-        Rel.EQ: a == b,
-        Rel.NE: a != b,
-    }[test.op]
+
+def _concrete_test(
+    op: GuardFilter | Assume, slot: Mapping[str, int]
+) -> Callable[[ConcreteValues], bool]:
+    """Whether a concrete state passes a guard or satisfies an assumption."""
+    if isinstance(op, Assume):
+        bounds = [(slot[b.var], b.holds) for b in op.constraint.bounds]
+        return lambda values: all(holds(values[i]) for i, holds in bounds)
+
+    def operand(o):
+        return (lambda values: o) if isinstance(o, int) else operator.itemgetter(slot[o])
+
+    rel, lhs, rhs = _RELATIONS[op.test.op], operand(op.test.lhs), operand(op.test.rhs)
+    return lambda values: rel(lhs(values), rhs(values))
+
+
+def _concrete_step(
+    op, slot: Mapping[str, int], input_range: tuple[int, int]
+) -> Callable[[ConcreteValues], list[ConcreteValues]]:
+    """The successor states of one concrete state through a node.
+
+    Assume nodes pass every state: `run_collecting` filters their subsets.
+    """
+    if isinstance(op, Assign):
+        i = slot[op.var]
+        constant = op.expr.constant
+        terms = [(coef, slot[var]) for coef, var in op.expr.terms]
+        return lambda values: [
+            values[:i] + (constant + sum(coef * values[j] for coef, j in terms),) + values[i + 1 :]
+        ]
+    if isinstance(op, Input):
+        i = slot[op.var]
+        lo, hi = op.input_range if op.input_range is not None else input_range
+        sites = range(lo, hi + 1)
+        return lambda values: [values[:i] + (value,) + values[i + 1 :] for value in sites]
+    if isinstance(op, GuardFilter):
+        test = _concrete_test(op, slot)
+        return lambda values: [values] if test(values) else []
+    return lambda values: [values]  # entry, exit, skip, assert, assume
 
 
 def run_collecting(
@@ -295,59 +338,66 @@ def run_collecting(
     """Enumerate concrete executions, collecting the post-states per node.
 
     Variables start at zero; every input site draws from `input_range`
-    unless the site carries its own range annotation. Assume nodes filter
-    states that do not satisfy their constraint. Exploration is
-    breadth-first over (node, state) pairs and paths stop at `step_bound`
-    steps, setting the truncated flag.
+    unless the site carries its own range annotation. One breadth-first
+    enumeration covers every assumption subset: each (node, state) entry
+    carries a mask over the 2**n subsets (bit A set when the state is
+    reached in `restrict(cfg, A)`). An assume node whose constraint fails
+    keeps only the bits of the subsets that decline it, and an entry moves
+    on only with the bits that are new to its (node, state), so each subset
+    advances through the layers of its own breadth-first run. Paths stop at
+    `step_bound` steps; the subsets whose runs still had states to expand
+    form `truncated_subsets`. `states` and `truncated` describe the program
+    as given, with every assumption accepted.
     """
-    lo, hi = input_range
-    if lo > hi:
+    if input_range[0] > input_range[1]:
         raise ValueError("empty input range")
-    init = tuple((v, 0) for v in cfg.variables)
-    seen: list[set[tuple[tuple[str, int], ...]]] = [set() for _ in cfg.nodes]
-    seen[cfg.entry].add(init)
-    frontier: list[tuple[int, tuple[tuple[str, int], ...]]] = [(cfg.entry, init)]
-    truncated = False
+    width = len(cfg.assumptions)
+    everyone = truth_table(TRUE, width)
+    slot = {var: i for i, var in enumerate(cfg.variables)}
+    moves = [_concrete_step(node.op, slot, input_range) for node in cfg.nodes]
+    filters = {
+        node.id: (_concrete_test(node.op, slot), truth_table(Not(Atom(node.op.assumption)), width))
+        for node in cfg.nodes
+        if isinstance(node.op, Assume)
+    }
+    successors = [cfg.successors(node.id) for node in cfg.nodes]
+    init: ConcreteValues = (0,) * len(cfg.variables)
+    seen: list[dict[ConcreteValues, int]] = [{} for _ in cfg.nodes]
+    seen[cfg.entry][init] = everyone
+    frontier: dict[tuple[int, ConcreteValues], int] = {(cfg.entry, init): everyone}
+    truncated_subsets = 0
     depth = 0
-
-    def step(v: int, state: tuple[tuple[str, int], ...]):
-        node = cfg.nodes[v]
-        op = node.op
-        values = dict(state)
-        if isinstance(op, Assign):
-            values[op.var] = op.expr.constant + sum(
-                coef * values[var] for coef, var in op.expr.terms
-            )
-            return [tuple(sorted(values.items()))]
-        if isinstance(op, Input):
-            site_lo, site_hi = op.input_range if op.input_range is not None else (lo, hi)
-            out = []
-            for value in range(site_lo, site_hi + 1):
-                values[op.var] = value
-                out.append(tuple(sorted(values.items())))
-            return out
-        if isinstance(op, GuardFilter):
-            return [state] if _concrete_guard(op.test, values) else []
-        if isinstance(op, Assume):
-            return [state] if op.constraint.holds(values) else []
-        return [state]  # entry, exit, skip, assert
-
     while frontier:
         depth += 1
         if depth > step_bound:
-            truncated = True
+            for mask in frontier.values():
+                truncated_subsets |= mask
             break
-        nxt: list[tuple[int, tuple[tuple[str, int], ...]]] = []
-        for v, state in frontier:
-            for w in cfg.successors(v):
-                for out in step(w, state):
-                    if out not in seen[w]:
-                        seen[w].add(out)
-                        nxt.append((w, out))
+        nxt: dict[tuple[int, ConcreteValues], int] = {}
+        for (v, values), mask in frontier.items():
+            for w in successors[v]:
+                passed = mask
+                if w in filters:
+                    holds, declined = filters[w]
+                    if not holds(values):
+                        passed &= declined
+                        if not passed:
+                            continue
+                reached = seen[w]
+                for out in moves[w](values):
+                    new = passed & ~reached.get(out, 0)
+                    if new:
+                        reached[out] = reached.get(out, 0) | new
+                        nxt[w, out] = nxt.get((w, out), 0) | new
         frontier = nxt
 
-    states = [[dict(s) for s in sorted(bucket)] for bucket in seen]
-    return CollectingResult(states, truncated)
+    given = 1 << ((1 << width) - 1)  # the bit of the subset accepting every assumption
+    labelled = [
+        [(dict(zip(cfg.variables, values)), reached[values]) for values in sorted(reached)]
+        for reached in seen
+    ]
+    states = [[values for values, mask in node if mask & given] for node in labelled]
+    return CollectingResult(states, bool(truncated_subsets & given), labelled, truncated_subsets)
 
 
 def verify_equivalence(
@@ -378,6 +428,7 @@ def verify_equivalence(
     if not param.converged:
         report.skipped = list(range(1 << width))
         return report
+    tables = [state.table() for state in param.states]
     for accepted in range(1 << width):
         base = analyze_baseline(restrict(cfg, accepted), config)
         if not base.converged:
@@ -385,7 +436,7 @@ def verify_equivalence(
             continue
         for node in cfg.nodes:
             expected = base.states[node.id]
-            got = param.states[node.id].state_for(accepted)
+            got = tables[node.id][accepted]
             ok = expected == got if exact else expected.leq(got)
             if not ok:
                 report.mismatches.append(
@@ -410,11 +461,13 @@ def verify_soundness(
 ) -> OracleReport:
     """Check that enumerated concrete states lie inside the abstract ones.
 
-    For each assumption subset, the restricted program is executed over the
-    finite input ranges and every collected concrete state is tested for
-    membership in the concretization of the rule state at its node.
-    Truncated explorations are recorded as partial evidence. `param` is
-    reused as in `verify_equivalence`.
+    The program is executed once over the finite input ranges; every
+    collected concrete state carries the mask of the assumption subsets
+    whose restricted programs reach it (see `run_collecting`). Each state
+    is tested for membership in the concretization of every rule at its
+    node whose subsets overlap that mask, and a failure is reported once
+    per subset in both. Subsets whose exploration was truncated are recorded
+    as partial evidence. `param` is reused as in `verify_equivalence`.
     """
     config = config or AnalysisConfig()
     width = len(cfg.assumptions)
@@ -425,15 +478,17 @@ def verify_soundness(
     if not param.converged:
         report.skipped = list(range(1 << width))
         return report
-    for accepted in range(1 << width):
-        collected = run_collecting(restrict(cfg, accepted), input_range, step_bound)
-        if collected.truncated:
-            report.partial.append(accepted)
-        for node in cfg.nodes:
-            abstract = param.states[node.id].state_for(accepted)
-            for values in collected.states[node.id]:
-                if not gamma_contains(abstract, values):
-                    report.mismatches.append(
-                        {"subset": accepted, "node": node.id, "state": values}
-                    )
+    cells = [state.cells() for state in param.states]
+    collected = run_collecting(cfg, input_range, step_bound)
+    report.partial = members(collected.truncated_subsets)
+    per_subset: list[list[dict]] = [[] for _ in range(1 << width)]
+    for node in cfg.nodes:
+        for values, reached in collected.labelled[node.id]:
+            for mask, abstract in cells[node.id]:
+                if mask & reached and not gamma_contains(abstract, values):
+                    for accepted in members(mask & reached):
+                        per_subset[accepted].append(
+                            {"subset": accepted, "node": node.id, "state": values}
+                        )
+    report.mismatches = [m for found in per_subset for m in found]
     return report

@@ -301,10 +301,17 @@ _REL_TOKENS = {
 }
 
 
+# Deepest nesting of blocks and assertion parentheses, counted together. The
+# parser recurses a few frames per level, so this keeps deep input a
+# ParseError well inside Python's recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # open blocks and assertion parentheses
         self.assume_labels: dict[str, _Token] = {}
 
     def peek(self) -> _Token:
@@ -327,6 +334,16 @@ class _Parser:
 
     def at(self, text: str) -> bool:
         return self.peek().text == text and self.peek().kind != "eof"
+
+    def open_nested(self, text: str) -> None:
+        tok = self.expect(text)
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels", tok)
+
+    def close_nested(self, text: str) -> None:
+        self.expect(text)
+        self.depth -= 1
 
     # -- grammar --
 
@@ -494,9 +511,9 @@ class _Parser:
         return WhileStmt(cond, self.parse_block())
 
     def parse_block(self) -> tuple[Stmt, ...]:
-        self.expect("{")
+        self.open_nested("{")
         stmts = self.parse_statements(stop_at_brace=True)
-        self.expect("}")
+        self.close_nested("}")
         return tuple(stmts)
 
     def parse_assume(self) -> AssumeStmt:
@@ -546,9 +563,9 @@ class _Parser:
 
     def parse_assert_atom(self) -> AssertExpr:
         if self.at("("):
-            self.advance()
+            self.open_nested("(")
             expr = self.parse_assert_or()
-            self.expect(")")
+            self.close_nested(")")
             return expr
         return self.parse_comparison(allow_ne=False)
 

@@ -21,7 +21,7 @@ from .conditions import (
     Not,
     Or,
     TRUE,
-    eval_condition,
+    members,
     simplify,
     render,
     satisfying_sets,
@@ -83,17 +83,15 @@ class ParamState:
 
     def state_for(self, accepted: int) -> IntervalEnv:
         """The result state of the unique rule whose condition holds."""
-        found = None
-        for rule in self.rules:
-            if eval_condition(rule.condition, accepted):
-                if found is not None:
-                    raise PartitionError(
-                        f"multiple rules apply to subset {accepted:#x}: {self.render()}"
-                    )
-                found = rule.state
-        if found is None:
+        return self._owner(accepted, self.masks())
+
+    def _owner(self, accepted: int, masks: Sequence[int]) -> IntervalEnv:
+        found = [rule.state for rule, mask in zip(self.rules, masks) if mask >> accepted & 1]
+        if len(found) > 1:
+            raise PartitionError(f"multiple rules apply to subset {accepted:#x}: {self.render()}")
+        if not found:
             raise PartitionError(f"no rule applies to subset {accepted:#x}: {self.render()}")
-        return found
+        return found[0]
 
     def is_partition(self) -> bool:
         masks = self.masks()
@@ -104,6 +102,27 @@ class ParamState:
             total += m.bit_count()
         full = (1 << (1 << self.width)) - 1
         return union == full and total == (1 << self.width)
+
+    def cells(self) -> list[tuple[int, IntervalEnv]]:
+        """The (subset mask, state) pairs of the rules with satisfiable conditions.
+
+        Unless the masks partition the 2**width subsets, raises the
+        PartitionError that `state_for` raises for the smallest subset that
+        no rule or several rules cover.
+        """
+        masks = self.masks()
+        if not self.is_partition():
+            for accepted in range(1 << self.width):
+                self._owner(accepted, masks)
+        return [(mask, rule.state) for rule, mask in zip(self.rules, masks) if mask]
+
+    def table(self) -> list[IntervalEnv]:
+        """The result state of every subset, indexed by subset; checked as in `cells`."""
+        out: list[IntervalEnv] = [BOTTOM] * (1 << self.width)
+        for mask, state in self.cells():
+            for accepted in members(mask):
+                out[accepted] = state
+        return out
 
     def semantic_items(self) -> tuple[tuple[int, IntervalEnv], ...]:
         """Canonical (subset-mask, state) pairs: the denoted function.

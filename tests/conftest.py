@@ -10,9 +10,9 @@ import pytest
 from hypothesis import settings
 
 from paramax.conditions import And, Atom, Condition, Not, TRUE, truth_table
-from paramax.engine import AnalysisConfig
-from paramax.frontend import AssumptionId, parse_cfg
-from paramax.intervals import BOTTOM, Interval, IntervalEnv, NEG_INF, POS_INF
+from paramax.engine import AnalysisConfig, OracleReport, analyze_param, run_collecting
+from paramax.frontend import AssumptionId, parse_cfg, restrict
+from paramax.intervals import BOTTOM, Interval, IntervalEnv, NEG_INF, POS_INF, gamma_contains
 from paramax.param import ParamState, Rule
 
 settings.register_profile("suite", deadline=None, max_examples=75)
@@ -142,3 +142,36 @@ def canonical_rule_key(state: ParamState):
         (truth_table(rule.condition, state.width), rule.state) for rule in state.rules
     ]
     return tuple(sorted(pairs, key=lambda p: p[0]))
+
+
+def reference_soundness(
+    cfg,
+    config: AnalysisConfig | None = None,
+    input_range: tuple[int, int] = (-8, 8),
+    step_bound: int = 100_000,
+    program_name: str = "<program>",
+    param=None,
+) -> OracleReport:
+    """The soundness oracle as a per-subset loop: the spec of `verify_soundness`.
+
+    Every subset's restricted program is run on its own, each node's
+    abstract state is looked up with `state_for`, and every collected
+    concrete state is tested with `gamma_contains`.
+    """
+    config = config or AnalysisConfig()
+    width = len(cfg.assumptions)
+    report = OracleReport("soundness", program_name, 1 << width, "membership")
+    param = param or analyze_param(cfg, config)
+    if not param.converged:
+        report.skipped = list(range(1 << width))
+        return report
+    for accepted in range(1 << width):
+        collected = run_collecting(restrict(cfg, accepted), input_range, step_bound)
+        if collected.truncated:
+            report.partial.append(accepted)
+        for node in cfg.nodes:
+            abstract = param.states[node.id].state_for(accepted)
+            for values in collected.states[node.id]:
+                if not gamma_contains(abstract, values):
+                    report.mismatches.append({"subset": accepted, "node": node.id, "state": values})
+    return report

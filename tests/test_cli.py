@@ -15,6 +15,7 @@ from paramax.cli import (
 )
 from paramax.consistency import ConsistencyReport
 from paramax.engine import OracleReport
+from paramax.frontend import MAX_NESTING
 from paramax.param import ParamState
 from paramax.synthesis import SynthesisOutcome
 
@@ -96,6 +97,55 @@ def test_analyze_parse_error(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(bad))
     assert code == EXIT_USAGE
     assert "line 1" in err
+
+
+def _deep_programs() -> dict[str, tuple[str, int, int]]:
+    """Source, line and column of the token that crosses the nesting limit."""
+    col_if = len("if (x > 0) ") + 1
+    col_while = len("while (x > 0) ") + 1
+    return {
+        "if300": (
+            "x := input();\n" + "if (x > 0) {\n" * 300 + "x := 1;\n" + "}\n" * 300,
+            MAX_NESTING + 2,
+            col_if,
+        ),
+        "while300": (
+            "x := input();\n" + "while (x > 0) {\n" * 300 + "x := x - 1;\n" + "}\n" * 300,
+            MAX_NESTING + 2,
+            col_while,
+        ),
+        "paren400": (
+            "x := 0;\nassert " + "(" * 400 + "x <= 1" + ")" * 400 + ";\n",
+            2,
+            len("assert ") + MAX_NESTING + 1,
+        ),
+    }
+
+
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
+    assert MAX_NESTING == 100
+    for name, (source, line, col) in _deep_programs().items():
+        path = tmp_path / f"{name}.pwl"
+        path.write_text(source)
+        code, out, err = run(capsys, "analyze", str(path))
+        assert code == EXIT_USAGE, name
+        assert out == ""
+        assert err == f"{path}: line {line}, col {col}: nesting deeper than 100 levels\n"
+        assert "Traceback" not in err
+
+
+def test_nesting_below_the_limit_analyzes(tmp_path, capsys):
+    path = tmp_path / "if50.pwl"
+    path.write_text(
+        "x := input();\nassume a: x >= 0;\n"
+        + "if (x > 0) {\n" * 50
+        + "x := 1;\n"
+        + "}\n" * 50
+        + "assert " + "(" * 49 + "x >= 0" + ")" * 49 + ";\n"
+    )
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == EXIT_OK, err
+    assert "converged=true" in out
 
 
 def test_analyze_missing_file(capsys):

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from paramax.conditions import And, Atom, Not, TRUE
 from paramax.engine import (
     AnalysisConfig,
     WidthCapError,
@@ -11,9 +14,9 @@ from paramax.engine import (
 )
 from paramax.frontend import Assume, parse_cfg, restrict
 from paramax.intervals import BOTTOM, NEG_INF, POS_INF
-from paramax.param import leq_param
+from paramax.param import ParamState, PartitionError, Rule, leq_param
 
-from conftest import CORPUS, canonical_rule_key, corpus_cfg, env
+from conftest import CORPUS, canonical_rule_key, corpus_cfg, env, reference_soundness
 
 EXAMPLE1 = "x := input(); assume a: x > 0; x := 5; assume b: x = 0;"
 
@@ -222,6 +225,149 @@ def test_collecting_truncates_infinite_loops():
     collected = run_collecting(cfg, (-2, 2), step_bound=500)
     assert collected.truncated
 
+
+def test_collecting_masks_match_per_subset_runs(example1_cfg):
+    cfg = example1_cfg
+    collected = run_collecting(cfg, (-2, 2))
+    assume_a = cfg.assumptions[0].node_id
+    # x <= 0 fails `assume a: x > 0`, so only the subsets declining a (bit 0) reach it
+    declines_a = 1 << 0b00 | 1 << 0b10
+    assert collected.labelled[assume_a] == [
+        ({"x": -2}, declines_a),
+        ({"x": -1}, declines_a),
+        ({"x": 0}, declines_a),
+        ({"x": 1}, 0b1111),
+        ({"x": 2}, 0b1111),
+    ]
+    for accepted in range(4):
+        alone = run_collecting(restrict(cfg, accepted), (-2, 2))
+        for node in cfg.nodes:
+            members = [s for s, mask in collected.labelled[node.id] if mask >> accepted & 1]
+            assert members == alone.states[node.id], (accepted, node.id)
+    assert collected.truncated_subsets == 0
+
+
+TRUNCATES_WITHOUT_A = "x := input(); assume a: x <= 0; while (x >= 1) { x := x + 1; }"
+
+
+def test_collecting_truncates_only_the_diverging_subsets():
+    cfg = parse_cfg(TRUNCATES_WITHOUT_A)
+    collected = run_collecting(cfg, (-2, 2), step_bound=300)
+    # accepting a keeps x <= 0, so the loop never runs; declining it lets x >= 1 count up forever
+    assert collected.truncated_subsets == 1 << 0b0
+    assert not collected.truncated
+    for accepted in range(2):
+        alone = run_collecting(restrict(cfg, accepted), (-2, 2), step_bound=300)
+        assert alone.truncated == (accepted == 0)
+    report = verify_soundness(
+        cfg, AnalysisConfig(widening_delay=2), input_range=(-2, 2), step_bound=300
+    )
+    assert report.partial == [0]
+    assert report.passed
+
+
+SHORTCUT_WITHOUT_A = """
+c := input() in [0, 1];
+i := 0;
+if (c >= 1) { assume a: c <= 0; c := 0; i := 20; }
+while (i < 20) { i := i + 1; }
+j := 0;
+while (j < 30) { j := j + 1; }
+"""
+
+
+def test_collecting_truncation_follows_each_subsets_own_layers():
+    # declining a jumps straight to i = 20, reaching every state after the
+    # first loop about 60 steps before the subset accepting a does
+    cfg = parse_cfg(SHORTCUT_WITHOUT_A)
+    for bound, expected in ((100, 0b11), (130, 0b10), (160, 0b00)):
+        collected = run_collecting(cfg, step_bound=bound)
+        assert collected.truncated_subsets == expected, bound
+        for accepted in range(2):
+            alone = run_collecting(restrict(cfg, accepted), step_bound=bound)
+            assert alone.truncated == bool(expected >> accepted & 1), (bound, accepted)
+
+
+# --- exhaustive verifiers --------------------------------------------------
+
+
+def _oracle_corpus():
+    for entry in CORPUS:
+        cfg = corpus_cfg(entry.name)
+        if len(cfg.assumptions) <= 8:
+            yield entry, cfg, entry.config or AnalysisConfig()
+
+
+def test_soundness_matches_per_subset_reference_on_corpus():
+    partial = 0
+    for entry, cfg, config in _oracle_corpus():
+        param = analyze_param(cfg, config)
+        kwargs = dict(
+            input_range=entry.input_range, step_bound=2000, program_name=entry.name, param=param
+        )
+        got = verify_soundness(cfg, config, **kwargs)
+        assert got.to_json() == reference_soundness(cfg, config, **kwargs).to_json(), entry.name
+        partial += len(got.partial)
+    assert partial  # the diverging loops are cut at the step bound
+
+
+def test_soundness_matches_reference_on_small_step_bounds():
+    entry = next(e for e in CORPUS if e.name == "loop_assume_widen.pwl")
+    cfg = corpus_cfg(entry.name)
+    for bound in (0, 1, 2, 5, 50):
+        args = (cfg, entry.config, entry.input_range, bound)
+        got = verify_soundness(*args)
+        assert got.to_json() == reference_soundness(*args).to_json(), bound
+    assert got.partial == [0, 1]
+
+
+def _mutants(param, rng: random.Random, count: int):
+    """Copies of a result with a few random rule states set to bottom."""
+    for _ in range(count):
+        states = list(param.states)
+        for _ in range(3):
+            i = rng.randrange(len(states))
+            rules = list(states[i].rules)
+            j = rng.randrange(len(rules))
+            rules[j] = Rule(rules[j].condition, BOTTOM)
+            states[i] = ParamState(tuple(rules), states[i].width)
+        yield type(param)(states, param.iterations, param.converged, param.config)
+
+
+def test_soundness_matches_reference_on_mutants():
+    rng = random.Random(0x50D)
+    mismatches = 0
+    for entry, cfg, config in _oracle_corpus():
+        for mutant in _mutants(analyze_param(cfg, config), rng, 3):
+            kwargs = dict(input_range=entry.input_range, step_bound=300, param=mutant)
+            got = verify_soundness(cfg, config, **kwargs)
+            assert got.to_json() == reference_soundness(cfg, config, **kwargs).to_json(), entry.name
+            mismatches += len(got.mismatches)
+    assert mismatches > 1000
+
+
+def test_verifiers_raise_on_broken_partitions(example1_cfg):
+    cfg = example1_cfg
+    a = Atom(cfg.assumptions[0])
+    gap = ParamState((Rule(a, env(x=(NEG_INF, POS_INF))),), 2)
+    overlap = ParamState((Rule(TRUE, env(x=(5, 5))), Rule(Not(a), env(x=(5, 5)))), 2)
+    contradiction = ParamState(
+        (Rule(TRUE, env(x=(5, 5))), Rule(And((a, Not(a))), BOTTOM)), 2
+    )
+    for broken in (gap, overlap):
+        param = analyze_param(cfg)
+        param.states[3] = broken
+        with pytest.raises(PartitionError):
+            verify_soundness(cfg, input_range=(-2, 2), param=param)
+        with pytest.raises(PartitionError):
+            reference_soundness(cfg, input_range=(-2, 2), param=param)
+        with pytest.raises(PartitionError):
+            verify_equivalence(cfg, param=param)
+    # an unsatisfiable extra rule is no gap and no overlap
+    param = analyze_param(cfg)
+    param.states[3] = contradiction
+    assert verify_soundness(cfg, input_range=(-2, 2), param=param).passed
+    assert verify_equivalence(cfg, param=param).passed
 
 # --- exhaustive verifiers --------------------------------------------------
 

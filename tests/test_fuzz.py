@@ -3,8 +3,9 @@
 Programs are built from a seeded grammar walk (assignments, inputs, nested
 branches, bounded-ish loops, assumes, asserts). Every generated program is
 pushed through the exhaustive per-subset equality check and the concrete
-containment check; non-convergent variants may be skipped by the verifiers
-but any mismatch is a real bug.
+containment check, whose report must also equal the per-subset reference's;
+non-convergent variants may be skipped by the verifiers but any mismatch is
+a real bug.
 """
 
 import random
@@ -17,6 +18,8 @@ from paramax.engine import (
 )
 from paramax.frontend import parse_cfg
 from paramax.synthesis import SynthesisVerdict, synthesize, verify_solutions
+
+from conftest import reference_soundness
 
 VARS = ("x", "y")
 
@@ -114,11 +117,12 @@ def test_random_programs_match_both_oracles():
         cfg = parse_cfg(source)
         equal = verify_equivalence(cfg, config, program_name=f"seed {seed}")
         assert equal.mismatches == [], (seed, source, equal.mismatches[:3])
-        sound = verify_soundness(
-            cfg, config, input_range=(-2, 2), step_bound=4000,
-            program_name=f"seed {seed}",
-        )
+        param = analyze_param(cfg, config)
+        kwargs = dict(input_range=(-2, 2), step_bound=4000, program_name=f"seed {seed}")
+        sound = verify_soundness(cfg, config, param=param, **kwargs)
         assert sound.mismatches == [], (seed, source, sound.mismatches[:3])
+        reference = reference_soundness(cfg, config, param=param, **kwargs)
+        assert sound.to_json() == reference.to_json(), (seed, source)
         checked += 1
         skipped_variants += len(equal.skipped) + len(sound.skipped)
     assert checked == 120
