@@ -17,13 +17,11 @@ from .conditions import (
     Not,
     Or,
     TRUE,
-    equivalent,
     eval_condition,
     format_subset,
-    implies,
+    formula,
     parse_condition,
     render,
-    sat,
     satisfying_sets,
     simplify,
 )
@@ -60,7 +58,6 @@ from .frontend import (
     dump_cfg,
     parse,
     parse_cfg,
-    predecessors,
     restrict,
 )
 from .intervals import (
@@ -74,24 +71,18 @@ from .intervals import (
     enforce,
     feasible,
     gamma_contains,
-    join,
-    leq,
-    meet,
     proves,
     transfer,
-    widen,
 )
 from .param import (
     ParamState,
     PartitionError,
     Rule,
     approx_merge,
-    exact_merge_step,
     join_states,
     leq_param,
     merge_loss,
     normalize,
-    redundancy_elim_step,
     reduce_to_budget,
     split,
     widen_param,
@@ -99,7 +90,6 @@ from .param import (
 from .synthesis import (
     SynthesisOutcome,
     SynthesisVerdict,
-    minimal_solutions,
     synthesize,
     verify_solutions,
 )

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from . import consistency as consistency_mod
 from . import synthesis as synthesis_mod
-from .conditions import format_subset
+from .conditions import format_subset, render_mask
 from .engine import (
     AnalysisConfig,
     ParamAnalysisResult,
@@ -202,7 +202,16 @@ def _load(path: str) -> tuple[str, Cfg]:
     return os.path.basename(path), parse_cfg(source)
 
 
-def analysis_document(name: str, cfg: Cfg, result: ParamAnalysisResult) -> dict:
+def analysis_document(
+    name: str, cfg: Cfg, result: ParamAnalysisResult, names: dict[int, str] | None = None
+) -> dict:
+    """The JSON document of an analysis.
+
+    Each distinct rule mask is rendered once, memoized in `names`: a fresh
+    dict unless the caller passes the one it uses for the rest of the same
+    document.
+    """
+    names = {} if names is None else names
     return {
         "program": name,
         "assumptions": [a.label for a in cfg.assumptions],
@@ -210,7 +219,7 @@ def analysis_document(name: str, cfg: Cfg, result: ParamAnalysisResult) -> dict:
             {
                 "id": node.id,
                 "kind": node.render(),
-                "rules": result.states[node.id].to_json(),
+                "rules": result.states[node.id].to_json(names),
             }
             for node in cfg.nodes
         ],
@@ -225,10 +234,12 @@ def analysis_document(name: str, cfg: Cfg, result: ParamAnalysisResult) -> dict:
 def _render_analysis_text(name: str, cfg: Cfg, result: ParamAnalysisResult) -> str:
     lines = [f"program: {name}"]
     lines.append("assumptions: " + (", ".join(a.label for a in cfg.assumptions) or "(none)"))
+    names: dict[int, str] = {}
     for node in cfg.nodes:
         lines.append(f"node {node.id} {node.render()}:")
         for rule in result.states[node.id].rules:
-            lines.append(f"  {rule.render()}")
+            condition = render_mask(rule.mask, cfg.assumptions, names)
+            lines.append(f"  {condition} -> {rule.state.render()}")
     lines.append(
         f"meta: iterations={result.iterations} converged={str(result.converged).lower()}"
     )
@@ -266,9 +277,8 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     outcome = synthesis_mod.synthesize(result, cfg)
     report = None
     lines = [f"program: {name}", f"verdict: {outcome.verdict.value}"]
-    from .conditions import render as render_condition
-
-    lines.append(f"condition: {render_condition(outcome.condition)}")
+    names: dict[int, str] = {}  # rendered masks, shared with the JSON document
+    lines.append(f"condition: {render_mask(outcome.condition, cfg.assumptions, names)}")
     if outcome.verdict is synthesis_mod.SynthesisVerdict.SOLUTIONS:
         full = (1 << outcome.width)
         if not outcome.truncated and len(outcome.solutions) == full:
@@ -288,12 +298,12 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
             )
     for node_id, rows in outcome.per_assertion.items():
         lines.append(f"assertion at node {node_id}:")
-        for cond, verdict in rows:
-            lines.append(f"  {render_condition(cond)} -> {verdict.value}")
+        for mask, verdict in rows:
+            lines.append(f"  {render_mask(mask, cfg.assumptions, names)} -> {verdict.value}")
 
     def document() -> dict:
-        out = analysis_document(name, cfg, result)
-        out["synthesis"] = outcome.to_json()
+        out = analysis_document(name, cfg, result, names)
+        out["synthesis"] = outcome.to_json(names)
         if report is not None:
             out["oracle_reports"] = [report.to_json()]
         return out

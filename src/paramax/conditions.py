@@ -1,13 +1,12 @@
-"""Propositional conditions over assumption atoms.
+"""Subset masks and propositional conditions over assumption atoms.
 
-A condition selects a set of assumption subsets: the atom for assumption
-`a` is true exactly when `a` is in the accepted set. Subsets are encoded as
-bit fields (bit i = assumption with index i). Satisfiability, implication,
-and equivalence are decided exactly by enumeration, realized as memoized
-truth-table bitmasks: bit A of `truth_table(cond, width)` is set when the
-subset A satisfies the condition. The width cap keeps enumeration at desk
-scale. `simplify` maps every condition to the canonical formula of its
-table, so formulas stay as small as the set of subsets they denote.
+A set of assumption subsets is a mask: an int with bit A set when subset A
+(bit i = the assumption with index i) belongs to the set. The analysis works
+on masks alone. Condition trees are the printed form: `formula` builds the
+canonical formula of a mask (a cube, a negated cube, or an irredundant sum
+of products) when a result is output. `truth_table` gives the mask of a
+tree and `simplify` its canonical formula, for trees built by hand or
+parsed back. The width cap keeps masks at desk scale.
 
 Condition nodes cache their hash and highest atom index at construction,
 so table memoization and set operations stay cheap on shared subtrees.
@@ -17,7 +16,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .frontend import AssumptionId
 
@@ -175,12 +174,14 @@ def atoms_of(cond: Condition) -> frozenset[AssumptionId]:
     return frozenset(out)
 
 
-def _full_mask(width: int) -> int:
+def full_mask(width: int) -> int:
+    """The mask of all 2**width subsets."""
     return (1 << (1 << width)) - 1
 
 
 @lru_cache(maxsize=None)
-def _atom_pattern(index: int, width: int) -> int:
+def atom_mask(index: int, width: int) -> int:
+    """The mask of the subsets that contain the assumption with index `index`."""
     block = 1 << index  # run length of the alternating 0/1 blocks
     run = (1 << block) - 1
     pattern = 0
@@ -195,7 +196,7 @@ def truth_table(cond: Condition, width: int) -> int:
     if width > WIDTH_CAP:
         raise WidthError(f"condition width {width} exceeds the cap of {WIDTH_CAP}")
     if isinstance(cond, TrueCond):
-        return _full_mask(width)
+        return full_mask(width)
     if isinstance(cond, FalseCond):
         return 0
     if isinstance(cond, Atom):
@@ -203,11 +204,11 @@ def truth_table(cond: Condition, width: int) -> int:
             raise WidthError(
                 f"atom {cond.assumption.label!r} has index {cond.assumption.index}, width is {width}"
             )
-        return _atom_pattern(cond.assumption.index, width)
+        return atom_mask(cond.assumption.index, width)
     if isinstance(cond, Not):
-        return _full_mask(width) & ~truth_table(cond.operand, width)
+        return full_mask(width) & ~truth_table(cond.operand, width)
     if isinstance(cond, And):
-        out = _full_mask(width)
+        out = full_mask(width)
         for p in cond.parts:
             out &= truth_table(p, width)
         return out
@@ -215,35 +216,6 @@ def truth_table(cond: Condition, width: int) -> int:
     for p in cond.parts:
         out |= truth_table(p, width)
     return out
-
-
-def sat(cond: Condition, width: int | None = None) -> bool:
-    """Satisfiable over some assumption subset.
-
-    With `width=None`, enumeration covers just the occurring atoms, which
-    decides the same question.
-    """
-    if width is None:
-        width = cond.max_index
-    return truth_table(cond, width) != 0
-
-
-def valid(cond: Condition, width: int | None = None) -> bool:
-    if width is None:
-        width = cond.max_index
-    return truth_table(cond, width) == _full_mask(width)
-
-
-def implies(a: Condition, b: Condition, width: int | None = None) -> bool:
-    if width is None:
-        width = max(a.max_index, b.max_index)
-    return truth_table(a, width) & ~truth_table(b, width) == 0
-
-
-def equivalent(a: Condition, b: Condition, width: int | None = None) -> bool:
-    if width is None:
-        width = max(a.max_index, b.max_index)
-    return truth_table(a, width) == truth_table(b, width)
 
 
 def members(mask: int) -> list[int]:
@@ -262,11 +234,11 @@ Cube = tuple[tuple[int, bool], ...]  # (atom index, positive) literals, ascendin
 
 def _cube_for(table: int, width: int, indices: Iterable[int]) -> Cube | None:
     """The literals of the cube that the nonzero `table` is exactly, if it is one."""
-    full = _full_mask(width)
+    full = full_mask(width)
     literals = []
     cube = full
     for index in sorted(indices):
-        pattern = _atom_pattern(index, width)
+        pattern = atom_mask(index, width)
         if table & ~pattern == 0:
             literals.append((index, True))
             cube &= pattern
@@ -278,7 +250,7 @@ def _cube_for(table: int, width: int, indices: Iterable[int]) -> Cube | None:
 
 def _cofactors(table: int, index: int, width: int) -> tuple[int, int]:
     """The tables with atom `index` fixed false and true, spread over both halves."""
-    pattern = _atom_pattern(index, width)
+    pattern = atom_mask(index, width)
     shift = 1 << index
     low, high = table & ~pattern, table & pattern
     return low | low << shift, high | high >> shift
@@ -294,7 +266,7 @@ def _isop(lower: int, upper: int, indices: list[int], width: int) -> tuple[list[
     """
     if lower == 0:
         return [], 0
-    full = _full_mask(width)
+    full = full_mask(width)
     if upper == full:
         return [()], full
     for k, index in enumerate(indices):
@@ -308,7 +280,7 @@ def _isop(lower: int, upper: int, indices: list[int], width: int) -> tuple[list[
     shared, cover = _isop(
         (lower0 & ~cover0) | (lower1 & ~cover1), upper0 & upper1, rest, width
     )
-    pattern = _atom_pattern(index, width)
+    pattern = atom_mask(index, width)
     cover |= (cover0 & ~pattern) | (cover1 & pattern)
     cubes = [c + ((index, False),) for c in cubes0] + [c + ((index, True),) for c in cubes1]
     return cubes + shared, cover
@@ -321,29 +293,52 @@ def _conjunction(cube: Cube, atoms: Mapping[int, AssumptionId]) -> Condition:
     return parts[0] if len(parts) == 1 else And(parts)
 
 
-@lru_cache(maxsize=1 << 15)
-def simplify(cond: Condition) -> Condition:
-    """The canonical formula of the condition's truth table.
+def formula(mask: int, atoms: Iterable[AssumptionId]) -> Condition:
+    """The canonical formula of a subset mask over `atoms`.
 
     That is the cube (conjunction of literals, `true` or `false`) if the
-    table is one, else the negated cube if its complement is one, else the
+    mask is one, else the negated cube if its complement is one, else the
     irredundant sum of products of `_isop`, literals and cubes sorted by
-    atom index. The result depends on the set of satisfying subsets alone,
-    so equivalent conditions simplify to equal trees.
+    atom index. The width is one past the highest atom index. The result
+    depends on the set of subsets alone: equal masks give equal trees.
     """
-    width = cond.max_index
-    table = truth_table(cond, width)
-    if table == 0:
+    if mask == 0:
         return FALSE
-    atoms = {a.index: a for a in atoms_of(cond)}
-    cube = _cube_for(table, width, atoms)
+    by_index = {a.index: a for a in atoms}
+    width = max(by_index, default=-1) + 1
+    cube = _cube_for(mask, width, by_index)
     if cube is not None:
-        return _conjunction(cube, atoms)
-    anti = _cube_for(_full_mask(width) & ~table, width, atoms)
+        return _conjunction(cube, by_index)
+    anti = _cube_for(full_mask(width) & ~mask, width, by_index)
     if anti is not None:
-        return Not(_conjunction(anti, atoms))
-    cubes, _ = _isop(table, table, sorted(atoms, reverse=True), width)
-    return Or(tuple(_conjunction(c, atoms) for c in sorted(cubes)))
+        return Not(_conjunction(anti, by_index))
+    cubes, _ = _isop(mask, mask, sorted(by_index, reverse=True), width)
+    return Or(tuple(_conjunction(c, by_index) for c in sorted(cubes)))
+
+
+def render_mask(
+    mask: int, atoms: Sequence[AssumptionId], names: dict[int, str] | None = None
+) -> str:
+    """The text of `formula(mask, atoms)`.
+
+    `names`, if given, memoizes the text per mask; one output document
+    keeps one dict, since all its masks range over the same atoms.
+    """
+    if names is None:
+        return render(formula(mask, atoms))
+    text = names.get(mask)
+    if text is None:
+        text = names[mask] = render(formula(mask, atoms))
+    return text
+
+
+@lru_cache(maxsize=1 << 15)
+def simplify(cond: Condition) -> Condition:
+    """The canonical formula of the condition's truth table (see `formula`).
+
+    Equivalent conditions simplify to equal trees.
+    """
+    return formula(truth_table(cond, cond.max_index), atoms_of(cond))
 
 
 def render(cond: Condition) -> str:

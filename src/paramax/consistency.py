@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .conditions import Condition, FALSE, Or, simplify, truth_table
 from .engine import ParamAnalysisResult
 from .frontend import Assume, AssumptionId, Cfg
 from .intervals import AssumeState, feasible
@@ -53,27 +52,21 @@ class ConsistencyReport:
 
 def refuting_condition(
     result: ParamAnalysisResult, cfg: Cfg, assumption: AssumptionId
-) -> Condition:
-    """Disjunction of rule conditions at the assume node with no feasible state."""
+) -> int:
+    """The mask of the subsets whose rule at the assume node has no feasible state."""
     node = cfg.nodes[assumption.node_id]
     if not isinstance(node.op, Assume):
         raise ValueError(f"node {assumption.node_id} is not an assume node")
     pi = AssumeState.from_constraint(node.op.constraint)
-    conds = [
-        rule.condition
-        for rule in result.states[node.id].rules
-        if not feasible(rule.state, pi)
-    ]
-    if not conds:
-        return FALSE
-    return simplify(Or(tuple(conds)) if len(conds) > 1 else conds[0])
+    refuted = 0
+    for rule in result.states[node.id].rules:
+        if not feasible(rule.state, pi):
+            refuted |= rule.mask
+    return refuted
 
 
 def _refuting_tables(result: ParamAnalysisResult, cfg: Cfg) -> list[int]:
-    width = len(cfg.assumptions)
-    return [
-        truth_table(refuting_condition(result, cfg, a), width) for a in cfg.assumptions
-    ]
+    return [refuting_condition(result, cfg, a) for a in cfg.assumptions]
 
 
 def unrefuted(result: ParamAnalysisResult, cfg: Cfg, accepted: int) -> int:

@@ -19,7 +19,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-from .conditions import TRUE, WIDTH_CAP, Atom, Not, members, truth_table
+from .conditions import WIDTH_CAP, atom_mask, full_mask, members
 from .frontend import (
     Assign,
     Assume,
@@ -113,7 +113,9 @@ class OracleReport:
 
     @property
     def passed(self) -> bool:
-        return not self.mismatches
+        """No mismatches, and not every subset skipped."""
+        every_skipped = bool(self.skipped) and len(self.skipped) == self.subsets_checked
+        return not self.mismatches and not every_skipped
 
     def to_json(self) -> dict:
         return {
@@ -249,8 +251,8 @@ def analyze_param(
             f"program has {width} assumptions; configured width cap is {config.condition_width_cap}"
         )
     pis = _assume_states(cfg)
-    seed = ParamState.of_state(IntervalEnv.top(cfg.variables), width)
-    bottom = ParamState.bottom(width)
+    seed = ParamState.of_state(IntervalEnv.top(cfg.variables), cfg.assumptions)
+    bottom = ParamState.bottom(cfg.assumptions)
 
     def apply_node(v: int, state: ParamState) -> ParamState:
         node = cfg.nodes[v]
@@ -272,7 +274,7 @@ def analyze_param(
         seed=seed,
         bottom=bottom,
         evaluate=evaluate,
-        equals=lambda a, b: a.semantic_items() == b.semantic_items(),
+        equals=lambda a, b: a.rules == b.rules,
         widen_fn=widen_param,
         post=post,
         observer=observer,
@@ -345,18 +347,22 @@ def run_collecting(
     keeps only the bits of the subsets that decline it, and an entry moves
     on only with the bits that are new to its (node, state), so each subset
     advances through the layers of its own breadth-first run. Paths stop at
-    `step_bound` steps; the subsets whose runs still had states to expand
-    form `truncated_subsets`. `states` and `truncated` describe the program
-    as given, with every assumption accepted.
+    `step_bound` steps; the subsets whose runs would reach a new (node,
+    state) with one more step form `truncated_subsets`. `states` and
+    `truncated` describe the program as given, with every assumption
+    accepted.
     """
     if input_range[0] > input_range[1]:
         raise ValueError("empty input range")
     width = len(cfg.assumptions)
-    everyone = truth_table(TRUE, width)
+    everyone = full_mask(width)
     slot = {var: i for i, var in enumerate(cfg.variables)}
     moves = [_concrete_step(node.op, slot, input_range) for node in cfg.nodes]
     filters = {
-        node.id: (_concrete_test(node.op, slot), truth_table(Not(Atom(node.op.assumption)), width))
+        node.id: (
+            _concrete_test(node.op, slot),
+            everyone & ~atom_mask(node.op.assumption.index, width),  # the subsets declining it
+        )
         for node in cfg.nodes
         if isinstance(node.op, Assume)
     }
@@ -368,11 +374,6 @@ def run_collecting(
     truncated_subsets = 0
     depth = 0
     while frontier:
-        depth += 1
-        if depth > step_bound:
-            for mask in frontier.values():
-                truncated_subsets |= mask
-            break
         nxt: dict[tuple[int, ConcreteValues], int] = {}
         for (v, values), mask in frontier.items():
             for w in successors[v]:
@@ -386,10 +387,15 @@ def run_collecting(
                 reached = seen[w]
                 for out in moves[w](values):
                     new = passed & ~reached.get(out, 0)
-                    if new:
+                    if not new:
+                        continue
+                    if depth == step_bound:  # one step too many: not collected
+                        truncated_subsets |= new
+                    else:
                         reached[out] = reached.get(out, 0) | new
                         nxt[w, out] = nxt.get((w, out), 0) | new
         frontier = nxt
+        depth += 1
 
     given = 1 << ((1 << width) - 1)  # the bit of the subset accepting every assumption
     labelled = [

@@ -719,11 +719,6 @@ class Cfg:
         return tuple(n for n in self.nodes if isinstance(n.op, Assert))
 
 
-def predecessors(cfg: Cfg, v: int) -> tuple[int, ...]:
-    """Syntactic predecessor set {v' | v' -> v}."""
-    return cfg.predecessors(v)
-
-
 class _CfgBuilder:
     def __init__(self) -> None:
         self.nodes: list[CfgNode] = []

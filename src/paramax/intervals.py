@@ -293,22 +293,6 @@ class AssumeState:
         return AssumeState(tuple(sorted(acc.items())))
 
 
-def join(a: IntervalEnv, b: IntervalEnv) -> IntervalEnv:
-    return a.join(b)
-
-
-def meet(a: IntervalEnv, b: "IntervalEnv | AssumeState") -> IntervalEnv:
-    return a.meet(b)
-
-
-def leq(a: IntervalEnv, b: IntervalEnv) -> bool:
-    return a.leq(b)
-
-
-def widen(prev: IntervalEnv, nxt: IntervalEnv) -> IntervalEnv:
-    return prev.widen(nxt)
-
-
 def enforce(env: IntervalEnv, state: AssumeState) -> IntervalEnv:
     """Force an assumption onto a state by meeting with its encoding."""
     return env.meet(state)

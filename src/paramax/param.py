@@ -1,10 +1,12 @@
 """Rule-based analysis states parameterized by assumption subsets.
 
-A `ParamState` is a finite set of rules (condition, interval environment)
-whose conditions partition the space of assumption subsets, so exactly one
-rule applies to every subset: the state denotes a function from subsets to
-environments. `normalize` reduces a state to its unique compact normal form
-(distinct result states, satisfiable conditions); `split` is the transformer
+A `ParamState` is a finite set of rules (subset mask, interval environment)
+whose masks partition the 2**n assumption subsets, so exactly one rule
+applies to every subset: the state denotes a function from subsets to
+environments. Bit A of a rule's mask is set when subset A takes the rule
+(see `paramax.conditions`); formulas are built from the masks only when a
+state is output. `normalize` reduces a state to its unique compact normal
+form (distinct result states, nonempty masks); `split` is the transformer
 of an assume node; `approx_merge`/`reduce_to_budget` trade precision for
 fewer rules, guided by a loss score.
 """
@@ -12,62 +14,51 @@ fewer rules, guided by a loss score.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .conditions import (
-    And,
-    Atom,
-    Condition,
-    Not,
-    Or,
-    TRUE,
-    members,
-    simplify,
-    render,
-    satisfying_sets,
-    truth_table,
-)
+from .conditions import atom_mask, full_mask, members, render_mask
 from .frontend import AssumptionId
 from .intervals import BOTTOM, AssumeState, IntervalEnv, enforce
 
 
 class PartitionError(Exception):
-    """The rule conditions stopped forming a partition (internal invariant)."""
+    """The rule masks stopped forming a partition (internal invariant)."""
 
 
 @dataclass(frozen=True)
 class Rule:
-    condition: Condition
+    mask: int  # bit A set when assumption subset A takes this rule
     state: IntervalEnv
-
-    def render(self) -> str:
-        return f"{render(self.condition)} -> {self.state.render()}"
 
 
 class ParamState:
-    """Immutable rule set over a fixed number of assumption atoms."""
+    """Immutable rule set over a program's assumptions."""
 
-    __slots__ = ("rules", "width")
+    __slots__ = ("rules", "atoms")
 
-    def __init__(self, rules: tuple[Rule, ...], width: int):
+    def __init__(self, rules: tuple[Rule, ...], atoms: tuple[AssumptionId, ...]):
         self.rules = rules
-        self.width = width
+        self.atoms = atoms
+
+    @property
+    def width(self) -> int:
+        return len(self.atoms)
 
     @staticmethod
-    def of_state(state: IntervalEnv, width: int) -> "ParamState":
-        return ParamState((Rule(TRUE, state),), width)
+    def of_state(state: IntervalEnv, atoms: tuple[AssumptionId, ...]) -> "ParamState":
+        return ParamState((Rule(full_mask(len(atoms)), state),), atoms)
 
     @staticmethod
-    def bottom(width: int) -> "ParamState":
-        return ParamState((Rule(TRUE, BOTTOM),), width)
+    def bottom(atoms: tuple[AssumptionId, ...]) -> "ParamState":
+        return ParamState.of_state(BOTTOM, atoms)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ParamState):
             return NotImplemented
-        return self.width == other.width and self.rules == other.rules
+        return self.atoms == other.atoms and self.rules == other.rules
 
     def __hash__(self) -> int:
-        return hash((self.rules, self.width))
+        return hash((self.rules, self.atoms))
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -76,17 +67,13 @@ class ParamState:
         return f"ParamState({self.render()})"
 
     def render(self) -> str:
-        return "; ".join(r.render() for r in self.rules)
-
-    def masks(self) -> list[int]:
-        return [truth_table(r.condition, self.width) for r in self.rules]
+        return "; ".join(
+            f"{render_mask(r.mask, self.atoms)} -> {r.state.render()}" for r in self.rules
+        )
 
     def state_for(self, accepted: int) -> IntervalEnv:
-        """The result state of the unique rule whose condition holds."""
-        return self._owner(accepted, self.masks())
-
-    def _owner(self, accepted: int, masks: Sequence[int]) -> IntervalEnv:
-        found = [rule.state for rule, mask in zip(self.rules, masks) if mask >> accepted & 1]
+        """The result state of the unique rule whose mask holds the subset."""
+        found = [rule.state for rule in self.rules if rule.mask >> accepted & 1]
         if len(found) > 1:
             raise PartitionError(f"multiple rules apply to subset {accepted:#x}: {self.render()}")
         if not found:
@@ -94,27 +81,24 @@ class ParamState:
         return found[0]
 
     def is_partition(self) -> bool:
-        masks = self.masks()
         union = 0
         total = 0
-        for m in masks:
-            union |= m
-            total += m.bit_count()
-        full = (1 << (1 << self.width)) - 1
-        return union == full and total == (1 << self.width)
+        for rule in self.rules:
+            union |= rule.mask
+            total += rule.mask.bit_count()
+        return union == full_mask(self.width) and total == (1 << self.width)
 
     def cells(self) -> list[tuple[int, IntervalEnv]]:
-        """The (subset mask, state) pairs of the rules with satisfiable conditions.
+        """The (subset mask, state) pairs of the rules with nonempty masks.
 
         Unless the masks partition the 2**width subsets, raises the
         PartitionError that `state_for` raises for the smallest subset that
         no rule or several rules cover.
         """
-        masks = self.masks()
         if not self.is_partition():
             for accepted in range(1 << self.width):
-                self._owner(accepted, masks)
-        return [(mask, rule.state) for rule, mask in zip(self.rules, masks) if mask]
+                self.state_for(accepted)
+        return [(rule.mask, rule.state) for rule in self.rules if rule.mask]
 
     def table(self) -> list[IntervalEnv]:
         """The result state of every subset, indexed by subset; checked as in `cells`."""
@@ -124,170 +108,94 @@ class ParamState:
                 out[accepted] = state
         return out
 
-    def semantic_items(self) -> tuple[tuple[int, IntervalEnv], ...]:
-        """Canonical (subset-mask, state) pairs: the denoted function.
-
-        Equal-state rules are pooled and empty conditions dropped, so two
-        states denote the same function exactly when their items are equal.
-        Pairs are ordered by each mask's smallest member.
-        """
-        pooled: dict[IntervalEnv, int] = {}
-        for rule, mask in zip(self.rules, self.masks()):
-            if mask:
-                pooled[rule.state] = pooled.get(rule.state, 0) | mask
-        return tuple(sorted(pooled.items(), key=lambda kv: (kv[1] & -kv[1]).bit_length()))
-
-    def to_json(self):
+    def to_json(self, names: dict[int, str] | None = None):
+        """The rules as JSON objects; `names` as in `render_mask`."""
         return [
             {
-                "condition": render(r.condition),
-                "condition_sets": satisfying_sets(r.condition, self.width),
+                "condition": render_mask(r.mask, self.atoms, names),
+                "condition_sets": members(r.mask),
                 "state": r.state.to_json(),
             }
             for r in self.rules
         ]
 
 
-def exact_merge_step(state: ParamState, pair: tuple[int, int] | None = None) -> ParamState | None:
-    """Merge one pair of rules with identical result states; None if no pair.
-
-    Without an explicit pair, the lowest-index pair is taken.
-    """
-    if pair is None:
-        for i in range(len(state.rules)):
-            for j in range(i + 1, len(state.rules)):
-                if state.rules[i].state == state.rules[j].state:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
-        if pair is None:
-            return None
-    i, j = sorted(pair)
-    if state.rules[i].state != state.rules[j].state:
-        raise ValueError(f"rules {i} and {j} have different result states")
-    merged = Rule(
-        simplify(Or((state.rules[i].condition, state.rules[j].condition))),
-        state.rules[i].state,
-    )
-    rules = [merged if k == i else r for k, r in enumerate(state.rules) if k != j]
-    return ParamState(tuple(rules), state.width)
-
-
-def redundancy_elim_step(state: ParamState, index: int | None = None) -> ParamState | None:
-    """Remove one rule with an unsatisfiable condition; None if none exists."""
-    masks = state.masks()
-    if index is None:
-        index = next((i for i, m in enumerate(masks) if m == 0), None)
-        if index is None:
-            return None
-    if masks[index] != 0:
-        raise ValueError(f"rule {index} has a satisfiable condition")
-    rules = tuple(r for k, r in enumerate(state.rules) if k != index)
-    return ParamState(rules, state.width)
-
-
 def normalize(state: ParamState) -> ParamState:
     """Reduce to the unique compact normal form.
 
-    Rules with equal result states are merged (disjoining their conditions)
-    and rules with unsatisfiable conditions dropped; this is the fixpoint of
-    the two single-step reductions, reached directly by grouping. Rules are
-    then ordered by the smallest subset satisfying their condition, making
-    equal functions compare structurally equal after normalization.
+    Rules with equal result states are merged (their masks ORed) and rules
+    with empty masks dropped. Rules are then ordered by the lowest set bit
+    of their masks, so equal functions have equal normal forms.
     """
-    groups: dict[IntervalEnv, list[Condition]] = {}
+    pooled: dict[IntervalEnv, int] = {}
     for rule in state.rules:
-        groups.setdefault(rule.state, []).append(rule.condition)
-    keyed = []
-    for result, conds in groups.items():
-        cond = conds[0] if len(conds) == 1 else Or(tuple(conds))
-        cond = simplify(cond)
-        mask = truth_table(cond, state.width)
-        if mask == 0:
-            continue
-        keyed.append(((mask & -mask).bit_length(), Rule(cond, result)))
-    keyed.sort(key=lambda kv: kv[0])
-    return ParamState(tuple(r for _, r in keyed), state.width)
+        if rule.mask:
+            pooled[rule.state] = pooled.get(rule.state, 0) | rule.mask
+    rules = sorted((Rule(mask, result) for result, mask in pooled.items()), key=_lowest_bit)
+    return ParamState(tuple(rules), state.atoms)
+
+
+def _lowest_bit(rule: Rule) -> int:
+    return rule.mask & -rule.mask
 
 
 def split(state: ParamState, assumption: AssumptionId, pi: AssumeState) -> ParamState:
     """Assume-node transformer: fork every rule on taking the assumption.
 
-    Each rule yields an accepted branch (condition and the atom, state met
-    with the assumption's encoding) and a declined branch (condition and the
-    negated atom, state unchanged); branches with unsatisfiable conditions
-    are never produced. When a rule's condition already decides the atom the
-    condition is reused as is.
+    Each rule yields an accepted branch (the mask's subsets holding the
+    assumption, state met with its encoding) and a declined branch (the
+    other subsets, state unchanged); empty branches are never produced.
     """
-    atom = Atom(assumption)
-    natom = Not(atom)
-    width = state.width
+    taking = atom_mask(assumption.index, state.width)
     out: list[Rule] = []
-    for rule, mask in zip(state.rules, state.masks()):
-        if mask == 0:
-            continue
-        accepted_mask = mask & truth_table(atom, width)
-        declined_mask = mask & ~truth_table(atom, width)
-        if accepted_mask:
-            cond = rule.condition if accepted_mask == mask else simplify(And((rule.condition, atom)))
-            out.append(Rule(cond, enforce(rule.state, pi)))
-        if declined_mask:
-            cond = rule.condition if declined_mask == mask else simplify(And((rule.condition, natom)))
-            out.append(Rule(cond, rule.state))
-    return ParamState(tuple(out), width)
+    for rule in state.rules:
+        if rule.mask & taking:
+            out.append(Rule(rule.mask & taking, enforce(rule.state, pi)))
+        if rule.mask & ~taking:
+            out.append(Rule(rule.mask & ~taking, rule.state))
+    return ParamState(tuple(out), state.atoms)
+
+
+def _intersect(a: ParamState, b: ParamState) -> Iterator[tuple[int, IntervalEnv, IntervalEnv]]:
+    """(mask, state in `a`, state in `b`) for every nonempty intersection of two rules."""
+    if a.atoms != b.atoms:
+        raise ValueError("mismatched assumptions")
+    for rule_a in a.rules:
+        for rule_b in b.rules:
+            mask = rule_a.mask & rule_b.mask
+            if mask:
+                yield mask, rule_a.state, rule_b.state
 
 
 def join_states(states: Sequence[ParamState]) -> ParamState:
     """Pointwise join of the denoted functions, as a normalized state.
 
-    Realized by intersecting the partitions: every satisfiable combination
-    of one condition per input becomes a cell whose state is the join of the
+    Realized by intersecting the partitions: every nonempty intersection of
+    one rule per input becomes a cell whose state is the join of the
     member states.
     """
     if not states:
         raise ValueError("join of no parameterized states")
-    width = states[0].width
-    if any(s.width != width for s in states):
-        raise ValueError("mismatched assumption widths")
-    cells: list[tuple[Condition, int, IntervalEnv]] = [
-        (r.condition, m, r.state) for r, m in zip(states[0].rules, states[0].masks()) if m
-    ]
+    joined = states[0]
     for state in states[1:]:
-        nxt: list[tuple[Condition, int, IntervalEnv]] = []
-        for cond1, mask1, env1 in cells:
-            for rule, mask2 in zip(state.rules, state.masks()):
-                mask = mask1 & mask2
-                if not mask:
-                    continue
-                if mask == mask1:
-                    cond = cond1
-                elif mask == mask2:
-                    cond = rule.condition
-                else:
-                    cond = simplify(And((cond1, rule.condition)))
-                nxt.append((cond, mask, env1.join(rule.state)))
-        cells = nxt
-    merged = ParamState(tuple(Rule(c, s) for c, _, s in cells), width)
-    return normalize(merged)
+        cells = tuple(Rule(mask, x.join(y)) for mask, x, y in _intersect(joined, state))
+        joined = ParamState(cells, joined.atoms)
+    return normalize(joined)
 
 
 def leq_param(a: ParamState, b: ParamState) -> bool:
     """Pointwise order on the denoted functions, via partition intersection."""
-    if a.width != b.width:
-        raise ValueError("mismatched assumption widths")
-    b_pairs = list(zip(b.rules, b.masks()))
-    for rule_a, mask_a in zip(a.rules, a.masks()):
-        if mask_a == 0:
-            continue
-        for rule_b, mask_b in b_pairs:
-            if mask_a & mask_b and not rule_a.state.leq(rule_b.state):
-                return False
-    return True
+    return all(x.leq(y) for _, x, y in _intersect(a, b))
+
+
+def widen_param(prev: ParamState, nxt: ParamState) -> ParamState:
+    """Widen per intersection cell of the two partitions, then normalize."""
+    cells = tuple(Rule(mask, x.widen(y)) for mask, x, y in _intersect(prev, nxt))
+    return normalize(ParamState(cells, prev.atoms))
 
 
 def approx_merge(state: ParamState, i: int, j: int) -> ParamState:
-    """Fuse rules i and j into one, disjoining conditions, joining states.
+    """Fuse rules i and j into one, ORing masks, joining states.
 
     The result denotes a pointwise-larger function: precision traded for a
     smaller rule set.
@@ -296,12 +204,10 @@ def approx_merge(state: ParamState, i: int, j: int) -> ParamState:
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"invalid rule pair ({i}, {j}) for {n} rules")
     i, j = min(i, j), max(i, j)
-    merged = Rule(
-        simplify(Or((state.rules[i].condition, state.rules[j].condition))),
-        state.rules[i].state.join(state.rules[j].state),
-    )
+    first, second = state.rules[i], state.rules[j]
+    merged = Rule(first.mask | second.mask, first.state.join(second.state))
     rules = [merged if k == i else r for k, r in enumerate(state.rules) if k != j]
-    return ParamState(tuple(rules), state.width)
+    return ParamState(tuple(rules), state.atoms)
 
 
 def merge_loss(a: IntervalEnv, b: IntervalEnv) -> tuple[int, int]:
@@ -348,28 +254,6 @@ def reduce_to_budget(state: ParamState, budget: int) -> ParamState:
     return state
 
 
-def widen_param(prev: ParamState, nxt: ParamState) -> ParamState:
-    """Widen per intersection cell of the two partitions, then normalize."""
-    if prev.width != nxt.width:
-        raise ValueError("mismatched assumption widths")
-    cells: list[Rule] = []
-    for rule_p, mask_p in zip(prev.rules, prev.masks()):
-        if mask_p == 0:
-            continue
-        for rule_n, mask_n in zip(nxt.rules, nxt.masks()):
-            mask = mask_p & mask_n
-            if not mask:
-                continue
-            if mask == mask_n:
-                cond = rule_n.condition
-            elif mask == mask_p:
-                cond = rule_p.condition
-            else:
-                cond = simplify(And((rule_p.condition, rule_n.condition)))
-            cells.append(Rule(cond, rule_p.state.widen(rule_n.state)))
-    return normalize(ParamState(tuple(cells), prev.width))
-
-
 def lift_transfer(state: ParamState, fn: Callable[[IntervalEnv], IntervalEnv]) -> ParamState:
     """Apply a plain state transformer to every rule's result state."""
-    return ParamState(tuple(Rule(r.condition, fn(r.state)) for r in state.rules), state.width)
+    return ParamState(tuple(Rule(r.mask, fn(r.state)) for r in state.rules), state.atoms)

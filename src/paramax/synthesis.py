@@ -1,11 +1,11 @@
 """Assumption synthesis: which assumption subsets prove every assertion.
 
-From a parameterized analysis result, each assertion contributes the
-disjunction of the rule conditions under which its check is proved; the
-conjunction over all assertions describes exactly the subsets the analysis
-certifies. The verdict is `solutions` when that condition is satisfiable,
-`impossible` when every remaining subset is actively refuted at some
-assertion, and `unknown` otherwise.
+From a parameterized analysis result, each assertion contributes the union
+of the rule masks under which its check is proved; the intersection over
+all assertions is exactly the set of subsets the analysis certifies. The
+verdict is `solutions` when that set is nonempty, `impossible` when every
+remaining subset is actively refuted at some assertion, and `unknown`
+otherwise.
 """
 
 from __future__ import annotations
@@ -13,19 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .conditions import (
-    And,
-    Condition,
-    FALSE,
-    Or,
-    TRUE,
-    render,
-    satisfying_sets,
-    simplify,
-    truth_table,
-)
+from .conditions import full_mask, members, render_mask
 from .engine import AnalysisConfig, OracleReport, ParamAnalysisResult, analyze_baseline
-from .frontend import Cfg, render_assert, restrict
+from .frontend import AssumptionId, Cfg, render_assert, restrict
 from .intervals import ProofVerdict, proves
 
 
@@ -37,25 +27,30 @@ class SynthesisVerdict(Enum):
 
 @dataclass
 class SynthesisOutcome:
-    condition: Condition  # subsets under which every assertion is proved
+    condition: int  # mask of the subsets under which every assertion is proved
     verdict: SynthesisVerdict
     solutions: tuple[int, ...]  # present when verdict is SOLUTIONS (capped)
     minimal: tuple[int, ...]  # minimum-cardinality solutions, ascending
-    per_assertion: dict[int, tuple[tuple[Condition, ProofVerdict], ...]]
+    per_assertion: dict[int, tuple[tuple[int, ProofVerdict], ...]]  # (rule mask, verdict)
     truncated: bool
-    width: int
+    atoms: tuple[AssumptionId, ...]
 
-    def to_json(self) -> dict:
+    @property
+    def width(self) -> int:
+        return len(self.atoms)
+
+    def to_json(self, names: dict[int, str] | None = None) -> dict:
+        """The outcome as JSON; `names` as in `render_mask`."""
         return {
-            "syn_condition": render(self.condition),
+            "syn_condition": render_mask(self.condition, self.atoms, names),
             "verdict": self.verdict.value,
             "solutions": list(self.solutions),
             "minimal_solutions": list(self.minimal),
             "truncated": self.truncated,
             "per_assertion": {
                 str(node): [
-                    {"condition": render(cond), "verdict": verdict.value}
-                    for cond, verdict in rows
+                    {"condition": render_mask(mask, self.atoms, names), "verdict": verdict.value}
+                    for mask, verdict in rows
                 ]
                 for node, rows in self.per_assertion.items()
             },
@@ -65,39 +60,33 @@ class SynthesisOutcome:
 def synthesize(
     result: ParamAnalysisResult, cfg: Cfg, solution_cap: int = 256
 ) -> SynthesisOutcome:
-    """Intersect, across assertions, the conditions whose states prove them."""
-    width = len(cfg.assumptions)
-    proved_parts: list[Condition] = []
-    refuted_parts: list[Condition] = []
-    per_assertion: dict[int, tuple[tuple[Condition, ProofVerdict], ...]] = {}
+    """Intersect, across assertions, the masks of the rules whose states prove them."""
+    full = full_mask(len(cfg.assumptions))
+    condition = full
+    refuted_anywhere = 0
+    per_assertion: dict[int, tuple[tuple[int, ProofVerdict], ...]] = {}
     for node in cfg.assert_nodes():
         rows = tuple(
-            (rule.condition, proves(rule.state, node.op.test))
+            (rule.mask, proves(rule.state, node.op.test))
             for rule in result.states[node.id].rules
         )
         per_assertion[node.id] = rows
-        proved = [cond for cond, verdict in rows if verdict is ProofVerdict.PROVED]
-        refuted = [cond for cond, verdict in rows if verdict is ProofVerdict.REFUTED]
-        proved_parts.append(Or(tuple(proved)) if proved else FALSE)
-        refuted_parts.append(Or(tuple(refuted)) if refuted else FALSE)
+        proved = 0
+        for mask, verdict in rows:
+            if verdict is ProofVerdict.PROVED:
+                proved |= mask
+            elif verdict is ProofVerdict.REFUTED:
+                refuted_anywhere |= mask
+        condition &= proved
 
-    condition = simplify(And(tuple(proved_parts))) if proved_parts else TRUE
-    table = truth_table(condition, width)
-    full = (1 << (1 << width)) - 1
-    if table:
+    if condition:
         verdict = SynthesisVerdict.SOLUTIONS
+    elif refuted_anywhere == full:  # every subset hits a refuted assertion
+        verdict = SynthesisVerdict.IMPOSSIBLE
     else:
-        refuted_anywhere = 0
-        for part in refuted_parts:
-            refuted_anywhere |= truth_table(part, width)
-        # Impossible only when every subset hits a refuted assertion.
-        verdict = (
-            SynthesisVerdict.IMPOSSIBLE
-            if refuted_anywhere == full
-            else SynthesisVerdict.UNKNOWN
-        )
+        verdict = SynthesisVerdict.UNKNOWN
 
-    all_solutions = satisfying_sets(condition, width) if table else []
+    all_solutions = members(condition)
     min_card = min((s.bit_count() for s in all_solutions), default=0)
     minimal = tuple(s for s in all_solutions if s.bit_count() == min_card)
     return SynthesisOutcome(
@@ -107,15 +96,8 @@ def synthesize(
         minimal=minimal,
         per_assertion=per_assertion,
         truncated=len(all_solutions) > solution_cap,
-        width=width,
+        atoms=cfg.assumptions,
     )
-
-
-def minimal_solutions(outcome: SynthesisOutcome) -> list[int]:
-    """All minimum-cardinality solutions, ascending bit-field order."""
-    if outcome.verdict is not SynthesisVerdict.SOLUTIONS:
-        raise ValueError(f"no solutions to minimize: verdict is {outcome.verdict.value}")
-    return list(outcome.minimal)
 
 
 def verify_solutions(

@@ -1,4 +1,4 @@
-"""Shared fixtures: corpus access and random rule-state generation."""
+"""Shared fixtures: corpus access, rule-state helpers and reference specs."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from paramax.conditions import And, Atom, Condition, Not, TRUE, truth_table
+from paramax.conditions import Condition, atom_mask, full_mask, truth_table
 from paramax.engine import AnalysisConfig, OracleReport, analyze_param, run_collecting
 from paramax.frontend import AssumptionId, parse_cfg, restrict
 from paramax.intervals import BOTTOM, Interval, IntervalEnv, NEG_INF, POS_INF, gamma_contains
@@ -84,8 +84,19 @@ def env(**bounds) -> IntervalEnv:
     return IntervalEnv.of({v: Interval(lo, hi) for v, (lo, hi) in bounds.items()})
 
 
-def fake_assumptions(width: int) -> list[AssumptionId]:
-    return [AssumptionId(i, f"a{i + 1}", i) for i in range(width)]
+def fake_assumptions(width: int) -> tuple[AssumptionId, ...]:
+    return tuple(AssumptionId(i, f"a{i + 1}", i) for i in range(width))
+
+
+def param_state(atoms, *rules: tuple[Condition, IntervalEnv]) -> ParamState:
+    """The rule state over `atoms` with one rule per (condition tree, state).
+
+    Each tree becomes its subset mask through `truth_table`.
+    """
+    atoms = tuple(atoms)
+    return ParamState(
+        tuple(Rule(truth_table(cond, len(atoms)), state) for cond, state in rules), atoms
+    )
 
 
 _STATE_POOL = [
@@ -107,41 +118,70 @@ def random_param_state(
     max_unsat_extras: int = 2,
     state_pool=None,
 ) -> ParamState:
-    """Random partition-respecting rule state with optional unsat extras.
+    """Random partition-respecting rule state with optional empty extras.
 
-    Conditions come from a random decision tree over the atoms (compact
-    formulas rather than full minterm expansions); result states repeat
-    often so merging steps have work to do.
+    Masks come from a random decision tree over the atoms (a few cells
+    rather than one per subset); result states repeat often so merging
+    steps have work to do.
     """
     pool = state_pool or _STATE_POOL
-    atoms = fake_assumptions(width)
-    leaves: list[Condition] = [TRUE]
+    leaves = [full_mask(width)]
     depth = rng.randint(0, min(2, width))
     chosen = rng.sample(range(width), depth) if depth else []
     for index in chosen:
-        split_leaves = []
-        for leaf in leaves:
-            a = Atom(atoms[index])
-            yes = a if isinstance(leaf, type(TRUE)) else And((leaf, a))
-            no = Not(a) if isinstance(leaf, type(TRUE)) else And((leaf, Not(a)))
-            split_leaves += [yes, no]
-        leaves = split_leaves
+        taking = atom_mask(index, width)
+        leaves = [half for leaf in leaves for half in (leaf & taking, leaf & ~taking)]
     rules = [Rule(leaf, rng.choice(pool)) for leaf in leaves]
     for _ in range(rng.randint(0, max_unsat_extras)):
-        index = rng.randrange(width) if width else 0
         if width:
-            contradiction = And((Atom(atoms[index]), Not(Atom(atoms[index]))))
-            rules.insert(rng.randint(0, len(rules)), Rule(contradiction, rng.choice(pool)))
+            rng.randrange(width)  # unused draw: keeps each seed's sequence of states
+            rules.insert(rng.randint(0, len(rules)), Rule(0, rng.choice(pool)))
     rng.shuffle(rules)
-    return ParamState(tuple(rules), width)
+    return ParamState(tuple(rules), fake_assumptions(width))
 
 
 def canonical_rule_key(state: ParamState):
     """Per-rule (subset mask, result state) pairs, ordered by mask."""
-    pairs = [
-        (truth_table(rule.condition, state.width), rule.state) for rule in state.rules
-    ]
-    return tuple(sorted(pairs, key=lambda p: p[0]))
+    return tuple(sorted(((rule.mask, rule.state) for rule in state.rules), key=lambda p: p[0]))
+
+
+def exact_merge_step(state: ParamState, pair: tuple[int, int] | None = None) -> ParamState | None:
+    """Merge one pair of rules with identical result states; None if no pair.
+
+    Without an explicit pair, the lowest-index pair is taken. With
+    `redundancy_elim_step` this is the reference spec of `normalize`: every
+    interleaving of the two steps ends in its normal form.
+    """
+    if pair is None:
+        pair = next(
+            (
+                (i, j)
+                for i in range(len(state.rules))
+                for j in range(i + 1, len(state.rules))
+                if state.rules[i].state == state.rules[j].state
+            ),
+            None,
+        )
+        if pair is None:
+            return None
+    i, j = sorted(pair)
+    if state.rules[i].state != state.rules[j].state:
+        raise ValueError(f"rules {i} and {j} have different result states")
+    merged = Rule(state.rules[i].mask | state.rules[j].mask, state.rules[i].state)
+    rules = [merged if k == i else r for k, r in enumerate(state.rules) if k != j]
+    return ParamState(tuple(rules), state.atoms)
+
+
+def redundancy_elim_step(state: ParamState, index: int | None = None) -> ParamState | None:
+    """Remove one rule with an empty mask; None if none exists."""
+    if index is None:
+        index = next((i for i, rule in enumerate(state.rules) if rule.mask == 0), None)
+        if index is None:
+            return None
+    if state.rules[index].mask != 0:
+        raise ValueError(f"rule {index} has a nonempty mask")
+    rules = tuple(r for k, r in enumerate(state.rules) if k != index)
+    return ParamState(rules, state.atoms)
 
 
 def reference_soundness(

@@ -7,7 +7,7 @@ measured times.
 import random
 import time
 
-from paramax.conditions import Atom, Not, TRUE, render, satisfying_sets, truth_table
+from paramax.conditions import Atom, Not, TRUE, members, render_mask
 from paramax.engine import (
     AnalysisConfig,
     analyze_baseline,
@@ -17,15 +17,7 @@ from paramax.engine import (
 )
 from paramax.frontend import parse_cfg, restrict
 from paramax.intervals import BOTTOM, NEG_INF, POS_INF, ProofVerdict, proves
-from paramax.param import (
-    ParamState,
-    Rule,
-    approx_merge,
-    exact_merge_step,
-    leq_param,
-    normalize,
-    redundancy_elim_step,
-)
+from paramax.param import approx_merge, leq_param, normalize
 from paramax.consistency import (
     Membership,
     brute_force_fixpoints,
@@ -40,7 +32,10 @@ from conftest import (
     canonical_rule_key,
     corpus_cfg,
     env,
+    exact_merge_step,
+    param_state,
     random_param_state,
+    redundancy_elim_step,
 )
 
 
@@ -80,20 +75,20 @@ def test_two_assume_golden_rules():
     result = analyze_param(cfg)
     a, b = cfg.assumptions
     ok_v2 = canonical_rule_key(result.states[2]) == canonical_rule_key(
-        ParamState(
-            (
-                Rule(Not(Atom(a)), env(x=(NEG_INF, POS_INF))),
-                Rule(Atom(a), env(x=(1, POS_INF))),
-            ),
-            2,
+        param_state(
+            cfg.assumptions,
+            (Not(Atom(a)), env(x=(NEG_INF, POS_INF))),
+            (Atom(a), env(x=(1, POS_INF))),
         )
     )
-    ok_v3 = result.states[3].rules == (Rule(TRUE, env(x=(5, 5))),)
+    ok_v3 = result.states[3].rules == param_state(cfg.assumptions, (TRUE, env(x=(5, 5)))).rules
 
     loop_cfg = corpus_cfg("example1_loop.pwl")
     loop_result = analyze_param(loop_cfg)
     assume_node = loop_cfg.assumptions[0].node_id
-    conds = sorted(render(r.condition) for r in loop_result.states[assume_node].rules)
+    conds = sorted(
+        render_mask(r.mask, loop_cfg.assumptions) for r in loop_result.states[assume_node].rules
+    )
     ok_loop = conds == ["!a", "a"]  # the contradictory re-split rule was removed
 
     report(
@@ -138,11 +133,7 @@ def test_normal_form_unique_for_all_orders():
                     for j in range(i + 1, len(current.rules))
                     if current.rules[i].state == current.rules[j].state
                 ]
-                unsat = [
-                    i
-                    for i, rule in enumerate(current.rules)
-                    if truth_table(rule.condition, width) == 0
-                ]
+                unsat = [i for i, rule in enumerate(current.rules) if rule.mask == 0]
                 ops = [("merge", p) for p in merges] + [("drop", k) for k in unsat]
                 if not ops:
                     break
@@ -252,7 +243,7 @@ def test_synthesis_sound_and_relatively_complete():
                 for n in cfg.assert_nodes()
             ):
                 expected.append(accepted)
-        assert satisfying_sets(outcome.condition, width) == expected, entry.name
+        assert members(outcome.condition) == expected, entry.name
         compared += 1
     report(
         "synthesized subsets re-proved and exhaustively complete",

@@ -2,7 +2,7 @@ import json
 
 import jsonschema
 
-from paramax import cli, engine
+from paramax import cli, conditions, engine
 from paramax.cli import (
     DOCUMENT_SCHEMA,
     EXIT_IMPOSSIBLE,
@@ -332,6 +332,25 @@ def test_text_mode_builds_no_json_document(capsys, monkeypatch):
         code, out, _ = run(capsys, command, corpus_path(name))
         assert code == expected_code, (command, name)
         assert expected_line in out, (command, name)
+
+
+def test_cli_builds_no_condition_tree_outside_the_output(capsys):
+    # the analysis and both applications work on masks; output builds its
+    # formulas with `formula`, which neither memoizes nor reads a table
+    conditions.truth_table.cache_clear()
+    conditions.simplify.cache_clear()
+    for argv in (
+        ["analyze", "chain8.pwl", "--format", "json"],
+        ["synthesize", "synth_gate.pwl"],
+        ["synthesize", "chain8.pwl", "--format", "json", "--max-rules", "2"],
+        ["consistency", "mutex.pwl", "--phi-table"],
+        ["check-oracle", "loop_assume_widen.pwl", "--widen", "2", "--input-range", "-3:3"],
+    ):
+        code, out, _ = run(capsys, argv[0], corpus_path(argv[1]), *argv[2:])
+        assert code == EXIT_OK, argv
+        assert out, argv
+    assert conditions.truth_table.cache_info().currsize == 0
+    assert conditions.simplify.cache_info().currsize == 0
 
 
 def test_dump_cfg(capsys):

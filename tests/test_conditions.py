@@ -9,13 +9,11 @@ from paramax.conditions import (
     Or,
     TRUE,
     WidthError,
-    equivalent,
     eval_condition,
     format_subset,
-    implies,
+    formula,
     parse_condition,
     render,
-    sat,
     satisfying_sets,
     simplify,
     truth_table,
@@ -38,26 +36,30 @@ def test_eval():
     assert eval_condition(Or((a, b)), 0b10)
 
 
+def table2(cond) -> int:
+    return truth_table(cond, 2)
+
+
 def test_sat():
-    assert not sat(And((a, Not(a))))
-    assert sat(Or((a, Not(a))))
-    assert not sat(FALSE)
-    assert sat(TRUE)
-    assert sat(And((a, b)), width=2)
+    assert table2(And((a, Not(a)))) == 0
+    assert table2(Or((a, Not(a)))) != 0
+    assert table2(FALSE) == 0
+    assert table2(TRUE) != 0
+    assert table2(And((a, b))) != 0
 
 
 def test_implies():
-    assert implies(a, a)
-    assert implies(And((a, b)), a)
-    assert not implies(TRUE, a)  # countermodel: the empty subset
-    assert implies(FALSE, a)
+    assert table2(a) & ~table2(a) == 0
+    assert table2(And((a, b))) & ~table2(a) == 0
+    assert table2(TRUE) & ~table2(a) != 0  # countermodel: the empty subset
+    assert table2(FALSE) & ~table2(a) == 0
 
 
 def test_equivalent():
-    assert equivalent(Or((a, Not(a))), TRUE)
-    assert not equivalent(a, b)
-    assert equivalent(FALSE, And((a, Not(a))))
-    assert equivalent(And((a, b)), And((b, a)))
+    assert table2(Or((a, Not(a)))) == table2(TRUE)
+    assert table2(a) != table2(b)
+    assert table2(FALSE) == table2(And((a, Not(a))))
+    assert table2(And((a, b))) == table2(And((b, a)))
 
 
 def test_simplify_examples():
@@ -156,13 +158,13 @@ def test_simplify_preserves_meaning(cond):
 
 @given(conditions())
 def test_sat_iff_nonempty_satisfying_sets(cond):
-    assert sat(cond, width=4) == bool(satisfying_sets(cond, 4))
+    assert (truth_table(cond, 4) != 0) == bool(satisfying_sets(cond, 4))
 
 
 @given(conditions(), conditions())
 def test_equivalent_iff_same_sets(x, y):
     same = satisfying_sets(x, 4) == satisfying_sets(y, 4)
-    assert equivalent(x, y, width=4) == same
+    assert (truth_table(x, 4) == truth_table(y, 4)) == same
 
 
 @given(conditions())
@@ -176,7 +178,7 @@ def test_truth_table_matches_eval(cond):
 def test_render_parse_round_trips_semantics(cond):
     atoms = {x.label: x for x in A4}
     again = parse_condition(render(cond), atoms)
-    assert equivalent(cond, again, width=4)
+    assert truth_table(cond, 4) == truth_table(again, 4)
 
 
 @given(conditions(atoms=A6), st.integers(6, 8))
@@ -198,10 +200,16 @@ def _minterms(cond, width):
 def test_equivalent_conditions_simplify_equal(x, y):
     # rewrites that keep the meaning but not the shape, some on more atoms
     for z in (_minterms(x, 6), Not(Not(x)), Or((And((x, y)), And((Not(y), x))))):
-        assert equivalent(x, z)
+        assert truth_table(x, 6) == truth_table(z, 6)
         assert simplify(x) == simplify(z)
-    if equivalent(x, y):
+    if truth_table(x, 6) == truth_table(y, 6):
         assert simplify(x) == simplify(y)
+
+
+@given(conditions(atoms=A6))
+def test_formula_of_the_table_is_the_simplified_condition(cond):
+    # over all six atoms, not only the ones the condition mentions
+    assert formula(truth_table(cond, 6), A6) == simplify(cond)
 
 
 @given(conditions(atoms=A6))

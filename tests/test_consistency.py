@@ -3,7 +3,7 @@ import random
 import pytest
 
 from paramax import consistency
-from paramax.conditions import render
+from paramax.conditions import render_mask
 from paramax.consistency import (
     Membership,
     brute_force_fixpoints,
@@ -31,22 +31,22 @@ def analyzed(name_or_source: str):
 
 def test_refuting_condition_always():
     cfg, result = analyzed("never_consistent.pwl")
-    cond = refuting_condition(result, cfg, cfg.assumptions[0])
-    assert render(cond) == "true"
+    mask = refuting_condition(result, cfg, cfg.assumptions[0])
+    assert render_mask(mask, cfg.assumptions) == "true"
 
 
 def test_refuting_condition_never():
     cfg, result = analyzed("irrefutable.pwl")
-    cond = refuting_condition(result, cfg, cfg.assumptions[0])
-    assert render(cond) == "false"
+    mask = refuting_condition(result, cfg, cfg.assumptions[0])
+    assert render_mask(mask, cfg.assumptions) == "false"
 
 
 def test_refuting_condition_includes_bottom_rules():
     # accepting the assumption against x = 0 leaves the bottom state,
-    # whose condition must appear in the refuting disjunction
+    # whose subsets must appear in the refuting mask
     cfg, result = analyzed("x := 0; assume a: x >= 1;")
-    cond = refuting_condition(result, cfg, cfg.assumptions[0])
-    assert render(cond) != "false"
+    mask = refuting_condition(result, cfg, cfg.assumptions[0])
+    assert render_mask(mask, cfg.assumptions) != "false"
 
 
 def test_refuting_condition_rejects_non_assume_nodes():

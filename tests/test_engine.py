@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from paramax.conditions import And, Atom, Not, TRUE
+from paramax.conditions import And, Atom, Not, TRUE, render_mask
 from paramax.engine import (
     AnalysisConfig,
     WidthCapError,
@@ -16,7 +16,7 @@ from paramax.frontend import Assume, parse_cfg, restrict
 from paramax.intervals import BOTTOM, NEG_INF, POS_INF
 from paramax.param import ParamState, PartitionError, Rule, leq_param
 
-from conftest import CORPUS, canonical_rule_key, corpus_cfg, env, reference_soundness
+from conftest import CORPUS, canonical_rule_key, corpus_cfg, env, param_state, reference_soundness
 
 EXAMPLE1 = "x := input(); assume a: x > 0; x := 5; assume b: x = 0;"
 
@@ -107,7 +107,7 @@ def test_param_fixpoint_reapplication(example1_cfg):
             else:
                 inputs.append(lift_transfer(result.states[p], lambda e: transfer(node, e)))
         again = join_states(inputs)
-        assert again.semantic_items() == result.states[node.id].semantic_items()
+        assert again.rules == result.states[node.id].rules  # both in normal form
 
 
 def test_baseline_budget_exhaustion_flagged():
@@ -130,22 +130,20 @@ def test_baseline_widening_converges():
 
 
 def test_param_example1_golden(example1_cfg):
-    from paramax.conditions import Atom, Not, TRUE
-    from paramax.param import ParamState, Rule
-
     cfg = example1_cfg
     result = analyze_param(cfg)
     assert result.converged
     a, b = cfg.assumptions
     assert canonical_rule_key(result.states[2]) == canonical_rule_key(
-        ParamState(
-            (Rule(Not(Atom(a)), env(x=(NEG_INF, POS_INF))), Rule(Atom(a), env(x=(1, POS_INF)))),
-            2,
+        param_state(
+            cfg.assumptions,
+            (Not(Atom(a)), env(x=(NEG_INF, POS_INF))),
+            (Atom(a), env(x=(1, POS_INF))),
         )
     )
-    assert result.states[3].rules == (Rule(TRUE, env(x=(5, 5))),)
+    assert result.states[3].rules == param_state(cfg.assumptions, (TRUE, env(x=(5, 5)))).rules
     assert canonical_rule_key(result.states[4]) == canonical_rule_key(
-        ParamState((Rule(Not(Atom(b)), env(x=(5, 5))), Rule(Atom(b), BOTTOM)), 2)
+        param_state(cfg.assumptions, (Not(Atom(b)), env(x=(5, 5))), (Atom(b), BOTTOM))
     )
 
 
@@ -156,7 +154,7 @@ def test_param_loop_resplit_drops_contradictions():
     assume_node = cfg.assumptions[0].node_id
     state = result.states[assume_node]
     # exactly the accepted and declined branches survive the loop re-split
-    conds = {r.render().split(" -> ")[0] for r in state.rules}
+    conds = {render_mask(r.mask, cfg.assumptions) for r in state.rules}
     assert conds == {"a", "!a"}
     assert state.state_for(0b1).get("x").lo == 1
     assert state.state_for(0b0).get("x") == env(x=(NEG_INF, POS_INF)).get("x")
@@ -288,6 +286,36 @@ def test_collecting_truncation_follows_each_subsets_own_layers():
             assert alone.truncated == bool(expected >> accepted & 1), (bound, accepted)
 
 
+def test_collecting_truncates_only_when_a_step_is_left():
+    # x := 0; has 3 nodes: every state is collected after 2 steps
+    cfg = parse_cfg("x := 0;")
+    for bound, truncated in ((0, True), (1, True), (2, False), (3, False)):
+        collected = run_collecting(cfg, step_bound=bound)
+        assert collected.truncated == truncated, bound
+        assert collected.truncated_subsets == int(truncated), bound
+    assert run_collecting(cfg, step_bound=1).states == [[{"x": 0}], [{"x": 0}], []]
+
+
+NONCONVERGENT_COUNTER = """x := input();
+i := 0;
+assume a: x >= 1;
+assume b: x <= 5;
+assume c: i >= 0;
+while (i < x) { i := i + 1; }
+"""
+
+
+def test_verifiers_do_not_pass_when_every_subset_is_skipped():
+    cfg = parse_cfg(NONCONVERGENT_COUNTER)
+    for verify in (verify_equivalence, verify_soundness):
+        report = verify(cfg)
+        assert report.skipped == list(range(8)), verify.__name__
+        assert report.mismatches == []
+        assert not report.passed, verify.__name__
+        widened = verify(cfg, AnalysisConfig(widening_delay=2))
+        assert widened.skipped == [] and widened.passed, verify.__name__
+
+
 # --- exhaustive verifiers --------------------------------------------------
 
 
@@ -329,8 +357,8 @@ def _mutants(param, rng: random.Random, count: int):
             i = rng.randrange(len(states))
             rules = list(states[i].rules)
             j = rng.randrange(len(rules))
-            rules[j] = Rule(rules[j].condition, BOTTOM)
-            states[i] = ParamState(tuple(rules), states[i].width)
+            rules[j] = Rule(rules[j].mask, BOTTOM)
+            states[i] = ParamState(tuple(rules), states[i].atoms)
         yield type(param)(states, param.iterations, param.converged, param.config)
 
 
@@ -349,10 +377,10 @@ def test_soundness_matches_reference_on_mutants():
 def test_verifiers_raise_on_broken_partitions(example1_cfg):
     cfg = example1_cfg
     a = Atom(cfg.assumptions[0])
-    gap = ParamState((Rule(a, env(x=(NEG_INF, POS_INF))),), 2)
-    overlap = ParamState((Rule(TRUE, env(x=(5, 5))), Rule(Not(a), env(x=(5, 5)))), 2)
-    contradiction = ParamState(
-        (Rule(TRUE, env(x=(5, 5))), Rule(And((a, Not(a))), BOTTOM)), 2
+    gap = param_state(cfg.assumptions, (a, env(x=(NEG_INF, POS_INF))))
+    overlap = param_state(cfg.assumptions, (TRUE, env(x=(5, 5))), (Not(a), env(x=(5, 5))))
+    contradiction = param_state(
+        cfg.assumptions, (TRUE, env(x=(5, 5))), (And((a, Not(a))), BOTTOM)
     )
     for broken in (gap, overlap):
         param = analyze_param(cfg)
@@ -388,7 +416,7 @@ def test_equivalence_skips_nonconvergent_variants():
     cfg = corpus_cfg("loop_diverge.pwl")
     report = verify_equivalence(cfg, AnalysisConfig(max_iterations=100))
     assert report.skipped == [0]
-    assert report.passed  # skipped, not silently passed: recorded above
+    assert not report.passed  # every subset skipped: nothing was checked
 
 
 def test_equivalence_catches_mutant():
@@ -401,10 +429,7 @@ def test_equivalence_catches_mutant():
 
     def mutant(cfg_, config=None, observer=None):
         result = original(cfg_, config, observer)
-        from paramax.param import ParamState, Rule
-        from paramax.conditions import TRUE
-
-        result.states[3] = ParamState((Rule(TRUE, env(x=(6, 6))),), 2)
+        result.states[3] = ParamState.of_state(env(x=(6, 6)), cfg_.assumptions)
         return result
 
     engine_mod_analyze = engine_mod.analyze_param

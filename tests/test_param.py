@@ -2,31 +2,41 @@ import random
 
 import pytest
 
-from paramax.conditions import WIDTH_CAP, And, Atom, FALSE, Not, TRUE, render, truth_table
+from paramax.conditions import WIDTH_CAP, And, Atom, FALSE, Not, TRUE, render_mask, truth_table
 from paramax.engine import analyze_param
 from paramax.frontend import AtomicConstraint, Bound, Rel, parse_cfg
 from paramax.intervals import BOTTOM, AssumeState, NEG_INF, POS_INF
 from paramax.param import (
     ParamState,
     PartitionError,
-    Rule,
     approx_merge,
-    exact_merge_step,
     join_states,
     leq_param,
     merge_loss,
     normalize,
-    redundancy_elim_step,
     reduce_to_budget,
     split,
     widen_param,
 )
 
-from conftest import canonical_rule_key, env, fake_assumptions, random_param_state
+from conftest import (
+    canonical_rule_key,
+    env,
+    exact_merge_step,
+    fake_assumptions,
+    param_state,
+    random_param_state,
+    redundancy_elim_step,
+)
 
 A = fake_assumptions(4)
 a0, a1 = Atom(A[0]), Atom(A[1])
 TOP1 = env(x=(NEG_INF, POS_INF))
+
+
+def state_of(width: int, *rules) -> ParamState:
+    """`param_state` over the first `width` of the atoms `A`."""
+    return param_state(A[:width], *rules)
 
 
 def pi_ge(c: int) -> AssumeState:
@@ -38,62 +48,61 @@ def pi_eq(c: int) -> AssumeState:
 
 
 def test_state_lookup():
-    single = ParamState((Rule(TRUE, env(x=(1, 2))),), 2)
+    single = state_of(2, (TRUE, env(x=(1, 2))))
     assert single.state_for(0b00) == env(x=(1, 2))
     assert single.state_for(0b11) == env(x=(1, 2))
 
-    pair = ParamState((Rule(a0, env(x=(1, POS_INF))), Rule(Not(a0), TOP1)), 2)
+    pair = state_of(2, (a0, env(x=(1, POS_INF))), (Not(a0), TOP1))
     assert pair.state_for(0b01) == env(x=(1, POS_INF))
     assert pair.state_for(0b00) == TOP1
     assert pair.state_for(0b10) == TOP1
 
 
 def test_state_lookup_detects_broken_partition():
-    overlapping = ParamState((Rule(a0, TOP1), Rule(TRUE, TOP1)), 2)
+    overlapping = state_of(2, (a0, TOP1), (TRUE, TOP1))
     with pytest.raises(PartitionError):
         overlapping.state_for(0b01)
-    gappy = ParamState((Rule(a0, TOP1),), 2)
+    gappy = state_of(2, (a0, TOP1))
     with pytest.raises(PartitionError):
         gappy.state_for(0b00)
 
 
 def test_exact_merge_step():
     five = env(x=(5, 5))
-    state = ParamState((Rule(a0, five), Rule(Not(a0), five)), 1)
+    state = state_of(1, (a0, five), (Not(a0), five))
     merged = exact_merge_step(state)
     assert merged is not None
     assert len(merged.rules) == 1
     assert merged.rules[0].state == five
-    assert truth_table(merged.rules[0].condition, 1) == 0b11
+    assert merged.rules[0].mask == 0b11
 
-    distinct = ParamState((Rule(a0, five), Rule(Not(a0), TOP1)), 1)
+    distinct = state_of(1, (a0, five), (Not(a0), TOP1))
     assert exact_merge_step(distinct) is None
 
-    triple = ParamState((Rule(a0, five), Rule(And((Not(a0), a1)), five),
-                         Rule(And((Not(a0), Not(a1))), five)), 2)
+    triple = state_of(2, (a0, five), (And((Not(a0), a1)), five), (And((Not(a0), Not(a1))), five))
     one_step = exact_merge_step(triple)
     assert one_step is not None and len(one_step.rules) == 2  # one pair per step
 
 
 def test_redundancy_elim_step():
     contradiction = And((Not(a0), a0))
-    state = ParamState((Rule(contradiction, env(x=(1, 2))), Rule(TRUE, TOP1)), 1)
+    state = state_of(1, (contradiction, env(x=(1, 2))), (TRUE, TOP1))
     out = redundancy_elim_step(state)
-    assert out is not None and out.rules == (Rule(TRUE, TOP1),)
+    assert out is not None and out.rules == state_of(1, (TRUE, TOP1)).rules
 
-    sat_state = ParamState((Rule(a0, TOP1), Rule(Not(a0), env(x=(0, 0)))), 1)
+    sat_state = state_of(1, (a0, TOP1), (Not(a0), env(x=(0, 0))))
     assert redundancy_elim_step(sat_state) is None
 
-    falsy = ParamState((Rule(FALSE, env(x=(0, 0))), Rule(TRUE, TOP1)), 1)
-    assert redundancy_elim_step(falsy).rules == (Rule(TRUE, TOP1),)
+    falsy = state_of(1, (FALSE, env(x=(0, 0))), (TRUE, TOP1))
+    assert redundancy_elim_step(falsy).rules == state_of(1, (TRUE, TOP1)).rules
 
 
 def test_normalize_merges_and_simplifies():
     five = env(x=(5, 5))
-    state = ParamState((Rule(a0, five), Rule(Not(a0), five)), 1)
-    assert normalize(state).rules == (Rule(TRUE, five),)
+    state = state_of(1, (a0, five), (Not(a0), five))
+    assert normalize(state).rules == state_of(1, (TRUE, five)).rules
 
-    already = ParamState((Rule(Not(a0), TOP1), Rule(a0, five)), 1)
+    already = state_of(1, (Not(a0), TOP1), (a0, five))
     assert normalize(already) == already  # fixpoint, canonical order kept
 
 
@@ -109,38 +118,35 @@ def test_normalize_matches_enumeration_oracle():
             groups.setdefault(state.state_for(accepted), 0)
             groups[state.state_for(accepted)] |= 1 << accepted
 
-        def mask_of(cond):
-            return truth_table(cond, width)
-
-        got = {r.state: mask_of(r.condition) for r in normalized.rules}
+        got = {r.state: r.mask for r in normalized.rules}
         assert got == groups
         # and the lookup function is unchanged
         for accepted in range(1 << width):
             assert normalized.state_for(accepted) == state.state_for(accepted)
-        # result is in normal form: distinct states, satisfiable conditions
+        # result is in normal form: distinct states, nonempty masks
         states = [r.state for r in normalized.rules]
         assert len(set(states)) == len(states)
-        assert all(mask_of(r.condition) for r in normalized.rules)
+        assert all(r.mask for r in normalized.rules)
 
 
 def test_split_fresh_atom():
-    state = ParamState((Rule(TRUE, TOP1),), 2)
+    state = state_of(2, (TRUE, TOP1))
     out = split(state, A[0], pi_ge(1))
     assert canonical_rule_key(out) == canonical_rule_key(
-        ParamState((Rule(a0, env(x=(1, POS_INF))), Rule(Not(a0), TOP1)), 2)
+        state_of(2, (a0, env(x=(1, POS_INF))), (Not(a0), TOP1))
     )
 
 
 def test_split_skips_unsatisfiable_branch():
-    state = ParamState((Rule(Not(a0), TOP1),), 1)
+    state = state_of(1, (Not(a0), TOP1))
     out = split(state, A[0], pi_ge(1))
-    assert out.rules == (Rule(Not(a0), TOP1),)
+    assert out.rules == state.rules
 
 
 def test_split_reuses_deciding_condition():
-    state = ParamState((Rule(a0, env(x=(0, 9))),), 1)
+    state = state_of(1, (a0, env(x=(0, 9))))
     out = split(state, A[0], pi_ge(1))
-    assert out.rules == (Rule(a0, env(x=(1, 9))),)  # no conjunct added
+    assert out.rules == state_of(1, (a0, env(x=(1, 9)))).rules  # the mask kept whole
 
 
 def test_split_preserves_partition_and_semantics():
@@ -159,19 +165,19 @@ def test_split_preserves_partition_and_semantics():
 
 
 def test_join_single_input_normalizes():
-    state = ParamState((Rule(a0, env(x=(5, 5))), Rule(Not(a0), env(x=(5, 5)))), 1)
-    assert join_states([state]).rules == (Rule(TRUE, env(x=(5, 5))),)
+    state = state_of(1, (a0, env(x=(5, 5))), (Not(a0), env(x=(5, 5))))
+    assert join_states([state]).rules == state_of(1, (TRUE, env(x=(5, 5)))).rules
 
 
 def test_join_pointwise_hull():
-    first = ParamState((Rule(TRUE, env(x=(11, 12))),), 1)
-    second = ParamState((Rule(TRUE, env(x=(0, 0))),), 1)
-    assert join_states([first, second]).rules == (Rule(TRUE, env(x=(0, 12))),)
+    first = state_of(1, (TRUE, env(x=(11, 12))))
+    second = state_of(1, (TRUE, env(x=(0, 0))))
+    assert join_states([first, second]).rules == state_of(1, (TRUE, env(x=(0, 12)))).rules
 
 
 def test_join_with_bottom_is_identity():
-    split_state = ParamState((Rule(a0, env(x=(1, 2))), Rule(Not(a0), env(x=(3, 4)))), 1)
-    bottom = ParamState.bottom(1)
+    split_state = state_of(1, (a0, env(x=(1, 2))), (Not(a0), env(x=(3, 4))))
+    bottom = ParamState.bottom(A[:1])
     joined = join_states([split_state, bottom])
     assert canonical_rule_key(joined) == canonical_rule_key(normalize(split_state))
 
@@ -191,19 +197,19 @@ def test_join_realizes_pointwise_join():
 
 
 def test_leq_param():
-    state = ParamState((Rule(a0, env(x=(1, 2))), Rule(Not(a0), env(x=(5, 6)))), 1)
+    state = state_of(1, (a0, env(x=(1, 2))), (Not(a0), env(x=(5, 6))))
     assert leq_param(state, state)
-    assert leq_param(ParamState.bottom(1), state)
+    assert leq_param(ParamState.bottom(A[:1]), state)
     merged = approx_merge(state, 0, 1)
     assert leq_param(state, merged)
     assert not leq_param(merged, state)
 
 
 def test_approx_merge():
-    state = ParamState((Rule(a0, env(x=(1, 3))), Rule(Not(a0), env(x=(10, 12)))), 1)
+    state = state_of(1, (a0, env(x=(1, 3))), (Not(a0), env(x=(10, 12))))
     merged = approx_merge(state, 0, 1)
-    assert merged.rules == (Rule(TRUE, env(x=(1, 12))),)
-    same = ParamState((Rule(a0, env(x=(7, 7))), Rule(Not(a0), env(x=(7, 7)))), 1)
+    assert merged.rules == state_of(1, (TRUE, env(x=(1, 12)))).rules
+    same = state_of(1, (a0, env(x=(7, 7))), (Not(a0), env(x=(7, 7))))
     assert approx_merge(same, 0, 1).rules[0].state == env(x=(7, 7))
     with pytest.raises(IndexError):
         approx_merge(state, 0, 5)
@@ -238,13 +244,11 @@ def test_merge_loss_examples():
 
 
 def test_reduce_to_budget():
-    rules = ParamState(
-        (
-            Rule(And((a0, a1)), env(x=(1, 2))),
-            Rule(And((a0, Not(a1))), env(x=(2, 3))),
-            Rule(Not(a0), env(x=(100, 200))),
-        ),
+    rules = state_of(
         2,
+        (And((a0, a1)), env(x=(1, 2))),
+        (And((a0, Not(a1))), env(x=(2, 3))),
+        (Not(a0), env(x=(100, 200))),
     )
     assert reduce_to_budget(rules, 3) == rules
     reduced = reduce_to_budget(rules, 2)
@@ -253,7 +257,7 @@ def test_reduce_to_budget():
     assert env(x=(1, 3)) in [r.state for r in reduced.rules]
     single = reduce_to_budget(rules, 1)
     assert len(single.rules) == 1
-    assert single.rules[0].condition == TRUE
+    assert single.rules[0].mask == truth_table(TRUE, 2)
     with pytest.raises(ValueError):
         reduce_to_budget(rules, 0)
 
@@ -271,8 +275,8 @@ def test_reduce_preserves_partition_and_overapproximates():
 
 
 def test_widen_param_cells():
-    old = ParamState((Rule(a0, env(x=(0, 5))), Rule(Not(a0), env(x=(0, 0)))), 1)
-    new = ParamState((Rule(a0, env(x=(0, 8))), Rule(Not(a0), env(x=(0, 0)))), 1)
+    old = state_of(1, (a0, env(x=(0, 5))), (Not(a0), env(x=(0, 0))))
+    new = state_of(1, (a0, env(x=(0, 8))), (Not(a0), env(x=(0, 0))))
     widened = widen_param(old, new)
     assert widened.state_for(0b1) == env(x=(0, POS_INF))
     assert widened.state_for(0b0) == env(x=(0, 0))
@@ -296,11 +300,7 @@ def test_normal_form_unique_for_any_reduction_order():
                     for j in range(i + 1, len(current.rules))
                     if current.rules[i].state == current.rules[j].state
                 ]
-                unsat = [
-                    i
-                    for i, rule in enumerate(current.rules)
-                    if truth_table(rule.condition, width) == 0
-                ]
+                unsat = [i for i, rule in enumerate(current.rules) if rule.mask == 0]
                 ops = [("merge", p) for p in merges] + [("drop", i) for i in unsat]
                 if not ops:
                     break
@@ -327,4 +327,5 @@ def test_rule_conditions_stay_small_at_the_width_cap():
     assert result.converged
     for node, state in zip(cfg.nodes, result.states):
         for rule in state.rules:
-            assert len(render(rule.condition)) <= 2000, (node.id, render(rule.condition)[:200])
+            text = render_mask(rule.mask, cfg.assumptions)
+            assert len(text) <= 2000, (node.id, text[:200])

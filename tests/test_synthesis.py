@@ -1,15 +1,8 @@
-import pytest
-
-from paramax.conditions import render, satisfying_sets
+from paramax.conditions import members, render_mask
 from paramax.engine import AnalysisConfig, analyze_baseline, analyze_param
 from paramax.frontend import parse_cfg, restrict
 from paramax.intervals import ProofVerdict, proves
-from paramax.synthesis import (
-    SynthesisVerdict,
-    minimal_solutions,
-    synthesize,
-    verify_solutions,
-)
+from paramax.synthesis import SynthesisVerdict, synthesize, verify_solutions
 
 from conftest import CORPUS, corpus_cfg
 
@@ -41,9 +34,9 @@ def brute_force_solutions(cfg, config=None):
 def test_gate_assumption_is_the_only_solution():
     cfg, _, outcome = outcome_for("synth_gate.pwl")
     assert outcome.verdict is SynthesisVerdict.SOLUTIONS
-    assert render(outcome.condition) == "a"
+    assert render_mask(outcome.condition, cfg.assumptions) == "a"
     assert list(outcome.solutions) == [0b1]
-    assert minimal_solutions(outcome) == [0b1]
+    assert outcome.minimal == (0b1,)
     report = verify_solutions(cfg, outcome)
     assert report.passed
 
@@ -52,15 +45,14 @@ def test_no_asserts_every_subset_works():
     _, _, outcome = outcome_for("example1.pwl")
     assert outcome.verdict is SynthesisVerdict.SOLUTIONS
     assert list(outcome.solutions) == [0, 1, 2, 3]
-    assert minimal_solutions(outcome) == [0]
+    assert outcome.minimal == (0,)
 
 
 def test_impossible_program():
     _, _, outcome = outcome_for("impossible.pwl")
     assert outcome.verdict is SynthesisVerdict.IMPOSSIBLE
     assert outcome.solutions == ()
-    with pytest.raises(ValueError):
-        minimal_solutions(outcome)
+    assert outcome.minimal == ()
 
 
 def test_unknown_program():
@@ -72,7 +64,7 @@ def test_conjunction_of_assumptions_needed():
     _, _, outcome = outcome_for("branch_assume.pwl")
     assert outcome.verdict is SynthesisVerdict.SOLUTIONS
     assert list(outcome.solutions) == [0b11]
-    assert minimal_solutions(outcome) == [0b11]
+    assert outcome.minimal == (0b11,)
 
 
 def test_relational_assert_needs_both_bounds():
@@ -83,22 +75,24 @@ def test_relational_assert_needs_both_bounds():
 def test_chain_minimal_solutions():
     _, _, outcome = outcome_for("chain8.pwl")
     # any assumption forcing x >= 4 suffices on its own
-    assert minimal_solutions(outcome) == [1 << i for i in range(3, 8)]
+    assert outcome.minimal == tuple(1 << i for i in range(3, 8))
 
 
 def test_per_assertion_detail():
     cfg, _, outcome = outcome_for("synth_gate.pwl")
     (node_id,) = outcome.per_assertion.keys()
     rows = dict(
-        (render(cond), verdict) for cond, verdict in outcome.per_assertion[node_id]
+        (render_mask(mask, cfg.assumptions), verdict)
+        for mask, verdict in outcome.per_assertion[node_id]
     )
     assert rows == {"a": ProofVerdict.PROVED, "!a": ProofVerdict.UNKNOWN}
 
 
 def test_minimal_rejects_other_verdicts():
-    _, _, outcome = outcome_for("impossible.pwl")
-    with pytest.raises(ValueError):
-        minimal_solutions(outcome)
+    for name in ("impossible.pwl", "unknown_assert.pwl"):
+        _, _, outcome = outcome_for(name)
+        assert outcome.verdict is not SynthesisVerdict.SOLUTIONS
+        assert outcome.minimal == (), name
 
 
 def test_solution_cap_truncates():
@@ -108,7 +102,7 @@ def test_solution_cap_truncates():
     assert outcome.truncated
     assert len(outcome.solutions) == 10
     # minimal solutions still cover the whole space
-    assert minimal_solutions(outcome) == [1 << i for i in range(3, 8)]
+    assert outcome.minimal == tuple(1 << i for i in range(3, 8))
 
 
 def test_exact_completeness_against_brute_force():
@@ -121,7 +115,7 @@ def test_exact_completeness_against_brute_force():
         result = analyze_param(cfg)
         outcome = synthesize(result, cfg)
         expected = brute_force_solutions(cfg)
-        assert satisfying_sets(outcome.condition, len(cfg.assumptions)) == expected
+        assert members(outcome.condition) == expected
 
 
 def test_verified_solutions_on_corpus():
@@ -147,10 +141,9 @@ def test_budget_never_adds_solutions():
         if not cfg.assert_nodes() or not cfg.assumptions:
             continue
         exact = synthesize(analyze_param(cfg), cfg)
-        width = len(cfg.assumptions)
-        exact_sets = set(satisfying_sets(exact.condition, width))
+        exact_sets = set(members(exact.condition))
         for budget in (1, 2):
             config = AnalysisConfig(merge_budget=budget)
             budgeted = synthesize(analyze_param(cfg, config), cfg)
-            budget_sets = set(satisfying_sets(budgeted.condition, width))
+            budget_sets = set(members(budgeted.condition))
             assert budget_sets <= exact_sets
