@@ -209,9 +209,10 @@ def analysis_document(
 
     Each distinct rule mask is rendered once, memoized in `names`: a fresh
     dict unless the caller passes the one it uses for the rest of the same
-    document.
+    document. Its subset list is also built once per document.
     """
     names = {} if names is None else names
+    sets: dict[int, list[int]] = {}
     return {
         "program": name,
         "assumptions": [a.label for a in cfg.assumptions],
@@ -219,7 +220,7 @@ def analysis_document(
             {
                 "id": node.id,
                 "kind": node.render(),
-                "rules": result.states[node.id].to_json(names),
+                "rules": result.states[node.id].to_json(names, sets),
             }
             for node in cfg.nodes
         ],
@@ -246,10 +247,43 @@ def _render_analysis_text(name: str, cfg: Cfg, result: ParamAnalysisResult) -> s
     return "\n".join(lines) + "\n"
 
 
+_quote = json.encoder.encode_basestring_ascii  # raises TypeError on a non-str
+
+
+def dumps(value, newline: str = "\n") -> str:
+    """`json.dumps(value, indent=2)`, byte for byte, with one `str.join` per
+    container (the stdlib's `indent` path yields a chunk per token). Tuples
+    encode as lists; non-`str` keys and other types raise TypeError.
+    `newline` is the line break and indentation that close the value.
+    """
+    if isinstance(value, str):
+        return _quote(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [
+            _quote(k) + ": " + (int.__repr__(v) if type(v) is int else dumps(v, inner))
+            for k, v in value.items()
+        ]
+    elif isinstance(value, (list, tuple)):
+        brackets = "[]"
+        items = [int.__repr__(v) if type(v) is int else dumps(v, inner) for v in value]
+    elif value is None or isinstance(value, (bool, int, float)):
+        return json.dumps(value)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    # brackets go onto the end items, so one join copies the container's text
+    items[0] = brackets[0] + inner + items[0]
+    items[-1] += newline + brackets[1]
+    return ("," + inner).join(items)
+
+
 def _emit(args: argparse.Namespace, document: Callable[[], dict], text: str) -> None:
     """Print `text`, or with --format json the document that `document()` builds."""
     if args.format == "json":
-        print(json.dumps(document(), indent=2))
+        print(dumps(document()))
     else:
         print(text, end="")
 

@@ -30,6 +30,7 @@ from .frontend import (
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 _LIMIT = 2**63 - 1
+_JSON_INF = {NEG_INF: "-inf", POS_INF: "+inf"}
 
 Endpoint = Union[int, float]
 
@@ -114,10 +115,7 @@ class Interval:
         return f"[{_fmt(self.lo)},{_fmt(self.hi)}]"
 
     def to_json(self) -> list:
-        def enc(v: Endpoint):
-            return _fmt(v) if v in (NEG_INF, POS_INF) else v
-
-        return [enc(self.lo), enc(self.hi)]
+        return [_JSON_INF.get(self.lo, self.lo), _JSON_INF.get(self.hi, self.hi)]
 
 
 _TOP_INTERVAL = Interval(NEG_INF, POS_INF)
@@ -126,11 +124,13 @@ _TOP_INTERVAL = Interval(NEG_INF, POS_INF)
 class IntervalEnv:
     """Total map from variables to intervals, or the unique bottom element."""
 
-    __slots__ = ("_bindings",)
+    __slots__ = ("_bindings", "_hash")
 
     # None marks bottom; otherwise a name-sorted tuple of (var, Interval).
+    # `_hash` is the bindings' hash, filled on first use.
     def __init__(self, bindings: tuple[tuple[str, Interval], ...] | None):
         self._bindings = bindings
+        self._hash: int | None = None
 
     @staticmethod
     def top(variables) -> "IntervalEnv":
@@ -240,7 +240,9 @@ class IntervalEnv:
         return self._bindings == other._bindings
 
     def __hash__(self) -> int:
-        return hash(self._bindings)
+        if self._hash is None:
+            self._hash = hash(self._bindings)
+        return self._hash
 
     def render(self) -> str:
         if self._bindings is None:

@@ -108,12 +108,16 @@ class ParamState:
                 out[accepted] = state
         return out
 
-    def to_json(self, names: dict[int, str] | None = None):
-        """The rules as JSON objects; `names` as in `render_mask`."""
+    def to_json(
+        self, names: dict[int, str] | None = None, sets: dict[int, list[int]] | None = None
+    ):
+        """The rules as JSON objects; `names` as in `render_mask`, and `sets`
+        likewise memoizes `members` per mask (rules with equal masks share a list)."""
+        sets = {} if sets is None else sets
         return [
             {
                 "condition": render_mask(r.mask, self.atoms, names),
-                "condition_sets": members(r.mask),
+                "condition_sets": sets.get(r.mask) or sets.setdefault(r.mask, members(r.mask)),
                 "state": r.state.to_json(),
             }
             for r in self.rules

@@ -1,6 +1,9 @@
 import json
+import math
 
 import jsonschema
+import pytest
+from hypothesis import given, strategies as st
 
 from paramax import cli, conditions, engine
 from paramax.cli import (
@@ -11,6 +14,7 @@ from paramax.cli import (
     EXIT_OK,
     EXIT_UNKNOWN,
     EXIT_USAGE,
+    dumps,
     main,
 )
 from paramax.consistency import ConsistencyReport
@@ -274,6 +278,14 @@ def test_check_oracle_mutant_exits_5(capsys, monkeypatch):
     )
     assert code == EXIT_MISMATCH
     assert "FAIL" in out
+    code, out, _ = run(
+        capsys, "check-oracle", corpus_path("example1.pwl"), "--theorem1", "--format", "json"
+    )
+    assert code == EXIT_MISMATCH
+    assert json.loads(out)["oracle_reports"][0]["mismatches"] == [
+        {"subset": 1, "node": 3, "baseline": "x", "parameterized": "y"}
+    ]
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 NONCONVERGENT_COUNTER = """x := input();
@@ -376,3 +388,59 @@ def test_deterministic_output(capsys):
     _, first, _ = run(capsys, "analyze", corpus_path("chain8.pwl"), "--format", "json")
     _, second, _ = run(capsys, "analyze", corpus_path("chain8.pwl"), "--format", "json")
     assert first == second
+
+
+def test_json_output_beyond_the_corpus_matches_the_stdlib(tmp_path, capsys):
+    # 8 independent assumptions: 2**8 rules at the exit, far more rules and
+    # subsets than any golden corpus document has
+    n = 8
+    path = tmp_path / "independent8.pwl"
+    path.write_text(
+        "".join(f"x{i} := input();\nassume a{i}: x{i} >= 0;\n" for i in range(n))
+        + "assert " + " && ".join(f"x{i} >= 0" for i in range(n)) + ";\n"
+    )
+    code, out, _ = run(capsys, "synthesize", str(path), "--format", "json")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert len(doc["nodes"][-1]["rules"]) == 1 << n
+    assert out == json.dumps(doc, indent=2) + "\n"
+
+
+# escapes, control characters, non-ASCII text and a lone surrogate
+_SPECIAL_TEXT = st.sampled_from(
+    ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "é", "☃", "😀"]
+)
+_TEXT = st.lists(st.text() | _SPECIAL_TEXT, max_size=3).map("".join)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
+    | st.floats()
+    | st.sampled_from([math.inf, -math.inf, math.nan, -0.0])
+    | _TEXT
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_JSON_VALUES)
+def test_dumps_matches_the_stdlib(value):
+    assert dumps(value) == json.dumps(value, indent=2)
+
+
+@given(_JSON_VALUES, st.none() | st.booleans() | st.integers() | st.floats())
+def test_dumps_rejects_non_str_keys(value, key):
+    with pytest.raises(TypeError):
+        dumps([value, {key: value}])
+
+
+@pytest.mark.parametrize("unknown", [object(), {1, 2}, b"bytes", 1j, ParamState])
+def test_dumps_rejects_unknown_types(unknown):
+    with pytest.raises(TypeError):
+        dumps({"nodes": [1, unknown]})

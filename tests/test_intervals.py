@@ -257,6 +257,13 @@ def test_serialization_sentinels():
     assert iv(1, POS_INF).to_json() == [1, "+inf"]
 
 
+def test_bottom_hashes_stably():
+    first = hash(BOTTOM)
+    assert hash(BOTTOM) == first
+    assert hash(IntervalEnv(None)) == first
+    assert {BOTTOM: 1}[IntervalEnv(None)] == 1
+
+
 # --- lattice properties --------------------------------------------------
 
 _lows = st.one_of(st.integers(-20, 20), st.just(NEG_INF))
@@ -292,6 +299,21 @@ def test_absorption_and_idempotence(a, b):
     assert a.join(a) == a and a.meet(a) == a
     assert a.join(a.meet(b)) == a
     assert a.meet(a.join(b)) == a
+
+
+@given(envs(), envs())
+def test_equal_envs_hash_equal(a, b):
+    hash(a)  # fill a's cached hash before its equal copies exist
+    if a.is_bottom:
+        copy = IntervalEnv(None)
+    else:
+        copy = IntervalEnv.top(a.variables())
+        for var, interval in a.items():
+            copy = copy.updated(var, interval)
+    assert copy == a and hash(copy) == hash(a)
+    assert {a: 1}[copy] == 1
+    assert hash(a.join(b)) == hash(b.join(a))
+    assert hash(a.meet(b)) == hash(b.meet(a))
 
 
 @given(envs(), envs())
