@@ -203,16 +203,15 @@ def _load(path: str) -> tuple[str, Cfg]:
 
 
 def analysis_document(
-    name: str, cfg: Cfg, result: ParamAnalysisResult, names: dict[int, str] | None = None
+    name: str, cfg: Cfg, result: ParamAnalysisResult, memo: dict | None = None
 ) -> dict:
     """The JSON document of an analysis.
 
-    Each distinct rule mask is rendered once, memoized in `names`: a fresh
-    dict unless the caller passes the one it uses for the rest of the same
-    document. Its subset list is also built once per document.
+    Equal rules, states and intervals share one object, built once: `memo`
+    is a fresh dict unless the caller passes the one it uses for the rest
+    of the same document (see `ParamState.to_json`).
     """
-    names = {} if names is None else names
-    sets: dict[int, list[int]] = {}
+    memo = {} if memo is None else memo
     return {
         "program": name,
         "assumptions": [a.label for a in cfg.assumptions],
@@ -220,7 +219,7 @@ def analysis_document(
             {
                 "id": node.id,
                 "kind": node.render(),
-                "rules": result.states[node.id].to_json(names, sets),
+                "rules": result.states[node.id].to_json(memo),
             }
             for node in cfg.nodes
         ],
@@ -250,34 +249,63 @@ def _render_analysis_text(name: str, cfg: Cfg, result: ParamAnalysisResult) -> s
 _quote = json.encoder.encode_basestring_ascii  # raises TypeError on a non-str
 
 
-def dumps(value, newline: str = "\n") -> str:
+def _shared_containers(value) -> set[int]:
+    """The ids of the containers that `value` reaches more than once."""
+    seen, shared = set(), set()
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, (dict, list, tuple)):
+            if id(value) in seen:
+                shared.add(id(value))
+            else:
+                seen.add(id(value))
+                stack.extend(value.values() if isinstance(value, dict) else value)
+    return shared
+
+
+def dumps(value) -> str:
     """`json.dumps(value, indent=2)`, byte for byte, with one `str.join` per
     container (the stdlib's `indent` path yields a chunk per token). Tuples
     encode as lists; non-`str` keys and other types raise TypeError.
-    `newline` is the line break and indentation that close the value.
+    A container reached more than once, such as a rule that several nodes
+    share, is encoded once per indentation; no other text is kept.
     """
-    if isinstance(value, str):
-        return _quote(value)
-    inner = newline + "  "
-    if isinstance(value, dict):
-        brackets = "{}"
-        items = [
-            _quote(k) + ": " + (int.__repr__(v) if type(v) is int else dumps(v, inner))
-            for k, v in value.items()
-        ]
-    elif isinstance(value, (list, tuple)):
-        brackets = "[]"
-        items = [int.__repr__(v) if type(v) is int else dumps(v, inner) for v in value]
-    elif value is None or isinstance(value, (bool, int, float)):
-        return json.dumps(value)
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if not items:
-        return brackets
-    # brackets go onto the end items, so one join copies the container's text
-    items[0] = brackets[0] + inner + items[0]
-    items[-1] += newline + brackets[1]
-    return ("," + inner).join(items)
+    shared = _shared_containers(value)
+    done: dict[tuple[int, str], str] = {}
+
+    def encode(value, newline: str) -> str:
+        # `newline` is the line break and indentation that close the value
+        if isinstance(value, str):
+            return _quote(value)
+        key = (id(value), newline) if id(value) in shared else None
+        if key in done:
+            return done[key]
+        inner = newline + "  "
+        if isinstance(value, dict):
+            brackets = "{}"
+            items = [
+                _quote(k) + ": " + (int.__repr__(v) if type(v) is int else encode(v, inner))
+                for k, v in value.items()
+            ]
+        elif isinstance(value, (list, tuple)):
+            brackets = "[]"
+            items = [int.__repr__(v) if type(v) is int else encode(v, inner) for v in value]
+        elif value is None or isinstance(value, (bool, int, float)):
+            return json.dumps(value)
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if not items:
+            return brackets
+        # brackets go onto the end items, so one join copies the container's text
+        items[0] = brackets[0] + inner + items[0]
+        items[-1] += newline + brackets[1]
+        text = ("," + inner).join(items)
+        if key:
+            done[key] = text
+        return text
+
+    return encode(value, "\n")
 
 
 def _emit(args: argparse.Namespace, document: Callable[[], dict], text: str) -> None:
@@ -311,8 +339,8 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     outcome = synthesis_mod.synthesize(result, cfg)
     report = None
     lines = [f"program: {name}", f"verdict: {outcome.verdict.value}"]
-    names: dict[int, str] = {}  # rendered masks, shared with the JSON document
-    lines.append(f"condition: {render_mask(outcome.condition, cfg.assumptions, names)}")
+    memo: dict = {}  # the JSON document's memo; the text lines fill its rendered masks
+    lines.append(f"condition: {render_mask(outcome.condition, cfg.assumptions, memo)}")
     if outcome.verdict is synthesis_mod.SynthesisVerdict.SOLUTIONS:
         full = (1 << outcome.width)
         if not outcome.truncated and len(outcome.solutions) == full:
@@ -333,11 +361,11 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     for node_id, rows in outcome.per_assertion.items():
         lines.append(f"assertion at node {node_id}:")
         for mask, verdict in rows:
-            lines.append(f"  {render_mask(mask, cfg.assumptions, names)} -> {verdict.value}")
+            lines.append(f"  {render_mask(mask, cfg.assumptions, memo)} -> {verdict.value}")
 
     def document() -> dict:
-        out = analysis_document(name, cfg, result, names)
-        out["synthesis"] = outcome.to_json(names)
+        out = analysis_document(name, cfg, result, memo)
+        out["synthesis"] = outcome.to_json(memo)
         if report is not None:
             out["oracle_reports"] = [report.to_json()]
         return out
@@ -385,6 +413,8 @@ def _cmd_check_oracle(args: argparse.Namespace) -> int:
     name, cfg = _load(args.source)
     config = _make_config(args)
     input_range = _parse_range(args.input_range)
+    if args.max_steps < 0:
+        raise ValueError(f"--max-steps must be at least 0, got {args.max_steps}")
     run_equivalence = args.theorem1 or not (args.theorem1 or args.soundness)
     run_soundness = args.soundness or not (args.theorem1 or args.soundness)
     result = analyze_param(cfg, config)

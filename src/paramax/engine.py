@@ -354,6 +354,8 @@ def run_collecting(
     """
     if input_range[0] > input_range[1]:
         raise ValueError("empty input range")
+    if step_bound < 0:
+        raise ValueError(f"step bound must be at least 0, got {step_bound}")
     width = len(cfg.assumptions)
     everyone = full_mask(width)
     slot = {var: i for i, var in enumerate(cfg.variables)}

@@ -30,7 +30,7 @@ from .frontend import (
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 _LIMIT = 2**63 - 1
-_JSON_INF = {NEG_INF: "-inf", POS_INF: "+inf"}
+_INF_TEXT = {NEG_INF: "-inf", POS_INF: "+inf"}  # how infinite endpoints print
 
 Endpoint = Union[int, float]
 
@@ -53,14 +53,6 @@ def _sat_hi(hi: Endpoint) -> Endpoint:
     if hi < -_LIMIT:
         return -_LIMIT
     return int(hi)
-
-
-def _fmt(v: Endpoint) -> str:
-    if v == NEG_INF:
-        return "-inf"
-    if v == POS_INF:
-        return "+inf"
-    return str(v)
 
 
 @dataclass(frozen=True)
@@ -112,10 +104,10 @@ class Interval:
         return Interval.make(coef * self.hi, coef * self.lo)
 
     def render(self) -> str:
-        return f"[{_fmt(self.lo)},{_fmt(self.hi)}]"
+        return f"[{_INF_TEXT.get(self.lo, self.lo)},{_INF_TEXT.get(self.hi, self.hi)}]"
 
     def to_json(self) -> list:
-        return [_JSON_INF.get(self.lo, self.lo), _JSON_INF.get(self.hi, self.hi)]
+        return [_INF_TEXT.get(self.lo, self.lo), _INF_TEXT.get(self.hi, self.hi)]
 
 
 _TOP_INTERVAL = Interval(NEG_INF, POS_INF)
@@ -124,17 +116,20 @@ _TOP_INTERVAL = Interval(NEG_INF, POS_INF)
 class IntervalEnv:
     """Total map from variables to intervals, or the unique bottom element."""
 
-    __slots__ = ("_bindings", "_hash")
+    __slots__ = ("_bindings", "_names", "_hash")
 
     # None marks bottom; otherwise a name-sorted tuple of (var, Interval).
-    # `_hash` is the bindings' hash, filled on first use.
-    def __init__(self, bindings: tuple[tuple[str, Interval], ...] | None):
+    # `_names` (the variable names; derived envs share one tuple, so a
+    # universe check builds none) and `_hash` are filled on first use.
+    def __init__(self, bindings: tuple[tuple[str, Interval], ...] | None, names=None):
         self._bindings = bindings
+        self._names = names
         self._hash: int | None = None
 
     @staticmethod
     def top(variables) -> "IntervalEnv":
-        return IntervalEnv(tuple((v, _TOP_INTERVAL) for v in sorted(variables)))
+        names = tuple(sorted(variables))
+        return IntervalEnv(tuple((v, _TOP_INTERVAL) for v in names), names)
 
     @staticmethod
     def of(mapping: Mapping[str, Interval]) -> "IntervalEnv":
@@ -145,9 +140,9 @@ class IntervalEnv:
         return self._bindings is None
 
     def variables(self) -> tuple[str, ...]:
-        if self._bindings is None:
-            return ()
-        return tuple(v for v, _ in self._bindings)
+        if self._names is None:
+            self._names = () if self._bindings is None else tuple(v for v, _ in self._bindings)
+        return self._names
 
     def get(self, var: str) -> Interval:
         if self._bindings is None:
@@ -160,7 +155,8 @@ class IntervalEnv:
     def updated(self, var: str, iv: Interval) -> "IntervalEnv":
         if self._bindings is None:
             return self
-        return IntervalEnv(tuple((n, iv if n == var else old) for n, old in self._bindings))
+        bindings = tuple((n, iv if n == var else old) for n, old in self._bindings)
+        return IntervalEnv(bindings, self._names)
 
     def items(self) -> tuple[tuple[str, Interval], ...]:
         if self._bindings is None:
@@ -179,9 +175,8 @@ class IntervalEnv:
             return other
         if other._bindings is None:
             return self
-        return IntervalEnv(
-            tuple((v, a.join(b)) for (v, a), (_, b) in zip(self._bindings, other._bindings))
-        )
+        pairs = zip(self._bindings, other._bindings)
+        return IntervalEnv(tuple((v, a.join(b)) for (v, a), (_, b) in pairs), self._names)
 
     def meet(self, other: "IntervalEnv | AssumeState") -> "IntervalEnv":
         if isinstance(other, AssumeState):
@@ -195,7 +190,7 @@ class IntervalEnv:
             if m is None:
                 return BOTTOM
             out.append((v, m))
-        return IntervalEnv(tuple(out))
+        return IntervalEnv(tuple(out), self._names)
 
     def _meet_partial(self, state: "AssumeState") -> "IntervalEnv":
         if self._bindings is None or state.is_empty:
@@ -211,7 +206,7 @@ class IntervalEnv:
             if m is None:
                 return BOTTOM
             out.append((v, m))
-        return IntervalEnv(tuple(out))
+        return IntervalEnv(tuple(out), self._names)
 
     def leq(self, other: "IntervalEnv") -> bool:
         if self._bindings is None:
@@ -230,9 +225,8 @@ class IntervalEnv:
         if nxt._bindings is None:
             return self
         self._check_universe(nxt)
-        return IntervalEnv(
-            tuple((v, a.widen(b)) for (v, a), (_, b) in zip(self._bindings, nxt._bindings))
-        )
+        pairs = zip(self._bindings, nxt._bindings)
+        return IntervalEnv(tuple((v, a.widen(b)) for (v, a), (_, b) in pairs), self._names)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalEnv):
@@ -254,10 +248,12 @@ class IntervalEnv:
     def __repr__(self) -> str:
         return f"IntervalEnv({self.render()})"
 
-    def to_json(self):
+    def to_json(self, memo: dict | None = None):
+        """"bottom", or [lo, hi] per variable, one list per distinct interval in `memo`."""
         if self._bindings is None:
             return "bottom"
-        return {v: iv.to_json() for v, iv in self._bindings}
+        memo = {} if memo is None else memo
+        return {v: memo.get(iv) or memo.setdefault(iv, iv.to_json()) for v, iv in self._bindings}
 
 
 BOTTOM = IntervalEnv(None)

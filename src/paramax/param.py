@@ -108,20 +108,21 @@ class ParamState:
                 out[accepted] = state
         return out
 
-    def to_json(
-        self, names: dict[int, str] | None = None, sets: dict[int, list[int]] | None = None
-    ):
-        """The rules as JSON objects; `names` as in `render_mask`, and `sets`
-        likewise memoizes `members` per mask (rules with equal masks share a list)."""
-        sets = {} if sets is None else sets
-        return [
-            {
-                "condition": render_mask(r.mask, self.atoms, names),
-                "condition_sets": sets.get(r.mask) or sets.setdefault(r.mask, members(r.mask)),
-                "state": r.state.to_json(),
-            }
-            for r in self.rules
-        ]
+    def to_json(self, memo: dict | None = None) -> list[dict]:
+        """The rules as JSON objects; equal rules, states and intervals share
+        one object. `memo` spans one document (a fresh one if None): each
+        mask to its rendered condition (the `names` of `render_mask`),
+        `("sets", mask)` to its subset list, each value to its object."""
+        memo = {} if memo is None else memo
+        return [memo.get(rule) or self._rule_json(rule, memo) for rule in self.rules]
+
+    def _rule_json(self, rule: Rule, memo: dict) -> dict:
+        sets, state = ("sets", rule.mask), rule.state
+        return memo.setdefault(rule, {
+            "condition": render_mask(rule.mask, self.atoms, memo),
+            "condition_sets": memo.get(sets) or memo.setdefault(sets, members(rule.mask)),
+            "state": memo.get(state) or memo.setdefault(state, state.to_json(memo)),
+        })
 
 
 def normalize(state: ParamState) -> ParamState:

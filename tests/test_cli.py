@@ -18,8 +18,8 @@ from paramax.cli import (
     main,
 )
 from paramax.consistency import ConsistencyReport
-from paramax.engine import OracleReport
-from paramax.frontend import MAX_NESTING
+from paramax.engine import AnalysisConfig, OracleReport, analyze_param
+from paramax.frontend import MAX_NESTING, parse_cfg
 from paramax.param import ParamState
 from paramax.synthesis import SynthesisOutcome
 
@@ -259,6 +259,16 @@ def test_check_oracle_soundness_with_range(capsys):
     assert "soundness: pass" in out
 
 
+def test_check_oracle_rejects_a_negative_step_bound(capsys):
+    # on a diverging loop an unchecked negative bound never returns
+    code, out, err = run(
+        capsys, "check-oracle", corpus_path("fig1.pwl"), "--soundness", "--max-steps", "-1"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == "error: --max-steps must be at least 0, got -1\n"
+
+
 def test_check_oracle_runs_both_by_default(capsys):
     code, out, _ = run(capsys, "check-oracle", corpus_path("meet_narrow.pwl"))
     assert code == EXIT_OK
@@ -395,15 +405,45 @@ def test_json_output_beyond_the_corpus_matches_the_stdlib(tmp_path, capsys):
     # subsets than any golden corpus document has
     n = 8
     path = tmp_path / "independent8.pwl"
-    path.write_text(
-        "".join(f"x{i} := input();\nassume a{i}: x{i} >= 0;\n" for i in range(n))
-        + "assert " + " && ".join(f"x{i} >= 0" for i in range(n)) + ";\n"
-    )
+    path.write_text(_independent_program(n))
     code, out, _ = run(capsys, "synthesize", str(path), "--format", "json")
     assert code == EXIT_OK
     doc = json.loads(out)
     assert len(doc["nodes"][-1]["rules"]) == 1 << n
     assert out == json.dumps(doc, indent=2) + "\n"
+
+
+def _independent_program(n: int) -> str:
+    return (
+        "".join(f"x{i} := input();\nassume a{i}: x{i} >= 0;\n" for i in range(n))
+        + "assert " + " && ".join(f"x{i} >= 0" for i in range(n)) + ";\n"
+    )
+
+
+def test_document_builds_each_distinct_rule_and_state_once():
+    cfg = parse_cfg(_independent_program(7))
+    result = analyze_param(cfg, AnalysisConfig())
+    doc = cli.analysis_document("independent7", cfg, result)
+    rules = [rule for node in cfg.nodes for rule in result.states[node.id].rules]
+    objects = [obj for node in doc["nodes"] for obj in node["rules"]]
+    assert len(objects) == len(rules)
+    # one object per distinct (mask, state), and the same one wherever it recurs
+    by_rule = {}
+    for rule, obj in zip(rules, objects):
+        assert by_rule.setdefault(rule, obj) is obj
+    assert len({id(obj) for obj in objects}) == len(by_rule) == len(set(rules)) < len(rules)
+    by_state = {}
+    for rule, obj in zip(rules, objects):
+        assert by_state.setdefault(rule.state, obj["state"]) is obj["state"]
+    states = {rule.state for rule in rules}
+    assert len({id(obj["state"]) for obj in objects}) == len(by_state) == len(states) == 128
+    # a library call without a memo builds fresh objects that are equal
+    for node, listed in zip(cfg.nodes, doc["nodes"]):
+        fresh, again = result.states[node.id].to_json(), result.states[node.id].to_json()
+        assert fresh == again == listed["rules"]
+        for other in (again, listed["rules"]):
+            assert all(a is not b for a, b in zip(fresh, other))
+            assert all(a["state"] is not b["state"] for a, b in zip(fresh, other))
 
 
 # escapes, control characters, non-ASCII text and a lone surrogate
@@ -431,6 +471,34 @@ _JSON_VALUES = st.recursive(
 
 @given(_JSON_VALUES)
 def test_dumps_matches_the_stdlib(value):
+    assert dumps(value) == json.dumps(value, indent=2)
+
+
+@st.composite
+def _shared_json_values(draw):
+    """A list that holds the same list, tuple or dict objects at several
+    depths and positions, empty ones included: each container drawn holds
+    scalars and earlier containers, and the list holds all of them."""
+    pool = [[], (), {}]
+    for _ in range(draw(st.integers(1, 6))):
+        items = [
+            draw(st.sampled_from(pool) if draw(st.booleans()) else _SCALARS)
+            for _ in range(draw(st.integers(1, 3)))
+        ]
+        kind = draw(st.sampled_from([list, tuple, dict]))
+        pool.append({draw(_TEXT): v for v in items} if kind is dict else kind(items))
+    return draw(st.permutations(pool))
+
+
+def test_dumps_finds_the_containers_reached_twice():
+    leaf, empty = [1, 2], {}
+    twice = {"a": leaf}
+    value = [twice, (twice, leaf), empty, [3], [empty, "x"]]
+    assert cli._shared_containers(value) == {id(twice), id(leaf), id(empty)}
+
+
+@given(_shared_json_values())
+def test_dumps_matches_the_stdlib_on_shared_containers(value):
     assert dumps(value) == json.dumps(value, indent=2)
 
 

@@ -224,6 +224,18 @@ def test_collecting_truncates_infinite_loops():
     assert collected.truncated
 
 
+@pytest.mark.parametrize("step_bound", [-1, -500])
+def test_collecting_rejects_a_negative_step_bound(step_bound):
+    # a negative bound never equals the depth, so it would never truncate
+    # and a diverging loop would run forever; a terminating program keeps
+    # this test from hanging if the check is lost
+    cfg = corpus_cfg("fig1.pwl")
+    with pytest.raises(ValueError, match="step bound"):
+        run_collecting(cfg, (-2, 2), step_bound=step_bound)
+    with pytest.raises(ValueError, match="step bound"):
+        verify_soundness(cfg, step_bound=step_bound)
+
+
 def test_collecting_masks_match_per_subset_runs(example1_cfg):
     cfg = example1_cfg
     collected = run_collecting(cfg, (-2, 2))

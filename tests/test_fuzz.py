@@ -5,11 +5,18 @@ branches, bounded-ish loops, assumes, asserts). Every generated program is
 pushed through the exhaustive per-subset equality check and the concrete
 containment check, whose report must also equal the per-subset reference's;
 non-convergent variants may be skipped by the verifiers but any mismatch is
-a real bug.
+a real bug. The CLI is also fed generated programs and byte mutations of the
+corpus: it must answer with a documented exit code and well-formed JSON.
 """
 
+import json
 import random
+import re
 
+import jsonschema
+import pytest
+
+from paramax import cli
 from paramax.engine import (
     AnalysisConfig,
     analyze_param,
@@ -19,7 +26,7 @@ from paramax.engine import (
 from paramax.frontend import parse_cfg
 from paramax.synthesis import SynthesisVerdict, synthesize, verify_solutions
 
-from conftest import reference_soundness
+from conftest import CORPUS_DIR, reference_soundness
 
 VARS = ("x", "y")
 
@@ -148,3 +155,86 @@ def test_random_programs_synthesis_roundtrip():
         assert report.mismatches == [], (seed, report.mismatches[:3])
         solutions_reproved += report.subsets_checked - len(report.skipped)
     assert solutions_reproved > 0
+
+
+# every command, with its own flags bounded so that each run stays small
+COMMANDS = (
+    ("analyze",),
+    ("synthesize", "--verify-solutions", "2"),
+    ("consistency", "--phi-table"),
+    ("check-oracle", "--input-range", "-2:2", "--max-steps", "200"),
+    ("dump-cfg",),
+)
+COMMON_FLAGS = (("--widen", "2"), ("--max-rules", "2"), ("--max-rules", "1"))
+BAD_FLAGS = (("--widen", "0"), ("--max-rules", "0"), ("--max-iters", "-1"), ("--widen", "x"))
+# fragments that push the parser or the analysis toward its edges
+TOKENS = (
+    b"{", b"}", b"(", b")", b";", b":=", b"&&", b"assume b: ", b"assert ", b"while (x <= 3) ",
+    b"if (x > y) ", b"input(-3:2)", b"99999999999999999999", b"-", b"\xff", b"\n",
+)
+NUMBERS = (b"0", b"1", b"-1", b"7", b"-20", b"99999999999999999999", b"-99999999999999999999")
+
+
+def _mutate(rng: random.Random, data: bytes) -> bytes:
+    """Byte edits, which mostly reach the parser's errors, or line and
+    number edits, which mostly leave a program that parses."""
+    if rng.random() < 0.3:
+        out = bytearray(data)
+        for _ in range(rng.randint(1, 4)):
+            at = rng.randrange(len(out) + 1)
+            roll = rng.random()
+            if roll < 0.35 and at < len(out):
+                out[at] = rng.randrange(256)
+            elif roll < 0.7:
+                out[at:at] = rng.choice(TOKENS)
+            else:
+                del out[at:at + rng.randint(1, 12)]
+        return bytes(out)
+    lines = data.split(b"\n")
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(lines))
+        roll = rng.random()
+        if roll < 0.25:
+            lines.insert(at, rng.choice(lines))
+        elif roll < 0.4 and len(lines) > 1:
+            del lines[at]
+        else:
+            lines[at] = re.sub(rb"\d+", lambda _: rng.choice(NUMBERS), lines[at], count=1)
+    return b"\n".join(lines)
+
+
+def test_cli_answers_generated_and_mutated_programs(tmp_path, capsys):
+    rng = random.Random(8)
+    corpus = sorted(CORPUS_DIR.glob("*.pwl"))
+    codes = set()
+    json_outputs = 0
+    for case in range(60):
+        if case % 2:
+            source = _mutate(rng, rng.choice(corpus).read_bytes())
+        else:
+            source = generate_program(1000 + case).encode()
+        path = tmp_path / f"case{case}.pwl"
+        path.write_bytes(source)
+        for command, *extra in COMMANDS:
+            argv = [command, str(path), *extra]
+            if command != "dump-cfg":
+                argv += ["--max-iters", "200", "--format", rng.choice(("text", "json"))]
+                for flags in rng.sample(COMMON_FLAGS, rng.randint(0, 2)):
+                    argv += flags
+                if rng.random() < 0.05:
+                    argv += rng.choice(BAD_FLAGS)
+            try:
+                code = cli.main(argv)
+            except Exception as exc:  # a traceback is a defect on any input
+                pytest.fail(f"{argv} raised {exc!r} on {source!r}")
+            out = capsys.readouterr().out
+            assert code in range(6), (argv, source)
+            codes.add(code)
+            if "json" in argv and out:
+                document = json.loads(out)
+                jsonschema.validate(document, cli.DOCUMENT_SCHEMA)
+                assert out == json.dumps(document, indent=2) + "\n", (argv, source)
+                json_outputs += 1
+    # the draws reach the encoder and the error paths alike
+    assert json_outputs >= 60
+    assert {0, 1, 2} <= codes

@@ -70,8 +70,27 @@ def test_join_examples():
 
 
 def test_join_universe_mismatch():
-    with pytest.raises(ValueError, match="universe"):
-        env(x=(0, 1)).join(env(y=(0, 1)))
+    pairs = [
+        (env(x=(0, 1)), env(y=(0, 1))),
+        (env(x=(0, 1)), env(x=(0, 1), y=(0, 1))),
+        (IntervalEnv.top("xy"), IntervalEnv.top("xz").updated("x", iv(0, 1))),
+    ]
+    for op in ("join", "meet", "leq", "widen"):
+        for a, b in pairs:
+            for first, second in ((a, b), (b, a)):
+                with pytest.raises(ValueError, match="universe"):
+                    getattr(first, op)(second)
+
+
+@pytest.mark.parametrize("op", ["join", "meet", "leq", "widen"])
+def test_universe_check_accepts_equal_names_from_any_source(op):
+    top = IntervalEnv.top("yx")
+    derived = top.updated("x", iv(0, 1)).meet(top)
+    built = env(x=(0, 3), y=(-1, 1))  # its own names tuple, equal to top's
+    assert derived.variables() is top.variables()
+    assert built.variables() == top.variables()
+    for first, second in ((derived, built), (built, derived), (top, derived)):
+        getattr(first, op)(second)
 
 
 def test_leq_examples():
