@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .conditions import WIDTH_CAP, atom_mask, full_mask, members
 from .frontend import (
@@ -32,6 +32,7 @@ from .frontend import (
 from .intervals import (
     BOTTOM,
     AssumeState,
+    Interval,
     IntervalEnv,
     enforce,
     gamma_contains,
@@ -159,9 +160,10 @@ def _solve(
     widen_fn: Callable,
     post: Callable,
     observer: Callable | None,
+    rank: dict[int, int] | None = None,
 ):
     """Worklist chaotic iteration from bottom, entry pinned to its seed."""
-    rank = _rpo_rank(cfg)
+    rank = rank or _rpo_rank(cfg)
     states = {v.id: bottom for v in cfg.nodes}
     states[cfg.entry] = seed
     pending = [(rank[v.id], v.id) for v in cfg.nodes if v.id != cfg.entry]
@@ -207,9 +209,19 @@ def _assume_states(cfg: Cfg) -> dict[int, AssumeState]:
 
 
 def analyze_baseline(
-    cfg: Cfg, config: AnalysisConfig | None = None, observer: Callable | None = None
+    cfg: Cfg,
+    config: AnalysisConfig | None = None,
+    observer: Callable | None = None,
+    memo: dict | None = None,
 ) -> AnalysisResult:
-    """Plain interval analysis: Kleene iteration of the node constraints."""
+    """Plain interval analysis: Kleene iteration of the node constraints.
+
+    `memo`, if given, is shared by the analyses of one program's restrictions,
+    which differ only at their assume nodes (see `restrict`). It holds the
+    node order, node evaluations keyed by (node, active assume, predecessor
+    states...), and widenings keyed by (old, new), each computed once; every
+    analysis still runs its own iteration.
+    """
     config = config or AnalysisConfig()
     pis = _assume_states(cfg)
     top = IntervalEnv.top(cfg.variables)
@@ -226,6 +238,22 @@ def analyze_baseline(
             acc = acc.join(apply_node(v, states[p]))
         return acc
 
+    widen, rank = IntervalEnv.widen, None
+    if memo is not None:
+
+        def share(state: IntervalEnv) -> IntervalEnv:  # one object per distinct state
+            return memo.setdefault(state, state)
+
+        rank = memo.get("rank") or memo.setdefault("rank", _rpo_rank(cfg))
+        top, evaluate_once, widen_once = share(top), evaluate, widen
+
+        def evaluate(v: int, states) -> IntervalEnv:
+            key = (v, v in pis, *[states[p] for p in cfg.predecessors(v)])
+            return memo.get(key) or memo.setdefault(key, share(evaluate_once(v, states)))
+
+        def widen(old: IntervalEnv, new: IntervalEnv) -> IntervalEnv:
+            return memo.get((old, new)) or memo.setdefault((old, new), share(widen_once(old, new)))
+
     states, evals, converged = _solve(
         cfg,
         config,
@@ -233,9 +261,10 @@ def analyze_baseline(
         bottom=BOTTOM,
         evaluate=evaluate,
         equals=lambda a, b: a == b,
-        widen_fn=lambda old, new: old.widen(new),
+        widen_fn=widen,
         post=lambda s: s,
         observer=observer,
+        rank=rank,
     )
     return AnalysisResult(states, evals, converged, config)
 
@@ -309,8 +338,8 @@ def _concrete_test(
 
 def _concrete_step(
     op, slot: Mapping[str, int], input_range: tuple[int, int]
-) -> Callable[[ConcreteValues], list[ConcreteValues]]:
-    """The successor states of one concrete state through a node.
+) -> Callable[[ConcreteValues], Iterable[ConcreteValues]]:
+    """The successor states of one concrete state through a node, drawn lazily.
 
     Assume nodes pass every state: `run_collecting` filters their subsets.
     """
@@ -325,11 +354,18 @@ def _concrete_step(
         i = slot[op.var]
         lo, hi = op.input_range if op.input_range is not None else input_range
         sites = range(lo, hi + 1)
-        return lambda values: [values[:i] + (value,) + values[i + 1 :] for value in sites]
+        return lambda values: (values[:i] + (value,) + values[i + 1 :] for value in sites)
     if isinstance(op, GuardFilter):
         test = _concrete_test(op, slot)
         return lambda values: [values] if test(values) else []
     return lambda values: [values]  # entry, exit, skip, assert, assume
+
+
+MAX_COLLECTED = 250_000  # (node, state) entries one `run_collecting` may hold
+
+
+class _OutOfRoom(Exception):
+    """`run_collecting` holds `MAX_COLLECTED` entries and has another to add."""
 
 
 def run_collecting(
@@ -348,7 +384,9 @@ def run_collecting(
     on only with the bits that are new to its (node, state), so each subset
     advances through the layers of its own breadth-first run. Paths stop at
     `step_bound` steps; the subsets whose runs would reach a new (node,
-    state) with one more step form `truncated_subsets`. `states` and
+    state) with one more step form `truncated_subsets`. The enumeration
+    also stops once it holds `MAX_COLLECTED` entries; every subset with
+    states left to expand is then truncated too. `states` and
     `truncated` describe the program as given, with every assumption
     accepted.
     """
@@ -373,31 +411,41 @@ def run_collecting(
     seen: list[dict[ConcreteValues, int]] = [{} for _ in cfg.nodes]
     seen[cfg.entry][init] = everyone
     frontier: dict[tuple[int, ConcreteValues], int] = {(cfg.entry, init): everyone}
-    truncated_subsets = 0
-    depth = 0
-    while frontier:
-        nxt: dict[tuple[int, ConcreteValues], int] = {}
-        for (v, values), mask in frontier.items():
-            for w in successors[v]:
-                passed = mask
-                if w in filters:
-                    holds, declined = filters[w]
-                    if not holds(values):
-                        passed &= declined
-                        if not passed:
+    truncated_subsets = depth = 0
+    collected = 1  # entries in `seen`
+    try:
+        while frontier:
+            nxt: dict[tuple[int, ConcreteValues], int] = {}
+            for (v, values), mask in frontier.items():
+                for w in successors[v]:
+                    passed = mask
+                    if w in filters:
+                        holds, declined = filters[w]
+                        if not holds(values):
+                            passed &= declined
+                            if not passed:
+                                continue
+                    reached = seen[w]
+                    for out in moves[w](values):
+                        old = reached.get(out, 0)
+                        new = passed & ~old
+                        if not new:
                             continue
-                reached = seen[w]
-                for out in moves[w](values):
-                    new = passed & ~reached.get(out, 0)
-                    if not new:
-                        continue
-                    if depth == step_bound:  # one step too many: not collected
-                        truncated_subsets |= new
-                    else:
-                        reached[out] = reached.get(out, 0) | new
-                        nxt[w, out] = nxt.get((w, out), 0) | new
-        frontier = nxt
-        depth += 1
+                        if depth == step_bound:  # one step too many: not collected
+                            truncated_subsets |= new
+                            if not passed & ~truncated_subsets:
+                                break  # the other successors add no subset
+                        elif not old and collected == MAX_COLLECTED:
+                            raise _OutOfRoom
+                        else:
+                            collected += not old  # a new entry
+                            reached[out] = old | new
+                            nxt[w, out] = nxt.get((w, out), 0) | new
+            frontier = nxt
+            depth += 1
+    except _OutOfRoom:  # every subset with states left to expand is cut short
+        for mask in frontier.values():  # `nxt` holds only subsets of these masks
+            truncated_subsets |= mask
 
     given = 1 << ((1 << width) - 1)  # the bit of the subset accepting every assumption
     labelled = [
@@ -417,8 +465,9 @@ def verify_equivalence(
 ) -> OracleReport:
     """Check the one-pass result against a fresh analysis of every variant.
 
-    For each assumption subset, the restricted program is analyzed from
-    scratch and compared per node with the rule lookup. Without widening the
+    For each assumption subset, the restricted program is analyzed again
+    (the analyses share one memo, see `analyze_baseline`) and compared per
+    node with the rule lookup. Without widening the
     comparison is exact equality; with widening it is downgraded to
     containment of the fresh result, since the two iterations are not
     guaranteed to widen in lock step. Non-convergent runs are recorded as
@@ -437,15 +486,19 @@ def verify_equivalence(
         report.skipped = list(range(1 << width))
         return report
     tables = [state.table() for state in param.states]
+    memo: dict = {}  # shared by the 2**width re-analyses, see `analyze_baseline`
+    verdicts: dict[tuple[IntervalEnv, IntervalEnv], bool] = {}
     for accepted in range(1 << width):
-        base = analyze_baseline(restrict(cfg, accepted), config)
+        base = analyze_baseline(restrict(cfg, accepted), config, memo=memo)
         if not base.converged:
             report.skipped.append(accepted)
             continue
         for node in cfg.nodes:
             expected = base.states[node.id]
             got = tables[node.id][accepted]
-            ok = expected == got if exact else expected.leq(got)
+            ok = verdicts.get((expected, got))
+            if ok is None:
+                ok = verdicts[expected, got] = expected == got if exact else expected.leq(got)
             if not ok:
                 report.mismatches.append(
                     {
@@ -456,6 +509,17 @@ def verify_equivalence(
                     }
                 )
     return report
+
+
+def _boxes(labelled: list[tuple[dict[str, int], int]], variables) -> dict[int, IntervalEnv]:
+    """Per label, the least interval state holding the states that carry it."""
+    groups: dict[int, list] = {}
+    for values, reached in labelled:
+        groups.setdefault(reached, []).append(values.values())
+    return {
+        reached: IntervalEnv.of({v: Interval(min(c), max(c)) for v, c in zip(variables, zip(*g))})
+        for reached, g in groups.items()
+    }
 
 
 def verify_soundness(
@@ -474,8 +538,10 @@ def verify_soundness(
     whose restricted programs reach it (see `run_collecting`). Each state
     is tested for membership in the concretization of every rule at its
     node whose subsets overlap that mask, and a failure is reported once
-    per subset in both. Subsets whose exploration was truncated are recorded
-    as partial evidence. `param` is reused as in `verify_equivalence`.
+    per subset in both; a node whose rules each hold the bounding box of
+    every group of equally labelled states they meet needs no such test.
+    Subsets whose exploration was truncated are recorded as partial
+    evidence. `param` is reused as in `verify_equivalence`.
     """
     config = config or AnalysisConfig()
     width = len(cfg.assumptions)
@@ -491,6 +557,9 @@ def verify_soundness(
     report.partial = members(collected.truncated_subsets)
     per_subset: list[list[dict]] = [[] for _ in range(1 << width)]
     for node in cfg.nodes:
+        boxes = _boxes(collected.labelled[node.id], cfg.variables).items()
+        if all(box.leq(s) for m, box in boxes for mask, s in cells[node.id] if mask & m):
+            continue  # every rule holds the bounding box of each group of states it meets
         for values, reached in collected.labelled[node.id]:
             for mask, abstract in cells[node.id]:
                 if mask & reached and not gamma_contains(abstract, values):

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import settings
 
 from paramax.conditions import Condition, atom_mask, full_mask, truth_table
-from paramax.engine import AnalysisConfig, OracleReport, analyze_param, run_collecting
+from paramax.engine import (
+    AnalysisConfig,
+    OracleReport,
+    analyze_baseline,
+    analyze_param,
+    run_collecting,
+)
 from paramax.frontend import AssumptionId, parse_cfg, restrict
 from paramax.intervals import BOTTOM, Interval, IntervalEnv, NEG_INF, POS_INF, gamma_contains
 from paramax.param import ParamState, Rule
@@ -182,6 +188,47 @@ def redundancy_elim_step(state: ParamState, index: int | None = None) -> ParamSt
         raise ValueError(f"rule {index} has a nonempty mask")
     rules = tuple(r for k, r in enumerate(state.rules) if k != index)
     return ParamState(rules, state.atoms)
+
+
+def reference_equivalence(
+    cfg,
+    config: AnalysisConfig | None = None,
+    program_name: str = "<program>",
+    param=None,
+) -> OracleReport:
+    """The equivalence oracle as independent re-analyses: the spec of `verify_equivalence`.
+
+    Every subset's restricted program is analyzed from scratch, with no
+    memo, and each node's state is compared with the rule lookup.
+    """
+    config = config or AnalysisConfig()
+    width = len(cfg.assumptions)
+    exact = config.widening_delay is None and config.merge_budget is None
+    report = OracleReport(
+        "equivalence", program_name, 1 << width, "equality" if exact else "containment"
+    )
+    param = param or analyze_param(cfg, config)
+    if not param.converged:
+        report.skipped = list(range(1 << width))
+        return report
+    for accepted in range(1 << width):
+        base = analyze_baseline(restrict(cfg, accepted), config)
+        if not base.converged:
+            report.skipped.append(accepted)
+            continue
+        for node in cfg.nodes:
+            expected = base.states[node.id]
+            got = param.states[node.id].state_for(accepted)
+            if not (expected == got if exact else expected.leq(got)):
+                report.mismatches.append(
+                    {
+                        "subset": accepted,
+                        "node": node.id,
+                        "baseline": expected.to_json(),
+                        "parameterized": got.to_json(),
+                    }
+                )
+    return report
 
 
 def reference_soundness(

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from paramax import engine
+from paramax.cli import main
 from paramax.conditions import And, Atom, Not, TRUE, render_mask
 from paramax.engine import (
     AnalysisConfig,
@@ -13,10 +15,19 @@ from paramax.engine import (
     verify_soundness,
 )
 from paramax.frontend import Assume, parse_cfg, restrict
-from paramax.intervals import BOTTOM, NEG_INF, POS_INF
+from paramax.intervals import BOTTOM, NEG_INF, POS_INF, Interval
 from paramax.param import ParamState, PartitionError, Rule, leq_param
 
-from conftest import CORPUS, canonical_rule_key, corpus_cfg, env, param_state, reference_soundness
+from conftest import (
+    CORPUS,
+    CORPUS_DIR,
+    canonical_rule_key,
+    corpus_cfg,
+    env,
+    param_state,
+    reference_equivalence,
+    reference_soundness,
+)
 
 EXAMPLE1 = "x := input(); assume a: x > 0; x := 5; assume b: x = 0;"
 
@@ -236,6 +247,47 @@ def test_collecting_rejects_a_negative_step_bound(step_bound):
         verify_soundness(cfg, step_bound=step_bound)
 
 
+def _wide_input_sites(tmp_path):
+    """`input_sites.pwl` with a site range of about 10**20 values."""
+    source = (CORPUS_DIR / "input_sites.pwl").read_text(encoding="utf-8")
+    wide = source.replace("y := input() in [0, 3];", "y := input() in [-99999999999999999999, 3];")
+    assert wide != source
+    path = tmp_path / "wide_input_sites.pwl"
+    path.write_text(wide, encoding="utf-8")
+    return path
+
+
+def test_collecting_draws_input_values_lazily(tmp_path, monkeypatch):
+    # a bound that ends at the wide site takes only the values it needs; a
+    # bound past it collects values until the entry cap
+    monkeypatch.setattr(engine, "MAX_COLLECTED", 1000)
+    cfg = parse_cfg(_wide_input_sites(tmp_path).read_text(encoding="utf-8"))
+    for bound in range(6):
+        result = run_collecting(cfg, (-2, 2), bound)
+        assert result.truncated, bound
+        assert sum(map(len, result.labelled)) <= engine.MAX_COLLECTED
+
+
+def test_collecting_stops_at_the_entry_cap(monkeypatch):
+    # subset {a} leaves the loop at once; subset {} counts to a million
+    cfg = parse_cfg("x := input(); assume a: x <= -100; while (x < 1000000) { x := x + 1; }")
+    monkeypatch.setattr(engine, "MAX_COLLECTED", 50)
+    result = run_collecting(cfg, (-8, 8))
+    assert sum(map(len, result.labelled)) == 50
+    assert result.truncated_subsets == 0b01  # only the subset with states left to expand
+    assert not result.truncated  # the program as given, with `a` accepted, finished
+    report = verify_soundness(cfg, AnalysisConfig(widening_delay=2))
+    assert report.partial == [0] and report.passed
+
+
+def test_check_oracle_returns_on_a_wide_input_range(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(engine, "MAX_COLLECTED", 2000)
+    path = _wide_input_sites(tmp_path)
+    argv = ["check-oracle", str(path), "--soundness", "--input-range", "-2:2", "--max-steps", "200"]
+    assert main(argv) == 0
+    assert "soundness: pass (1 subsets, mode=membership, 1 partial)" in capsys.readouterr().out
+
+
 def test_collecting_masks_match_per_subset_runs(example1_cfg):
     cfg = example1_cfg
     collected = run_collecting(cfg, (-2, 2))
@@ -374,6 +426,38 @@ def _mutants(param, rng: random.Random, count: int):
         yield type(param)(states, param.iterations, param.converged, param.config)
 
 
+def _narrowed(param, rng: random.Random, count: int):
+    """Copies of a result with one finite endpoint of one rule state moved in by 1.
+
+    Most states collected under such a rule still lie inside it, so its
+    bounding box fails while most per-state checks pass.
+    """
+    nodes = [i for i, s in enumerate(param.states) if any(_inner(r.state) for r in s.rules)]
+    for _ in range(count if nodes else 0):
+        states = list(param.states)
+        i = rng.choice(nodes)
+        rules = list(states[i].rules)
+        j = rng.choice([j for j, rule in enumerate(rules) if _inner(rule.state)])
+        var, narrower = rng.choice(_inner(rules[j].state))
+        rules[j] = Rule(rules[j].mask, rules[j].state.updated(var, narrower))
+        states[i] = ParamState(tuple(rules), states[i].atoms)
+        yield type(param)(states, param.iterations, param.converged, param.config)
+
+
+def _inner(state) -> list:
+    """(variable, interval) for each finite endpoint of a state moved in by 1."""
+    if state.is_bottom:
+        return []
+    out = []
+    for var, iv in state.items():
+        if iv.lo < iv.hi:
+            if iv.lo != NEG_INF:
+                out.append((var, Interval(iv.lo + 1, iv.hi)))
+            if iv.hi != POS_INF:
+                out.append((var, Interval(iv.lo, iv.hi - 1)))
+    return out
+
+
 def test_soundness_matches_reference_on_mutants():
     rng = random.Random(0x50D)
     mismatches = 0
@@ -384,6 +468,64 @@ def test_soundness_matches_reference_on_mutants():
             assert got.to_json() == reference_soundness(cfg, config, **kwargs).to_json(), entry.name
             mismatches += len(got.mismatches)
     assert mismatches > 1000
+
+
+def test_soundness_matches_reference_on_narrowed_rules():
+    rng = random.Random(0xB0C5)
+    failing = 0
+    for entry, cfg, config in _oracle_corpus():
+        for mutant in _narrowed(analyze_param(cfg, config), rng, 4):
+            kwargs = dict(input_range=entry.input_range, step_bound=300, param=mutant)
+            got = verify_soundness(cfg, config, **kwargs)
+            assert got.to_json() == reference_soundness(cfg, config, **kwargs).to_json(), entry.name
+            failing += bool(got.mismatches)
+    assert failing > 40  # the narrowed endpoint is most often one a concrete state reaches
+
+
+EQUIVALENCE_CONFIGS = (
+    AnalysisConfig(),
+    AnalysisConfig(widening_delay=2),
+    AnalysisConfig(merge_budget=2),
+    AnalysisConfig(max_iterations=100),  # some variants stop early and are skipped
+)
+
+
+def test_equivalence_matches_reference_on_corpus():
+    skipped = 0
+    for entry, cfg, _ in _oracle_corpus():
+        for config in EQUIVALENCE_CONFIGS:
+            got = verify_equivalence(cfg, config, program_name=entry.name)
+            expected = reference_equivalence(cfg, config, program_name=entry.name)
+            assert got.to_json() == expected.to_json(), (entry.name, config)
+            skipped += len(got.skipped)
+    assert skipped
+
+
+def test_equivalence_matches_reference_on_mutants():
+    rng = random.Random(0xE0)
+    mismatches = 0
+    for entry, cfg, config in _oracle_corpus():
+        param = analyze_param(cfg, config)
+        for mutant in [*_mutants(param, rng, 2), *_narrowed(param, rng, 2)]:
+            got = verify_equivalence(cfg, config, param=mutant)
+            assert got.to_json() == reference_equivalence(cfg, config, param=mutant).to_json()
+            mismatches += len(got.mismatches)
+    assert mismatches > 100
+
+
+def test_shared_memo_keeps_every_analysis():
+    # one memo across all subsets: same states, iterations and convergence
+    # as independent analyses, with and without widening or an early stop
+    for entry, cfg, _ in _oracle_corpus():
+        for config in EQUIVALENCE_CONFIGS:
+            memo: dict = {}
+            for accepted in range(1 << len(cfg.assumptions)):
+                variant = restrict(cfg, accepted)
+                shared = analyze_baseline(variant, config, memo=memo)
+                alone = analyze_baseline(variant, config)
+                assert shared.states == alone.states, (entry.name, config, accepted)
+                assert shared.iterations == alone.iterations
+                assert shared.converged == alone.converged
 
 
 def test_verifiers_raise_on_broken_partitions(example1_cfg):

@@ -3,10 +3,11 @@
 Programs are built from a seeded grammar walk (assignments, inputs, nested
 branches, bounded-ish loops, assumes, asserts). Every generated program is
 pushed through the exhaustive per-subset equality check and the concrete
-containment check, whose report must also equal the per-subset reference's;
-non-convergent variants may be skipped by the verifiers but any mismatch is
-a real bug. The CLI is also fed generated programs and byte mutations of the
-corpus: it must answer with a documented exit code and well-formed JSON.
+containment check, and each report must also equal its per-subset
+reference's; non-convergent variants may be skipped by the verifiers but any
+mismatch is a real bug. The CLI is also fed generated programs and byte
+mutations of the corpus: it must answer with a documented exit code and
+well-formed JSON.
 """
 
 import json
@@ -26,7 +27,7 @@ from paramax.engine import (
 from paramax.frontend import parse_cfg
 from paramax.synthesis import SynthesisVerdict, synthesize, verify_solutions
 
-from conftest import CORPUS_DIR, reference_soundness
+from conftest import CORPUS_DIR, reference_equivalence, reference_soundness
 
 VARS = ("x", "y")
 
@@ -124,6 +125,8 @@ def test_random_programs_match_both_oracles():
         cfg = parse_cfg(source)
         equal = verify_equivalence(cfg, config, program_name=f"seed {seed}")
         assert equal.mismatches == [], (seed, source, equal.mismatches[:3])
+        reference = reference_equivalence(cfg, config, program_name=f"seed {seed}")
+        assert equal.to_json() == reference.to_json(), (seed, source)
         param = analyze_param(cfg, config)
         kwargs = dict(input_range=(-2, 2), step_bound=4000, program_name=f"seed {seed}")
         sound = verify_soundness(cfg, config, param=param, **kwargs)
