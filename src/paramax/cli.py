@@ -9,10 +9,10 @@ follow `DOCUMENT_SCHEMA`. Exit codes: 0 success, 1 usage/parse error,
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from . import consistency as consistency_mod
@@ -105,56 +105,6 @@ DOCUMENT_SCHEMA = {
 }
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("source", help="path to a .pwl program")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
-    sub.add_argument("--max-rules", type=int, default=None, metavar="N",
-                     help="merge rules down to at most N per node")
-    sub.add_argument("--widen", default="off", metavar="off|K",
-                     help="widen loop heads from the K-th visit (default off)")
-    sub.add_argument("--max-iters", type=int, default=1000, metavar="N")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="paramax",
-        description="Interval analysis parameterized by labeled program assumptions",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    analyze = commands.add_parser("analyze", help="per-node rule tables")
-    _add_common_flags(analyze)
-
-    synthesize = commands.add_parser(
-        "synthesize", help="assumption subsets that prove every assertion"
-    )
-    _add_common_flags(synthesize)
-    synthesize.add_argument("--verify-solutions", type=int, default=8, metavar="N",
-                            help="re-prove up to N reported solutions (0 disables)")
-
-    consistency = commands.add_parser(
-        "consistency", help="bound the self-consistent assumption sets"
-    )
-    _add_common_flags(consistency)
-    consistency.add_argument("--phi-table", action="store_true",
-                             help="print the full operator table")
-
-    oracle = commands.add_parser(
-        "check-oracle", help="exhaustive brute-force verification sweeps"
-    )
-    _add_common_flags(oracle)
-    oracle.add_argument("--theorem1", "--equivalence", dest="theorem1", action="store_true",
-                        help="per-subset equality against fresh analyses")
-    oracle.add_argument("--soundness", action="store_true",
-                        help="concrete-state membership against enumerated executions")
-    oracle.add_argument("--input-range", default="-8:8", metavar="LO:HI")
-    oracle.add_argument("--max-steps", type=int, default=100_000, metavar="N")
-
-    dump = commands.add_parser("dump-cfg", help="print the control-flow graph")
-    dump.add_argument("source", help="path to a .pwl program")
-    return parser
-
-
 def _parse_widen(text: str) -> int | None:
     if text == "off":
         return None
@@ -180,7 +130,7 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _make_config(args: argparse.Namespace) -> AnalysisConfig:
+def _make_config(args: SimpleNamespace) -> AnalysisConfig:
     cap = os.environ.get(WIDTH_CAP_ENV)
     extra = {}
     if cap is not None:
@@ -308,7 +258,7 @@ def dumps(value) -> str:
     return encode(value, "\n")
 
 
-def _emit(args: argparse.Namespace, document: Callable[[], dict], text: str) -> None:
+def _emit(args: SimpleNamespace, document: Callable[[], dict], text: str) -> None:
     """Print `text`, or with --format json the document that `document()` builds."""
     if args.format == "json":
         print(dumps(document()))
@@ -316,7 +266,7 @@ def _emit(args: argparse.Namespace, document: Callable[[], dict], text: str) -> 
         print(text, end="")
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_analyze(args: SimpleNamespace) -> int:
     name, cfg = _load(args.source)
     result = analyze_param(cfg, _make_config(args))
     text = _render_analysis_text(name, cfg, result)
@@ -329,7 +279,7 @@ def _format_subsets(subsets, cfg: Cfg, truncated: bool = False) -> str:
     return f"[{rendered}]" + (" ... (truncated)" if truncated else "")
 
 
-def _cmd_synthesize(args: argparse.Namespace) -> int:
+def _cmd_synthesize(args: SimpleNamespace) -> int:
     name, cfg = _load(args.source)
     config = _make_config(args)
     result = analyze_param(cfg, config)
@@ -378,7 +328,7 @@ def _cmd_synthesize(args: argparse.Namespace) -> int:
     return EXIT_IMPOSSIBLE
 
 
-def _cmd_consistency(args: argparse.Namespace) -> int:
+def _cmd_consistency(args: SimpleNamespace) -> int:
     name, cfg = _load(args.source)
     result = analyze_param(cfg, _make_config(args))
     if not result.converged:
@@ -409,7 +359,7 @@ def _cmd_consistency(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_check_oracle(args: argparse.Namespace) -> int:
+def _cmd_check_oracle(args: SimpleNamespace) -> int:
     name, cfg = _load(args.source)
     config = _make_config(args)
     input_range = _parse_range(args.input_range)
@@ -456,44 +406,119 @@ def _cmd_check_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_MISMATCH
 
 
-def _cmd_dump_cfg(args: argparse.Namespace) -> int:
+def _cmd_dump_cfg(args: SimpleNamespace) -> int:
     _, cfg = _load(args.source)
     print(dump_cfg(cfg), end="")
     return EXIT_OK
 
 
-def _join_range_flag(argv: list[str]) -> list[str]:
-    # argparse mistakes "-2:13" for a flag; fold the value into the option.
-    out = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--input-range" and i + 1 < len(argv):
-            out.append(f"--input-range={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(argv[i])
-            i += 1
-    return out
+# The options of each command: (name, dest, kind, default, metavar, help), where
+# kind is int, str, a tuple of the accepted values, or None for a flag with no
+# value. These rows alone drive parsing and the --help text.
+_COMMON = (
+    ("--format", "format", ("text", "json"), "text", "text|json", "output format"),
+    ("--max-rules", "max_rules", int, None, "N", "merge rules down to at most N per node"),
+    ("--widen", "widen", str, "off", "off|K", "widen loop heads from the K-th visit"),
+    ("--max-iters", "max_iters", int, 1000, "N", "stop the fixpoint after N iterations"),
+)
+# command -> (handler, help, options)
+COMMANDS = {
+    "analyze": (_cmd_analyze, "per-node rule tables", _COMMON),
+    "synthesize": (_cmd_synthesize, "assumption sets that prove every assertion", _COMMON + (
+        ("--verify-solutions", "verify_solutions", int, 8, "N", "re-prove up to N solutions"),
+    )),
+    "consistency": (_cmd_consistency, "bound the self-consistent assumption sets", _COMMON + (
+        ("--phi-table", "phi_table", None, False, "", "print the full operator table"),
+    )),
+    "check-oracle": (_cmd_check_oracle, "brute-force verification sweeps", _COMMON + (
+        ("--theorem1", "theorem1", None, False, "", "per-subset equality with fresh analyses"),
+        ("--equivalence", "theorem1", None, False, "", "the same as --theorem1"),
+        ("--soundness", "soundness", None, False, "", "concrete states inside abstract ones"),
+        ("--input-range", "input_range", str, "-8:8", "LO:HI", "values of unannotated inputs"),
+        ("--max-steps", "max_steps", int, 100_000, "N", "steps of each concrete run"),
+    )),
+    "dump-cfg": (_cmd_dump_cfg, "print the control-flow graph", ()),
+}
+
+
+class _UsageError(Exception):
+    """A command line that `_parse` rejects: args are (command or None, message)."""
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        about = "Interval analysis parameterized by labeled program assumptions"
+        rows = [(name, text) for name, (_, text, _) in COMMANDS.items()]
+    else:
+        _, about, options = COMMANDS[command]
+        rows = [("SOURCE", "path to a .pwl program")] + [
+            (f"{name} {metavar}", f"{text} (default {default})" if default else text)
+            for name, _, _, default, metavar, text in options
+        ]
+    rows.append(("-h, --help", "print this help"))
+    pad = max(len(left) for left, _ in rows) + 2
+    lines = [f"  {left.ljust(pad)}{text}" for left, text in rows]
+    usage = f"usage: paramax {command or 'COMMAND'} [options] SOURCE"
+    return "\n".join([usage, "", about, "", *lines]) + "\n"
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | str:
+    """The arguments of a command line, or the help text that it asks for.
+
+    Options come before or after the source, as `--opt VALUE` or
+    `--opt=VALUE`; a value may begin with '-'. The last occurrence wins.
+    """
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        return _help(None)
+    if command not in COMMANDS:
+        raise _UsageError(None, f"unknown command {command!r}" if argv else "no command")
+    options = {row[0]: row for row in COMMANDS[command][2]}
+    args = SimpleNamespace(command=command, **{row[1]: row[3] for row in options.values()})
+    sources = []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg in ("-h", "--help"):
+            return _help(command)
+        if arg[:1] != "-" or arg == "-":
+            sources.append(arg)
+            continue
+        name, has_value, value = arg.partition("=")
+        if name not in options:
+            raise _UsageError(command, f"unknown option {name}")
+        _, dest, kind, _, metavar, _ = options[name]
+        if kind is None:
+            if has_value:
+                raise _UsageError(command, f"{name} takes no value")
+            value = True
+        elif not has_value and (value := next(rest, None)) is None:
+            raise _UsageError(command, f"{name} expects a value {metavar}")
+        elif kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(command, f"{name} expects an integer, got {value!r}")
+        elif kind is not str and value not in kind:
+            raise _UsageError(command, f"{name} must be one of {'|'.join(kind)}, got {value!r}")
+        setattr(args, dest, value)
+    if len(sources) != 1:
+        raise _UsageError(command, f"expected one SOURCE, got {len(sources)}")
+    args.source = sources[0]
+    return args
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _join_range_flag(list(argv))
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    handlers = {
-        "analyze": _cmd_analyze,
-        "synthesize": _cmd_synthesize,
-        "consistency": _cmd_consistency,
-        "check-oracle": _cmd_check_oracle,
-        "dump-cfg": _cmd_dump_cfg,
-    }
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
+    except _UsageError as exc:
+        usage = _help(exc.args[0]).partition("\n")[0]
+        print(usage, f"paramax: error: {exc.args[1]}", sep="\n", file=sys.stderr)
+        return EXIT_USAGE
+    if isinstance(args, str):
+        print(args, end="")
+        return EXIT_OK
     try:
-        return handlers[args.command](args)
+        return COMMANDS[args.command][0](args)
     except ParseError as exc:
         print(f"{args.source}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -96,7 +96,7 @@ class CollectingResult:
 
     states: list[list[dict[str, int]]]  # with every assumption accepted
     truncated: bool  # that run hit the step bound
-    labelled: list[list[tuple[dict[str, int], int]]]  # (state, mask of the subsets reaching it)
+    labelled: list[list[tuple[ConcreteValues, int]]]  # (values, mask of the subsets reaching it)
     truncated_subsets: int  # mask of the subsets whose runs hit the step bound
 
 
@@ -448,11 +448,8 @@ def run_collecting(
             truncated_subsets |= mask
 
     given = 1 << ((1 << width) - 1)  # the bit of the subset accepting every assumption
-    labelled = [
-        [(dict(zip(cfg.variables, values)), reached[values]) for values in sorted(reached)]
-        for reached in seen
-    ]
-    states = [[values for values, mask in node if mask & given] for node in labelled]
+    labelled = [sorted(reached.items()) for reached in seen]
+    states = [[dict(zip(cfg.variables, s)) for s, mask in node if mask & given] for node in labelled]
     return CollectingResult(states, bool(truncated_subsets & given), labelled, truncated_subsets)
 
 
@@ -511,11 +508,11 @@ def verify_equivalence(
     return report
 
 
-def _boxes(labelled: list[tuple[dict[str, int], int]], variables) -> dict[int, IntervalEnv]:
+def _boxes(labelled: list[tuple[ConcreteValues, int]], variables) -> dict[int, IntervalEnv]:
     """Per label, the least interval state holding the states that carry it."""
     groups: dict[int, list] = {}
     for values, reached in labelled:
-        groups.setdefault(reached, []).append(values.values())
+        groups.setdefault(reached, []).append(values)
     return {
         reached: IntervalEnv.of({v: Interval(min(c), max(c)) for v, c in zip(variables, zip(*g))})
         for reached, g in groups.items()
@@ -561,11 +558,12 @@ def verify_soundness(
         if all(box.leq(s) for m, box in boxes for mask, s in cells[node.id] if mask & m):
             continue  # every rule holds the bounding box of each group of states it meets
         for values, reached in collected.labelled[node.id]:
+            state = dict(zip(cfg.variables, values))
             for mask, abstract in cells[node.id]:
-                if mask & reached and not gamma_contains(abstract, values):
+                if mask & reached and not gamma_contains(abstract, state):
                     for accepted in members(mask & reached):
                         per_subset[accepted].append(
-                            {"subset": accepted, "node": node.id, "state": values}
+                            {"subset": accepted, "node": node.id, "state": state}
                         )
     report.mismatches = [m for found in per_subset for m in found]
     return report

@@ -836,13 +836,14 @@ def restrict(cfg: Cfg, accepted: int) -> Cfg:
     n = len(cfg.assumptions)
     if accepted < 0 or accepted >> n:
         raise ValueError(f"assumption set {accepted:#x} outside the program's {n} assumptions")
-    nodes = []
-    for node in cfg.nodes:
-        if isinstance(node.op, Assume) and not (accepted >> node.op.assumption.index) & 1:
-            nodes.append(CfgNode(node.id, Skip(), node.loop_head))
-        else:
-            nodes.append(node)
-    return Cfg(tuple(nodes), cfg.edges, cfg.entry, cfg.exit, cfg.assumptions, cfg.variables)
+    restricted = Cfg.__new__(Cfg)  # the edges stay, so the adjacency is shared, not rebuilt
+    restricted.__dict__.update(cfg.__dict__, nodes=tuple(
+        CfgNode(node.id, Skip(), node.loop_head)
+        if isinstance(node.op, Assume) and not (accepted >> node.op.assumption.index) & 1
+        else node
+        for node in cfg.nodes
+    ))
+    return restricted
 
 
 def dump_cfg(cfg: Cfg) -> str:

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -512,3 +516,123 @@ def test_dumps_rejects_non_str_keys(value, key):
 def test_dumps_rejects_unknown_types(unknown):
     with pytest.raises(TypeError):
         dumps({"nodes": [1, unknown]})
+
+
+# --- the flag table -----------------------------------------------------------
+
+COMMON_OPTIONS = ("--format", "--max-rules", "--widen", "--max-iters")
+OPTIONS = {
+    "analyze": COMMON_OPTIONS,
+    "synthesize": COMMON_OPTIONS + ("--verify-solutions",),
+    "consistency": COMMON_OPTIONS + ("--phi-table",),
+    "check-oracle": COMMON_OPTIONS
+    + ("--theorem1", "--equivalence", "--soundness", "--input-range", "--max-steps"),
+    "dump-cfg": (),
+}
+# option -> (attribute, value on the command line or None for a flag, parsed value)
+SAMPLES = {
+    "--format": ("format", "json", "json"),
+    "--max-rules": ("max_rules", "3", 3),
+    "--widen": ("widen", "2", "2"),
+    "--max-iters": ("max_iters", "-1", -1),
+    "--verify-solutions": ("verify_solutions", "0", 0),
+    "--phi-table": ("phi_table", None, True),
+    "--theorem1": ("theorem1", None, True),
+    "--equivalence": ("theorem1", None, True),
+    "--soundness": ("soundness", None, True),
+    "--input-range": ("input_range", "-2:2", "-2:2"),
+    "--max-steps": ("max_steps", "7", 7),
+}
+
+
+def test_the_flag_table_lists_every_option():
+    table = {command: tuple(row[0] for row in entry[2]) for command, entry in cli.COMMANDS.items()}
+    assert table == OPTIONS
+
+
+def test_every_option_parses_in_both_forms():
+    for command, options in OPTIONS.items():
+        defaults = vars(cli._parse([command, "p.pwl"]))
+        assert defaults["command"] == command and defaults["source"] == "p.pwl"
+        for name in options:
+            dest, text, value = SAMPLES[name]
+            forms = [[name]] if text is None else [[name, text], [f"{name}={text}"]]
+            for form in forms:
+                for argv in ([command, "p.pwl", *form], [command, *form, "p.pwl"]):
+                    assert vars(cli._parse(argv)) == {**defaults, dest: value}, argv
+
+
+def test_repeated_options_keep_the_last_value():
+    args = cli._parse(["analyze", "--max-iters", "5", "p.pwl", "--max-iters=6", "--format=json"])
+    assert (args.max_iters, args.format, args.source) == (6, "json", "p.pwl")
+
+
+def test_options_before_the_source_and_negative_values_run(capsys):
+    fig1 = corpus_path("fig1.pwl")
+    after = run(capsys, "check-oracle", fig1, "--soundness", "--input-range", "-2:13")
+    before = run(capsys, "check-oracle", "--input-range", "-2:13", "--soundness", fig1)
+    joined = run(capsys, "check-oracle", "--input-range=-2:13", fig1, "--soundness")
+    assert after == before == joined
+    assert after[0] == EXIT_OK and "soundness: pass" in after[1] and "equivalence" not in after[1]
+    alias = run(capsys, "check-oracle", corpus_path("example1.pwl"), "--equivalence")
+    assert alias == run(capsys, "check-oracle", corpus_path("example1.pwl"), "--theorem1")
+    assert "equivalence: pass" in alias[1] and "soundness" not in alias[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["analyze"],
+        ["analyze", "a.pwl", "b.pwl"],
+        ["frobnicate", "a.pwl"],
+        ["--format", "json", "analyze", "a.pwl"],
+        ["analyze", "a.pwl", "--bogus"],
+        ["analyze", "a.pwl", "--verify", "3"],  # no abbreviations
+        ["analyze", "a.pwl", "--max-iters"],
+        ["analyze", "a.pwl", "--max-iters", "x"],
+        ["analyze", "a.pwl", "--format", "xml"],
+        ["consistency", "a.pwl", "--phi-table=yes"],
+        ["dump-cfg", "a.pwl", "--format", "json"],
+    ],
+)
+def test_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: paramax ")
+    assert error.startswith("paramax: error: ")
+
+
+def test_help_names_every_command_and_option(capsys):
+    for flag in ("-h", "--help"):
+        code, out, err = run(capsys, flag)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("usage: paramax ")
+        assert all(command in out for command in OPTIONS)
+    for command, options in OPTIONS.items():
+        for argv in ([command, "--help"], [command, "-h"], [command, "p.pwl", "--help"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (EXIT_OK, ""), argv
+            assert out.startswith(f"usage: paramax {command} ")
+            assert all(name in out for name in options), argv
+            assert "--help" in out and "SOURCE" in out
+
+
+def test_the_cli_imports_no_argument_parser():
+    # argparse builds its parser and looks up translations on every call;
+    # the flag table needs neither, nor the gettext and locale modules
+    script = (
+        "import sys\n"
+        "import paramax.cli\n"
+        f"code = paramax.cli.main(['synthesize', {corpus_path('example1.pwl')!r}])\n"
+        "print(code, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"

@@ -295,16 +295,20 @@ def test_collecting_masks_match_per_subset_runs(example1_cfg):
     # x <= 0 fails `assume a: x > 0`, so only the subsets declining a (bit 0) reach it
     declines_a = 1 << 0b00 | 1 << 0b10
     assert collected.labelled[assume_a] == [
-        ({"x": -2}, declines_a),
-        ({"x": -1}, declines_a),
-        ({"x": 0}, declines_a),
-        ({"x": 1}, 0b1111),
-        ({"x": 2}, 0b1111),
+        ((-2,), declines_a),
+        ((-1,), declines_a),
+        ((0,), declines_a),
+        ((1,), 0b1111),
+        ((2,), 0b1111),
     ]
     for accepted in range(4):
         alone = run_collecting(restrict(cfg, accepted), (-2, 2))
         for node in cfg.nodes:
-            members = [s for s, mask in collected.labelled[node.id] if mask >> accepted & 1]
+            members = [
+                dict(zip(cfg.variables, s))
+                for s, mask in collected.labelled[node.id]
+                if mask >> accepted & 1
+            ]
             assert members == alone.states[node.id], (accepted, node.id)
     assert collected.truncated_subsets == 0
 
