@@ -2,7 +2,9 @@
 
 A set of assumption subsets is a mask: an int with bit A set when subset A
 (bit i = the assumption with index i) belongs to the set. The analysis works
-on masks alone. Condition trees are the printed form: `formula` builds the
+on masks alone. `atom_mask` builds the mask of the subsets holding one
+assumption by doubling one period of it, in O(width) int operations, and
+caches nothing. Condition trees are the printed form: `formula` builds the
 canonical formula of a mask (a cube, a negated cube, or an irredundant sum
 of products) when a result is output. `truth_table` gives the mask of a
 tree and `simplify` its canonical formula, for trees built by hand or
@@ -179,14 +181,15 @@ def full_mask(width: int) -> int:
     return (1 << (1 << width)) - 1
 
 
-@lru_cache(maxsize=None)
 def atom_mask(index: int, width: int) -> int:
     """The mask of the subsets that contain the assumption with index `index`."""
-    block = 1 << index  # run length of the alternating 0/1 blocks
-    run = (1 << block) - 1
-    pattern = 0
-    for start in range(block, 1 << width, block * 2):
-        pattern |= run << start
+    block, period, size = 1 << index, 2 << index, 1 << width
+    if period > size:
+        return 0
+    pattern = ((1 << block) - 1) << block  # one period: `block` zeros, then `block` ones
+    while period < size:  # double until it fills 2**width bits
+        pattern |= pattern << period
+        period <<= 1
     return pattern
 
 
@@ -232,55 +235,57 @@ def satisfying_sets(cond: Condition, width: int) -> list[int]:
 Cube = tuple[tuple[int, bool], ...]  # (atom index, positive) literals, ascending
 
 
-def _cube_for(table: int, width: int, indices: Iterable[int]) -> Cube | None:
-    """The literals of the cube that the nonzero `table` is exactly, if it is one."""
-    full = full_mask(width)
-    literals = []
-    cube = full
-    for index in sorted(indices):
-        pattern = atom_mask(index, width)
-        if table & ~pattern == 0:
-            literals.append((index, True))
-            cube &= pattern
-        elif table & pattern == 0:
-            literals.append((index, False))
-            cube &= full & ~pattern
-    return tuple(literals) if cube == table else None
+def _cube_for(table: int, width: int) -> Cube | None:
+    """The literals of the cube that the nonzero `table` is exactly, if it is one.
+
+    A cube's least and greatest members differ exactly in its free atoms,
+    and its mask is the least member doubled once per free atom.
+    """
+    lo = (table & -table).bit_length() - 1
+    free = lo ^ (table.bit_length() - 1)
+    if table.bit_count() != 1 << free.bit_count():
+        return None
+    cube = 1 << lo
+    for index in range(width):
+        if free >> index & 1:
+            cube |= cube << (1 << index)
+    if cube != table:
+        return None
+    return tuple((i, bool(lo >> i & 1)) for i in range(width) if not free >> i & 1)
 
 
-def _cofactors(table: int, index: int, width: int) -> tuple[int, int]:
-    """The tables with atom `index` fixed false and true, spread over both halves."""
-    pattern = atom_mask(index, width)
-    shift = 1 << index
+def _cofactors(table: int, pattern: int, shift: int) -> tuple[int, int]:
+    """The tables with the atom of `pattern` fixed false and true, spread over both halves."""
     low, high = table & ~pattern, table & pattern
     return low | low << shift, high | high >> shift
 
 
-def _isop(lower: int, upper: int, indices: list[int], width: int) -> tuple[list[Cube], int]:
+def _isop(lower: int, upper: int, indices: list[int], patterns: list[int]) -> tuple[list[Cube], int]:
     """Irredundant sum of products covering `lower` within `upper`.
 
     The Minato-Morreale recursion: split on the highest atom in `indices`
     either table depends on, cover what only one cofactor must cover with
     cubes carrying that atom's literal, and the rest with cubes free of it.
+    `patterns[i]` is `atom_mask(i, width)`, one per atom of the width.
     Returns the cubes and the table of their union.
     """
     if lower == 0:
         return [], 0
-    full = full_mask(width)
+    full = full_mask(len(patterns))
     if upper == full:
         return [()], full
     for k, index in enumerate(indices):
-        lower0, lower1 = _cofactors(lower, index, width)
-        upper0, upper1 = _cofactors(upper, index, width)
+        pattern, shift = patterns[index], 1 << index
+        lower0, lower1 = _cofactors(lower, pattern, shift)
+        upper0, upper1 = _cofactors(upper, pattern, shift)
         if lower0 != lower1 or upper0 != upper1:
             break
     rest = indices[k + 1 :]
-    cubes0, cover0 = _isop(lower0 & ~upper1, upper0, rest, width)
-    cubes1, cover1 = _isop(lower1 & ~upper0, upper1, rest, width)
+    cubes0, cover0 = _isop(lower0 & ~upper1, upper0, rest, patterns)
+    cubes1, cover1 = _isop(lower1 & ~upper0, upper1, rest, patterns)
     shared, cover = _isop(
-        (lower0 & ~cover0) | (lower1 & ~cover1), upper0 & upper1, rest, width
+        (lower0 & ~cover0) | (lower1 & ~cover1), upper0 & upper1, rest, patterns
     )
-    pattern = atom_mask(index, width)
     cover |= (cover0 & ~pattern) | (cover1 & pattern)
     cubes = [c + ((index, False),) for c in cubes0] + [c + ((index, True),) for c in cubes1]
     return cubes + shared, cover
@@ -306,13 +311,14 @@ def formula(mask: int, atoms: Iterable[AssumptionId]) -> Condition:
         return FALSE
     by_index = {a.index: a for a in atoms}
     width = max(by_index, default=-1) + 1
-    cube = _cube_for(mask, width, by_index)
+    cube = _cube_for(mask, width)
     if cube is not None:
         return _conjunction(cube, by_index)
-    anti = _cube_for(full_mask(width) & ~mask, width, by_index)
+    anti = _cube_for(full_mask(width) & ~mask, width)
     if anti is not None:
         return Not(_conjunction(anti, by_index))
-    cubes, _ = _isop(mask, mask, sorted(by_index, reverse=True), width)
+    patterns = [atom_mask(i, width) for i in range(width)]
+    cubes, _ = _isop(mask, mask, sorted(by_index, reverse=True), patterns)
     return Or(tuple(_conjunction(c, by_index) for c in sorted(cubes)))
 
 

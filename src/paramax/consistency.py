@@ -7,7 +7,8 @@ applying to that subset at its assume node leaves no feasible state. The
 induced operator (subset -> surviving assumptions) is anti-monotone, so its
 square is monotone; iterating the square from the empty set yields a core
 contained in every consistent set, and its image an envelope containing
-them all. A brute-force fixpoint enumeration serves as the oracle.
+them all. The set of all fixpoints, built as one mask from the refuting
+tables, serves as the oracle.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .conditions import atom_mask, full_mask, members
 from .engine import ParamAnalysisResult
 from .frontend import Assume, AssumptionId, Cfg
 from .intervals import AssumeState, feasible
@@ -136,9 +138,10 @@ def brute_force_fixpoints(
         raise ValueError(f"refusing to enumerate 2**{width} subsets (cap {max_assumptions})")
     if tables is None:
         tables = _refuting_tables(result, cfg)
-    return [
-        a for a in range(1 << width) if _phi(tables, cfg.assumptions, a) == a
-    ]
+    fixed = full_mask(width)
+    for aid, table in zip(cfg.assumptions, tables):
+        fixed &= atom_mask(aid.index, width) ^ table  # A holds aid iff aid's table lacks A
+    return members(fixed)
 
 
 def consistency_report(

@@ -5,7 +5,8 @@ of the rule masks under which its check is proved; the intersection over
 all assertions is exactly the set of subsets the analysis certifies. The
 verdict is `solutions` when that set is nonempty, `impossible` when every
 remaining subset is actively refuted at some assertion, and `unknown`
-otherwise.
+otherwise. The minimal solutions are read off the mask one cardinality
+layer at a time, never one subset at a time.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .conditions import full_mask, members, render_mask
+from .conditions import atom_mask, full_mask, members, render_mask
 from .engine import AnalysisConfig, OracleReport, ParamAnalysisResult, analyze_baseline
 from .frontend import AssumptionId, Cfg, render_assert, restrict
 from .intervals import ProofVerdict, proves
@@ -61,7 +62,8 @@ def synthesize(
     result: ParamAnalysisResult, cfg: Cfg, solution_cap: int = 256
 ) -> SynthesisOutcome:
     """Intersect, across assertions, the masks of the rules whose states prove them."""
-    full = full_mask(len(cfg.assumptions))
+    width = len(cfg.assumptions)
+    full = full_mask(width)
     condition = full
     refuted_anywhere = 0
     per_assertion: dict[int, tuple[tuple[int, ProofVerdict], ...]] = {}
@@ -86,16 +88,29 @@ def synthesize(
     else:
         verdict = SynthesisVerdict.UNKNOWN
 
-    all_solutions = members(condition)
-    min_card = min((s.bit_count() for s in all_solutions), default=0)
-    minimal = tuple(s for s in all_solutions if s.bit_count() == min_card)
+    # the least cardinality layer that meets the condition: the subsets of
+    # size k+1 are those of size k, each extended by one atom it lacks
+    layer = 1  # the empty set
+    if condition:
+        atoms = [(atom_mask(i, width), 1 << i) for i in range(width)]
+        while not layer & condition:
+            nxt = 0
+            for pattern, shift in atoms:
+                nxt |= (layer & ~pattern) << shift
+            layer = nxt
+    solutions = []
+    rest = condition
+    while rest and len(solutions) < solution_cap:
+        low = rest & -rest
+        solutions.append(low.bit_length() - 1)
+        rest ^= low
     return SynthesisOutcome(
         condition=condition,
         verdict=verdict,
-        solutions=tuple(all_solutions[:solution_cap]),
-        minimal=minimal,
+        solutions=tuple(solutions),
+        minimal=tuple(members(layer & condition)),
         per_assertion=per_assertion,
-        truncated=len(all_solutions) > solution_cap,
+        truncated=rest != 0,
         atoms=cfg.assumptions,
     )
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import jsonschema
@@ -21,6 +22,7 @@ from paramax.cli import (
     dumps,
     main,
 )
+from paramax.conditions import WIDTH_CAP
 from paramax.consistency import ConsistencyReport
 from paramax.engine import AnalysisConfig, OracleReport, analyze_param
 from paramax.frontend import MAX_NESTING, parse_cfg
@@ -377,6 +379,55 @@ def test_cli_builds_no_condition_tree_outside_the_output(capsys):
         assert out, argv
     assert conditions.truth_table.cache_info().currsize == 0
     assert conditions.simplify.cache_info().currsize == 0
+
+
+def test_synthesize_and_consistency_at_the_width_cap(tmp_path, capsys):
+    # the program of test_param's width-cap test: stacked lower bounds on x,
+    # then upper bounds, then an assertion that needs x >= 4
+    lower, upper = range(1, 14), (20, 9, 4)
+    lines = ["x := input();"] + [f"assume w{i}: x >= {i};" for i in lower]
+    lines += [f"assume u{j}: x <= {b};" for j, b in enumerate(upper, 1)]
+    path = tmp_path / "cap.pwl"
+    path.write_text("\n".join(lines + ["y := x + 1;", "assert y >= 5;"]))
+    bounds = [(i, math.inf) for i in lower] + [(-math.inf, b) for b in upper]
+    labels = [f"w{i}" for i in lower] + [f"u{j}" for j in range(1, len(upper) + 1)]
+    assert len(labels) == WIDTH_CAP
+
+    def box(subset, upto):  # x's bounds after the subset's first `upto` assumptions
+        held = [bounds[k] for k in range(upto) if labels[k] in subset]
+        return max([-math.inf] + [b[0] for b in held]), min([math.inf] + [b[1] for b in held])
+
+    def proved(subset):  # y = x + 1 >= 5 on every reaching state, or no state reaches
+        lo, hi = box(subset, len(labels))
+        return lo >= 4 or lo > hi
+
+    def phi(subset):  # the assumptions whose assume node leaves some state feasible
+        return {
+            label
+            for k, label in enumerate(labels)
+            if max(box(subset, k)[0], bounds[k][0]) <= min(box(subset, k)[1], bounds[k][1])
+        }
+
+    def text(subset):
+        return "{" + ", ".join(label for label in labels if label in subset) + "}"
+
+    layers = ([c for c in combinations(labels, k) if proved(c)] for k in range(len(labels) + 1))
+    minimal = sorted(next(filter(None, layers)), key=lambda c: sum(1 << labels.index(x) for x in c))
+    code, out, _ = run(capsys, "synthesize", str(path))
+    assert code == EXIT_OK
+    assert "verdict: solutions" in out.splitlines()
+    assert "minimal: [" + ", ".join(text(c) for c in minimal) + "]" in out.splitlines()
+
+    core = set()
+    while phi(phi(core)) != core:
+        core = phi(phi(core))
+    envelope = phi(core)
+    code, out, _ = run(capsys, "consistency", str(path))
+    assert code == EXIT_OK
+    expected = [f"core: {text(core)}", f"envelope: {text(envelope)}"]
+    kinds = ("never-consistent", "in-some-consistent-set", "in-every-consistent-set")
+    expected += [f"{label}: {kinds[(label in envelope) + (label in core)]}" for label in labels]
+    assert out.splitlines()[1:] == expected
 
 
 def test_dump_cfg(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,9 +11,12 @@ from paramax.conditions import (
     Or,
     TRUE,
     WidthError,
+    _cube_for,
+    atom_mask,
     eval_condition,
     format_subset,
     formula,
+    full_mask,
     parse_condition,
     render,
     satisfying_sets,
@@ -232,3 +237,55 @@ def test_simplify_sum_of_products_is_prime_and_irredundant(cond):
         for j in range(len(cube)):
             wider = And(cube[:j] + cube[j + 1 :]) if len(cube) > 1 else TRUE
             assert truth_table(wider, width) & ~table  # prime
+
+
+def reference_atom_mask(index, width):
+    """The subsets holding atom `index`: one run of 2**index ones per period."""
+    block = 1 << index
+    run = (1 << block) - 1
+    pattern = 0
+    for start in range(block, 1 << width, block * 2):
+        pattern |= run << start
+    return pattern
+
+
+def test_atom_mask_matches_the_run_loop():
+    for width in range(17):
+        for index in range(width + 1):  # index == width: no subset holds it
+            assert atom_mask(index, width) == reference_atom_mask(index, width), (index, width)
+    assert not hasattr(atom_mask, "cache_info")
+
+
+def reference_cube_for(table, width, patterns):
+    """The literals of the cube `table` is, tested one atom mask at a time."""
+    full = full_mask(width)
+    literals, cube = [], full
+    for index, pattern in enumerate(patterns):
+        if table & ~pattern == 0:
+            literals.append((index, True))
+            cube &= pattern
+        elif table & pattern == 0:
+            literals.append((index, False))
+            cube &= full & ~pattern
+    return tuple(literals) if cube == table else None
+
+
+def test_cube_for_matches_the_atom_mask_version():
+    for width in range(4):
+        patterns = [reference_atom_mask(i, width) for i in range(width)]
+        for table in range(1, 1 << (1 << width)):
+            assert _cube_for(table, width) == reference_cube_for(table, width, patterns)
+    rng = random.Random(1107)
+    for width in range(4, 17):
+        patterns = [reference_atom_mask(i, width) for i in range(width)]
+        full = full_mask(width)
+        for _ in range(12):
+            cube = full
+            for pattern in patterns:
+                cube &= rng.choice((pattern, full & ~pattern, full, full))
+            other = full & (cube ^ (1 << rng.randrange(1 << width)))  # one subset flipped
+            for table in (cube, other, cube | other << 1 & full, rng.getrandbits(1 << width)):
+                if table:
+                    expected = reference_cube_for(table, width, patterns)
+                    assert _cube_for(table, width) == expected, (width, table)
+            assert _cube_for(cube, width) is not None

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,7 +16,7 @@ from paramax.consistency import (
 from paramax.engine import AnalysisConfig, analyze_param
 from paramax.frontend import parse_cfg
 
-from conftest import CORPUS, corpus_cfg
+from conftest import CORPUS, corpus_cfg, fake_assumptions
 
 
 def analyzed(name_or_source: str):
@@ -185,3 +186,29 @@ def test_report_builds_refuting_tables_once(monkeypatch):
     report = consistency_report(result, cfg, include_phi_table=True, include_fixpoints=True)
     assert report.phi_table is not None and report.fixpoints is not None
     assert len(calls) == len(cfg.assumptions)
+
+
+def reference_fixpoints(tables, assumptions):
+    """The subsets the operator maps to themselves, one subset at a time."""
+    width = len(assumptions)
+    return [a for a in range(1 << width) if consistency._phi(tables, assumptions, a) == a]
+
+
+def test_fixpoints_match_the_per_subset_definition_on_corpus():
+    for entry in CORPUS:
+        cfg = corpus_cfg(entry.name)
+        for config in (entry.config, AnalysisConfig(widening_delay=2, merge_budget=1)):
+            result = analyze_param(cfg, config)
+            tables = consistency._refuting_tables(result, cfg)
+            expected = reference_fixpoints(tables, cfg.assumptions)
+            assert brute_force_fixpoints(result, cfg) == expected, entry.name
+
+
+def test_fixpoints_match_the_per_subset_definition_on_random_tables():
+    rng = random.Random(4099)
+    for width in range(11):
+        cfg = SimpleNamespace(assumptions=fake_assumptions(width))
+        for _ in range(8):
+            tables = [rng.getrandbits(1 << width) for _ in range(width)]
+            expected = reference_fixpoints(tables, cfg.assumptions)
+            assert brute_force_fixpoints(None, cfg, tables=tables) == expected, width

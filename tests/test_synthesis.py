@@ -147,3 +147,42 @@ def test_budget_never_adds_solutions():
             budgeted = synthesize(analyze_param(cfg, config), cfg)
             budget_sets = set(members(budgeted.condition))
             assert budget_sets <= exact_sets
+
+
+def _stacked_program(lower: int, upper: tuple[int, ...], assertion: str, first: str) -> str:
+    """`lower` stacked bounds `x >= i`, then the bounds `x <= b` of `upper`."""
+    lines = [first]
+    lines += [f"assume w{i}: x >= {i};" for i in range(1, lower + 1)]
+    lines += [f"assume u{i}: x <= {b};" for i, b in enumerate(upper, 1)]
+    return "\n".join(lines + ["y := x + 1;", assertion])
+
+
+def test_solutions_and_minimal_match_the_members_of_the_condition():
+    unbounded, high = "x := input();", "x := 25;"
+    cases = [
+        (12, (), "assert y >= 5;", unbounded, SynthesisVerdict.SOLUTIONS),
+        (12, (20, 9), "assert y >= 5;", unbounded, SynthesisVerdict.SOLUTIONS),
+        (13, (20, 9, 4), "assert y >= 5;", unbounded, SynthesisVerdict.SOLUTIONS),
+        (16, (), "assert y >= 9;", unbounded, SynthesisVerdict.SOLUTIONS),
+        (14, (), "assert y >= 100;", unbounded, SynthesisVerdict.UNKNOWN),
+        (16, (), "assert y >= 100;", unbounded, SynthesisVerdict.UNKNOWN),
+        (12, (), "assert y <= 0;", high, SynthesisVerdict.IMPOSSIBLE),
+        (16, (), "assert y <= 0;", high, SynthesisVerdict.IMPOSSIBLE),
+    ]
+    # four more assumptions, each needed by its own assertion: 248 solutions
+    others = [f"z{i} := input(); assume v{i}: z{i} >= 0; assert z{i} >= 0;" for i in range(4)]
+    cases.append((8, (), "assert y >= 5;", " ".join(others), SynthesisVerdict.SOLUTIONS))
+    for lower, upper, assertion, first, verdict in cases:
+        cfg = parse_cfg(_stacked_program(lower, upper, assertion, first))
+        assert len(cfg.assumptions) >= 12
+        result = analyze_param(cfg)
+        for cap in (0, 1, 256):
+            outcome = synthesize(result, cfg, solution_cap=cap)
+            assert outcome.verdict is verdict
+            every = members(outcome.condition)
+            least = min((s.bit_count() for s in every), default=0)
+            assert outcome.solutions == tuple(every[:cap])
+            assert outcome.truncated == (len(every) > cap)
+            assert outcome.minimal == tuple(s for s in every if s.bit_count() == least)
+            if verdict is not SynthesisVerdict.SOLUTIONS:
+                assert outcome.minimal == () and outcome.solutions == ()
