@@ -199,36 +199,23 @@ def _render_analysis_text(name: str, cfg: Cfg, result: ParamAnalysisResult) -> s
 _quote = json.encoder.encode_basestring_ascii  # raises TypeError on a non-str
 
 
-def _shared_containers(value) -> set[int]:
-    """The ids of the containers that `value` reaches more than once."""
-    seen, shared = set(), set()
-    stack = [value]
-    while stack:
-        value = stack.pop()
-        if isinstance(value, (dict, list, tuple)):
-            if id(value) in seen:
-                shared.add(id(value))
-            else:
-                seen.add(id(value))
-                stack.extend(value.values() if isinstance(value, dict) else value)
-    return shared
-
-
-def dumps(value) -> str:
-    """`json.dumps(value, indent=2)`, byte for byte, with one `str.join` per
-    container (the stdlib's `indent` path yields a chunk per token). Tuples
-    encode as lists; non-`str` keys and other types raise TypeError.
-    A container reached more than once, such as a rule that several nodes
-    share, is encoded once per indentation; no other text is kept.
-    """
-    shared = _shared_containers(value)
+def dump(value, write: Callable[[str], object], memo: dict | None = None) -> None:
+    """Write `json.dumps(value, indent=2)`, byte for byte, through `write`: the
+    outer three levels (a document, its nodes, each node) item by item, so the
+    whole is never joined, and each deeper container with one `str.join` (the
+    stdlib's `indent` path yields a chunk per token). The text of a container
+    that `memo` holds as a value, such as a rule that several nodes share, is
+    kept per indentation (`live` holds them, so their ids stay unique); no
+    other text is. Tuples encode as lists; non-`str` keys and other types
+    raise TypeError."""
+    live = {id(v): v for v in (memo or {}).values() if isinstance(v, (dict, list, tuple))}
     done: dict[tuple[int, str], str] = {}
 
     def encode(value, newline: str) -> str:
         # `newline` is the line break and indentation that close the value
         if isinstance(value, str):
             return _quote(value)
-        key = (id(value), newline) if id(value) in shared else None
+        key = (id(value), newline) if id(value) in live else None
         if key in done:
             return done[key]
         inner = newline + "  "
@@ -255,13 +242,33 @@ def dumps(value) -> str:
             done[key] = text
         return text
 
-    return encode(value, "\n")
+    def stream(value, newline: str, depth: int) -> None:
+        if depth == 0 or not isinstance(value, (dict, list, tuple)) or not value:
+            write(int.__repr__(value) if type(value) is int else encode(value, newline))
+            return
+        inner, brackets = newline + "  ", "{}" if isinstance(value, dict) else "[]"
+        for k, item in enumerate(value):
+            key = _quote(item) + ": " if brackets == "{}" else ""
+            write(("," if k else brackets[0]) + inner + key)
+            stream(value[item] if key else item, inner, depth - 1)
+        write(newline + brackets[1])
+
+    stream(value, "\n", 3)
 
 
-def _emit(args: SimpleNamespace, document: Callable[[], dict], text: str) -> None:
-    """Print `text`, or with --format json the document that `document()` builds."""
+def dumps(value, memo: dict | None = None) -> str:
+    """The text that `dump` writes, joined."""
+    pieces: list[str] = []
+    dump(value, pieces.append, memo)
+    return "".join(pieces)
+
+
+def _emit(args: SimpleNamespace, document: Callable, text: str, memo: dict | None = None) -> None:
+    """Print `text`, or with --format json dump the document that `document(memo)` builds."""
     if args.format == "json":
-        print(dumps(document()))
+        memo = {} if memo is None else memo
+        dump(document(memo), sys.stdout.write, memo)
+        sys.stdout.write("\n")
     else:
         print(text, end="")
 
@@ -270,7 +277,7 @@ def _cmd_analyze(args: SimpleNamespace) -> int:
     name, cfg = _load(args.source)
     result = analyze_param(cfg, _make_config(args))
     text = _render_analysis_text(name, cfg, result)
-    _emit(args, lambda: analysis_document(name, cfg, result), text)
+    _emit(args, lambda memo: analysis_document(name, cfg, result, memo), text)
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
@@ -313,14 +320,14 @@ def _cmd_synthesize(args: SimpleNamespace) -> int:
         for mask, verdict in rows:
             lines.append(f"  {render_mask(mask, cfg.assumptions, memo)} -> {verdict.value}")
 
-    def document() -> dict:
+    def document(memo: dict) -> dict:
         out = analysis_document(name, cfg, result, memo)
         out["synthesis"] = outcome.to_json(memo)
         if report is not None:
             out["oracle_reports"] = [report.to_json()]
         return out
 
-    _emit(args, document, "\n".join(lines) + "\n")
+    _emit(args, document, "\n".join(lines) + "\n", memo)
     if outcome.verdict is synthesis_mod.SynthesisVerdict.SOLUTIONS:
         return EXIT_OK
     if outcome.verdict is synthesis_mod.SynthesisVerdict.UNKNOWN:
@@ -353,7 +360,7 @@ def _cmd_consistency(args: SimpleNamespace) -> int:
             )
     _emit(
         args,
-        lambda: {**analysis_document(name, cfg, result), "consistency": report.to_json()},
+        lambda memo: {**analysis_document(name, cfg, result, memo), "consistency": report.to_json()},
         "\n".join(lines) + "\n",
     )
     return EXIT_OK
@@ -397,8 +404,8 @@ def _cmd_check_oracle(args: SimpleNamespace) -> int:
             lines.append(f"  mismatch: {json.dumps(mismatch)}")
     _emit(
         args,
-        lambda: {
-            **analysis_document(name, cfg, result),
+        lambda memo: {
+            **analysis_document(name, cfg, result, memo),
             "oracle_reports": [r.to_json() for r in reports],
         },
         "\n".join(lines) + "\n",

@@ -4,11 +4,12 @@ A set of assumption subsets is a mask: an int with bit A set when subset A
 (bit i = the assumption with index i) belongs to the set. The analysis works
 on masks alone. `atom_mask` builds the mask of the subsets holding one
 assumption by doubling one period of it, in O(width) int operations, and
-caches nothing. Condition trees are the printed form: `formula` builds the
-canonical formula of a mask (a cube, a negated cube, or an irredundant sum
-of products) when a result is output. `truth_table` gives the mask of a
-tree and `simplify` its canonical formula, for trees built by hand or
-parsed back. The width cap keeps masks at desk scale.
+caches nothing. Output reads a mask's canonical cover (`_cover`: a cube, a
+negated cube, or an irredundant sum of products): `render_mask` prints it
+as text directly, and `formula` builds it as a condition tree, which
+`render` prints to the same text. `truth_table` gives the mask of a tree
+and `simplify` its canonical formula, for trees built by hand or parsed
+back. The width cap keeps masks at desk scale.
 
 Condition nodes cache their hash and highest atom index at construction,
 so table memoization and set operations stay cheap on shared subtrees.
@@ -291,50 +292,58 @@ def _isop(lower: int, upper: int, indices: list[int], patterns: list[int]) -> tu
     return cubes + shared, cover
 
 
-def _conjunction(cube: Cube, atoms: Mapping[int, AssumptionId]) -> Condition:
-    parts = [Atom(atoms[i]) if positive else Not(Atom(atoms[i])) for i, positive in cube]
-    if not parts:
-        return TRUE
-    return parts[0] if len(parts) == 1 else And(parts)
+def _cover(mask: int, width: int) -> tuple[bool, list[Cube]]:
+    """The canonical cover of a subset mask as (negated, cubes): no cube if
+    it is empty, else its cube if it is one, else its complement's cube,
+    negated, if that is one, else the irredundant sum of products of
+    `_isop`, literals and cubes sorted by atom index."""
+    if mask == 0:
+        return False, []
+    cube = _cube_for(mask, width)
+    if cube is not None:
+        return False, [cube]
+    anti = _cube_for(full_mask(width) & ~mask, width)
+    if anti is not None:
+        return True, [anti]
+    patterns = [atom_mask(i, width) for i in range(width)]
+    cubes, _ = _isop(mask, mask, list(range(width - 1, -1, -1)), patterns)
+    return False, sorted(cubes)
 
 
 def formula(mask: int, atoms: Iterable[AssumptionId]) -> Condition:
-    """The canonical formula of a subset mask over `atoms`.
-
-    That is the cube (conjunction of literals, `true` or `false`) if the
-    mask is one, else the negated cube if its complement is one, else the
-    irredundant sum of products of `_isop`, literals and cubes sorted by
-    atom index. The width is one past the highest atom index. The result
-    depends on the set of subsets alone: equal masks give equal trees.
-    """
-    if mask == 0:
-        return FALSE
+    """The canonical formula of a subset mask over `atoms`, built from its
+    `_cover` (the width is one past the highest atom index): equal masks
+    give equal trees."""
     by_index = {a.index: a for a in atoms}
-    width = max(by_index, default=-1) + 1
-    cube = _cube_for(mask, width)
-    if cube is not None:
-        return _conjunction(cube, by_index)
-    anti = _cube_for(full_mask(width) & ~mask, width)
-    if anti is not None:
-        return Not(_conjunction(anti, by_index))
-    patterns = [atom_mask(i, width) for i in range(width)]
-    cubes, _ = _isop(mask, mask, sorted(by_index, reverse=True), patterns)
-    return Or(tuple(_conjunction(c, by_index) for c in sorted(cubes)))
+    negated, cubes = _cover(mask, max(by_index, default=-1) + 1)
+    parts = [FALSE] if not cubes else []
+    for cube in cubes:
+        literals = [Atom(by_index[i]) if pos else Not(Atom(by_index[i])) for i, pos in cube]
+        parts.append(And(literals) if len(literals) > 1 else literals[0] if literals else TRUE)
+    if negated:
+        return Not(parts[0])
+    return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
 
 def render_mask(
     mask: int, atoms: Sequence[AssumptionId], names: dict[int, str] | None = None
 ) -> str:
-    """The text of `formula(mask, atoms)`.
+    """The text of `formula(mask, atoms)`, rendered from its cover alone.
 
     `names`, if given, memoizes the text per mask; one output document
     keeps one dict, since all its masks range over the same atoms.
     """
-    if names is None:
-        return render(formula(mask, atoms))
-    text = names.get(mask)
-    if text is None:
-        text = names[mask] = render(formula(mask, atoms))
+    names = {} if names is None else names
+    if (text := names.get(mask)) is None:
+        labels = {a.index: a.label for a in atoms}
+        negated, cubes = _cover(mask, max(labels, default=-1) + 1)
+        texts = [" & ".join(labels[i] if p else "!" + labels[i] for i, p in c) for c in cubes]
+        texts = [t or "true" for t in texts] or ["false"]
+        if negated:
+            texts[0] = f"!({texts[0]})" if len(cubes[0]) > 1 else "!" + texts[0]
+        elif len(cubes) > 1:  # a sum parenthesizes its cubes of two or more literals
+            texts = [f"({t})" if len(c) > 1 else t for c, t in zip(cubes, texts)]
+        text = names[mask] = " | ".join(texts)
     return text
 
 

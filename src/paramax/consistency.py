@@ -84,6 +84,16 @@ def _phi(tables: list[int], assumptions, accepted: int) -> int:
     return out
 
 
+def _phi_table(tables: list[int], assumptions) -> dict[int, int]:
+    """`_phi` of every subset, read off the tables column-wise: one bit string
+    per assumption, character A set when its table lacks A, transposed."""
+    width, size = len(assumptions), 1 << len(assumptions)
+    columns = ["0" * size] * (width + 1)  # column 0 is a leading zero, so width 0 has a row
+    for aid, table in zip(assumptions, tables):
+        columns[width - aid.index] = format(full_mask(width) & ~table, f"0{size}b")[::-1]
+    return {a: int("".join(bits), 2) for a, bits in enumerate(zip(*columns))}
+
+
 def consistency_bounds(
     result: ParamAnalysisResult, cfg: Cfg, tables: list[int] | None = None
 ) -> tuple[int, int]:
@@ -172,11 +182,7 @@ def consistency_report(
         include_phi_table = width <= 6
     if include_fixpoints is None:
         include_fixpoints = width <= 12
-    phi_table = None
-    if include_phi_table:
-        phi_table = {
-            a: _phi(tables, cfg.assumptions, a) for a in range(1 << width)
-        }
+    phi_table = _phi_table(tables, cfg.assumptions) if include_phi_table else None
     fixpoints = (
         tuple(brute_force_fixpoints(result, cfg, tables=tables)) if include_fixpoints else None
     )

@@ -153,7 +153,7 @@ class IntervalEnv:
         raise KeyError(var)
 
     def updated(self, var: str, iv: Interval) -> "IntervalEnv":
-        if self._bindings is None:
+        if self._bindings is None or (var, iv) in self._bindings:  # nothing changes
             return self
         bindings = tuple((n, iv if n == var else old) for n, old in self._bindings)
         return IntervalEnv(bindings, self._names)

@@ -13,6 +13,7 @@ fewer rules, guided by a loss score.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -109,12 +110,13 @@ class ParamState:
         return out
 
     def to_json(self, memo: dict | None = None) -> list[dict]:
-        """The rules as JSON objects; equal rules, states and intervals share
-        one object. `memo` spans one document (a fresh one if None): each
+        """The rules as JSON objects; equal rule lists, rules, states and intervals
+        share one object. `memo` spans one document (a fresh one if None): each
         mask to its rendered condition (the `names` of `render_mask`),
         `("sets", mask)` to its subset list, each value to its object."""
         memo = {} if memo is None else memo
-        return [memo.get(rule) or self._rule_json(rule, memo) for rule in self.rules]
+        rules = (memo.get(r) or self._rule_json(r, memo) for r in self.rules)
+        return memo.get(self) or memo.setdefault(self, list(rules))
 
     def _rule_json(self, rule: Rule, memo: dict) -> dict:
         sets, state = ("sets", rule.mask), rule.state
@@ -130,12 +132,16 @@ def normalize(state: ParamState) -> ParamState:
 
     Rules with equal result states are merged (their masks ORed) and rules
     with empty masks dropped. Rules are then ordered by the lowest set bit
-    of their masks, so equal functions have equal normal forms.
+    of their masks, so equal functions have equal normal forms. A state in
+    normal form is returned itself.
     """
     pooled: dict[IntervalEnv, int] = {}
     for rule in state.rules:
         if rule.mask:
             pooled[rule.state] = pooled.get(rule.state, 0) | rule.mask
+    lows = [(rule.mask & -rule.mask).bit_length() for rule in state.rules]
+    if len(pooled) == len(lows) and all(map(int.__lt__, lows, lows[1:])):
+        return state
     rules = sorted((Rule(mask, result) for result, mask in pooled.items()), key=_lowest_bit)
     return ParamState(tuple(rules), state.atoms)
 
@@ -260,5 +266,7 @@ def reduce_to_budget(state: ParamState, budget: int) -> ParamState:
 
 
 def lift_transfer(state: ParamState, fn: Callable[[IntervalEnv], IntervalEnv]) -> ParamState:
-    """Apply a plain state transformer to every rule's result state."""
-    return ParamState(tuple(Rule(r.mask, fn(r.state)) for r in state.rules), state.atoms)
+    """Apply a plain state transformer to every rule's result state; a rule
+    (or all of `state`) whose state `fn` returns unchanged is kept itself."""
+    rules = tuple(r if (s := fn(r.state)) is r.state else Rule(r.mask, s) for r in state.rules)
+    return state if all(map(operator.is_, rules, state.rules)) else ParamState(rules, state.atoms)

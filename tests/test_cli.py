@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -19,6 +22,7 @@ from paramax.cli import (
     EXIT_OK,
     EXIT_UNKNOWN,
     EXIT_USAGE,
+    dump,
     dumps,
     main,
 )
@@ -501,6 +505,39 @@ def test_document_builds_each_distinct_rule_and_state_once():
             assert all(a["state"] is not b["state"] for a, b in zip(fresh, other))
 
 
+def test_unchanged_nodes_share_their_predecessors_state_and_rules():
+    cfg = parse_cfg(_independent_program(7))
+    result = analyze_param(cfg, AnalysisConfig())
+    doc = cli.analysis_document("independent7", cfg, result)
+    kinds = {"input": 0, "assert": 0, "exit": 0}
+    for node in cfg.nodes:
+        kind = node.render().partition("(")[0]
+        if kind in kinds:
+            kinds[kind] += 1
+            (pred,) = cfg.predecessors(node.id)
+            assert result.states[node.id] is result.states[pred], node.render()
+            assert doc["nodes"][node.id]["rules"] is doc["nodes"][pred]["rules"]
+    assert kinds == {"input": 7, "assert": 1, "exit": 1}
+    assert len({id(state) for state in result.states}) == 8  # entry and the 7 assumes
+
+
+def test_json_output_peak_memory_stays_below_three_times_its_size(tmp_path):
+    path = tmp_path / "independent8.pwl"
+    path.write_text(_independent_program(8))
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(["synthesize", str(path), "--format", "json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    size = len(out.getvalue())
+    assert size > 1_000_000
+    assert peak < 3 * size, (peak, size)
+
+
 # escapes, control characters, non-ASCII text and a lone surrogate
 _SPECIAL_TEXT = st.sampled_from(
     ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u2028", "\ud800", "é", "☃", "😀"]
@@ -545,11 +582,19 @@ def _shared_json_values(draw):
     return draw(st.permutations(pool))
 
 
-def test_dumps_finds_the_containers_reached_twice():
-    leaf, empty = [1, 2], {}
-    twice = {"a": leaf}
-    value = [twice, (twice, leaf), empty, [3], [empty, "x"]]
-    assert cli._shared_containers(value) == {id(twice), id(leaf), id(empty)}
+@given(_shared_json_values())
+def test_dumps_with_every_container_cached_matches_the_stdlib(value):
+    # the list holds every container of the pool, so all of them are cached
+    assert dumps(value, dict(enumerate(value))) == json.dumps(value, indent=2)
+
+
+@given(_shared_json_values(), st.booleans())
+def test_dump_writes_pieces_that_join_to_the_stdlib_text(value, cached):
+    pieces = []
+    dump(value, pieces.append, dict(enumerate(value)) if cached else None)
+    assert "".join(pieces).encode() == json.dumps(value, indent=2).encode()
+    assert all(type(piece) is str for piece in pieces)
+    assert len(pieces) >= 2 + len(value)  # the list is written item by item
 
 
 @given(_shared_json_values())

@@ -19,12 +19,14 @@ from paramax.conditions import (
     full_mask,
     parse_condition,
     render,
+    render_mask,
     satisfying_sets,
     simplify,
     truth_table,
 )
+from paramax.engine import analyze_param
 
-from conftest import fake_assumptions
+from conftest import CORPUS, corpus_cfg, fake_assumptions
 
 A2 = fake_assumptions(2)
 A4 = fake_assumptions(4)
@@ -289,3 +291,46 @@ def test_cube_for_matches_the_atom_mask_version():
                     expected = reference_cube_for(table, width, patterns)
                     assert _cube_for(table, width) == expected, (width, table)
             assert _cube_for(cube, width) is not None
+
+
+def test_render_mask_matches_the_rendered_tree_at_small_widths():
+    for width in range(4):
+        atoms = fake_assumptions(width)
+        names: dict[int, str] = {}
+        for mask in range(1 << (1 << width)):
+            expected = render(formula(mask, atoms))
+            assert render_mask(mask, atoms) == expected, (width, mask)
+            assert render_mask(mask, atoms, names) == expected and names[mask] == expected
+
+
+def test_render_mask_matches_the_rendered_tree_on_random_masks_and_cubes():
+    # unions and differences of random cubes, and fully random masks up to width 12
+    # (a random mask at width 16 has an irredundant cover of thousands of cubes)
+    rng = random.Random(1211)
+
+    def random_cube(width):
+        full, cube = full_mask(width), full_mask(width)
+        for index in range(width):
+            pattern = atom_mask(index, width)
+            cube &= rng.choice((pattern, full & ~pattern, full, full))
+        return cube
+
+    for width in range(4, 17):
+        atoms = fake_assumptions(width)
+        full = full_mask(width)
+        for _ in range(6):
+            cube, other, third = random_cube(width), random_cube(width), random_cube(width)
+            masks = [cube, full & ~cube, cube | other, cube | other | third, cube & ~other, 1]
+            if width <= 12:
+                masks.append(rng.getrandbits(1 << width))
+            for mask in masks:
+                assert render_mask(mask, atoms) == render(formula(mask, atoms)), (width, mask)
+
+
+def test_render_mask_matches_the_rendered_tree_on_the_corpus_rules():
+    for entry in CORPUS:
+        cfg = corpus_cfg(entry.name)
+        for state in analyze_param(cfg, entry.config).states:
+            for rule in state.rules:
+                expected = render(formula(rule.mask, cfg.assumptions))
+                assert render_mask(rule.mask, cfg.assumptions) == expected, entry.name

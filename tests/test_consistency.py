@@ -212,3 +212,29 @@ def test_fixpoints_match_the_per_subset_definition_on_random_tables():
             tables = [rng.getrandbits(1 << width) for _ in range(width)]
             expected = reference_fixpoints(tables, cfg.assumptions)
             assert brute_force_fixpoints(None, cfg, tables=tables) == expected, width
+
+
+def reference_phi_table(tables, assumptions) -> dict[int, int]:
+    """The operator's image of every subset, one `_phi` call per subset."""
+    return {a: consistency._phi(tables, assumptions, a) for a in range(1 << len(assumptions))}
+
+
+def test_phi_table_matches_the_per_subset_images_on_corpus():
+    for entry in CORPUS:
+        cfg = corpus_cfg(entry.name)
+        for config in (entry.config, AnalysisConfig(widening_delay=2, merge_budget=1)):
+            result = analyze_param(cfg, config)
+            tables = consistency._refuting_tables(result, cfg)
+            report = consistency_report(result, cfg, include_phi_table=True)
+            assert report.phi_table == reference_phi_table(tables, cfg.assumptions), entry.name
+
+
+def test_phi_table_matches_the_per_subset_images_on_random_tables():
+    rng = random.Random(4127)
+    for width in range(11):
+        atoms = fake_assumptions(width)
+        for _ in range(8):
+            tables = [rng.getrandbits(1 << width) for _ in range(width)]
+            expected = reference_phi_table(tables, atoms)
+            assert consistency._phi_table(tables, atoms) == expected, width
+            assert list(expected) == list(range(1 << width))

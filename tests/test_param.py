@@ -9,9 +9,11 @@ from paramax.intervals import BOTTOM, AssumeState, NEG_INF, POS_INF
 from paramax.param import (
     ParamState,
     PartitionError,
+    Rule,
     approx_merge,
     join_states,
     leq_param,
+    lift_transfer,
     merge_loss,
     normalize,
     reduce_to_budget,
@@ -24,6 +26,7 @@ from conftest import (
     env,
     exact_merge_step,
     fake_assumptions,
+    iv,
     param_state,
     random_param_state,
     redundancy_elim_step,
@@ -127,6 +130,32 @@ def test_normalize_matches_enumeration_oracle():
         states = [r.state for r in normalized.rules]
         assert len(set(states)) == len(states)
         assert all(r.mask for r in normalized.rules)
+
+
+def test_unchanged_states_are_returned_themselves():
+    box = env(x=(0, 5), y=(NEG_INF, POS_INF))
+    assert box.updated("x", iv(0, 5)) is box
+    assert box.updated("y", iv(NEG_INF, POS_INF)) is box
+    moved = box.updated("x", iv(0, 6))
+    assert moved is not box and moved == env(x=(0, 6), y=(NEG_INF, POS_INF))
+    assert BOTTOM.updated("x", iv(0, 1)) is BOTTOM
+
+    rng = random.Random(1212)
+    for _ in range(100):
+        state = random_param_state(rng, rng.randint(0, 4))
+        assert lift_transfer(state, lambda e: e) is state
+        # sending one state to bottom rebuilds its rules and keeps the others
+        first = state.rules[0].state
+        lifted = lift_transfer(state, lambda e: BOTTOM if e is first else e)
+        assert (lifted is state) == (first is BOTTOM)
+        for new, old in zip(lifted.rules, state.rules):
+            assert new == (Rule(old.mask, BOTTOM) if old.state is first else old)
+            assert (new is old) == (old.state is not first or first is BOTTOM)
+        normal = normalize(state)
+        assert normalize(normal) is normal
+        assert (normal is state) == (normal.rules == state.rules)
+        lows = [rule.mask & -rule.mask for rule in normal.rules]
+        assert lows == sorted(set(lows)) and all(lows)  # ordered by lowest subset
 
 
 def test_split_fresh_atom():
