@@ -43,6 +43,7 @@ from .engine import (
     WidthCapError,
     analyze_baseline,
     analyze_param,
+    analyze_variants,
     run_collecting,
     verify_equivalence,
     verify_soundness,

@@ -263,21 +263,24 @@ def dumps(value, memo: dict | None = None) -> str:
     return "".join(pieces)
 
 
-def _emit(args: SimpleNamespace, document: Callable, text: str, memo: dict | None = None) -> None:
-    """Print `text`, or with --format json dump the document that `document(memo)` builds."""
+def _emit(args: SimpleNamespace, document: Callable, text: Callable) -> None:
+    """Print `text()`, or with --format json dump `document(memo)`: only one is built."""
     if args.format == "json":
-        memo = {} if memo is None else memo
+        memo: dict = {}
         dump(document(memo), sys.stdout.write, memo)
         sys.stdout.write("\n")
     else:
-        print(text, end="")
+        print(text(), end="")
 
 
 def _cmd_analyze(args: SimpleNamespace) -> int:
     name, cfg = _load(args.source)
     result = analyze_param(cfg, _make_config(args))
-    text = _render_analysis_text(name, cfg, result)
-    _emit(args, lambda memo: analysis_document(name, cfg, result, memo), text)
+    _emit(
+        args,
+        lambda memo: analysis_document(name, cfg, result, memo),
+        lambda: _render_analysis_text(name, cfg, result),
+    )
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
@@ -294,31 +297,33 @@ def _cmd_synthesize(args: SimpleNamespace) -> int:
         print("analysis did not converge; try --widen", file=sys.stderr)
         return EXIT_NOT_CONVERGED
     outcome = synthesis_mod.synthesize(result, cfg)
+    solved = outcome.verdict is synthesis_mod.SynthesisVerdict.SOLUTIONS
     report = None
-    lines = [f"program: {name}", f"verdict: {outcome.verdict.value}"]
-    memo: dict = {}  # the JSON document's memo; the text lines fill its rendered masks
-    lines.append(f"condition: {render_mask(outcome.condition, cfg.assumptions, memo)}")
-    if outcome.verdict is synthesis_mod.SynthesisVerdict.SOLUTIONS:
-        full = (1 << outcome.width)
-        if not outcome.truncated and len(outcome.solutions) == full:
-            lines.append("solutions: all subsets")
-        else:
-            lines.append(
-                "solutions: " + _format_subsets(outcome.solutions, cfg, outcome.truncated)
-            )
-        lines.append("minimal: " + _format_subsets(outcome.minimal, cfg))
-        if args.verify_solutions > 0:
-            report = synthesis_mod.verify_solutions(
-                cfg, outcome, config, limit=args.verify_solutions, program_name=name
-            )
+    if solved and args.verify_solutions > 0:
+        report = synthesis_mod.verify_solutions(
+            cfg, outcome, config, limit=args.verify_solutions, program_name=name
+        )
+
+    def text() -> str:
+        memo: dict = {}  # each rule mask rendered once
+        lines = [f"program: {name}", f"verdict: {outcome.verdict.value}"]
+        lines.append(f"condition: {render_mask(outcome.condition, cfg.assumptions, memo)}")
+        if solved:
+            if not outcome.truncated and len(outcome.solutions) == 1 << outcome.width:
+                lines.append("solutions: all subsets")
+            else:
+                lines.append(
+                    "solutions: " + _format_subsets(outcome.solutions, cfg, outcome.truncated)
+                )
+            lines.append("minimal: " + _format_subsets(outcome.minimal, cfg))
+        if report is not None:
             status = "ok" if report.passed else "FAILED"
-            lines.append(
-                f"verification: {status} ({report.subsets_checked} solutions re-proved)"
-            )
-    for node_id, rows in outcome.per_assertion.items():
-        lines.append(f"assertion at node {node_id}:")
-        for mask, verdict in rows:
-            lines.append(f"  {render_mask(mask, cfg.assumptions, memo)} -> {verdict.value}")
+            lines.append(f"verification: {status} ({report.subsets_checked} solutions re-proved)")
+        for node_id, rows in outcome.per_assertion.items():
+            lines.append(f"assertion at node {node_id}:")
+            for mask, verdict in rows:
+                lines.append(f"  {render_mask(mask, cfg.assumptions, memo)} -> {verdict.value}")
+        return "\n".join(lines) + "\n"
 
     def document(memo: dict) -> dict:
         out = analysis_document(name, cfg, result, memo)
@@ -327,8 +332,8 @@ def _cmd_synthesize(args: SimpleNamespace) -> int:
             out["oracle_reports"] = [report.to_json()]
         return out
 
-    _emit(args, document, "\n".join(lines) + "\n", memo)
-    if outcome.verdict is synthesis_mod.SynthesisVerdict.SOLUTIONS:
+    _emit(args, document, text)
+    if solved:
         return EXIT_OK
     if outcome.verdict is synthesis_mod.SynthesisVerdict.UNKNOWN:
         return EXIT_UNKNOWN
@@ -344,24 +349,28 @@ def _cmd_consistency(args: SimpleNamespace) -> int:
     report = consistency_mod.consistency_report(
         result, cfg, include_phi_table=args.phi_table or None
     )
-    lines = [f"program: {name}"]
-    lines.append(f"core: {format_subset(report.core, cfg.assumptions)}")
-    lines.append(f"envelope: {format_subset(report.envelope, cfg.assumptions)}")
-    for label, membership in report.classification.items():
-        lines.append(f"{label}: {membership.value}")
-    if report.fixpoints is not None:
-        lines.append("consistent-sets: " + _format_subsets(report.fixpoints, cfg))
-    if args.phi_table and report.phi_table is not None:
-        lines.append("phi-table:")
-        for accepted, image in report.phi_table.items():
-            lines.append(
-                f"  {format_subset(accepted, cfg.assumptions)}"
-                f" -> {format_subset(image, cfg.assumptions)}"
-            )
+
+    def text() -> str:
+        lines = [f"program: {name}"]
+        lines.append(f"core: {format_subset(report.core, cfg.assumptions)}")
+        lines.append(f"envelope: {format_subset(report.envelope, cfg.assumptions)}")
+        for label, membership in report.classification.items():
+            lines.append(f"{label}: {membership.value}")
+        if report.fixpoints is not None:
+            lines.append("consistent-sets: " + _format_subsets(report.fixpoints, cfg))
+        if args.phi_table and report.phi_table is not None:
+            lines.append("phi-table:")
+            for accepted, image in report.phi_table.items():
+                lines.append(
+                    f"  {format_subset(accepted, cfg.assumptions)}"
+                    f" -> {format_subset(image, cfg.assumptions)}"
+                )
+        return "\n".join(lines) + "\n"
+
     _emit(
         args,
         lambda memo: {**analysis_document(name, cfg, result, memo), "consistency": report.to_json()},
-        "\n".join(lines) + "\n",
+        text,
     )
     return EXIT_OK
 
@@ -392,23 +401,27 @@ def _cmd_check_oracle(args: SimpleNamespace) -> int:
                 param=result,
             )
         )
-    lines = [f"program: {name}"]
-    for report in reports:
-        status = "pass" if report.passed else f"FAIL ({len(report.mismatches)} mismatches)"
-        extra = f", {len(report.skipped)} skipped" if report.skipped else ""
-        extra += f", {len(report.partial)} partial" if report.partial else ""
-        lines.append(
-            f"{report.check}: {status} ({report.subsets_checked} subsets, mode={report.mode}{extra})"
-        )
-        for mismatch in report.mismatches[:10]:
-            lines.append(f"  mismatch: {json.dumps(mismatch)}")
+
+    def text() -> str:
+        lines = [f"program: {name}"]
+        for report in reports:
+            status = "pass" if report.passed else f"FAIL ({len(report.mismatches)} mismatches)"
+            extra = f", {len(report.skipped)} skipped" if report.skipped else ""
+            extra += f", {len(report.partial)} partial" if report.partial else ""
+            lines.append(
+                f"{report.check}: {status} ({report.subsets_checked} subsets, mode={report.mode}{extra})"
+            )
+            for mismatch in report.mismatches[:10]:
+                lines.append(f"  mismatch: {json.dumps(mismatch)}")
+        return "\n".join(lines) + "\n"
+
     _emit(
         args,
         lambda memo: {
             **analysis_document(name, cfg, result, memo),
             "oracle_reports": [r.to_json() for r in reports],
         },
-        "\n".join(lines) + "\n",
+        text,
     )
     return EXIT_OK if all(r.passed for r in reports) else EXIT_MISMATCH
 

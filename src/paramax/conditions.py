@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable, Mapping, Sequence, Union
 
 from .frontend import AssumptionId
@@ -222,10 +223,13 @@ def truth_table(cond: Condition, width: int) -> int:
     return out
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def members(mask: int) -> list[int]:
     """The subsets whose bits are set in a subset mask, ascending."""
-    bits = bin(mask)[:1:-1]  # bit 0 first
-    return [a for a, bit in enumerate(bits) if bit == "1"]
+    bits = bin(mask)[:1:-1].encode().translate(_BITS)  # bit 0 first, one 0/1 byte each
+    return list(compress(range(len(bits)), bits))
 
 
 def satisfying_sets(cond: Condition, width: int) -> list[int]:

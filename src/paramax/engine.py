@@ -1,13 +1,15 @@
 """Fixpoint engines and executable correctness checks.
 
-`analyze_baseline` runs the plain interval analysis of one program variant;
+`analyze_baseline` runs the plain interval analysis of one program variant,
+and `analyze_variants` that of many restricted variants at once, sharing
+one worklist run between subsets until an assume node sets them apart;
 `analyze_param` runs the one-pass analysis whose per-node result maps every
 assumption subset to the interval state that the plain analysis would
 compute for the matching restricted program. `run_collecting` enumerates
 concrete executions over finite input ranges once for all assumption
 subsets, labelling each reached state with the mask of the subsets whose
 restricted programs reach it. The two `verify_*` functions exhaustively
-check the per-subset equality (one fresh analysis per subset) and the
+check the per-subset equality (a fresh analysis of every subset) and the
 concretization-membership soundness claim (one labelled enumeration) against
 those oracles.
 """
@@ -20,15 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from .conditions import WIDTH_CAP, atom_mask, full_mask, members
-from .frontend import (
-    Assign,
-    Assume,
-    Cfg,
-    GuardFilter,
-    Input,
-    Rel,
-    restrict,
-)
+from .frontend import Assign, Assume, Cfg, GuardFilter, Input, Rel
 from .intervals import (
     BOTTOM,
     AssumeState,
@@ -118,6 +112,15 @@ class OracleReport:
         every_skipped = bool(self.skipped) and len(self.skipped) == self.subsets_checked
         return not self.mismatches and not every_skipped
 
+    def record(self, subsets: int, node: int, **found) -> None:
+        """One mismatch at `node` for each subset in the mask."""
+        self.mismatches += [{"subset": a, "node": node, **found} for a in members(subsets)]
+
+    def sort(self) -> None:
+        """Mismatches by subset, then node (stably), and skipped subsets ascending."""
+        self.mismatches.sort(key=operator.itemgetter("subset", "node"))
+        self.skipped.sort()
+
     def to_json(self) -> dict:
         return {
             "theorem": self.check,
@@ -156,48 +159,59 @@ def _solve(
     seed,
     bottom,
     evaluate: Callable,
-    equals: Callable,
     widen_fn: Callable,
-    post: Callable,
+    post: Callable | None,
     observer: Callable | None,
-    rank: dict[int, int] | None = None,
-):
-    """Worklist chaotic iteration from bottom, entry pinned to its seed."""
-    rank = rank or _rpo_rank(cfg)
-    states = {v.id: bottom for v in cfg.nodes}
+    group=None,
+) -> list[tuple]:
+    """Worklist chaotic iteration from bottom, entry pinned to its seed.
+
+    `evaluate(v, states, group)` gives the new state of node `v` for the
+    run's group of program variants (`group` as given, for one analysis) as
+    [(group, state)]. More than one pair
+    forks the run: each further group goes on from this evaluation in its
+    own copy of the worklist state. `post`, if given, maps each new state
+    (after any widening) before the comparison. One (group, states,
+    evaluations, converged) per run.
+    """
+    rank, delay = _rpo_rank(cfg), config.widening_delay
+    states = [bottom] * len(cfg.nodes)
     states[cfg.entry] = seed
     pending = [(rank[v.id], v.id) for v in cfg.nodes if v.id != cfg.entry]
     heapq.heapify(pending)
-    queued = {v for _, v in pending}
-    visits = {v.id: 0 for v in cfg.nodes}
-    evals = 0
-    converged = True
-    while pending:
-        if evals >= config.max_iterations:
-            converged = False
-            break
-        _, v = heapq.heappop(pending)
-        queued.discard(v)
-        evals += 1
-        visits[v] += 1
-        new = evaluate(v, states)
-        node = cfg.nodes[v]
-        if (
-            config.widening_delay is not None
-            and node.loop_head
-            and visits[v] >= config.widening_delay
-        ):
-            new = widen_fn(states[v], new)
-        new = post(new)
-        if not equals(states[v], new):
-            if observer is not None:
-                observer(v, states[v], new)
-            states[v] = new
-            for w in cfg.successors(v):
-                if w != cfg.entry and w not in queued:
-                    queued.add(w)
-                    heapq.heappush(pending, (rank[w], w))
-    return [states[v.id] for v in cfg.nodes], evals, converged
+    runs = [(group, states, pending, {v for _, v in pending}, [0] * len(cfg.nodes), 0, None)]
+    done = []
+    while runs:
+        group, states, pending, queued, visits, evals, forked = runs.pop()
+        converged = True
+        while pending or forked:
+            if forked:
+                (v, new), forked = forked, None
+            elif evals >= config.max_iterations:
+                converged = False
+                break
+            else:
+                _, v = heapq.heappop(pending)
+                queued.discard(v)
+                evals += 1
+                visits[v] += 1
+                (group, new), *forks = evaluate(v, states, group)
+                for other, state in forks:  # copied before this run takes its own state
+                    runs.append((other, states[:], pending[:], set(queued), visits[:], evals, (v, state)))
+            if delay is not None and cfg.nodes[v].loop_head and visits[v] >= delay:
+                new = widen_fn(states[v], new)
+            if post is not None:
+                new = post(new)
+            if states[v] != new:
+                if observer is not None:
+                    observer(v, states[v], new)
+                states[v] = new
+                for w in cfg.successors(v):
+                    if w != cfg.entry and w not in queued:
+                        queued.add(w)
+                        heapq.heappush(pending, (rank[w], w))
+        done.append((group, states, evals, converged))
+    return done
 
 
 def _assume_states(cfg: Cfg) -> dict[int, AssumeState]:
@@ -208,65 +222,92 @@ def _assume_states(cfg: Cfg) -> dict[int, AssumeState]:
     }
 
 
-def analyze_baseline(
-    cfg: Cfg,
-    config: AnalysisConfig | None = None,
-    observer: Callable | None = None,
-    memo: dict | None = None,
-) -> AnalysisResult:
-    """Plain interval analysis: Kleene iteration of the node constraints.
+def _plain_join(cfg: Cfg, pis: dict[int, AssumeState], v: int, takes: bool, states) -> IntervalEnv:
+    """The plain analysis' join at `v`; an assume node enforces if `takes`, else is a skip."""
+    acc = BOTTOM
+    for p in cfg.predecessors(v):
+        env = states[p]
+        if v not in pis:
+            env = transfer(cfg.nodes[v], env)
+        elif takes:
+            env = enforce(env, pis[v])
+        acc = acc.join(env)
+    return acc
 
-    `memo`, if given, is shared by the analyses of one program's restrictions,
-    which differ only at their assume nodes (see `restrict`). It holds the
-    node order, node evaluations keyed by (node, active assume, predecessor
-    states...), and widenings keyed by (old, new), each computed once; every
-    analysis still runs its own iteration.
-    """
+
+def analyze_baseline(
+    cfg: Cfg, config: AnalysisConfig | None = None, observer: Callable | None = None
+) -> AnalysisResult:
+    """Plain interval analysis: Kleene iteration of the node constraints."""
     config = config or AnalysisConfig()
     pis = _assume_states(cfg)
-    top = IntervalEnv.top(cfg.variables)
-
-    def apply_node(v: int, env: IntervalEnv) -> IntervalEnv:
-        node = cfg.nodes[v]
-        if isinstance(node.op, Assume):
-            return enforce(env, pis[v])
-        return transfer(node, env)
-
-    def evaluate(v: int, states) -> IntervalEnv:
-        acc = BOTTOM
-        for p in cfg.predecessors(v):
-            acc = acc.join(apply_node(v, states[p]))
-        return acc
-
-    widen, rank = IntervalEnv.widen, None
-    if memo is not None:
-
-        def share(state: IntervalEnv) -> IntervalEnv:  # one object per distinct state
-            return memo.setdefault(state, state)
-
-        rank = memo.get("rank") or memo.setdefault("rank", _rpo_rank(cfg))
-        top, evaluate_once, widen_once = share(top), evaluate, widen
-
-        def evaluate(v: int, states) -> IntervalEnv:
-            key = (v, v in pis, *[states[p] for p in cfg.predecessors(v)])
-            return memo.get(key) or memo.setdefault(key, share(evaluate_once(v, states)))
-
-        def widen(old: IntervalEnv, new: IntervalEnv) -> IntervalEnv:
-            return memo.get((old, new)) or memo.setdefault((old, new), share(widen_once(old, new)))
-
-    states, evals, converged = _solve(
+    [(_, states, evals, converged)] = _solve(
         cfg,
         config,
-        seed=top,
+        seed=IntervalEnv.top(cfg.variables),
         bottom=BOTTOM,
-        evaluate=evaluate,
-        equals=lambda a, b: a == b,
-        widen_fn=widen,
-        post=lambda s: s,
+        evaluate=lambda v, states, group: [(group, _plain_join(cfg, pis, v, True, states))],
+        widen_fn=IntervalEnv.widen,
+        post=None,
         observer=observer,
-        rank=rank,
     )
     return AnalysisResult(states, evals, converged, config)
+
+
+def analyze_variants(
+    cfg: Cfg, config: AnalysisConfig | None = None, subsets: int | None = None
+) -> list[tuple[int, AnalysisResult]]:
+    """`analyze_baseline(restrict(cfg, A))` for every subset A in the mask `subsets`.
+
+    One run starts with every chosen subset (by default all 2**n) and forks
+    only at an assume node where its group both takes and declines the
+    assumption and enforcing it changes the joined state; each half goes on
+    in its own copy of the worklist state. Returns (group, result) pairs
+    whose groups partition `subsets`: the result's states, iterations and
+    convergence are those of the plain analysis of every subset in the
+    group. Node evaluations, keyed by (node, taken, predecessor states...),
+    and widenings are computed once per sweep.
+    """
+    config = config or AnalysisConfig()
+    width = len(cfg.assumptions)
+    subsets = full_mask(width) if subsets is None else subsets
+    if subsets < 0 or subsets & ~full_mask(width):
+        raise ValueError(f"subset mask {subsets:#x} outside the program's {width} assumptions")
+    pis = _assume_states(cfg)
+    taking = {v: atom_mask(cfg.nodes[v].op.assumption.index, width) for v in pis}
+    memo: dict = {}
+
+    def share(state: IntervalEnv) -> IntervalEnv:  # one object per distinct state
+        return memo.setdefault(state, state)
+
+    preds = [cfg.predecessors(node.id) for node in cfg.nodes]
+
+    def join(v: int, takes: bool, states) -> IntervalEnv:
+        key = (v, takes, *map(states.__getitem__, preds[v]))
+        return memo.get(key) or memo.setdefault(key, share(_plain_join(cfg, pis, v, takes, states)))
+
+    def evaluate(v: int, states, group: int) -> list[tuple[int, IntervalEnv]]:
+        took = group & taking.get(v, 0)
+        if not took or took == group:
+            return [(group, join(v, bool(took), states))]
+        yes, no = join(v, True, states), join(v, False, states)
+        return [(group, yes)] if yes == no else [(took, yes), (group ^ took, no)]
+
+    def widen(old: IntervalEnv, new: IntervalEnv) -> IntervalEnv:
+        return memo.get((old, new)) or memo.setdefault((old, new), share(old.widen(new)))
+
+    runs = _solve(
+        cfg,
+        config,
+        seed=share(IntervalEnv.top(cfg.variables)),
+        bottom=BOTTOM,
+        evaluate=evaluate,
+        widen_fn=widen,
+        post=None,
+        observer=None,
+        group=subsets,
+    ) if subsets else []
+    return [(group, AnalysisResult(*run, config)) for group, *run in runs]
 
 
 def analyze_param(
@@ -279,7 +320,7 @@ def analyze_param(
         raise WidthCapError(
             f"program has {width} assumptions; configured width cap is {config.condition_width_cap}"
         )
-    pis = _assume_states(cfg)
+    pis, budget = _assume_states(cfg), config.merge_budget
     seed = ParamState.of_state(IntervalEnv.top(cfg.variables), cfg.assumptions)
     bottom = ParamState.bottom(cfg.assumptions)
 
@@ -289,23 +330,17 @@ def analyze_param(
             return split(state, node.op.assumption, pis[v])
         return lift_transfer(state, lambda env: transfer(node, env))
 
-    def evaluate(v: int, states) -> ParamState:
-        return join_states([apply_node(v, states[p]) for p in cfg.predecessors(v)])
+    def evaluate(v: int, states, group) -> list[tuple[None, ParamState]]:
+        return [(group, join_states([apply_node(v, states[p]) for p in cfg.predecessors(v)]))]
 
-    def post(state: ParamState) -> ParamState:
-        if config.merge_budget is not None:
-            return reduce_to_budget(state, config.merge_budget)
-        return state
-
-    states, evals, converged = _solve(
+    [(_, states, evals, converged)] = _solve(
         cfg,
         config,
         seed=seed,
         bottom=bottom,
         evaluate=evaluate,
-        equals=lambda a, b: a.rules == b.rules,
         widen_fn=widen_param,
-        post=post,
+        post=None if budget is None else lambda state: reduce_to_budget(state, budget),
         observer=observer,
     )
     return ParamAnalysisResult(states, evals, converged, config)
@@ -462,14 +497,16 @@ def verify_equivalence(
 ) -> OracleReport:
     """Check the one-pass result against a fresh analysis of every variant.
 
-    For each assumption subset, the restricted program is analyzed again
-    (the analyses share one memo, see `analyze_baseline`) and compared per
-    node with the rule lookup. Without widening the
-    comparison is exact equality; with widening it is downgraded to
-    containment of the fresh result, since the two iterations are not
-    guaranteed to widen in lock step. Non-convergent runs are recorded as
-    skipped, never passed. `param`, if given, is the one-pass result of
-    `analyze_param(cfg, config)`, reused instead of analyzing again.
+    `analyze_variants` re-analyzes the restricted program of every
+    assumption subset, in groups of subsets whose analyses agree. At each
+    node, the subsets that reach one fresh state are compared at once with
+    every rule cell they meet, and a failure is reported for each subset in
+    both. Without widening the comparison is exact equality; with widening
+    it is downgraded to containment of the fresh result, since the two
+    iterations are not guaranteed to widen in lock step. Non-convergent runs
+    are recorded as skipped, never passed. `param`, if given, is the
+    one-pass result of `analyze_param(cfg, config)`, reused instead of
+    analyzing again.
     """
     config = config or AnalysisConfig()
     width = len(cfg.assumptions)
@@ -482,29 +519,20 @@ def verify_equivalence(
     if not param.converged:
         report.skipped = list(range(1 << width))
         return report
-    tables = [state.table() for state in param.states]
-    memo: dict = {}  # shared by the 2**width re-analyses, see `analyze_baseline`
-    verdicts: dict[tuple[IntervalEnv, IntervalEnv], bool] = {}
-    for accepted in range(1 << width):
-        base = analyze_baseline(restrict(cfg, accepted), config, memo=memo)
-        if not base.converged:
-            report.skipped.append(accepted)
-            continue
-        for node in cfg.nodes:
-            expected = base.states[node.id]
-            got = tables[node.id][accepted]
-            ok = verdicts.get((expected, got))
-            if ok is None:
-                ok = verdicts[expected, got] = expected == got if exact else expected.leq(got)
-            if not ok:
-                report.mismatches.append(
-                    {
-                        "subset": accepted,
-                        "node": node.id,
-                        "baseline": expected.to_json(),
-                        "parameterized": got.to_json(),
-                    }
-                )
+    cells = [state.cells() for state in param.states]
+    runs = analyze_variants(cfg, config)
+    report.skipped = members(sum(group for group, base in runs if not base.converged))
+    runs = [(group, base.states) for group, base in runs if base.converged]
+    for node in cfg.nodes:
+        reached: dict[IntervalEnv, int] = {}  # each fresh state, to the subsets that reach it
+        for group, states in runs:
+            reached[states[node.id]] = reached.get(states[node.id], 0) | group
+        for expected, group in reached.items():
+            for mask, got in cells[node.id]:
+                if mask & group and not (expected == got if exact else expected.leq(got)):
+                    found = {"baseline": expected.to_json(), "parameterized": got.to_json()}
+                    report.record(mask & group, node.id, **found)
+    report.sort()
     return report
 
 
@@ -552,7 +580,6 @@ def verify_soundness(
     cells = [state.cells() for state in param.states]
     collected = run_collecting(cfg, input_range, step_bound)
     report.partial = members(collected.truncated_subsets)
-    per_subset: list[list[dict]] = [[] for _ in range(1 << width)]
     for node in cfg.nodes:
         boxes = _boxes(collected.labelled[node.id], cfg.variables).items()
         if all(box.leq(s) for m, box in boxes for mask, s in cells[node.id] if mask & m):
@@ -561,9 +588,6 @@ def verify_soundness(
             state = dict(zip(cfg.variables, values))
             for mask, abstract in cells[node.id]:
                 if mask & reached and not gamma_contains(abstract, state):
-                    for accepted in members(mask & reached):
-                        per_subset[accepted].append(
-                            {"subset": accepted, "node": node.id, "state": state}
-                        )
-    report.mismatches = [m for found in per_subset for m in found]
+                    report.record(mask & reached, node.id, state=state)
+    report.sort()
     return report

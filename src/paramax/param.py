@@ -101,14 +101,6 @@ class ParamState:
                 self.state_for(accepted)
         return [(rule.mask, rule.state) for rule in self.rules if rule.mask]
 
-    def table(self) -> list[IntervalEnv]:
-        """The result state of every subset, indexed by subset; checked as in `cells`."""
-        out: list[IntervalEnv] = [BOTTOM] * (1 << self.width)
-        for mask, state in self.cells():
-            for accepted in members(mask):
-                out[accepted] = state
-        return out
-
     def to_json(self, memo: dict | None = None) -> list[dict]:
         """The rules as JSON objects; equal rule lists, rules, states and intervals
         share one object. `memo` spans one document (a fresh one if None): each

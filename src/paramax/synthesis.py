@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .conditions import atom_mask, full_mask, members, render_mask
-from .engine import AnalysisConfig, OracleReport, ParamAnalysisResult, analyze_baseline
-from .frontend import AssumptionId, Cfg, render_assert, restrict
+from .engine import AnalysisConfig, OracleReport, ParamAnalysisResult, analyze_variants
+from .frontend import AssumptionId, Cfg, render_assert
 from .intervals import ProofVerdict, proves
 
 
@@ -124,28 +124,22 @@ def verify_solutions(
 ) -> OracleReport:
     """Re-analyze restricted variants and re-prove every assertion.
 
-    Checks up to `limit` of the reported solutions with the plain analysis;
-    any assertion not proved is a mismatch.
+    Checks up to `limit` of the reported solutions with the plain analysis
+    (one `analyze_variants` sweep); any assertion not proved is a mismatch.
     """
     if outcome.verdict is not SynthesisVerdict.SOLUTIONS:
         raise ValueError("can only verify a solutions outcome")
     config = config or AnalysisConfig()
     chosen = outcome.solutions[:limit]
     report = OracleReport("synthesis", program_name, len(chosen), "reproof")
-    for accepted in chosen:
-        base = analyze_baseline(restrict(cfg, accepted), config)
+    for group, base in analyze_variants(cfg, config, sum(1 << accepted for accepted in chosen)):
         if not base.converged:
-            report.skipped.append(accepted)
+            report.skipped += members(group)
             continue
         for node in cfg.assert_nodes():
             verdict = proves(base.states[node.id], node.op.test)
             if verdict is not ProofVerdict.PROVED:
-                report.mismatches.append(
-                    {
-                        "subset": accepted,
-                        "node": node.id,
-                        "assertion": render_assert(node.op.test),
-                        "verdict": verdict.value,
-                    }
-                )
+                found = {"assertion": render_assert(node.op.test), "verdict": verdict.value}
+                report.record(group, node.id, **found)
+    report.sort()
     return report

@@ -248,6 +248,25 @@ def test_consistency_json(capsys):
     }
 
 
+def test_json_output_builds_no_text_report(capsys, monkeypatch):
+    argvs = (
+        ("synthesize", corpus_path("synth_gate.pwl"), "--verify-solutions", "2"),
+        ("consistency", corpus_path("mutex.pwl"), "--phi-table"),
+        ("check-oracle", corpus_path("example1.pwl")),
+    )
+    before = [run(capsys, *argv, "--format", "json") for argv in argvs]
+
+    def refuse(*args):
+        raise AssertionError("format_subset is called for the text report only")
+
+    monkeypatch.setattr(cli, "format_subset", refuse)
+    for argv, expected in zip(argvs, before):
+        assert expected[0] == EXIT_OK
+        assert run(capsys, *argv, "--format", "json") == expected, argv
+    with pytest.raises(AssertionError, match="text report only"):
+        main(["consistency", corpus_path("mutex.pwl"), "--phi-table"])
+
+
 def test_check_oracle_passes(capsys):
     code, out, _ = run(
         capsys, "check-oracle", corpus_path("example1.pwl"), "--theorem1"

@@ -17,6 +17,7 @@ from paramax.conditions import (
     format_subset,
     formula,
     full_mask,
+    members,
     parse_condition,
     render,
     render_mask,
@@ -87,10 +88,13 @@ def test_satisfying_sets():
     assert satisfying_sets(And((a, Not(b))), 2) == [0b01]
 
 
-def reference_satisfying_sets(cond, width):
-    """The quadratic definition `satisfying_sets` must agree with."""
-    table = truth_table(cond, width)
+def reference_members(table, width):
+    """The quadratic definition `members` and `satisfying_sets` must agree with."""
     return [a for a in range(1 << width) if (table >> a) & 1]
+
+
+def reference_satisfying_sets(cond, width):
+    return reference_members(truth_table(cond, width), width)
 
 
 def test_satisfying_sets_width_16():
@@ -191,6 +195,17 @@ def test_render_parse_round_trips_semantics(cond):
 @given(conditions(atoms=A6), st.integers(6, 8))
 def test_satisfying_sets_matches_reference(cond, width):
     assert satisfying_sets(cond, width) == reference_satisfying_sets(cond, width)
+
+
+def test_members_matches_reference():
+    rng = random.Random(0xB175)
+    for width in range(17):
+        size = 1 << width
+        masks = [0, 1, 1 << (size - 1), full_mask(width), atom_mask(0, width)]
+        masks += [atom_mask(max(width - 1, 0), width), rng.getrandbits(size)]  # the last one dense
+        masks += [rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)]  # sparse
+        for mask in masks:
+            assert members(mask) == reference_members(mask, width), (width, mask)
 
 
 def _minterms(cond, width):

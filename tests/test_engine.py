@@ -4,12 +4,13 @@ import pytest
 
 from paramax import engine
 from paramax.cli import main
-from paramax.conditions import And, Atom, Not, TRUE, render_mask
+from paramax.conditions import And, Atom, Not, TRUE, full_mask, members, render_mask
 from paramax.engine import (
     AnalysisConfig,
     WidthCapError,
     analyze_baseline,
     analyze_param,
+    analyze_variants,
     run_collecting,
     verify_equivalence,
     verify_soundness,
@@ -28,6 +29,7 @@ from conftest import (
     reference_equivalence,
     reference_soundness,
 )
+from test_fuzz import generate_program
 
 EXAMPLE1 = "x := input(); assume a: x > 0; x := 5; assume b: x = 0;"
 
@@ -517,19 +519,65 @@ def test_equivalence_matches_reference_on_mutants():
     assert mismatches > 100
 
 
-def test_shared_memo_keeps_every_analysis():
-    # one memo across all subsets: same states, iterations and convergence
+def _check_sweep(cfg, config, subsets=None, label=None) -> int:
+    """The sweep's groups partition the chosen subsets, and each group's result
+    equals the memo-less plain analysis of every subset in it; the group count."""
+    chosen = full_mask(len(cfg.assumptions)) if subsets is None else subsets
+    covered = 0
+    runs = analyze_variants(cfg, config, subsets)
+    for group, shared in runs:
+        assert group and not group & covered, label
+        covered |= group
+        for accepted in members(group):
+            alone = analyze_baseline(restrict(cfg, accepted), config)
+            assert shared.states == alone.states, (label, accepted)
+            assert shared.iterations == alone.iterations, (label, accepted)
+            assert shared.converged == alone.converged, (label, accepted)
+    assert covered == chosen, label
+    return len(runs)
+
+
+def test_variant_sweep_keeps_every_analysis():
+    # one forked sweep: the same states, iterations and convergence per subset
     # as independent analyses, with and without widening or an early stop
+    forked = 0
     for entry, cfg, _ in _oracle_corpus():
         for config in EQUIVALENCE_CONFIGS:
-            memo: dict = {}
-            for accepted in range(1 << len(cfg.assumptions)):
-                variant = restrict(cfg, accepted)
-                shared = analyze_baseline(variant, config, memo=memo)
-                alone = analyze_baseline(variant, config)
-                assert shared.states == alone.states, (entry.name, config, accepted)
-                assert shared.iterations == alone.iterations
-                assert shared.converged == alone.converged
+            forked += _check_sweep(cfg, config, label=(entry.name, config)) > 1
+    assert forked > 20
+
+
+def test_variant_sweep_keeps_every_analysis_of_generated_programs():
+    # widening from the first, second or third visit (widening the bottom
+    # state of a first visit changes nothing, so only a delay of 3 tells a
+    # fork's own visit counts from counts shared with the run it left), and a
+    # cut that stops some runs
+    configs = (
+        AnalysisConfig(widening_delay=1),
+        AnalysisConfig(widening_delay=2),
+        AnalysisConfig(widening_delay=3),
+        AnalysisConfig(max_iterations=12),
+        AnalysisConfig(widening_delay=2, max_iterations=25),
+    )
+    rng = random.Random(0x5EED)
+    groups = cut = 0
+    for seed in range(400):
+        cfg = parse_cfg(generate_program(seed))
+        subsets = 1 << len(cfg.assumptions)
+        for config in configs:
+            groups += _check_sweep(cfg, config, label=(seed, config))
+            cut += not all(r.converged for _, r in analyze_variants(cfg, config))
+            # a random sparse choice of subsets, possibly none
+            sparse = sum(1 << a for a in range(subsets) if rng.random() < 0.25)
+            _check_sweep(cfg, config, sparse, label=(seed, config, sparse))
+    assert groups > 2000 and cut > 100
+
+
+def test_variant_sweep_rejects_subsets_outside_the_program(example1_cfg):
+    assert analyze_variants(example1_cfg, subsets=0) == []
+    for subsets in (-1, 1 << 4):
+        with pytest.raises(ValueError):
+            analyze_variants(example1_cfg, subsets=subsets)
 
 
 def test_verifiers_raise_on_broken_partitions(example1_cfg):

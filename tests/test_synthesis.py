@@ -1,6 +1,8 @@
+import dataclasses
+
 from paramax.conditions import members, render_mask
-from paramax.engine import AnalysisConfig, analyze_baseline, analyze_param
-from paramax.frontend import parse_cfg, restrict
+from paramax.engine import AnalysisConfig, OracleReport, analyze_baseline, analyze_param
+from paramax.frontend import parse_cfg, render_assert, restrict
 from paramax.intervals import ProofVerdict, proves
 from paramax.synthesis import SynthesisVerdict, synthesize, verify_solutions
 
@@ -131,6 +133,63 @@ def test_verified_solutions_on_corpus():
             continue
         report = verify_solutions(cfg, outcome, limit=len(outcome.solutions))
         assert report.passed, report.mismatches
+
+
+def reference_verify_solutions(cfg, outcome, config, limit):
+    """`verify_solutions` as one fresh analysis per chosen subset: its spec."""
+    chosen = outcome.solutions[:limit]
+    report = OracleReport("synthesis", "<program>", len(chosen), "reproof")
+    for accepted in chosen:
+        base = analyze_baseline(restrict(cfg, accepted), config)
+        if not base.converged:
+            report.skipped.append(accepted)
+            continue
+        for node in cfg.assert_nodes():
+            verdict = proves(base.states[node.id], node.op.test)
+            if verdict is not ProofVerdict.PROVED:
+                report.mismatches.append(
+                    {
+                        "subset": accepted,
+                        "node": node.id,
+                        "assertion": render_assert(node.op.test),
+                        "verdict": verdict.value,
+                    }
+                )
+    return report
+
+
+# `c` changes nothing once `b` holds, so two subsets with `b` that differ
+# only in `c` share one re-analysis
+REDUNDANT_ASSUMES = """
+x := input();
+assume a: x >= 0;
+assume b: x <= 5;
+assume c: x <= 10;
+assert x <= 3;
+"""
+
+
+def test_verify_solutions_matches_the_per_subset_reference():
+    # every subset claimed as a solution, so that most claims fail
+    configs = (AnalysisConfig(), AnalysisConfig(widening_delay=2), AnalysisConfig(max_iterations=10))
+    cfgs = [corpus_cfg(entry.name) for entry in CORPUS] + [parse_cfg(REDUNDANT_ASSUMES)]
+    mismatches = skipped = 0
+    for cfg in cfgs:
+        width = len(cfg.assumptions)
+        if not cfg.assert_nodes() or width > 8:
+            continue
+        outcome = synthesize(analyze_param(cfg, AnalysisConfig(widening_delay=1)), cfg)
+        claimed = dataclasses.replace(
+            outcome, verdict=SynthesisVerdict.SOLUTIONS, solutions=tuple(range(1 << width))
+        )
+        for config in configs:
+            for limit in (1 << width, 3, 0):
+                got = verify_solutions(cfg, claimed, config, limit=limit)
+                expected = reference_verify_solutions(cfg, claimed, config, limit)
+                assert got.to_json() == expected.to_json(), (cfg, config, limit)
+                mismatches += len(got.mismatches)
+                skipped += len(got.skipped)
+    assert mismatches > 60 and skipped > 100
 
 
 def test_budget_never_adds_solutions():
