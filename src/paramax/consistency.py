@@ -13,12 +13,11 @@ tables, serves as the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .conditions import atom_mask, full_mask, members
 from .engine import ParamAnalysisResult
-from .frontend import Assume, AssumptionId, Cfg
+from .frontend import Assume, AssumptionId, Cfg, Record
 from .intervals import AssumeState, feasible
 
 
@@ -28,8 +27,7 @@ class Membership(Enum):
     NEVER = "never-consistent"
 
 
-@dataclass
-class ConsistencyReport:
+class ConsistencyReport(Record):
     core: int  # assumptions present in every consistent set
     envelope: int  # assumptions present in at least one consistent set
     classification: dict[str, Membership]  # by label, in assumption order

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from .conditions import WIDTH_CAP, atom_mask, full_mask, members
-from .frontend import Assign, Assume, Cfg, GuardFilter, Input, Rel
+from .frontend import Assign, Assume, Cfg, GuardFilter, Input, Record, Rel
 from .intervals import (
     BOTTOM,
     AssumeState,
@@ -39,14 +38,14 @@ class WidthCapError(ValueError):
     """The program has more assumptions than the configured condition width."""
 
 
-@dataclass
-class AnalysisConfig:
+class AnalysisConfig(Record):
     max_iterations: int = 1000  # node evaluations before giving up
     widening_delay: int | None = None  # widen loop heads from this visit on; None = off
     merge_budget: int | None = None  # max rules kept per node; None = exact
     condition_width_cap: int = WIDTH_CAP
 
-    def __post_init__(self) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
         if self.widening_delay is not None and self.widening_delay < 1:
@@ -65,16 +64,14 @@ class AnalysisConfig:
         }
 
 
-@dataclass
-class AnalysisResult:
+class AnalysisResult(Record):
     states: list[IntervalEnv]  # indexed by node id; the state after each node
     iterations: int
     converged: bool
     config: AnalysisConfig
 
 
-@dataclass
-class ParamAnalysisResult:
+class ParamAnalysisResult(Record):
     states: list[ParamState]
     iterations: int
     converged: bool
@@ -84,27 +81,34 @@ class ParamAnalysisResult:
 ConcreteValues = tuple[int, ...]  # one concrete state, values in `Cfg.variables` order
 
 
-@dataclass
-class CollectingResult:
+class CollectingResult(Record):
     """Concrete states per node, sorted, each subset's as in `restrict(cfg, subset)`."""
 
-    states: list[list[dict[str, int]]]  # with every assumption accepted
-    truncated: bool  # that run hit the step bound
     labelled: list[list[tuple[ConcreteValues, int]]]  # (values, mask of the subsets reaching it)
     truncated_subsets: int  # mask of the subsets whose runs hit the step bound
+    variables: tuple[str, ...]  # the program's, naming the values
+    given: int  # the bit of the subset that accepts every assumption
+
+    @property
+    def states(self) -> list[list[dict[str, int]]]:  # the program as given
+        names, given = self.variables, self.given
+        return [[dict(zip(names, s)) for s, mask in node if mask & given] for node in self.labelled]
+
+    @property
+    def truncated(self) -> bool:  # whether the run of the program as given hit the step bound
+        return bool(self.truncated_subsets & self.given)
 
 
-@dataclass
-class OracleReport:
+class OracleReport(Record):
     """Outcome of one exhaustive verification sweep."""
 
     check: str
     program: str
     subsets_checked: int
     mode: str
-    mismatches: list[dict] = field(default_factory=list)
-    skipped: list[int] = field(default_factory=list)
-    partial: list[int] = field(default_factory=list)
+    mismatches: list[dict] = []  # each instance gets its own copy
+    skipped: list[int] = []
+    partial: list[int] = []
 
     @property
     def passed(self) -> bool:
@@ -484,8 +488,7 @@ def run_collecting(
 
     given = 1 << ((1 << width) - 1)  # the bit of the subset accepting every assumption
     labelled = [sorted(reached.items()) for reached in seen]
-    states = [[dict(zip(cfg.variables, s)) for s, mask in node if mask & given] for node in labelled]
-    return CollectingResult(states, bool(truncated_subsets & given), labelled, truncated_subsets)
+    return CollectingResult(labelled, truncated_subsets, cfg.variables, given)
 
 
 def verify_equivalence(

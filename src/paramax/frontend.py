@@ -20,7 +20,6 @@ integers (`x > 0` becomes `x >= 1`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Union
 
@@ -44,12 +43,68 @@ class Rel(Enum):
     NE = "!="
 
 
+_setattr = object.__setattr__  # sets a field of a frozen record
+
+
+class Record:
+    """A value class whose fields are its annotations; no code is generated.
+
+    Built by position or keyword, a field's class attribute being its default
+    (a list default is copied per instance); equal when class and field tuple
+    are; printed as `Name(field=value, ...)`. `frozen=True` records hash as
+    their field tuple and refuse field assignment and deletion; the others
+    are mutable and unhashable.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen: bool = False) -> None:
+        cls._fields = tuple(cls.__annotations__)
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = Record._refuse_change
+            if vars(cls).get("__hash__") is None:
+                cls.__hash__ = lambda self: hash(self._astuple())
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._arguments(args, kwargs)
+        for field, value in zip(fields, args):
+            _setattr(self, field, value)
+
+    def _arguments(self, args: tuple, kwargs: dict) -> list:
+        """Every field's value, in order, from a call with keywords or defaults."""
+        fields, given = self._fields, dict(zip(self._fields, args), **kwargs)
+        defaults = {f: v for f, v in vars(type(self)).items() if f in fields}
+        values = {f: v[:] if isinstance(v, list) else v for f, v in defaults.items()} | given
+        if len(given) < len(args) + len(kwargs) or values.keys() != set(fields):
+            raise TypeError(
+                f"{type(self).__name__}({', '.join(fields)}) got {len(args)} positional"
+                f" arguments and the keywords [{', '.join(kwargs)}]"
+            )
+        return [values[field] for field in fields]
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, field) for field in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def _refuse_change(self, field: str, *value) -> None:
+        raise AttributeError(f"cannot assign to or delete field {field!r} of {type(self).__name__}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
 # Operands of comparisons: a variable name or an integer constant.
 Operand = Union[str, int]
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(Record, frozen=True):
     """`lhs REL rhs` where each side is a variable or constant."""
 
     lhs: Operand
@@ -96,8 +151,7 @@ def normalize_comparison(cmp: Comparison) -> Comparison:
     return Comparison(lhs, op, rhs)
 
 
-@dataclass(frozen=True)
-class LinearExpr:
+class LinearExpr(Record, frozen=True):
     """Normalized linear form: constant + sum of coef*var terms.
 
     Terms are sorted by variable name and never carry a zero coefficient,
@@ -127,8 +181,7 @@ class LinearExpr:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(Record, frozen=True):
     """Single-variable bound usable as an assumption conjunct."""
 
     var: str
@@ -146,8 +199,7 @@ class Bound:
         return value == self.value
 
 
-@dataclass(frozen=True)
-class AtomicConstraint:
+class AtomicConstraint(Record, frozen=True):
     """Conjunction of single-variable bounds; always interval-representable."""
 
     bounds: tuple[Bound, ...]
@@ -162,13 +214,11 @@ class AtomicConstraint:
         return all(b.holds(values[b.var]) for b in self.bounds)
 
 
-@dataclass(frozen=True)
-class AssertAnd:
+class AssertAnd(Record, frozen=True):
     parts: tuple["AssertExpr", ...]
 
 
-@dataclass(frozen=True)
-class AssertOr:
+class AssertOr(Record, frozen=True):
     parts: tuple["AssertExpr", ...]
 
 
@@ -191,52 +241,44 @@ def render_assert(expr: AssertExpr) -> str:
 # --- AST ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AssignStmt:
+class AssignStmt(Record, frozen=True):
     var: str
     expr: LinearExpr
 
 
-@dataclass(frozen=True)
-class InputStmt:
+class InputStmt(Record, frozen=True):
     var: str
     input_range: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
-class IfStmt:
+class IfStmt(Record, frozen=True):
     cond: Comparison
     then_body: tuple["Stmt", ...]
     else_body: tuple["Stmt", ...]
 
 
-@dataclass(frozen=True)
-class WhileStmt:
+class WhileStmt(Record, frozen=True):
     cond: Comparison
     body: tuple["Stmt", ...]
 
 
-@dataclass(frozen=True)
-class AssumeStmt:
+class AssumeStmt(Record, frozen=True):
     label: str
     constraint: AtomicConstraint
 
 
-@dataclass(frozen=True)
-class AssertStmt:
+class AssertStmt(Record, frozen=True):
     test: AssertExpr
 
 
-@dataclass(frozen=True)
-class SkipStmt:
+class SkipStmt(Record, frozen=True):
     pass
 
 
 Stmt = Union[AssignStmt, InputStmt, IfStmt, WhileStmt, AssumeStmt, AssertStmt, SkipStmt]
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Record, frozen=True):
     statements: tuple[Stmt, ...]
 
 
@@ -257,12 +299,18 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"if", "else", "while", "assume", "assert", "skip", "input", "in"}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record, frozen=True):
+    __slots__ = ("kind", "text", "line", "col")  # one per source token: written out
     kind: str  # "number", "name", "op", "kw", "eof"
     text: str
     line: int
     col: int
+
+    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
+        _setattr(self, "kind", kind)
+        _setattr(self, "text", text)
+        _setattr(self, "line", line)
+        _setattr(self, "col", col)
 
 
 def _tokenize(source: str) -> list[_Token]:
@@ -290,15 +338,7 @@ def _tokenize(source: str) -> list[_Token]:
     return tokens
 
 
-_REL_TOKENS = {
-    "<=": Rel.LE,
-    "<": Rel.LT,
-    ">=": Rel.GE,
-    ">": Rel.GT,
-    "=": Rel.EQ,
-    "==": Rel.EQ,
-    "!=": Rel.NE,
-}
+_REL_TOKENS = {rel.value: rel for rel in Rel} | {"==": Rel.EQ}
 
 
 # Deepest nesting of blocks and assertion parentheses, counted together. The
@@ -578,8 +618,7 @@ def parse(source: str) -> Program:
 # --- CFG ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AssumptionId:
+class AssumptionId(Record, frozen=True):
     """Identity of one labeled assume statement."""
 
     index: int  # ordinal among the program's assume statements
@@ -587,54 +626,45 @@ class AssumptionId:
     node_id: int
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(Record, frozen=True):
     pass
 
 
-@dataclass(frozen=True)
-class Exit:
+class Exit(Record, frozen=True):
     pass
 
 
-@dataclass(frozen=True)
-class Skip:
+class Skip(Record, frozen=True):
     pass
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(Record, frozen=True):
     var: str
     expr: LinearExpr
 
 
-@dataclass(frozen=True)
-class Input:
+class Input(Record, frozen=True):
     var: str
     input_range: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
-class GuardFilter:
+class GuardFilter(Record, frozen=True):
     test: Comparison
 
 
-@dataclass(frozen=True)
-class Assume:
+class Assume(Record, frozen=True):
     assumption: AssumptionId
     constraint: AtomicConstraint
 
 
-@dataclass(frozen=True)
-class Assert:
+class Assert(Record, frozen=True):
     test: AssertExpr
 
 
 NodeOp = Union[Entry, Exit, Skip, Assign, Input, GuardFilter, Assume, Assert]
 
 
-@dataclass(frozen=True)
-class CfgNode:
+class CfgNode(Record, frozen=True):
     id: int
     op: NodeOp
     loop_head: bool = False
@@ -661,7 +691,7 @@ class CfgNode:
         return f"assert({render_assert(op.test)})"
 
 
-class Cfg:
+class Cfg(Record):
     """Immutable control-flow graph over `CfgNode`s.
 
     Node ids are assigned in source order with the entry node first and the
@@ -670,40 +700,22 @@ class Cfg:
     atoms stay comparable across restricted variants.
     """
 
-    def __init__(
-        self,
-        nodes: tuple[CfgNode, ...],
-        edges: frozenset[tuple[int, int]],
-        entry: int,
-        exit: int,
-        assumptions: tuple[AssumptionId, ...],
-        variables: tuple[str, ...],
-    ):
-        self.nodes = nodes
-        self.edges = edges
-        self.entry = entry
-        self.exit = exit
-        self.assumptions = assumptions
-        self.variables = variables
-        preds: dict[int, list[int]] = {n.id: [] for n in nodes}
-        succs: dict[int, list[int]] = {n.id: [] for n in nodes}
-        for src, dst in sorted(edges):
+    nodes: tuple[CfgNode, ...]
+    edges: frozenset[tuple[int, int]]
+    entry: int
+    exit: int
+    assumptions: tuple[AssumptionId, ...]
+    variables: tuple[str, ...]
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        preds: dict[int, list[int]] = {n.id: [] for n in self.nodes}
+        succs: dict[int, list[int]] = {n.id: [] for n in self.nodes}
+        for src, dst in sorted(self.edges):
             preds[dst].append(src)
             succs[src].append(dst)
         self._preds = {v: tuple(sorted(ps)) for v, ps in preds.items()}
         self._succs = {v: tuple(sorted(ss)) for v, ss in succs.items()}
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Cfg):
-            return NotImplemented
-        return (
-            self.nodes == other.nodes
-            and self.edges == other.edges
-            and self.entry == other.entry
-            and self.exit == other.exit
-            and self.assumptions == other.assumptions
-            and self.variables == other.variables
-        )
 
     def predecessors(self, v: int) -> tuple[int, ...]:
         if v not in self._preds:

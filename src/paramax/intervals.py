@@ -8,7 +8,6 @@ ever widens a result and therefore stays sound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Union
 
@@ -24,7 +23,10 @@ from .frontend import (
     Input,
     LinearExpr,
     Operand,
+    Record,
     Rel,
+    _FLIPPED,
+    _setattr,
 )
 
 NEG_INF = float("-inf")
@@ -55,16 +57,26 @@ def _sat_hi(hi: Endpoint) -> Endpoint:
     return int(hi)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record, frozen=True):
     """Nonempty integer interval [lo, hi]; emptiness lives at the env level."""
 
+    __slots__ = ("lo", "hi")  # built per transfer: slots and methods written out
     lo: Endpoint
     hi: Endpoint
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi or self.lo == POS_INF or self.hi == NEG_INF:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Endpoint, hi: Endpoint) -> None:
+        if lo > hi or lo == POS_INF or hi == NEG_INF:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        _setattr(self, "lo", lo)
+        _setattr(self, "hi", hi)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return (self.lo, self.hi) == (other.lo, other.hi)
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.hi))
 
     @staticmethod
     def top() -> "Interval":
@@ -259,8 +271,7 @@ class IntervalEnv:
 BOTTOM = IntervalEnv(None)
 
 
-@dataclass(frozen=True)
-class AssumeState:
+class AssumeState(Record, frozen=True):
     """The interval encoding of an assumption's constraint.
 
     Maps only the mentioned variables; unmentioned variables are implicitly
@@ -288,7 +299,7 @@ class AssumeState:
                 acc[bound.var] = met
             else:
                 acc[bound.var] = iv
-        return AssumeState(tuple(sorted(acc.items())))
+        return AssumeState(tuple(sorted(acc.items())), False)  # every field: no default lookup
 
 
 def enforce(env: IntervalEnv, state: AssumeState) -> IntervalEnv:
@@ -344,10 +355,7 @@ def _refine_guard(env: IntervalEnv, test: Comparison) -> IntervalEnv:
         }[op]
         return env if ok else BOTTOM
     if isinstance(lhs, int):
-        lhs, op, rhs = rhs, {
-            Rel.LE: Rel.GE, Rel.LT: Rel.GT, Rel.GE: Rel.LE,
-            Rel.GT: Rel.LT, Rel.EQ: Rel.EQ, Rel.NE: Rel.NE,
-        }[op], lhs
+        lhs, op, rhs = rhs, _FLIPPED[op], lhs
     if isinstance(rhs, int):
         refined = _refine_against_const(env.get(lhs), op, rhs)
         return BOTTOM if refined is None else env.updated(lhs, refined)

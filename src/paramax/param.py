@@ -14,11 +14,10 @@ fewer rules, guided by a loss score.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .conditions import atom_mask, full_mask, members, render_mask
-from .frontend import AssumptionId
+from .frontend import AssumptionId, Record, _setattr
 from .intervals import BOTTOM, AssumeState, IntervalEnv, enforce
 
 
@@ -26,10 +25,22 @@ class PartitionError(Exception):
     """The rule masks stopped forming a partition (internal invariant)."""
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Record, frozen=True):
+    __slots__ = ("mask", "state")  # built per rule operation: slots and methods written out
     mask: int  # bit A set when assumption subset A takes this rule
     state: IntervalEnv
+
+    def __init__(self, mask: int, state: IntervalEnv) -> None:
+        _setattr(self, "mask", mask)
+        _setattr(self, "state", state)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Rule:
+            return NotImplemented
+        return (self.mask, self.state) == (other.mask, other.state)
+
+    def __hash__(self) -> int:
+        return hash((self.mask, self.state))
 
 
 class ParamState:

@@ -11,12 +11,11 @@ layer at a time, never one subset at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .conditions import atom_mask, full_mask, members, render_mask
 from .engine import AnalysisConfig, OracleReport, ParamAnalysisResult, analyze_variants
-from .frontend import AssumptionId, Cfg, render_assert
+from .frontend import AssumptionId, Cfg, Record, render_assert
 from .intervals import ProofVerdict, proves
 
 
@@ -26,8 +25,7 @@ class SynthesisVerdict(Enum):
     IMPOSSIBLE = "impossible"
 
 
-@dataclass
-class SynthesisOutcome:
+class SynthesisOutcome(Record):
     condition: int  # mask of the subsets under which every assertion is proved
     verdict: SynthesisVerdict
     solutions: tuple[int, ...]  # present when verdict is SOLUTIONS (capped)

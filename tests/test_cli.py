@@ -751,3 +751,23 @@ def test_the_cli_imports_no_argument_parser():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def test_the_cli_imports_no_code_generation_modules():
+    # records are plain classes: importing the CLI generates no code, so it
+    # loads neither dataclasses nor what dataclasses imports; comparing with
+    # a snapshot ignores whatever the interpreter preloads at start-up
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import paramax.cli\n"
+        "added = set(sys.modules) - before\n"
+        "print(sorted(added & {'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

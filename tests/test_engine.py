@@ -214,6 +214,25 @@ def test_collecting_example1_filter(example1_cfg):
     assert after_assume == [{"x": 1}, {"x": 2}]
 
 
+def test_collecting_states_are_read_off_the_labelled_entries(example1_cfg):
+    # `states` and `truncated` are the all-accepted subset's share of
+    # `labelled` and `truncated_subsets`, derived on read, never stored
+    collected = run_collecting(example1_cfg, (-2, 2), step_bound=2)
+    everyone = 1 << ((1 << len(example1_cfg.assumptions)) - 1)
+    for node in example1_cfg.nodes:
+        expected = [
+            dict(zip(example1_cfg.variables, values))
+            for values, mask in collected.labelled[node.id]
+            if mask & everyone
+        ]
+        assert collected.states[node.id] == expected
+    assert collected.truncated == bool(collected.truncated_subsets & everyone)
+    assert collected.truncated and collected.states[example1_cfg.exit] == []
+    for derived in ("states", "truncated"):
+        with pytest.raises(AttributeError):
+            setattr(collected, derived, None)
+
+
 def test_collecting_no_inputs_single_path():
     cfg = parse_cfg("x := 1; y := x + 2;")
     collected = run_collecting(cfg)

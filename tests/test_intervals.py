@@ -60,6 +60,14 @@ def brute_hull(a: Interval, b: Interval) -> Interval:
     return Interval(min(candidates), max(candidates))
 
 
+def test_empty_intervals_are_refused():
+    for lo, hi in ((3, 2), (POS_INF, POS_INF), (NEG_INF, NEG_INF), (POS_INF, 5), (0, NEG_INF)):
+        with pytest.raises(ValueError, match="empty interval"):
+            Interval(lo, hi)
+    assert Interval(2, 2).width() == 0
+    assert Interval(NEG_INF, POS_INF) == Interval.top()
+
+
 def test_join_examples():
     assert BOTTOM.join(env(x=(1, 2))) == env(x=(1, 2))
     joined = env(x=(11, 12)).join(env(x=(0, 0)))

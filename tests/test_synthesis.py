@@ -1,10 +1,8 @@
-import dataclasses
-
 from paramax.conditions import members, render_mask
 from paramax.engine import AnalysisConfig, OracleReport, analyze_baseline, analyze_param
 from paramax.frontend import parse_cfg, render_assert, restrict
 from paramax.intervals import ProofVerdict, proves
-from paramax.synthesis import SynthesisVerdict, synthesize, verify_solutions
+from paramax.synthesis import SynthesisOutcome, SynthesisVerdict, synthesize, verify_solutions
 
 from conftest import CORPUS, corpus_cfg
 
@@ -179,8 +177,14 @@ def test_verify_solutions_matches_the_per_subset_reference():
         if not cfg.assert_nodes() or width > 8:
             continue
         outcome = synthesize(analyze_param(cfg, AnalysisConfig(widening_delay=1)), cfg)
-        claimed = dataclasses.replace(
-            outcome, verdict=SynthesisVerdict.SOLUTIONS, solutions=tuple(range(1 << width))
+        claimed = SynthesisOutcome(
+            outcome.condition,
+            SynthesisVerdict.SOLUTIONS,
+            tuple(range(1 << width)),
+            outcome.minimal,
+            outcome.per_assertion,
+            outcome.truncated,
+            outcome.atoms,
         )
         for config in configs:
             for limit in (1 << width, 3, 0):
