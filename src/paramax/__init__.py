@@ -54,10 +54,7 @@ from .frontend import (
     Cfg,
     CfgNode,
     ParseError,
-    Program,
-    build_cfg,
     dump_cfg,
-    parse,
     parse_cfg,
     restrict,
 )

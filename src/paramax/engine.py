@@ -21,7 +21,7 @@ import operator
 from typing import Callable, Iterable, Mapping
 
 from .conditions import WIDTH_CAP, atom_mask, full_mask, members
-from .frontend import Assign, Assume, Cfg, GuardFilter, Input, Record, Rel
+from .frontend import _RELATIONS, Assign, Assume, Cfg, GuardFilter, Input, Record
 from .intervals import (
     BOTTOM,
     AssumeState,
@@ -348,16 +348,6 @@ def analyze_param(
         observer=observer,
     )
     return ParamAnalysisResult(states, evals, converged, config)
-
-
-_RELATIONS = {
-    Rel.LE: operator.le,
-    Rel.LT: operator.lt,
-    Rel.GE: operator.ge,
-    Rel.GT: operator.gt,
-    Rel.EQ: operator.eq,
-    Rel.NE: operator.ne,
-}
 
 
 def _concrete_test(

@@ -1,4 +1,4 @@
-"""Parser, AST, and control-flow graph for the analyzed while-language.
+"""Parser and control-flow graph for the analyzed while-language.
 
 Source programs are plain text (`.pwl`): statements end with `;`, blocks use
 braces. Supported statements:
@@ -11,6 +11,8 @@ braces. Supported statements:
     assert x <= y || x = 0;
     skip;
 
+The parser builds the CFG as it reads, with no syntax tree in between, so
+node ids follow source order.
 Branch conditions are compiled into a pair of guard-filter nodes (condition
 and its negation) so every CFG node carries a single transformer. Strict
 comparisons against constants are normalized to non-strict form over the
@@ -19,6 +21,7 @@ integers (`x > 0` becomes `x >= 1`).
 
 from __future__ import annotations
 
+import operator
 import re
 from enum import Enum
 from typing import Iterable, Union
@@ -41,6 +44,17 @@ class Rel(Enum):
     GT = ">"
     EQ = "="
     NE = "!="
+
+
+# what each comparison operator computes on two integers
+_RELATIONS = {
+    Rel.LE: operator.le,
+    Rel.LT: operator.lt,
+    Rel.GE: operator.ge,
+    Rel.GT: operator.gt,
+    Rel.EQ: operator.eq,
+    Rel.NE: operator.ne,
+}
 
 
 _setattr = object.__setattr__  # sets a field of a frozen record
@@ -192,11 +206,7 @@ class Bound(Record, frozen=True):
         return f"{self.var} {self.op.value} {self.value}"
 
     def holds(self, value: int) -> bool:
-        if self.op is Rel.LE:
-            return value <= self.value
-        if self.op is Rel.GE:
-            return value >= self.value
-        return value == self.value
+        return _RELATIONS[self.op](value, self.value)
 
 
 class AtomicConstraint(Record, frozen=True):
@@ -209,9 +219,6 @@ class AtomicConstraint(Record, frozen=True):
 
     def render(self) -> str:
         return " && ".join(b.render() for b in self.bounds)
-
-    def holds(self, values) -> bool:
-        return all(b.holds(values[b.var]) for b in self.bounds)
 
 
 class AssertAnd(Record, frozen=True):
@@ -236,50 +243,6 @@ def render_assert(expr: AssertExpr) -> str:
             text = f"({text})"
         rendered.append(text)
     return sep.join(rendered)
-
-
-# --- AST ---------------------------------------------------------------
-
-
-class AssignStmt(Record, frozen=True):
-    var: str
-    expr: LinearExpr
-
-
-class InputStmt(Record, frozen=True):
-    var: str
-    input_range: tuple[int, int] | None = None
-
-
-class IfStmt(Record, frozen=True):
-    cond: Comparison
-    then_body: tuple["Stmt", ...]
-    else_body: tuple["Stmt", ...]
-
-
-class WhileStmt(Record, frozen=True):
-    cond: Comparison
-    body: tuple["Stmt", ...]
-
-
-class AssumeStmt(Record, frozen=True):
-    label: str
-    constraint: AtomicConstraint
-
-
-class AssertStmt(Record, frozen=True):
-    test: AssertExpr
-
-
-class SkipStmt(Record, frozen=True):
-    pass
-
-
-Stmt = Union[AssignStmt, InputStmt, IfStmt, WhileStmt, AssumeStmt, AssertStmt, SkipStmt]
-
-
-class Program(Record, frozen=True):
-    statements: tuple[Stmt, ...]
 
 
 # --- Lexer -------------------------------------------------------------
@@ -353,6 +316,16 @@ class _Parser:
         self.pos = 0
         self.depth = 0  # open blocks and assertion parentheses
         self.assume_labels: dict[str, _Token] = {}
+        self.nodes: list[CfgNode] = []
+        self.edges: set[tuple[int, int]] = set()
+        self.assumptions: list[AssumptionId] = []
+
+    def add(self, op: NodeOp, frontier: Iterable[int], loop_head: bool = False) -> int:
+        """Append a node fed by every frontier node; returns its id."""
+        v = len(self.nodes)
+        self.nodes.append(CfgNode(v, op, loop_head))
+        self.edges.update((src, v) for src in frontier)
+        return v
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -386,41 +359,49 @@ class _Parser:
         self.depth -= 1
 
     # -- grammar --
+    # Each statement method takes the frontier (the nodes that flow into the
+    # statement) and returns the nodes that flow out of it.
 
-    def parse_program(self) -> Program:
-        stmts = self.parse_statements(stop_at_brace=False)
-        if self.peek().kind != "eof":
-            raise self.error(f"unexpected {self.peek().text!r}")
-        return Program(tuple(stmts))
+    def parse_cfg(self) -> Cfg:
+        entry = self.add(Entry(), ())
+        exit_id = self.add(Exit(), self.parse_statements([entry], stop_at_brace=False))
+        nodes = tuple(self.nodes)
+        return Cfg(
+            nodes=nodes,
+            edges=frozenset(self.edges),
+            entry=entry,
+            exit=exit_id,
+            assumptions=tuple(self.assumptions),
+            variables=_collect_variables(nodes),
+        )
 
-    def parse_statements(self, stop_at_brace: bool) -> list[Stmt]:
-        stmts: list[Stmt] = []
+    def parse_statements(self, frontier: list[int], stop_at_brace: bool) -> list[int]:
         while True:
             tok = self.peek()
             if tok.kind == "eof" or (stop_at_brace and tok.text == "}"):
-                return stmts
-            stmts.append(self.parse_statement())
+                return frontier
+            frontier = self.parse_statement(frontier)
 
-    def parse_statement(self) -> Stmt:
+    def parse_statement(self, frontier: list[int]) -> list[int]:
         tok = self.peek()
         if tok.kind == "name":
-            return self.parse_assignment()
+            return self.parse_assignment(frontier)
         if tok.kind == "kw":
             if tok.text == "if":
-                return self.parse_if()
+                return self.parse_if(frontier)
             if tok.text == "while":
-                return self.parse_while()
+                return self.parse_while(frontier)
             if tok.text == "assume":
-                return self.parse_assume()
+                return self.parse_assume(frontier)
             if tok.text == "assert":
-                return self.parse_assert()
+                return self.parse_assert(frontier)
             if tok.text == "skip":
                 self.advance()
                 self.expect(";")
-                return SkipStmt()
+                return [self.add(Skip(), frontier)]
         raise self.error(f"expected a statement, found {tok.text!r}" if tok.text else "expected a statement")
 
-    def parse_assignment(self) -> Stmt:
+    def parse_assignment(self, frontier: list[int]) -> list[int]:
         var = self.advance().text
         self.expect(":=")
         if self.peek().text == "input":
@@ -438,11 +419,11 @@ class _Parser:
                 if lo > hi:
                     raise self.error("empty input range")
                 input_range = (lo, hi)
-            self.expect(";")
-            return InputStmt(var, input_range)
-        expr = self.parse_linear()
+            op = Input(var, input_range)
+        else:
+            op = Assign(var, self.parse_linear())
         self.expect(";")
-        return AssignStmt(var, expr)
+        return [self.add(op, frontier)]
 
     def parse_int(self) -> int:
         sign = 1
@@ -535,28 +516,33 @@ class _Parser:
         self.expect(")")
         return cmp
 
-    def parse_if(self) -> IfStmt:
+    def parse_if(self, frontier: list[int]) -> list[int]:
         self.advance()
         cond = self.parse_guard()
-        then_body = self.parse_block()
-        else_body: tuple[Stmt, ...] = ()
+        taken = self.add(GuardFilter(normalize_comparison(cond)), frontier)
+        declined = [self.add(GuardFilter(negate_comparison(cond)), frontier)]
+        then_out = self.parse_block([taken])
         if self.at("else"):
             self.advance()
-            else_body = self.parse_block()
-        return IfStmt(cond, then_body, else_body)
+            declined = self.parse_block(declined)
+        return then_out + declined
 
-    def parse_while(self) -> WhileStmt:
+    def parse_while(self, frontier: list[int]) -> list[int]:
         self.advance()
         cond = self.parse_guard()
-        return WhileStmt(cond, self.parse_block())
+        head = self.add(Skip(), frontier, loop_head=True)
+        body = self.add(GuardFilter(normalize_comparison(cond)), [head])
+        leave = self.add(GuardFilter(negate_comparison(cond)), [head])
+        self.edges.update((v, head) for v in self.parse_block([body]))
+        return [leave]
 
-    def parse_block(self) -> tuple[Stmt, ...]:
+    def parse_block(self, frontier: list[int]) -> list[int]:
         self.open_nested("{")
-        stmts = self.parse_statements(stop_at_brace=True)
+        frontier = self.parse_statements(frontier, stop_at_brace=True)
         self.close_nested("}")
-        return tuple(stmts)
+        return frontier
 
-    def parse_assume(self) -> AssumeStmt:
+    def parse_assume(self, frontier: list[int]) -> list[int]:
         self.advance()
         label_tok = self.peek()
         if label_tok.kind != "name":
@@ -571,7 +557,9 @@ class _Parser:
             self.advance()
             bounds.append(self.parse_bound())
         self.expect(";")
-        return AssumeStmt(label_tok.text, AtomicConstraint(tuple(bounds)))
+        aid = AssumptionId(len(self.assumptions), label_tok.text, len(self.nodes))
+        self.assumptions.append(aid)
+        return [self.add(Assume(aid, AtomicConstraint(tuple(bounds))), frontier)]
 
     def parse_bound(self) -> Bound:
         tok = self.peek()
@@ -581,11 +569,11 @@ class _Parser:
             raise self.error("assume constraints must compare one variable with a constant", tok)
         return Bound(cmp.lhs, cmp.op, cmp.rhs)
 
-    def parse_assert(self) -> AssertStmt:
+    def parse_assert(self, frontier: list[int]) -> list[int]:
         self.advance()
         expr = self.parse_assert_or()
         self.expect(";")
-        return AssertStmt(expr)
+        return [self.add(Assert(expr), frontier)]
 
     def parse_assert_or(self) -> AssertExpr:
         parts = [self.parse_assert_and()]
@@ -610,9 +598,9 @@ class _Parser:
         return self.parse_comparison(allow_ne=False)
 
 
-def parse(source: str) -> Program:
-    """Parse program text, raising ParseError with line/col on bad input."""
-    return _Parser(_tokenize(source)).parse_program()
+def parse_cfg(source: str) -> Cfg:
+    """Parse program text into its CFG, raising ParseError with line/col on bad input."""
+    return _Parser(_tokenize(source)).parse_cfg()
 
 
 # --- CFG ---------------------------------------------------------------
@@ -731,65 +719,6 @@ class Cfg(Record):
         return tuple(n for n in self.nodes if isinstance(n.op, Assert))
 
 
-class _CfgBuilder:
-    def __init__(self) -> None:
-        self.nodes: list[CfgNode] = []
-        self.edges: set[tuple[int, int]] = set()
-        self.assumptions: list[AssumptionId] = []
-
-    def add(self, op: NodeOp, loop_head: bool = False) -> int:
-        node = CfgNode(len(self.nodes), op, loop_head)
-        self.nodes.append(node)
-        return node.id
-
-    def link(self, sources: Iterable[int], dst: int) -> None:
-        for src in sources:
-            self.edges.add((src, dst))
-
-    def emit_block(self, stmts: Iterable[Stmt], frontier: list[int]) -> list[int]:
-        for stmt in stmts:
-            frontier = self.emit(stmt, frontier)
-        return frontier
-
-    def emit(self, stmt: Stmt, frontier: list[int]) -> list[int]:
-        if isinstance(stmt, AssignStmt):
-            v = self.add(Assign(stmt.var, stmt.expr))
-        elif isinstance(stmt, InputStmt):
-            v = self.add(Input(stmt.var, stmt.input_range))
-        elif isinstance(stmt, AssumeStmt):
-            node_id = len(self.nodes)
-            aid = AssumptionId(len(self.assumptions), stmt.label, node_id)
-            self.assumptions.append(aid)
-            v = self.add(Assume(aid, stmt.constraint))
-        elif isinstance(stmt, AssertStmt):
-            v = self.add(Assert(stmt.test))
-        elif isinstance(stmt, SkipStmt):
-            v = self.add(Skip())
-        elif isinstance(stmt, IfStmt):
-            taken = normalize_comparison(stmt.cond)
-            guard_true = self.add(GuardFilter(taken))
-            guard_false = self.add(GuardFilter(negate_comparison(stmt.cond)))
-            self.link(frontier, guard_true)
-            self.link(frontier, guard_false)
-            out_then = self.emit_block(stmt.then_body, [guard_true])
-            out_else = self.emit_block(stmt.else_body, [guard_false])
-            return out_then + out_else
-        elif isinstance(stmt, WhileStmt):
-            head = self.add(Skip(), loop_head=True)
-            self.link(frontier, head)
-            guard_body = self.add(GuardFilter(normalize_comparison(stmt.cond)))
-            guard_exit = self.add(GuardFilter(negate_comparison(stmt.cond)))
-            self.link([head], guard_body)
-            self.link([head], guard_exit)
-            back = self.emit_block(stmt.body, [guard_body])
-            self.link(back, head)
-            return [guard_exit]
-        else:
-            raise TypeError(f"unknown statement {stmt!r}")
-        self.link(frontier, v)
-        return [v]
-
-
 def _collect_variables(nodes: Iterable[CfgNode]) -> tuple[str, ...]:
     out: set[str] = set()
     for node in nodes:
@@ -815,28 +744,6 @@ def _assert_variables(expr: AssertExpr) -> set[str]:
     for part in expr.parts:
         out |= _assert_variables(part)
     return out
-
-
-def build_cfg(program: Program) -> Cfg:
-    """Compile an AST into a CFG with entry first and exit last."""
-    builder = _CfgBuilder()
-    entry = builder.add(Entry())
-    frontier = builder.emit_block(program.statements, [entry])
-    exit_id = builder.add(Exit())
-    builder.link(frontier, exit_id)
-    nodes = tuple(builder.nodes)
-    return Cfg(
-        nodes=nodes,
-        edges=frozenset(builder.edges),
-        entry=entry,
-        exit=exit_id,
-        assumptions=tuple(builder.assumptions),
-        variables=_collect_variables(nodes),
-    )
-
-
-def parse_cfg(source: str) -> Cfg:
-    return build_cfg(parse(source))
 
 
 def restrict(cfg: Cfg, accepted: int) -> Cfg:

@@ -26,6 +26,7 @@ from .frontend import (
     Record,
     Rel,
     _FLIPPED,
+    _RELATIONS,
     _setattr,
 )
 
@@ -345,15 +346,7 @@ def _refine_against_const(iv: Interval, op: Rel, c: int) -> Interval | None:
 def _refine_guard(env: IntervalEnv, test: Comparison) -> IntervalEnv:
     lhs, op, rhs = test.lhs, test.op, test.rhs
     if isinstance(lhs, int) and isinstance(rhs, int):
-        ok = {
-            Rel.LE: lhs <= rhs,
-            Rel.LT: lhs < rhs,
-            Rel.GE: lhs >= rhs,
-            Rel.GT: lhs > rhs,
-            Rel.EQ: lhs == rhs,
-            Rel.NE: lhs != rhs,
-        }[op]
-        return env if ok else BOTTOM
+        return env if _RELATIONS[op](lhs, rhs) else BOTTOM
     if isinstance(lhs, int):
         lhs, op, rhs = rhs, _FLIPPED[op], lhs
     if isinstance(rhs, int):

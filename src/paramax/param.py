@@ -70,7 +70,7 @@ class ParamState:
         return self.atoms == other.atoms and self.rules == other.rules
 
     def __hash__(self) -> int:
-        return hash((self.rules, self.atoms))
+        return hash(self.rules)  # `__eq__` tells atoms apart; one analysis has one atom tuple
 
     def __len__(self) -> int:
         return len(self.rules)

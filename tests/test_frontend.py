@@ -2,21 +2,15 @@ import pytest
 
 from paramax.frontend import (
     Assign,
-    AssignStmt,
     Assume,
-    AssumeStmt,
     Comparison,
     Entry,
     Exit,
     GuardFilter,
-    IfStmt,
-    InputStmt,
     ParseError,
     Rel,
     Skip,
-    WhileStmt,
     dump_cfg,
-    parse,
     parse_cfg,
     restrict,
 )
@@ -27,57 +21,70 @@ EXAMPLE1 = "x := input(); assume a: x > 0; x := 5; assume b: x = 0;"
 
 
 def test_parse_fig1_nesting():
-    prog = parse(corpus_source("fig1.pwl"))
-    assert isinstance(prog.statements[0], InputStmt)
-    branch = prog.statements[1]
-    assert isinstance(branch, IfStmt)
-    assert isinstance(branch.then_body[0], WhileStmt)
-    assert isinstance(branch.else_body[0], AssignStmt)
+    cfg = parse_cfg(corpus_source("fig1.pwl"))
+    kinds = [(type(n.op).__name__, n.loop_head) for n in cfg.nodes]
+    assert kinds == [
+        ("Entry", False),
+        ("Input", False),
+        ("GuardFilter", False),  # if taken
+        ("GuardFilter", False),  # if declined
+        ("Skip", True),  # the while head, first in the then-branch
+        ("GuardFilter", False),  # loop body
+        ("GuardFilter", False),  # loop exit
+        ("Assign", False),  # x := x + 2
+        ("Assign", False),  # x := 0, the else-branch
+        ("Exit", False),
+    ]
+    assert cfg.edges == frozenset({
+        (0, 1), (1, 2), (1, 3), (2, 4), (4, 5), (4, 6), (5, 7), (7, 4), (3, 8), (6, 9), (8, 9),
+    })
 
 
 def test_parse_example1_labels_and_desugaring():
-    prog = parse(EXAMPLE1)
-    assumes = [s for s in prog.statements if isinstance(s, AssumeStmt)]
-    assert [s.label for s in assumes] == ["a", "b"]
+    cfg = parse_cfg(EXAMPLE1)
+    assert [a.label for a in cfg.assumptions] == ["a", "b"]
+    constraints = [cfg.nodes[a.node_id].op.constraint for a in cfg.assumptions]
     # strict x > 0 becomes the bound x >= 1
-    bound = assumes[0].constraint.bounds[0]
+    bound = constraints[0].bounds[0]
     assert (bound.var, bound.op, bound.value) == ("x", Rel.GE, 1)
-    bound_b = assumes[1].constraint.bounds[0]
+    bound_b = constraints[1].bounds[0]
     assert (bound_b.var, bound_b.op, bound_b.value) == ("x", Rel.EQ, 0)
 
 
 def test_parse_empty_program():
-    assert parse("").statements == ()
-    assert parse("# just a comment\n").statements == ()
+    for source in ("", "# just a comment\n"):
+        cfg = parse_cfg(source)
+        assert [type(n.op) for n in cfg.nodes] == [Entry, Exit]
+        assert cfg.edges == frozenset({(0, 1)}) and cfg.assumptions == cfg.variables == ()
 
 
 def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err:
-        parse("x := ;")
+        parse_cfg("x := ;")
     assert err.value.line == 1 and err.value.col > 1
 
     with pytest.raises(ParseError, match="duplicate assume label"):
-        parse("x := 0; assume a: x >= 0; assume a: x >= 1;")
+        parse_cfg("x := 0; assume a: x >= 0; assume a: x >= 1;")
 
     with pytest.raises(ParseError, match="non-linear"):
-        parse("x := x * y;")
+        parse_cfg("x := x * y;")
 
 
 def test_parse_rejects_disjunctive_assumptions():
     with pytest.raises(ParseError):
-        parse("x := 0; assume a: x >= 1 || x <= -1;")
+        parse_cfg("x := 0; assume a: x >= 1 || x <= -1;")
 
 
 def test_parse_rejects_relational_assumptions():
     with pytest.raises(ParseError, match="one variable"):
-        parse("y := 0; x := 0; assume a: x <= y;")
+        parse_cfg("y := 0; x := 0; assume a: x <= y;")
 
 
 def test_assert_allows_variable_comparisons_but_not_ne():
-    prog = parse("x := 0; y := 1; assert x <= y || x = 0;")
-    assert prog.statements[-1]
+    cfg = parse_cfg("x := 0; y := 1; assert x <= y || x = 0;")
+    assert cfg.assert_nodes() == (cfg.nodes[-2],)
     with pytest.raises(ParseError):
-        parse("x := 0; assert x != 0;")
+        parse_cfg("x := 0; assert x != 0;")
 
 
 def test_build_cfg_example1_layout(example1_cfg):
@@ -174,6 +181,30 @@ def test_dump_cfg_golden(example1_cfg):
         "id=3 kind=assign(x := 5) succs=[4]\n"
         "id=4 kind=assume(b: x = 0) succs=[5]\n"
         "id=5 kind=exit succs=[]\n"
+    )
+
+
+def test_dump_cfg_if_without_else_in_a_while_in_an_if_else():
+    cfg = parse_cfg(
+        "x := input(); if (x > 0) { while (x <= 10) { if (x = 5) { x := x + 1; } x := x + 2; } }"
+        " else { x := 0; } assert x >= 0;"
+    )
+    # the declined guard of the inner if (node 8) falls through to x := x + 2
+    assert dump_cfg(cfg) == (
+        "id=0 kind=entry succs=[1]\n"
+        "id=1 kind=input(x) succs=[2,3]\n"
+        "id=2 kind=guard(x >= 1) succs=[4]\n"
+        "id=3 kind=guard(x <= 0) succs=[11]\n"
+        "id=4 kind=skip succs=[5,6]\n"
+        "id=5 kind=guard(x <= 10) succs=[7,8]\n"
+        "id=6 kind=guard(x >= 11) succs=[12]\n"
+        "id=7 kind=guard(x = 5) succs=[9]\n"
+        "id=8 kind=guard(x != 5) succs=[10]\n"
+        "id=9 kind=assign(x := x + 1) succs=[10]\n"
+        "id=10 kind=assign(x := x + 2) succs=[4]\n"
+        "id=11 kind=assign(x := 0) succs=[12]\n"
+        "id=12 kind=assert(x >= 0) succs=[13]\n"
+        "id=13 kind=exit succs=[]\n"
     )
 
 

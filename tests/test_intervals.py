@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 from paramax.frontend import (
     AtomicConstraint,
     Bound,
+    CfgNode,
     Comparison,
+    GuardFilter,
     Rel,
     parse_cfg,
 )
@@ -166,6 +168,27 @@ def test_transfer_guard_variable_pair():
     )
     out2 = transfer(strict, env(x=(0, 10), y=(-5, 3)))
     assert out2 == env(x=(0, 10), y=(-5, 3)).meet(env(x=(-4, 10), y=(-5, 9)))
+
+
+# whether each operator holds for lhs 2, 3 and 4 against 3
+HOLDS = {
+    Rel.LE: (True, True, False),
+    Rel.LT: (True, False, False),
+    Rel.GE: (False, True, True),
+    Rel.GT: (False, False, True),
+    Rel.EQ: (False, True, False),
+    Rel.NE: (True, False, True),
+}
+
+
+@pytest.mark.parametrize("rel", list(Rel))
+def test_constant_guards_and_bounds_apply_their_operator(rel):
+    state = env(x=(-5, 5))
+    for lhs, holds in zip((2, 3, 4), HOLDS[rel]):
+        guard = CfgNode(1, GuardFilter(Comparison(lhs, rel, 3)))
+        assert transfer(guard, state) == (state if holds else BOTTOM)
+        if rel in (Rel.LE, Rel.GE, Rel.EQ):  # the operators a bound may carry
+            assert Bound("x", rel, 3).holds(lhs) is holds
 
 
 def test_transfer_rejects_assume_nodes():

@@ -4,7 +4,7 @@ import pytest
 
 from paramax.conditions import WIDTH_CAP, And, Atom, FALSE, Not, TRUE, render_mask, truth_table
 from paramax.engine import analyze_param
-from paramax.frontend import AtomicConstraint, Bound, Rel, parse_cfg
+from paramax.frontend import AssumptionId, AtomicConstraint, Bound, Rel, parse_cfg
 from paramax.intervals import BOTTOM, AssumeState, NEG_INF, POS_INF
 from paramax.param import (
     ParamState,
@@ -68,6 +68,21 @@ def test_state_lookup_detects_broken_partition():
     gappy = state_of(2, (a0, TOP1))
     with pytest.raises(PartitionError):
         gappy.state_for(0b00)
+
+
+def test_states_hash_and_print_without_hashing_atoms(monkeypatch):
+    state = state_of(2, (a0, env(x=(1, POS_INF))), (Not(a0), TOP1))
+    swapped = ParamState(state.rules, (A[1], A[0]))
+    document = state.to_json()
+
+    def refuse(self):
+        raise AssertionError("an assumption was hashed")
+
+    monkeypatch.setattr(AssumptionId, "__hash__", refuse)
+    assert hash(state) == hash(swapped)
+    assert state.to_json() == document
+    # equality still tells the atoms apart
+    assert state != swapped and state == ParamState(state.rules, A[:2])
 
 
 def test_exact_merge_step():

@@ -1,6 +1,6 @@
 """Value semantics of paramax's record classes.
 
-Every AST node, CFG op, token, configuration, result and report is a
+Every CFG op, token, configuration, result and report is a
 record: construction by position or keyword with defaults, equality by
 exact class and field tuple, the `Name(field=value, ...)` repr, and, for
 the immutable ones, a hash equal to that of the field tuple and no field
@@ -23,12 +23,9 @@ from paramax.engine import (
 from paramax.frontend import (
     AssertAnd,
     AssertOr,
-    AssertStmt,
     Assert,
     Assign,
-    AssignStmt,
     Assume,
-    AssumeStmt,
     AssumptionId,
     AtomicConstraint,
     Bound,
@@ -37,15 +34,10 @@ from paramax.frontend import (
     Entry,
     Exit,
     GuardFilter,
-    IfStmt,
     Input,
-    InputStmt,
     LinearExpr,
-    Program,
     Rel,
     Skip,
-    SkipStmt,
-    WhileStmt,
     _Token,
     parse_cfg,
 )
@@ -68,14 +60,6 @@ FROZEN = [
     (AtomicConstraint, ("bounds",), ((Bound("x", Rel.GE, 0),),)),
     (AssertAnd, ("parts",), ((CMP, CMP),)),
     (AssertOr, ("parts",), ((CMP, CMP),)),
-    (AssignStmt, ("var", "expr"), ("x", EXPR)),
-    (InputStmt, ("var", "input_range"), ("x", (0, 3))),
-    (IfStmt, ("cond", "then_body", "else_body"), (CMP, (SkipStmt(),), ())),
-    (WhileStmt, ("cond", "body"), (CMP, (SkipStmt(),))),
-    (AssumeStmt, ("label", "constraint"), ("a", CONSTRAINT)),
-    (AssertStmt, ("test",), (CMP,)),
-    (SkipStmt, (), ()),
-    (Program, ("statements",), ((SkipStmt(),),)),
     (_Token, ("kind", "text", "line", "col"), ("name", "x", 1, 4)),
     (AssumptionId, ("index", "label", "node_id"), (0, "a", 2)),
     (Entry, (), ()),
@@ -200,10 +184,10 @@ def test_bad_arguments_raise_type_error(case):
 
 def test_records_of_different_classes_with_equal_fields_differ():
     assert Entry() != Exit() and Entry() != Skip()
-    assert Skip() != SkipStmt()
+    assert Skip() != Exit()
     assert AssertAnd((CMP,)) != AssertOr((CMP,))
-    assert Input("x") != InputStmt("x")
-    assert Assign("x", EXPR) != AssignStmt("x", EXPR)
+    assert GuardFilter(CMP) != Assert(CMP)
+    assert Input("x", EXPR) != Assign("x", EXPR)
     assert Entry() == Entry() and hash(Entry()) == hash(())
 
 
@@ -211,7 +195,7 @@ def test_repr_text():
     assert repr(Interval(1, POS_INF)) == "Interval(lo=1, hi=inf)"
     assert repr(Entry()) == "Entry()"
     assert repr(CfgNode(0, Entry())) == "CfgNode(id=0, op=Entry(), loop_head=False)"
-    assert repr(InputStmt("x")) == "InputStmt(var='x', input_range=None)"
+    assert repr(Input("x")) == "Input(var='x', input_range=None)"
     assert repr(Comparison("x", Rel.LE, 3)) == "Comparison(lhs='x', op=<Rel.LE: '<='>, rhs=3)"
     assert repr(_Token("eof", "", 2, 1)) == "_Token(kind='eof', text='', line=2, col=1)"
     assert repr(AnalysisConfig()) == (
@@ -226,7 +210,7 @@ def test_defaults_and_keyword_construction():
     assert (config.merge_budget, config.condition_width_cap) == (None, WIDTH_CAP)
     assert AnalysisConfig() == AnalysisConfig(1000, None, None, WIDTH_CAP) != config
     assert Input("x").input_range is None and Input("x") == Input("x", None)
-    assert InputStmt(var="x") == InputStmt("x", None)
+    assert Input(var="x") == Input("x", None)
     assert CfgNode(0, Entry()).loop_head is False
     assert CfgNode(0, Entry()) == CfgNode(op=Entry(), id=0, loop_head=False)
     assert AssumeState(()).is_empty is False
