@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from . import consistency as consistency_mod
 from . import synthesis as synthesis_mod
-from .conditions import format_subset, render_mask
+from .conditions import format_subset, members, render_mask
 from .engine import (
     AnalysisConfig,
     ParamAnalysisResult,
@@ -27,6 +27,7 @@ from .engine import (
     verify_soundness,
 )
 from .frontend import Cfg, ParseError, dump_cfg, parse_cfg
+from .param import ParamState
 
 WIDTH_CAP_ENV = "PARAMAX_WIDTH_CAP"
 
@@ -152,25 +153,14 @@ def _load(path: str) -> tuple[str, Cfg]:
     return os.path.basename(path), parse_cfg(source)
 
 
-def analysis_document(
-    name: str, cfg: Cfg, result: ParamAnalysisResult, memo: dict | None = None
-) -> dict:
-    """The JSON document of an analysis.
-
-    Equal rules, states and intervals share one object, built once: `memo`
-    is a fresh dict unless the caller passes the one it uses for the rest
-    of the same document (see `ParamState.to_json`).
-    """
-    memo = {} if memo is None else memo
+def analysis_document(name: str, cfg: Cfg, result: ParamAnalysisResult) -> dict:
+    """The JSON document of an analysis, each node's `ParamState` itself under
+    "rules": `dump` writes it as its rule table (`ParamState.to_json`)."""
     return {
         "program": name,
         "assumptions": [a.label for a in cfg.assumptions],
         "nodes": [
-            {
-                "id": node.id,
-                "kind": node.render(),
-                "rules": result.states[node.id].to_json(memo),
-            }
+            {"id": node.id, "kind": node.render(), "rules": result.states[node.id]}
             for node in cfg.nodes
         ],
         "meta": {
@@ -199,25 +189,69 @@ def _render_analysis_text(name: str, cfg: Cfg, result: ParamAnalysisResult) -> s
 _quote = json.encoder.encode_basestring_ascii  # raises TypeError on a non-str
 
 
-def dump(value, write: Callable[[str], object], memo: dict | None = None) -> None:
-    """Write `json.dumps(value, indent=2)`, byte for byte, through `write`: the
-    outer three levels (a document, its nodes, each node) item by item, so the
-    whole is never joined, and each deeper container with one `str.join` (the
-    stdlib's `indent` path yields a chunk per token). The text of a container
-    that `memo` holds as a value, such as a rule that several nodes share, is
-    kept per indentation (`live` holds them, so their ids stay unique); no
-    other text is. Tuples encode as lists; non-`str` keys and other types
-    raise TypeError."""
-    live = {id(v): v for v in (memo or {}).values() if isinstance(v, (dict, list, tuple))}
-    done: dict[tuple[int, str], str] = {}
+def _block(brackets, items: list[str], newline: str) -> str:
+    """The text of a container in `json.dumps(..., indent=2)` from its items'
+    texts, where `newline` (line break and indentation) closes it and
+    `brackets` holds its opening and closing text."""
+    if not items:
+        return brackets[0] + brackets[1]
+    inner = newline + "  "
+    # brackets go onto the end items, so one join copies the container's text
+    items[0] = brackets[0] + inner + items[0]
+    items[-1] += newline + brackets[1]
+    return ("," + inner).join(items)
+
+
+def _table_writer(write: Callable[[str], object], names: dict[int, str], newline: str):
+    """A function that writes a `ParamState` as `dump` writes its `to_json()`
+    where `newline` closes it: one `write` per rule, and the text of each
+    distinct rule, mask, state and interval made once for all the tables (a
+    rule's text opens with the "," that parts it from a previous rule)."""
+    rule_in, key_in, item_in = (newline + "  " * depth for depth in (1, 2, 3))
+    rules, masks, states, intervals = {}, {}, {}, {}
+
+    def interval(iv) -> str:
+        if (text := intervals.get(iv)) is None:
+            text = intervals[iv] = _block("[]", [json.dumps(x) for x in iv.to_json()], item_in)
+        return text
+
+    def rule_text(rule, atoms) -> str:
+        if (head := masks.get(rule.mask)) is None:
+            condition = _quote(render_mask(rule.mask, atoms, names))
+            sets = _block("[]", list(map(str, members(rule.mask))), key_in)
+            head = masks[rule.mask] = f'"condition": {condition},{key_in}"condition_sets": {sets}'
+        if (state := states.get(env := rule.state)) is None:
+            state = states[env] = '"bottom"' if env.is_bottom else _block(
+                "{}", [_quote(v) + ": " + interval(iv) for v, iv in env.items()], key_in
+            )
+        opening = "," + rule_in + "{"
+        rules[rule] = text = _block((opening, "}"), [head, '"state": ' + state], rule_in)
+        return text
+
+    def table(state: ParamState) -> None:
+        for k, rule in enumerate(state.rules):
+            text = rules.get(rule) or rule_text(rule, state.atoms)
+            write(text if k else "[" + text[1:])
+        write(newline + "]" if state.rules else "[]")
+
+    return table
+
+
+def dump(value, write: Callable[[str], object], names: dict[int, str] | None = None) -> None:
+    """Write `json.dumps(value, indent=2)`, byte for byte, through `write`, with
+    each `ParamState` as its `to_json()`: the outer three levels (a document,
+    its nodes, each node) item by item, a `ParamState` among their items rule
+    by rule (`_table_writer`), each other deeper container with one `str.join`.
+    `names` (see `render_mask`) serves every table and may come filled from the
+    rest of the document. Tuples encode as lists; non-`str` keys and other
+    types raise TypeError."""
+    names = {} if names is None else names
+    tables: dict[str, Callable[[ParamState], None]] = {}  # one writer per indentation
 
     def encode(value, newline: str) -> str:
         # `newline` is the line break and indentation that close the value
         if isinstance(value, str):
             return _quote(value)
-        key = (id(value), newline) if id(value) in live else None
-        if key in done:
-            return done[key]
         inner = newline + "  "
         if isinstance(value, dict):
             brackets = "{}"
@@ -232,17 +266,14 @@ def dump(value, write: Callable[[str], object], memo: dict | None = None) -> Non
             return json.dumps(value)
         else:
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        if not items:
-            return brackets
-        # brackets go onto the end items, so one join copies the container's text
-        items[0] = brackets[0] + inner + items[0]
-        items[-1] += newline + brackets[1]
-        text = ("," + inner).join(items)
-        if key:
-            done[key] = text
-        return text
+        return _block(brackets, items, newline)
 
     def stream(value, newline: str, depth: int) -> None:
+        if isinstance(value, ParamState):
+            if (table := tables.get(newline)) is None:
+                table = tables[newline] = _table_writer(write, names, newline)
+            table(value)
+            return
         if depth == 0 or not isinstance(value, (dict, list, tuple)) or not value:
             write(int.__repr__(value) if type(value) is int else encode(value, newline))
             return
@@ -256,18 +287,18 @@ def dump(value, write: Callable[[str], object], memo: dict | None = None) -> Non
     stream(value, "\n", 3)
 
 
-def dumps(value, memo: dict | None = None) -> str:
+def dumps(value) -> str:
     """The text that `dump` writes, joined."""
     pieces: list[str] = []
-    dump(value, pieces.append, memo)
+    dump(value, pieces.append)
     return "".join(pieces)
 
 
-def _emit(args: SimpleNamespace, document: Callable, text: Callable) -> None:
-    """Print `text()`, or with --format json dump `document(memo)`: only one is built."""
+def _emit(args: SimpleNamespace, document: Callable, text: Callable, names=None) -> None:
+    """Print `text()`, or with --format json dump `document()`, whose rule
+    tables read and fill `names`: only one is built."""
     if args.format == "json":
-        memo: dict = {}
-        dump(document(memo), sys.stdout.write, memo)
+        dump(document(), sys.stdout.write, names)
         sys.stdout.write("\n")
     else:
         print(text(), end="")
@@ -278,7 +309,7 @@ def _cmd_analyze(args: SimpleNamespace) -> int:
     result = analyze_param(cfg, _make_config(args))
     _emit(
         args,
-        lambda memo: analysis_document(name, cfg, result, memo),
+        lambda: analysis_document(name, cfg, result),
         lambda: _render_analysis_text(name, cfg, result),
     )
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
@@ -304,10 +335,11 @@ def _cmd_synthesize(args: SimpleNamespace) -> int:
             cfg, outcome, config, limit=args.verify_solutions, program_name=name
         )
 
+    names: dict[int, str] = {}  # each rule mask rendered once, in the text or the document
+
     def text() -> str:
-        memo: dict = {}  # each rule mask rendered once
         lines = [f"program: {name}", f"verdict: {outcome.verdict.value}"]
-        lines.append(f"condition: {render_mask(outcome.condition, cfg.assumptions, memo)}")
+        lines.append(f"condition: {render_mask(outcome.condition, cfg.assumptions, names)}")
         if solved:
             if not outcome.truncated and len(outcome.solutions) == 1 << outcome.width:
                 lines.append("solutions: all subsets")
@@ -322,17 +354,17 @@ def _cmd_synthesize(args: SimpleNamespace) -> int:
         for node_id, rows in outcome.per_assertion.items():
             lines.append(f"assertion at node {node_id}:")
             for mask, verdict in rows:
-                lines.append(f"  {render_mask(mask, cfg.assumptions, memo)} -> {verdict.value}")
+                lines.append(f"  {render_mask(mask, cfg.assumptions, names)} -> {verdict.value}")
         return "\n".join(lines) + "\n"
 
-    def document(memo: dict) -> dict:
-        out = analysis_document(name, cfg, result, memo)
-        out["synthesis"] = outcome.to_json(memo)
+    def document() -> dict:
+        out = analysis_document(name, cfg, result)
+        out["synthesis"] = outcome.to_json(names)
         if report is not None:
             out["oracle_reports"] = [report.to_json()]
         return out
 
-    _emit(args, document, text)
+    _emit(args, document, text, names)
     if solved:
         return EXIT_OK
     if outcome.verdict is synthesis_mod.SynthesisVerdict.UNKNOWN:
@@ -369,7 +401,7 @@ def _cmd_consistency(args: SimpleNamespace) -> int:
 
     _emit(
         args,
-        lambda memo: {**analysis_document(name, cfg, result, memo), "consistency": report.to_json()},
+        lambda: {**analysis_document(name, cfg, result), "consistency": report.to_json()},
         text,
     )
     return EXIT_OK
@@ -417,8 +449,8 @@ def _cmd_check_oracle(args: SimpleNamespace) -> int:
 
     _emit(
         args,
-        lambda memo: {
-            **analysis_document(name, cfg, result, memo),
+        lambda: {
+            **analysis_document(name, cfg, result),
             "oracle_reports": [r.to_json() for r in reports],
         },
         text,

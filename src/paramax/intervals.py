@@ -261,12 +261,11 @@ class IntervalEnv:
     def __repr__(self) -> str:
         return f"IntervalEnv({self.render()})"
 
-    def to_json(self, memo: dict | None = None):
-        """"bottom", or [lo, hi] per variable, one list per distinct interval in `memo`."""
+    def to_json(self):
+        """"bottom", or [lo, hi] per variable."""
         if self._bindings is None:
             return "bottom"
-        memo = {} if memo is None else memo
-        return {v: memo.get(iv) or memo.setdefault(iv, iv.to_json()) for v, iv in self._bindings}
+        return {v: iv.to_json() for v, iv in self._bindings}
 
 
 BOTTOM = IntervalEnv(None)

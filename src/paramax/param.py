@@ -13,7 +13,9 @@ fewer rules, guided by a loss score.
 
 from __future__ import annotations
 
+import heapq
 import operator
+from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
 from .conditions import atom_mask, full_mask, members, render_mask
@@ -112,22 +114,13 @@ class ParamState:
                 self.state_for(accepted)
         return [(rule.mask, rule.state) for rule in self.rules if rule.mask]
 
-    def to_json(self, memo: dict | None = None) -> list[dict]:
-        """The rules as JSON objects; equal rule lists, rules, states and intervals
-        share one object. `memo` spans one document (a fresh one if None): each
-        mask to its rendered condition (the `names` of `render_mask`),
-        `("sets", mask)` to its subset list, each value to its object."""
-        memo = {} if memo is None else memo
-        rules = (memo.get(r) or self._rule_json(r, memo) for r in self.rules)
-        return memo.get(self) or memo.setdefault(self, list(rules))
-
-    def _rule_json(self, rule: Rule, memo: dict) -> dict:
-        sets, state = ("sets", rule.mask), rule.state
-        return memo.setdefault(rule, {
-            "condition": render_mask(rule.mask, self.atoms, memo),
-            "condition_sets": memo.get(sets) or memo.setdefault(sets, members(rule.mask)),
-            "state": memo.get(state) or memo.setdefault(state, state.to_json(memo)),
-        })
+    def to_json(self) -> list[dict]:
+        """The rules as JSON objects; `cli.dump` writes their text without them."""
+        return [
+            {"condition": render_mask(r.mask, self.atoms), "condition_sets": members(r.mask),
+             "state": r.state.to_json()}
+            for r in self.rules
+        ]
 
 
 def normalize(state: ParamState) -> ParamState:
@@ -252,20 +245,44 @@ def reduce_to_budget(state: ParamState, budget: int) -> ParamState:
     """Greedily merge minimum-loss rule pairs until at most `budget` rules.
 
     Ties break toward the lowest index pair; the state is re-normalized
-    after every merge.
-    """
+    after every merge. Each pair's loss is computed once and kept in a heap
+    under the rules' lowest subsets (their order in normal form) until one of
+    them is merged away or takes a new state."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    while len(state.rules) > budget:
-        best: tuple[tuple[int, int], tuple[int, int]] | None = None
-        for i in range(len(state.rules)):
-            for j in range(i + 1, len(state.rules)):
-                loss = merge_loss(state.rules[i].state, state.rules[j].state)
-                if best is None or (loss, (i, j)) < best:
-                    best = (loss, (i, j))
-        assert best is not None
-        state = normalize(approx_merge(state, *best[1]))
-    return state
+    if len(state.rules) > budget and normalize(state) is not state:
+        # the first merge picks among the rules as given; every later state is normal
+        pairs = combinations(enumerate(state.rules), 2)
+        losses = {(i, j): merge_loss(x.state, y.state) for (i, x), (j, y) in pairs}
+        state = normalize(approx_merge(state, *min(losses, key=lambda p: (losses[p], p))))
+    if len(state.rules) <= budget:
+        return state
+    rules = {(rule.mask & -rule.mask).bit_length(): rule for rule in state.rules}
+    low_of = {rule.state: low for low, rule in rules.items()}
+    stamps = dict.fromkeys(rules, 0)  # per lowest subset, bumped when its state changes
+
+    def entry(a: int, b: int) -> tuple:
+        return merge_loss(rules[a].state, rules[b].state), a, b, stamps[a], stamps[b]
+
+    heap = [entry(a, b) for a, b in combinations(rules, 2)]
+    heapq.heapify(heap)
+    while len(rules) > budget:
+        _, a, b, stamp_a, stamp_b = heapq.heappop(heap)
+        if stamps.get(a) != stamp_a or stamps.get(b) != stamp_b:
+            continue
+        first, second = rules.pop(a), rules.pop(b)
+        del stamps[b], low_of[first.state], low_of[second.state]
+        mask, joined, low = first.mask | second.mask, first.state.join(second.state), a
+        if (twin := low_of.pop(joined, None)) is not None:  # normalize fuses equal states
+            mask |= rules.pop(twin).mask
+            low = min(a, twin)
+            del stamps[max(a, twin)]
+        rules[low], low_of[joined] = Rule(mask, joined), low
+        if low == a and joined != first.state:
+            stamps[a] += 1
+            for other in rules.keys() - {a}:
+                heapq.heappush(heap, entry(min(a, other), max(a, other)))
+    return ParamState(tuple(rules[low] for low in sorted(rules)), state.atoms)
 
 
 def lift_transfer(state: ParamState, fn: Callable[[IntervalEnv], IntervalEnv]) -> ParamState:

@@ -19,7 +19,7 @@ from paramax.engine import (
 )
 from paramax.frontend import AssumptionId, parse_cfg, restrict
 from paramax.intervals import BOTTOM, Interval, IntervalEnv, NEG_INF, POS_INF, gamma_contains
-from paramax.param import ParamState, Rule
+from paramax.param import ParamState, Rule, approx_merge, merge_loss, normalize
 
 settings.register_profile("suite", deadline=None, max_examples=75)
 settings.load_profile("suite")
@@ -188,6 +188,24 @@ def redundancy_elim_step(state: ParamState, index: int | None = None) -> ParamSt
         raise ValueError(f"rule {index} has a nonempty mask")
     rules = tuple(r for k, r in enumerate(state.rules) if k != index)
     return ParamState(rules, state.atoms)
+
+
+def reference_reduce_to_budget(state: ParamState, budget: int) -> ParamState:
+    """The spec of `reduce_to_budget`: rescan every rule pair after each merge,
+    merge the least-loss pair (the lowest index pair among equal losses), and
+    re-normalize."""
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    while len(state.rules) > budget:
+        best: tuple[tuple[int, int], tuple[int, int]] | None = None
+        for i in range(len(state.rules)):
+            for j in range(i + 1, len(state.rules)):
+                loss = merge_loss(state.rules[i].state, state.rules[j].state)
+                if best is None or (loss, (i, j)) < best:
+                    best = (loss, (i, j))
+        assert best is not None
+        state = normalize(approx_merge(state, *best[1]))
+    return state
 
 
 def reference_equivalence(

@@ -29,8 +29,9 @@ from paramax.cli import (
 from paramax.conditions import WIDTH_CAP
 from paramax.consistency import ConsistencyReport
 from paramax.engine import AnalysisConfig, OracleReport, analyze_param
-from paramax.frontend import MAX_NESTING, parse_cfg
-from paramax.param import ParamState
+from paramax.frontend import MAX_NESTING, AssumptionId, parse_cfg
+from paramax.intervals import BOTTOM, NEG_INF, POS_INF, Interval, IntervalEnv
+from paramax.param import ParamState, Rule
 from paramax.synthesis import SynthesisOutcome
 
 from conftest import CORPUS, CORPUS_DIR
@@ -491,6 +492,29 @@ def test_json_output_beyond_the_corpus_matches_the_stdlib(tmp_path, capsys):
     assert out == json.dumps(doc, indent=2) + "\n"
 
 
+@pytest.mark.parametrize(
+    "flags, config",
+    [
+        ((), AnalysisConfig()),
+        (("--max-rules", "2"), AnalysisConfig(merge_budget=2)),
+        (("--widen", "1"), AnalysisConfig(widening_delay=1)),
+    ],
+)
+def test_streamed_rule_tables_equal_the_plain_form(tmp_path, capsys, flags, config):
+    independent = tmp_path / "independent8.pwl"
+    independent.write_text(_independent_program(8))
+    for path in [*(CORPUS_DIR / entry.name for entry in CORPUS), independent]:
+        result = analyze_param(parse_cfg(path.read_text()), config)
+        for command in ("analyze", "synthesize"):
+            _, out, _ = run(capsys, command, str(path), "--format", "json", *flags)
+            if not out:  # synthesize prints no document if the analysis did not converge
+                continue
+            nodes = json.loads(out)["nodes"]
+            assert len(nodes) == len(result.states), (path.name, command)
+            for node, state in zip(nodes, result.states):
+                assert node["rules"] == state.to_json(), (path.name, command, node["id"])
+
+
 def _independent_program(n: int) -> str:
     return (
         "".join(f"x{i} := input();\nassume a{i}: x{i} >= 0;\n" for i in range(n))
@@ -498,30 +522,52 @@ def _independent_program(n: int) -> str:
     )
 
 
-def test_document_builds_each_distinct_rule_and_state_once():
+def _plain(value):
+    """`value` with each `ParamState` replaced by its `to_json()`."""
+    if isinstance(value, ParamState):
+        return value.to_json()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def test_writer_renders_each_distinct_mask_and_state_once(monkeypatch):
     cfg = parse_cfg(_independent_program(7))
     result = analyze_param(cfg, AnalysisConfig())
     doc = cli.analysis_document("independent7", cfg, result)
-    rules = [rule for node in cfg.nodes for rule in result.states[node.id].rules]
-    objects = [obj for node in doc["nodes"] for obj in node["rules"]]
-    assert len(objects) == len(rules)
-    # one object per distinct (mask, state), and the same one wherever it recurs
-    by_rule = {}
-    for rule, obj in zip(rules, objects):
-        assert by_rule.setdefault(rule, obj) is obj
-    assert len({id(obj) for obj in objects}) == len(by_rule) == len(set(rules)) < len(rules)
-    by_state = {}
-    for rule, obj in zip(rules, objects):
-        assert by_state.setdefault(rule.state, obj["state"]) is obj["state"]
-    states = {rule.state for rule in rules}
-    assert len({id(obj["state"]) for obj in objects}) == len(by_state) == len(states) == 128
-    # a library call without a memo builds fresh objects that are equal
-    for node, listed in zip(cfg.nodes, doc["nodes"]):
-        fresh, again = result.states[node.id].to_json(), result.states[node.id].to_json()
-        assert fresh == again == listed["rules"]
-        for other in (again, listed["rules"]):
-            assert all(a is not b for a, b in zip(fresh, other))
-            assert all(a["state"] is not b["state"] for a, b in zip(fresh, other))
+    assert [node["rules"] for node in doc["nodes"]] == result.states
+    assert all(node["rules"] is result.states[node["id"]] for node in doc["nodes"])
+    expected = json.dumps(_plain(doc), indent=2)
+    rules = [rule for state in result.states for rule in state.rules]
+    masks = {rule.mask for rule in rules}
+    states = {rule.state for rule in rules if not rule.state.is_bottom}
+    intervals = {iv for state in states for _, iv in state.items()}
+    calls: dict[str, list] = {"render_mask": [], "members": [], "items": [], "to_json": []}
+
+    def counting(name, fn):
+        def counted(first, *rest):
+            calls[name].append(first)
+            return fn(first, *rest)
+
+        return counted
+
+    monkeypatch.setattr(cli, "render_mask", counting("render_mask", cli.render_mask))
+    monkeypatch.setattr(cli, "members", counting("members", cli.members))
+    monkeypatch.setattr(IntervalEnv, "items", counting("items", IntervalEnv.items))
+    monkeypatch.setattr(Interval, "to_json", counting("to_json", Interval.to_json))
+    pieces: list[str] = []
+    dump(doc, pieces.append)
+    assert "".join(pieces) == expected
+    # every table is written rule by rule: one piece per rule, and a few per node
+    assert len(rules) < len(pieces) < len(rules) + 20 * len(cfg.nodes)
+    # one text per distinct mask, state and interval, however many rules share it
+    assert len(masks) < len(rules)
+    assert calls["members"] == calls["render_mask"]
+    assert sorted(calls["render_mask"]) == sorted(masks)
+    assert len(calls["items"]) == len(set(calls["items"])) == len(states) == 128
+    assert len(calls["to_json"]) == len(set(calls["to_json"])) == len(intervals)
 
 
 def test_unchanged_nodes_share_their_predecessors_state_and_rules():
@@ -540,7 +586,7 @@ def test_unchanged_nodes_share_their_predecessors_state_and_rules():
     assert len({id(state) for state in result.states}) == 8  # entry and the 7 assumes
 
 
-def test_json_output_peak_memory_stays_below_three_times_its_size(tmp_path):
+def test_json_output_peak_memory_stays_below_one_and_a_half_times_its_size(tmp_path):
     path = tmp_path / "independent8.pwl"
     path.write_text(_independent_program(8))
     out = io.StringIO()
@@ -554,7 +600,7 @@ def test_json_output_peak_memory_stays_below_three_times_its_size(tmp_path):
     assert code == EXIT_OK
     size = len(out.getvalue())
     assert size > 1_000_000
-    assert peak < 3 * size, (peak, size)
+    assert peak < 1.5 * size, (peak, size)
 
 
 # escapes, control characters, non-ASCII text and a lone surrogate
@@ -602,18 +648,56 @@ def _shared_json_values(draw):
 
 
 @given(_shared_json_values())
-def test_dumps_with_every_container_cached_matches_the_stdlib(value):
-    # the list holds every container of the pool, so all of them are cached
-    assert dumps(value, dict(enumerate(value))) == json.dumps(value, indent=2)
-
-
-@given(_shared_json_values(), st.booleans())
-def test_dump_writes_pieces_that_join_to_the_stdlib_text(value, cached):
+def test_dump_writes_pieces_that_join_to_the_stdlib_text(value):
     pieces = []
-    dump(value, pieces.append, dict(enumerate(value)) if cached else None)
+    dump(value, pieces.append)
     assert "".join(pieces).encode() == json.dumps(value, indent=2).encode()
     assert all(type(piece) is str for piece in pieces)
     assert len(pieces) >= 2 + len(value)  # the list is written item by item
+
+
+@st.composite
+def _shared_rule_states(draw):
+    """A document-like list that holds the same `ParamState`s, and equal rules,
+    masks, states and intervals, at several positions and depths within the
+    outer three levels; all the states range over one tuple of atoms."""
+    width = draw(st.integers(0, 3))
+    atoms = tuple(AssumptionId(i, f"a{i}", i) for i in range(width))
+    variables = draw(st.sampled_from([(), ("x",), ("x", "y")]))
+    lows, highs = st.integers(-3, 3) | st.just(NEG_INF), st.integers(-3, 3) | st.just(POS_INF)
+
+    def interval():
+        lo, hi = draw(lows), draw(highs)
+        return Interval(min(lo, hi), max(lo, hi))
+
+    envs = [BOTTOM]
+    for _ in range(draw(st.integers(1, 3))):
+        bounds = {v: interval() for v in variables}
+        envs += [IntervalEnv.of(bounds), IntervalEnv.of(dict(bounds))]  # equal, not the same
+    masks = st.integers(0, (1 << (1 << width)) - 1)
+    rules = [Rule(draw(masks), draw(st.sampled_from(envs))) for _ in range(draw(st.integers(1, 5)))]
+    pool = [
+        ParamState(tuple(draw(st.lists(st.sampled_from(rules), max_size=4))), atoms)
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    states = st.sampled_from(pool)
+    items = (
+        states
+        | st.builds(lambda k, s: {"id": k, "rules": s}, st.integers(0, 9), states)
+        | st.lists(states, max_size=2)
+        | st.builds(lambda s: {"node": {"rules": s}}, states)
+        | _SCALARS
+    )
+    return draw(st.lists(items, max_size=5))
+
+
+@given(_shared_rule_states())
+def test_dump_matches_the_stdlib_on_shared_rule_states(value):
+    pieces = []
+    dump(value, pieces.append)
+    assert "".join(pieces).encode() == json.dumps(_plain(value), indent=2).encode()
+    assert all(type(piece) is str for piece in pieces)
+    assert dumps(value) == "".join(pieces)
 
 
 @given(_shared_json_values())

@@ -16,8 +16,8 @@ from paramax.engine import (
     verify_soundness,
 )
 from paramax.frontend import Assume, parse_cfg, restrict
-from paramax.intervals import BOTTOM, NEG_INF, POS_INF, Interval
-from paramax.param import ParamState, PartitionError, Rule, leq_param
+from paramax.intervals import BOTTOM, NEG_INF, POS_INF, Interval, transfer
+from paramax.param import ParamState, PartitionError, Rule, leq_param, normalize
 
 from conftest import (
     CORPUS,
@@ -198,6 +198,40 @@ def test_param_ascent():
 
 
 # --- collecting oracle ----------------------------------------------------
+
+
+def test_nodes_that_change_no_rule_make_no_transfer_calls(monkeypatch):
+    # one predecessor each: entry, exit, skip and assert keep its state, and a
+    # state that a transfer leaves as it was is not normalized again
+    cfg = parse_cfg(
+        "".join(f"x{i} := input();\nassume a{i}: x{i} >= 0;\n" for i in range(4))
+        + "y := 0;\ny := 0;\nassert x0 >= 0;\nskip;\nassert x1 >= 0 && y <= 0;\n"
+    )
+    expected = analyze_param(cfg)
+    ops, normalized = [], []
+
+    def counting_transfer(node, env):
+        ops.append(type(node.op).__name__)
+        return transfer(node, env)
+
+    def counting_normalize(state):
+        normalized.append(state)
+        return normalize(state)
+
+    monkeypatch.setattr(engine, "transfer", counting_transfer)
+    monkeypatch.setattr(engine, "normalize", counting_normalize)
+    result = analyze_param(cfg)
+    assert result.states == expected.states
+    assert (result.iterations, result.converged) == (expected.iterations, expected.converged)
+    assert ops.count("Assign") == 2 * 16  # once per rule at each `y := 0`
+    assert not {"Entry", "Exit", "Skip", "Assert"} & set(ops)
+    kept = 0
+    for node in cfg.nodes[1:]:
+        (pred,) = cfg.predecessors(node.id)
+        kept += result.states[node.id] is result.states[pred]
+        if type(node.op).__name__ in ("Exit", "Skip", "Assert"):
+            assert result.states[node.id] is result.states[pred], node.render()
+    assert len(normalized) == len(cfg.nodes) - 1 - kept
 
 
 def test_collecting_assume_filters_everything():

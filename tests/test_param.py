@@ -3,7 +3,8 @@ import random
 import pytest
 
 from paramax.conditions import WIDTH_CAP, And, Atom, FALSE, Not, TRUE, render_mask, truth_table
-from paramax.engine import analyze_param
+from paramax import engine, param
+from paramax.engine import AnalysisConfig, analyze_param
 from paramax.frontend import AssumptionId, AtomicConstraint, Bound, Rel, parse_cfg
 from paramax.intervals import BOTTOM, AssumeState, NEG_INF, POS_INF
 from paramax.param import (
@@ -22,7 +23,9 @@ from paramax.param import (
 )
 
 from conftest import (
+    CORPUS,
     canonical_rule_key,
+    corpus_source,
     env,
     exact_merge_step,
     fake_assumptions,
@@ -30,6 +33,7 @@ from conftest import (
     param_state,
     random_param_state,
     redundancy_elim_step,
+    reference_reduce_to_budget,
 )
 
 A = fake_assumptions(4)
@@ -316,6 +320,80 @@ def test_reduce_preserves_partition_and_overapproximates():
         assert len(reduced.rules) <= budget
         assert reduced.is_partition()
         assert leq_param(state, reduced)
+
+
+def _many_rules(rng: random.Random, width: int) -> ParamState:
+    """A random partition of the 2**width subsets into up to 2**width cells,
+    some empty, in random order; the states repeat, and joins of them often
+    equal another rule's state, so merges also fuse rules."""
+    bounds = [NEG_INF, 0, 1, 2, 3, POS_INF]
+
+    def interval():
+        lo, hi = sorted(rng.sample(bounds[:-1], 2)) if rng.random() < 0.5 else (0, rng.choice(bounds[1:]))
+        return (lo, hi)
+
+    pool = [BOTTOM] + [env(x=interval(), y=interval()) for _ in range(rng.randint(1, 12))]
+    cells = rng.randint(1, 1 << width)
+    masks = [0] * cells
+    for subset in range(1 << width):
+        masks[rng.randrange(cells)] |= 1 << subset
+    rules = [Rule(mask, rng.choice(pool)) for mask in masks]
+    rng.shuffle(rules)
+    return ParamState(tuple(rules), fake_assumptions(width))
+
+
+def test_reduce_to_budget_chooses_as_the_full_rescan_does():
+    rng = random.Random(16)
+    for _ in range(400):
+        state = _many_rules(rng, rng.randint(0, 5))
+        for given in (state, normalize(state)):
+            budget = rng.randint(1, len(given.rules) + 1)
+            assert reduce_to_budget(given, budget) == reference_reduce_to_budget(given, budget), (
+                given,
+                budget,
+            )
+
+
+def test_reduce_to_budget_analyzes_the_corpus_as_the_full_rescan_does(monkeypatch):
+    runs = []
+    for entry in CORPUS:
+        cfg = parse_cfg(corpus_source(entry.name))
+        delay = entry.config.widening_delay if entry.config else None
+        for budget in range(1, 9):
+            config = AnalysisConfig(widening_delay=delay, merge_budget=budget)
+            runs.append((entry.name, budget, cfg, config, analyze_param(cfg, config)))
+    monkeypatch.setattr(engine, "reduce_to_budget", reference_reduce_to_budget)
+    for name, budget, cfg, config, got in runs:
+        expected = analyze_param(cfg, config)
+        assert got.states == expected.states, (name, budget)
+        assert (got.iterations, got.converged) == (expected.iterations, expected.converged)
+
+
+def test_reduce_to_budget_computes_each_pair_loss_once(monkeypatch):
+    """One reduction from r rules makes at most r(r-1)/2 + merges * (r-1)
+    `merge_loss` calls: every pair once, then the pairs of each merged rule."""
+    source = "".join(f"x{i} := input();\nassume a{i}: x{i} >= 0;\n" for i in range(7))
+    result = analyze_param(parse_cfg(source))
+    state = result.states[-1]
+    r = len(state.rules)
+    assert r == 128 and normalize(state) is state
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return merge_loss(a, b)
+
+    monkeypatch.setattr(param, "merge_loss", counting)
+    for budget in (1, 16, 64, 127):
+        calls.clear()
+        reduced = reduce_to_budget(state, budget)
+        assert len(reduced.rules) <= budget
+        assert len(calls) <= r * (r - 1) // 2 + (r - budget) * (r - 1), budget
+    # the full rescan makes about r(r-1)/2 calls per merge
+    calls.clear()
+    monkeypatch.setattr("conftest.merge_loss", counting)
+    reference_reduce_to_budget(state, r - 4)
+    assert len(calls) > 4 * (r - 4) * (r - 5) // 2
 
 
 def test_widen_param_cells():
