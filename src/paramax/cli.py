@@ -204,35 +204,44 @@ def _block(brackets, items: list[str], newline: str) -> str:
 
 def _table_writer(write: Callable[[str], object], names: dict[int, str], newline: str):
     """A function that writes a `ParamState` as `dump` writes its `to_json()`
-    where `newline` closes it: one `write` per rule, and the text of each
-    distinct rule, mask, state and interval made once for all the tables (a
-    rule's text opens with the "," that parts it from a previous rule)."""
+    where `newline` closes it, one `write` per rule. The rules are read off
+    the product of the state's partitions (`ParamState.expand`) with no
+    state built: a rule's text is made from the texts of its mask and of the
+    (variable, interval) of each of its cells, each made once for all the
+    tables, as is the text of each distinct rule (it opens with the ","
+    that parts it from a previous rule). A state written just before is
+    written again from its texts."""
     rule_in, key_in, item_in = (newline + "  " * depth for depth in (1, 2, 3))
-    rules, masks, states, intervals = {}, {}, {}, {}
+    opening = "," + rule_in + "{"
+    heads, bindings, rules = {}, {}, {}
+    last: list = [None, ()]  # the state written last and its rules' texts
 
-    def interval(iv) -> str:
-        if (text := intervals.get(iv)) is None:
-            text = intervals[iv] = _block("[]", [json.dumps(x) for x in iv.to_json()], item_in)
+    def binding(var: str, iv) -> str:
+        if (text := bindings.get((var, iv))) is None:
+            interval = _block("[]", [json.dumps(x) for x in iv.to_json()], item_in)
+            text = bindings[var, iv] = _quote(var) + ": " + interval
         return text
 
-    def rule_text(rule, atoms) -> str:
-        if (head := masks.get(rule.mask)) is None:
-            condition = _quote(render_mask(rule.mask, atoms, names))
-            sets = _block("[]", list(map(str, members(rule.mask))), key_in)
-            head = masks[rule.mask] = f'"condition": {condition},{key_in}"condition_sets": {sets}'
-        if (state := states.get(env := rule.state)) is None:
-            state = states[env] = '"bottom"' if env.is_bottom else _block(
-                "{}", [_quote(v) + ": " + interval(iv) for v, iv in env.items()], key_in
-            )
-        opening = "," + rule_in + "{"
-        rules[rule] = text = _block((opening, "}"), [head, '"state": ' + state], rule_in)
+    def rule_text(mask: int, texts: tuple | None, atoms) -> str:
+        if (head := heads.get(mask)) is None:
+            condition = _quote(render_mask(mask, atoms, names))
+            sets = _block("[]", list(map(str, members(mask))), key_in)
+            head = heads[mask] = f'"condition": {condition},{key_in}"condition_sets": {sets}'
+        env = '"bottom"' if texts is None else _block("{}", list(texts), key_in)
+        text = rules[mask, texts] = _block((opening, "}"), [head, '"state": ' + env], rule_in)
         return text
 
     def table(state: ParamState) -> None:
-        for k, rule in enumerate(state.rules):
-            text = rules.get(rule) or rule_text(rule, state.atoms)
-            write(text if k else "[" + text[1:])
-        write(newline + "]" if state.rules else "[]")
+        if state is not last[0]:
+            columns = [[(binding(*c), mask) for c, mask in cells] for cells in state.columns()]
+            last[:] = state, [
+                rules.get(row) or rule_text(*row, state.atoms) for row in state.expand(columns)
+            ]
+        texts = last[1]
+        write("[" + texts[0][1:])
+        for text in texts[1:]:
+            write(text)
+        write(newline + "]")
 
     return table
 

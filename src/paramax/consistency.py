@@ -2,13 +2,14 @@
 
 An assumption set is consistent when re-analyzing under it neither refutes
 any member nor admits any outside assumption. Refutation is read off the
-parameterized result: an assumption is refuted under a subset when the rule
-applying to that subset at its assume node leaves no feasible state. The
-induced operator (subset -> surviving assumptions) is anti-monotone, so its
-square is monotone; iterating the square from the empty set yields a core
-contained in every consistent set, and its image an envelope containing
-them all. The set of all fixpoints, built as one mask from the refuting
-tables, serves as the oracle.
+parameterized result: an assumption is refuted under a subset when the
+subset's state at its assume node is bottom or misses a bound, read off the
+cells of the variables the assumption bounds. The induced operator (subset
+-> surviving assumptions) is anti-monotone, so its square is monotone;
+iterating the square from the empty set yields a core contained in every
+consistent set, and its image an envelope containing them all. The set of
+all fixpoints, built as one mask from the refuting tables, serves as the
+oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from enum import Enum
 
 from .conditions import atom_mask, full_mask, members
 from .engine import ParamAnalysisResult
-from .frontend import Assume, AssumptionId, Cfg, Record
+from .frontend import Assume, AssumptionId, Cfg, Record, op_variables
 from .intervals import AssumeState, feasible
 
 
@@ -53,15 +54,17 @@ class ConsistencyReport(Record):
 def refuting_condition(
     result: ParamAnalysisResult, cfg: Cfg, assumption: AssumptionId
 ) -> int:
-    """The mask of the subsets whose rule at the assume node has no feasible state."""
+    """The mask of the subsets whose state at the assume node has no feasible
+    state, tested once per cell of the variables the assumption bounds."""
     node = cfg.nodes[assumption.node_id]
     if not isinstance(node.op, Assume):
         raise ValueError(f"node {assumption.node_id} is not an assume node")
     pi = AssumeState.from_constraint(node.op.constraint)
-    refuted = 0
-    for rule in result.states[node.id].rules:
-        if not feasible(rule.state, pi):
-            refuted |= rule.mask
+    state = result.states[node.id]
+    refuted = full_mask(len(cfg.assumptions)) ^ state.reach  # bottom admits nothing
+    for mask, env in state.project(op_variables(node.op))[1]:
+        if not feasible(env, pi):
+            refuted |= mask
     return refuted
 
 

@@ -31,10 +31,7 @@ from .intervals import (
     gamma_contains,
     transfer,
 )
-from .param import ParamState, join_states, lift_transfer, normalize, reduce_to_budget, split
-from .param import widen_param
-
-_CHANGING_OPS = (Assign, Input, GuardFilter, Assume)  # `transfer` returns the state of any other
+from .param import ParamState, join_states, lift_transfer, reduce_to_budget, split, widen_param
 
 
 class WidthCapError(ValueError):
@@ -335,17 +332,10 @@ def analyze_param(
         node = cfg.nodes[v]
         if isinstance(node.op, Assume):
             return split(state, node.op.assumption, pis[v])
-        return lift_transfer(state, lambda env: transfer(node, env))
+        return lift_transfer(state, node)  # a node that changes nothing keeps the state itself
 
     def evaluate(v: int, states, group) -> list[tuple[None, ParamState]]:
-        preds = cfg.predecessors(v)
-        if len(preds) != 1:
-            return [(group, join_states([apply_node(v, states[p]) for p in preds]))]
-        before = states[preds[0]]  # normal, so a node that changes no rule keeps it
-        if not isinstance(cfg.nodes[v].op, _CHANGING_OPS):  # entry, exit, skip or assert
-            return [(group, before)]
-        after = apply_node(v, before)
-        return [(group, after if after is before else normalize(after))]
+        return [(group, join_states([apply_node(v, states[p]) for p in cfg.predecessors(v)]))]
 
     [(_, states, evals, converged)] = _solve(
         cfg,

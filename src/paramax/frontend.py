@@ -720,29 +720,29 @@ class Cfg(Record):
 
 
 def _collect_variables(nodes: Iterable[CfgNode]) -> tuple[str, ...]:
-    out: set[str] = set()
-    for node in nodes:
-        op = node.op
-        if isinstance(op, Assign):
-            out.add(op.var)
-            out.update(op.expr.variables())
-        elif isinstance(op, Input):
-            out.add(op.var)
-        elif isinstance(op, GuardFilter):
-            out.update(o for o in (op.test.lhs, op.test.rhs) if isinstance(o, str))
-        elif isinstance(op, Assume):
-            out.update(op.constraint.variables())
-        elif isinstance(op, Assert):
-            out.update(_assert_variables(op.test))
-    return tuple(sorted(out))
+    return tuple(sorted(set().union(*(op_variables(node.op) for node in nodes))))
 
 
-def _assert_variables(expr: AssertExpr) -> set[str]:
+def op_variables(op: NodeOp) -> set[str]:
+    """The variables a node op reads or writes; an assertion's, those it compares."""
+    if isinstance(op, Assign):
+        return {op.var, *op.expr.variables()}
+    if isinstance(op, Input):
+        return {op.var}
+    if isinstance(op, (GuardFilter, Assert)):
+        return assert_variables(op.test)
+    if isinstance(op, Assume):
+        return set(op.constraint.variables())
+    return set()
+
+
+def assert_variables(expr: AssertExpr) -> set[str]:
+    """The variables that a comparison, or each comparison of an assertion, compares."""
     if isinstance(expr, Comparison):
         return {o for o in (expr.lhs, expr.rhs) if isinstance(o, str)}
     out: set[str] = set()
     for part in expr.parts:
-        out |= _assert_variables(part)
+        out |= assert_variables(part)
     return out
 
 

@@ -1,14 +1,25 @@
-"""Rule-based analysis states parameterized by assumption subsets.
+"""Analysis states parameterized by assumption subsets, factored per variable.
 
-A `ParamState` is a finite set of rules (subset mask, interval environment)
-whose masks partition the 2**n assumption subsets, so exactly one rule
-applies to every subset: the state denotes a function from subsets to
-environments. Bit A of a rule's mask is set when subset A takes the rule
-(see `paramax.conditions`); formulas are built from the masks only when a
-state is output. `normalize` reduces a state to its unique compact normal
-form (distinct result states, nonempty masks); `split` is the transformer
-of an assume node; `approx_merge`/`reduce_to_budget` trade precision for
-fewer rules, guided by a loss score.
+A `ParamState` denotes a function from the 2**n assumption subsets to
+interval environments (a set of subsets is an int mask, bit A set when
+subset A is in it; see `paramax.conditions`). Intervals are non-relational,
+so the function is stored factored: `reach`, the mask of the subsets whose
+state is not bottom, and per variable a partition of the subsets, a dict
+from each interval to the mask where it holds, with the unreached subsets
+in the sentinel cell `None`. Masks are nonempty and intervals distinct, so
+equal functions have equal states.
+
+The rules, (mask, environment) pairs in normal form (distinct states,
+ordered by lowest subset), are the cells of the product of the partitions
+plus a bottom rule for the unreached subsets. `rules`, `cells`,
+`state_for`, `to_json` and `render` expand them; `ParamState(rules, atoms)`
+factors them; `expand` gives the product with any payload per cell.
+
+`lift_transfer` and `split` change the partitions of the variables a node
+mentions, through the product of their cells; `join_states`, `widen_param`
+and `leq_param` go variable by variable; `normalize` pools the new cells.
+`approx_merge` and `reduce_to_budget` merge expanded rules, guided by a
+loss score, and factor the result.
 """
 
 from __future__ import annotations
@@ -16,19 +27,28 @@ from __future__ import annotations
 import heapq
 import operator
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .conditions import atom_mask, full_mask, members, render_mask
-from .frontend import AssumptionId, Record, _setattr
-from .intervals import BOTTOM, AssumeState, IntervalEnv, enforce
+from .frontend import (
+    Assign,
+    AssumptionId,
+    CfgNode,
+    GuardFilter,
+    Input,
+    Record,
+    _setattr,
+    op_variables,
+)
+from .intervals import BOTTOM, AssumeState, Interval, IntervalEnv, transfer
 
 
 class PartitionError(Exception):
-    """The rule masks stopped forming a partition (internal invariant)."""
+    """Rule masks that do not partition the subsets."""
 
 
 class Rule(Record, frozen=True):
-    __slots__ = ("mask", "state")  # built per rule operation: slots and methods written out
+    __slots__ = ("mask", "state")  # built per expanded rule: slots and methods written out
     mask: int  # bit A set when assumption subset A takes this rule
     state: IntervalEnv
 
@@ -45,14 +65,69 @@ class Rule(Record, frozen=True):
         return hash((self.mask, self.state))
 
 
+Partition = dict  # interval (None: the unreached subsets) -> nonempty subset mask
+
+
+def product(cover: int, columns: Iterable[Iterable[tuple[object, int]]]) -> list[tuple[int, tuple]]:
+    """(mask, payloads) for every nonempty intersection of `cover` with one
+    cell of each column, a column being (payload, mask) cells; the payloads
+    are those of the cells, in column order."""
+    rows = [(cover, ())] if cover else []
+    for column in columns:
+        rows = [(both, got + (p,)) for mask, got in rows for p, m in column if (both := mask & m)]
+    return rows
+
+
 class ParamState:
-    """Immutable rule set over a program's assumptions."""
+    """Immutable factored state over a program's assumptions."""
 
-    __slots__ = ("rules", "atoms")
+    __slots__ = ("atoms", "reach", "names", "parts", "_cells")
 
-    def __init__(self, rules: tuple[Rule, ...], atoms: tuple[AssumptionId, ...]):
-        self.rules = rules
-        self.atoms = atoms
+    atoms: tuple[AssumptionId, ...]
+    reach: int  # the subsets whose state is not bottom
+    names: tuple[str, ...]  # the variables, sorted; () when nothing is reached
+    parts: tuple[Partition, ...]  # one partition per variable, in `names` order
+
+    def __init__(self, rules: Iterable[Rule], atoms: Sequence[AssumptionId]) -> None:
+        """Factor rules whose masks partition the subsets of `atoms`.
+
+        The rules need not be normal: empty masks and repeated states are
+        fine. A subset that no rule or several rules hold raises
+        PartitionError, the smallest such subset first."""
+        atoms, rules = tuple(atoms), tuple(rules)
+        full = full_mask(len(atoms))
+        covered = twice = reach = 0
+        envs = []
+        for rule in rules:
+            twice |= covered & rule.mask
+            covered |= rule.mask
+            if rule.mask and not rule.state.is_bottom:
+                reach |= rule.mask
+                envs.append((rule.mask, rule.state))
+        if bad := (twice | ~covered) & full:
+            subset = (bad & -bad).bit_length() - 1
+            problem = "multiple rules apply" if twice >> subset & 1 else "no rule applies"
+            given = "; ".join(f"{render_mask(r.mask, atoms)} -> {r.state.render()}" for r in rules)
+            raise PartitionError(f"{problem} to subset {subset:#x}: {given}")
+        names = envs[0][1].variables() if envs else ()
+        parts: list[Partition] = [{} for _ in names]
+        for mask, env in envs:
+            if env.variables() != names:
+                raise ValueError("mismatched variable universes")
+            for part, (_, iv) in zip(parts, env.items()):
+                part[iv] = part.get(iv, 0) | mask
+        if gone := full ^ reach:
+            for part in parts:
+                part[None] = gone
+        self.atoms, self.reach, self.names, self.parts = atoms, reach, names, tuple(parts)
+        self._cells = None
+
+    @staticmethod
+    def _of(atoms, reach: int, names: tuple[str, ...], parts: tuple) -> "ParamState":
+        state = object.__new__(ParamState)
+        state.atoms, state.reach, state.names, state.parts = atoms, reach, names, parts
+        state._cells = None
+        return state
 
     @property
     def width(self) -> int:
@@ -60,145 +135,255 @@ class ParamState:
 
     @staticmethod
     def of_state(state: IntervalEnv, atoms: tuple[AssumptionId, ...]) -> "ParamState":
-        return ParamState((Rule(full_mask(len(atoms)), state),), atoms)
+        if state.is_bottom:
+            return ParamState.bottom(atoms)
+        full = full_mask(len(atoms))
+        parts = tuple({iv: full} for _, iv in state.items())
+        return ParamState._of(atoms, full, state.variables(), parts)
 
     @staticmethod
     def bottom(atoms: tuple[AssumptionId, ...]) -> "ParamState":
-        return ParamState.of_state(BOTTOM, atoms)
+        return ParamState._of(atoms, 0, (), ())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ParamState):
             return NotImplemented
-        return self.atoms == other.atoms and self.rules == other.rules
+        return (self.reach, self.parts, self.names, self.atoms) == (
+            other.reach, other.parts, other.names, other.atoms
+        )
 
-    def __hash__(self) -> int:
-        return hash(self.rules)  # `__eq__` tells atoms apart; one analysis has one atom tuple
-
-    def __len__(self) -> int:
-        return len(self.rules)
+    def __hash__(self) -> int:  # `__eq__` tells atoms apart; one analysis has one atom tuple
+        return hash((self.reach, self.names, tuple(frozenset(p.items()) for p in self.parts)))
 
     def __repr__(self) -> str:
         return f"ParamState({self.render()})"
 
     def render(self) -> str:
-        return "; ".join(
-            f"{render_mask(r.mask, self.atoms)} -> {r.state.render()}" for r in self.rules
-        )
+        return "; ".join(f"{render_mask(m, self.atoms)} -> {s.render()}" for m, s in self.cells())
 
-    def state_for(self, accepted: int) -> IntervalEnv:
-        """The result state of the unique rule whose mask holds the subset."""
-        found = [rule.state for rule in self.rules if rule.mask >> accepted & 1]
-        if len(found) > 1:
-            raise PartitionError(f"multiple rules apply to subset {accepted:#x}: {self.render()}")
-        if not found:
-            raise PartitionError(f"no rule applies to subset {accepted:#x}: {self.render()}")
-        return found[0]
+    def columns(self, index: Iterable[int] | None = None) -> list[list[tuple[tuple, int]]]:
+        """Per variable (by default every one, else those at `index`), its
+        reached cells as ((name, interval), mask) for `product`."""
+        index = range(len(self.names)) if index is None else index
+        return [
+            [((self.names[i], iv), mask) for iv, mask in self.parts[i].items() if iv is not None]
+            for i in index
+        ]
 
-    def is_partition(self) -> bool:
-        union = 0
-        total = 0
-        for rule in self.rules:
-            union |= rule.mask
-            total += rule.mask.bit_count()
-        return union == full_mask(self.width) and total == (1 << self.width)
+    def project(self, variables: set[str]) -> tuple[list[int], list[tuple[int, IntervalEnv]]]:
+        """The positions of `variables` among the state's, and for each cell of
+        the product of their partitions within `reach`, (mask, environment of
+        those variables alone)."""
+        index = [i for i, var in enumerate(self.names) if var in variables]
+        names = tuple(self.names[i] for i in index)
+        cells = product(self.reach, self.columns(index))
+        return index, [(mask, IntervalEnv(bindings, names)) for mask, bindings in cells]
+
+    def expand(self, columns: list | None = None) -> list[tuple[int, tuple | None]]:
+        """The rules in lowest-subset order, each as (mask, payloads): the
+        payloads of its cell of every column (by default `columns()`, so they
+        are the environment's bindings), or None for the bottom rule. Given
+        columns must partition `reach` between them, as the variables do."""
+        rows = product(self.reach, self.columns() if columns is None else columns)
+        if gone := full_mask(self.width) ^ self.reach:
+            rows.append((gone, None))
+        rows.sort(key=lambda row: row[0] & -row[0])
+        return rows
+
+    @property
+    def rules(self) -> tuple[Rule, ...]:
+        """The rules in normal form."""
+        return tuple(Rule(mask, env) for mask, env in self.cells())
 
     def cells(self) -> list[tuple[int, IntervalEnv]]:
-        """The (subset mask, state) pairs of the rules with nonempty masks.
+        """The (subset mask, state) pairs of the rules, expanded on the first call."""
+        if self._cells is None:
+            names = self.names
+            self._cells = tuple(
+                (mask, BOTTOM if bindings is None else IntervalEnv(bindings, names))
+                for mask, bindings in self.expand()
+            )
+        return list(self._cells)
 
-        Unless the masks partition the 2**width subsets, raises the
-        PartitionError that `state_for` raises for the smallest subset that
-        no rule or several rules cover.
-        """
-        if not self.is_partition():
-            for accepted in range(1 << self.width):
-                self.state_for(accepted)
-        return [(rule.mask, rule.state) for rule in self.rules if rule.mask]
+    def __len__(self) -> int:
+        return len(self.cells())
+
+    def state_for(self, accepted: int) -> IntervalEnv:
+        """The state of subset `accepted`."""
+        if not 0 <= accepted < 1 << self.width:
+            raise PartitionError(f"no rule applies to subset {accepted:#x}: {self.render()}")
+        if not self.reach >> accepted & 1:
+            return BOTTOM
+        bit = 1 << accepted
+        cells = [next(iv for iv, mask in part.items() if mask & bit) for part in self.parts]
+        return IntervalEnv(tuple(zip(self.names, cells)), self.names)
+
+    def is_partition(self) -> bool:
+        """Whether the factored form holds: each partition's masks are nonempty
+        and partition the subsets, the unreached ones in its sentinel cell."""
+        full = full_mask(self.width)
+        if self.reach & ~full or len(self.parts) != len(self.names):
+            return False
+        if not self.reach and self.parts:
+            return False
+        for part in self.parts:
+            total = sum(mask.bit_count() for mask in part.values())
+            # a sum of masks keeps all `total` of their bits only if no two overlap
+            if sum(part.values()) != full or total != 1 << self.width or not all(part.values()):
+                return False
+            if part.get(None, 0) != full ^ self.reach:
+                return False
+        return True
 
     def to_json(self) -> list[dict]:
         """The rules as JSON objects; `cli.dump` writes their text without them."""
         return [
-            {"condition": render_mask(r.mask, self.atoms), "condition_sets": members(r.mask),
-             "state": r.state.to_json()}
-            for r in self.rules
+            {"condition": render_mask(mask, self.atoms), "condition_sets": members(mask),
+             "state": state.to_json()}
+            for mask, state in self.cells()
         ]
 
 
-def normalize(state: ParamState) -> ParamState:
-    """Reduce to the unique compact normal form.
+def normalize(state: ParamState, reach: int, parts: Sequence) -> ParamState:
+    """`state` over the reached subsets `reach`, with new partitions, in normal form.
 
-    Rules with equal result states are merged (their masks ORed) and rules
-    with empty masks dropped. Rules are then ordered by the lowest set bit
-    of their masks, so equal functions have equal normal forms. A state in
-    normal form is returned itself.
+    Each item of `parts` is a variable's partition: a dict, kept (a dict
+    of the state's own may only lose reached subsets), or a list of
+    (interval, mask) cells, pooled so that equal intervals share one cell
+    and replaced by the state's own partition if it equals that. Subsets
+    outside `reach` go to every sentinel cell. `state` itself comes back
+    when nothing changed.
     """
-    pooled: dict[IntervalEnv, int] = {}
-    for rule in state.rules:
-        if rule.mask:
-            pooled[rule.state] = pooled.get(rule.state, 0) | rule.mask
-    lows = [(rule.mask & -rule.mask).bit_length() for rule in state.rules]
-    if len(pooled) == len(lows) and all(map(int.__lt__, lows, lows[1:])):
+    if not reach:
+        return state if not state.reach else ParamState.bottom(state.atoms)
+    gone = full_mask(state.width) ^ reach
+    out = []
+    for old, new in zip(state.parts, parts):
+        if new.__class__ is list:
+            pooled: Partition = {}
+            for iv, mask in new:
+                if mask := mask & reach:
+                    pooled[iv] = pooled.get(iv, 0) | mask
+            if gone:
+                pooled[None] = gone
+            new = old if pooled == old else pooled
+        elif new.get(None, 0) != gone:  # some subsets became unreached
+            new = {iv: m & reach for iv, m in new.items() if iv is not None and m & reach}
+            new[None] = gone
+        out.append(new)
+    if reach == state.reach and all(map(operator.is_, out, state.parts)):
         return state
-    rules = sorted((Rule(mask, result) for result, mask in pooled.items()), key=_lowest_bit)
-    return ParamState(tuple(rules), state.atoms)
-
-
-def _lowest_bit(rule: Rule) -> int:
-    return rule.mask & -rule.mask
+    return ParamState._of(state.atoms, reach, state.names, tuple(out))
 
 
 def split(state: ParamState, assumption: AssumptionId, pi: AssumeState) -> ParamState:
-    """Assume-node transformer: fork every rule on taking the assumption.
+    """Assume-node transformer: the subsets taking the assumption meet its encoding.
 
-    Each rule yields an accepted branch (the mask's subsets holding the
-    assumption, state met with its encoding) and a declined branch (the
-    other subsets, state unchanged); empty branches are never produced.
+    Only the partitions of the variables the assumption bounds change: each
+    cell splits into its taking part, met with the bound, and the rest. A
+    taking subset whose meet is empty for any variable becomes unreached.
     """
-    taking = atom_mask(assumption.index, state.width)
-    out: list[Rule] = []
-    for rule in state.rules:
-        if rule.mask & taking:
-            out.append(Rule(rule.mask & taking, enforce(rule.state, pi)))
-        if rule.mask & ~taking:
-            out.append(Rule(rule.mask & ~taking, rule.state))
-    return ParamState(tuple(out), state.atoms)
+    taking = atom_mask(assumption.index, state.width) & state.reach
+    if not taking:
+        return state
+    if pi.is_empty:
+        return normalize(state, state.reach ^ taking, state.parts)
+    parts, dead = list(state.parts), 0
+    for var, bound in pi.intervals:
+        if var not in state.names:
+            continue
+        i = state.names.index(var)
+        cells = []
+        for iv, mask in parts[i].items():
+            took = mask & taking
+            if not took:  # the sentinel cell too: `taking` is reached
+                cells.append((iv, mask))
+            elif (met := iv.meet(bound)) is None:
+                dead |= took
+                cells.append((iv, mask ^ took))
+            else:
+                cells += [(met, took), (iv, mask ^ took)]
+        parts[i] = cells
+    return normalize(state, state.reach & ~dead, parts)
 
 
-def _intersect(a: ParamState, b: ParamState) -> Iterator[tuple[int, IntervalEnv, IntervalEnv]]:
-    """(mask, state in `a`, state in `b`) for every nonempty intersection of two rules."""
+def lift_transfer(state: ParamState, node: CfgNode) -> ParamState:
+    """The node's plain transfer (`intervals.transfer`, not for assume nodes)
+    applied to every subset's state.
+
+    It runs once per cell of the product of the partitions of the variables
+    the node mentions, on an environment of those variables alone; a cell
+    whose result is bottom becomes unreached. Entry, exit, skip and assert
+    nodes, and nodes that change nothing, give `state` itself.
+    """
+    if not isinstance(node.op, (Assign, Input, GuardFilter)):
+        return state
+    index, envs = state.project(op_variables(node.op))
+    cells: list[list] = [[] for _ in index]
+    dead = 0
+    for mask, env in envs:
+        env = transfer(node, env)
+        if env.is_bottom:
+            dead |= mask
+            continue
+        for column, (_, iv) in zip(cells, env.items()):
+            column.append((iv, mask))
+    parts = list(state.parts)
+    for i, column in zip(index, cells):
+        parts[i] = column
+    return normalize(state, state.reach & ~dead, parts)
+
+
+def _combine(a: ParamState, b: ParamState, op: Callable[[Interval, Interval], Interval]):
+    """The pointwise `op` of two states, a bottom state its identity, variable by variable."""
     if a.atoms != b.atoms:
         raise ValueError("mismatched assumptions")
-    for rule_a in a.rules:
-        for rule_b in b.rules:
-            mask = rule_a.mask & rule_b.mask
-            if mask:
-                yield mask, rule_a.state, rule_b.state
+    if not b.reach or a is b:
+        return a
+    if not a.reach:
+        return b
+    if a.names != b.names:
+        raise ValueError("mismatched variable universes")
+    reach = a.reach | b.reach
+    parts = [
+        pa if pa is pb else [
+            (y if x is None else x if y is None else op(x, y), mask)
+            for mask, (x, y) in product(reach, (pa.items(), pb.items()))
+        ]
+        for pa, pb in zip(a.parts, b.parts)
+    ]
+    return normalize(a, reach, parts)
 
 
 def join_states(states: Sequence[ParamState]) -> ParamState:
-    """Pointwise join of the denoted functions, as a normalized state.
-
-    Realized by intersecting the partitions: every nonempty intersection of
-    one rule per input becomes a cell whose state is the join of the
-    member states.
-    """
+    """Pointwise join of the denoted functions; one state is returned itself."""
     if not states:
         raise ValueError("join of no parameterized states")
     joined = states[0]
     for state in states[1:]:
-        cells = tuple(Rule(mask, x.join(y)) for mask, x, y in _intersect(joined, state))
-        joined = ParamState(cells, joined.atoms)
-    return normalize(joined)
-
-
-def leq_param(a: ParamState, b: ParamState) -> bool:
-    """Pointwise order on the denoted functions, via partition intersection."""
-    return all(x.leq(y) for _, x, y in _intersect(a, b))
+        joined = _combine(joined, state, Interval.join)
+    return joined
 
 
 def widen_param(prev: ParamState, nxt: ParamState) -> ParamState:
-    """Widen per intersection cell of the two partitions, then normalize."""
-    cells = tuple(Rule(mask, x.widen(y)) for mask, x, y in _intersect(prev, nxt))
-    return normalize(ParamState(cells, prev.atoms))
+    """Pointwise widening of the denoted functions, variable by variable."""
+    return _combine(prev, nxt, Interval.widen)
+
+
+def leq_param(a: ParamState, b: ParamState) -> bool:
+    """Pointwise order on the denoted functions, variable by variable."""
+    if a.atoms != b.atoms:
+        raise ValueError("mismatched assumptions")
+    if a.reach & ~b.reach:
+        return False
+    if a.reach and a.names != b.names:
+        raise ValueError("mismatched variable universes")
+    for pa, pb in zip(a.parts, b.parts):
+        if pa is not pb:
+            cells = product(a.reach, (pa.items(), pb.items()))
+            if not all(y.lo <= x.lo and x.hi <= y.hi for _, (x, y) in cells):
+                return False
+    return True
 
 
 def approx_merge(state: ParamState, i: int, j: int) -> ParamState:
@@ -207,14 +392,13 @@ def approx_merge(state: ParamState, i: int, j: int) -> ParamState:
     The result denotes a pointwise-larger function: precision traded for a
     smaller rule set.
     """
-    n = len(state.rules)
+    rules = state.rules
+    n = len(rules)
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"invalid rule pair ({i}, {j}) for {n} rules")
     i, j = min(i, j), max(i, j)
-    first, second = state.rules[i], state.rules[j]
-    merged = Rule(first.mask | second.mask, first.state.join(second.state))
-    rules = [merged if k == i else r for k, r in enumerate(state.rules) if k != j]
-    return ParamState(tuple(rules), state.atoms)
+    merged = Rule(rules[i].mask | rules[j].mask, rules[i].state.join(rules[j].state))
+    return ParamState((merged if k == i else r for k, r in enumerate(rules) if k != j), state.atoms)
 
 
 def merge_loss(a: IntervalEnv, b: IntervalEnv) -> tuple[int, int]:
@@ -244,18 +428,14 @@ def merge_loss(a: IntervalEnv, b: IntervalEnv) -> tuple[int, int]:
 def reduce_to_budget(state: ParamState, budget: int) -> ParamState:
     """Greedily merge minimum-loss rule pairs until at most `budget` rules.
 
-    Ties break toward the lowest index pair; the state is re-normalized
-    after every merge. Each pair's loss is computed once and kept in a heap
-    under the rules' lowest subsets (their order in normal form) until one of
-    them is merged away or takes a new state."""
+    The state's rules are expanded and merged as rules; ties break toward
+    the lowest index pair, and the rules are re-normalized after every
+    merge. Each pair's loss is computed once and kept in a heap under the
+    rules' lowest subsets (their order in normal form) until one of them is
+    merged away or takes a new state. The result is factored again."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if len(state.rules) > budget and normalize(state) is not state:
-        # the first merge picks among the rules as given; every later state is normal
-        pairs = combinations(enumerate(state.rules), 2)
-        losses = {(i, j): merge_loss(x.state, y.state) for (i, x), (j, y) in pairs}
-        state = normalize(approx_merge(state, *min(losses, key=lambda p: (losses[p], p))))
-    if len(state.rules) <= budget:
+    if len(state) <= budget:
         return state
     rules = {(rule.mask & -rule.mask).bit_length(): rule for rule in state.rules}
     low_of = {rule.state: low for low, rule in rules.items()}
@@ -282,11 +462,4 @@ def reduce_to_budget(state: ParamState, budget: int) -> ParamState:
             stamps[a] += 1
             for other in rules.keys() - {a}:
                 heapq.heappush(heap, entry(min(a, other), max(a, other)))
-    return ParamState(tuple(rules[low] for low in sorted(rules)), state.atoms)
-
-
-def lift_transfer(state: ParamState, fn: Callable[[IntervalEnv], IntervalEnv]) -> ParamState:
-    """Apply a plain state transformer to every rule's result state; a rule
-    (or all of `state`) whose state `fn` returns unchanged is kept itself."""
-    rules = tuple(r if (s := fn(r.state)) is r.state else Rule(r.mask, s) for r in state.rules)
-    return state if all(map(operator.is_, rules, state.rules)) else ParamState(rules, state.atoms)
+    return ParamState(rules.values(), state.atoms)

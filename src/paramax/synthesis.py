@@ -1,12 +1,13 @@
 """Assumption synthesis: which assumption subsets prove every assertion.
 
-From a parameterized analysis result, each assertion contributes the union
-of the rule masks under which its check is proved; the intersection over
-all assertions is exactly the set of subsets the analysis certifies. The
-verdict is `solutions` when that set is nonempty, `impossible` when every
-remaining subset is actively refuted at some assertion, and `unknown`
-otherwise. The minimal solutions are read off the mask one cardinality
-layer at a time, never one subset at a time.
+From a parameterized analysis result, each assertion contributes the mask
+of the subsets under which its check is proved, read off the cells of the
+variables it compares; the intersection over all assertions is exactly the
+set of subsets the analysis certifies. The verdict is `solutions` when that
+set is nonempty, `impossible` when every remaining subset is actively
+refuted at some assertion, and `unknown` otherwise. The minimal solutions
+are read off the mask one cardinality layer at a time, never one subset at
+a time.
 """
 
 from __future__ import annotations
@@ -15,8 +16,18 @@ from enum import Enum
 
 from .conditions import atom_mask, full_mask, members, render_mask
 from .engine import AnalysisConfig, OracleReport, ParamAnalysisResult, analyze_variants
-from .frontend import AssumptionId, Cfg, Record, render_assert
+from .frontend import (
+    AssertAnd,
+    AssertExpr,
+    AssumptionId,
+    Cfg,
+    Comparison,
+    Record,
+    assert_variables,
+    render_assert,
+)
 from .intervals import ProofVerdict, proves
+from .param import ParamState
 
 
 class SynthesisVerdict(Enum):
@@ -56,28 +67,54 @@ class SynthesisOutcome(Record):
         }
 
 
+def _verdicts(state: ParamState, test: AssertExpr, full: int) -> tuple[int, int]:
+    """(proved, refuted): the masks of the subsets whose state proves or
+    refutes `test`. Each comparison is checked once per cell of the product
+    of the partitions of its variables; `&&` and `||` combine the masks as
+    `proves` combines verdicts. A bottom state proves everything."""
+    if isinstance(test, Comparison):
+        proved, refuted = full ^ state.reach, 0
+        for mask, env in state.project(assert_variables(test))[1]:
+            verdict = proves(env, test)
+            if verdict is ProofVerdict.PROVED:
+                proved |= mask
+            elif verdict is ProofVerdict.REFUTED:
+                refuted |= mask
+        return proved, refuted
+    parts = [_verdicts(state, part, full) for part in test.parts]
+    proved, refuted = parts[0]
+    for more_proved, more_refuted in parts[1:]:
+        if isinstance(test, AssertAnd):
+            proved, refuted = proved & more_proved, refuted | more_refuted
+        else:
+            proved, refuted = proved | more_proved, refuted & more_refuted
+    return proved, refuted
+
+
 def synthesize(
     result: ParamAnalysisResult, cfg: Cfg, solution_cap: int = 256
 ) -> SynthesisOutcome:
-    """Intersect, across assertions, the masks of the rules whose states prove them."""
+    """Intersect, across assertions, the masks of the subsets whose states prove them.
+
+    An assertion's masks come from the cells of the variables it compares
+    (`_verdicts`); its rows give the verdict of every rule of its node, in
+    the rules' order.
+    """
     width = len(cfg.assumptions)
     full = full_mask(width)
     condition = full
     refuted_anywhere = 0
     per_assertion: dict[int, tuple[tuple[int, ProofVerdict], ...]] = {}
     for node in cfg.assert_nodes():
-        rows = tuple(
-            (rule.mask, proves(rule.state, node.op.test))
-            for rule in result.states[node.id].rules
-        )
-        per_assertion[node.id] = rows
-        proved = 0
-        for mask, verdict in rows:
-            if verdict is ProofVerdict.PROVED:
-                proved |= mask
-            elif verdict is ProofVerdict.REFUTED:
-                refuted_anywhere |= mask
+        state = result.states[node.id]
+        proved, refuted = _verdicts(state, node.op.test, full)
         condition &= proved
+        refuted_anywhere |= refuted
+        per_assertion[node.id] = tuple(
+            (mask, ProofVerdict.PROVED if mask & proved else
+             ProofVerdict.REFUTED if mask & refuted else ProofVerdict.UNKNOWN)
+            for mask, _ in state.expand()
+        )
 
     if condition:
         verdict = SynthesisVerdict.SOLUTIONS

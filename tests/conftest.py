@@ -1,4 +1,10 @@
-"""Shared fixtures: corpus access, rule-state helpers and reference specs."""
+"""Shared fixtures: corpus access, rule-state helpers and reference specs.
+
+`RuleList` and the `reference_*` functions are the rule-list representation
+that `ParamState` factors: a state as a list of (subset mask, environment)
+rules and its operations rule by rule. They are the spec the factored
+operations are checked against.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from paramax.conditions import Condition, atom_mask, full_mask, truth_table
+from paramax.conditions import Condition, atom_mask, full_mask, render_mask, truth_table
 from paramax.engine import (
     AnalysisConfig,
     OracleReport,
@@ -18,8 +24,16 @@ from paramax.engine import (
     run_collecting,
 )
 from paramax.frontend import AssumptionId, parse_cfg, restrict
-from paramax.intervals import BOTTOM, Interval, IntervalEnv, NEG_INF, POS_INF, gamma_contains
-from paramax.param import ParamState, Rule, approx_merge, merge_loss, normalize
+from paramax.intervals import (
+    BOTTOM,
+    Interval,
+    IntervalEnv,
+    NEG_INF,
+    POS_INF,
+    enforce,
+    gamma_contains,
+)
+from paramax.param import ParamState, PartitionError, Rule, merge_loss
 
 settings.register_profile("suite", deadline=None, max_examples=75)
 settings.load_profile("suite")
@@ -94,15 +108,57 @@ def fake_assumptions(width: int) -> tuple[AssumptionId, ...]:
     return tuple(AssumptionId(i, f"a{i + 1}", i) for i in range(width))
 
 
+class RuleList:
+    """A rule state as a plain list of rules, as given: rules may overlap,
+    leave gaps, repeat a state or have an empty mask."""
+
+    __slots__ = ("rules", "atoms")
+
+    def __init__(self, rules, atoms) -> None:
+        self.rules = tuple(rules)
+        self.atoms = tuple(atoms)
+
+    @property
+    def width(self) -> int:
+        return len(self.atoms)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RuleList) and (self.rules, self.atoms) == (other.rules, other.atoms)
+
+    def __repr__(self) -> str:
+        rules = "; ".join(f"{render_mask(r.mask, self.atoms)} -> {r.state.render()}" for r in self.rules)
+        return f"RuleList({rules})"
+
+    def state_for(self, accepted: int) -> IntervalEnv:
+        """The result state of the unique rule whose mask holds the subset."""
+        found = [rule.state for rule in self.rules if rule.mask >> accepted & 1]
+        if len(found) != 1:
+            raise PartitionError(f"{len(found)} rules apply to subset {accepted:#x}: {self!r}")
+        return found[0]
+
+    def is_partition(self) -> bool:
+        union = total = 0
+        for rule in self.rules:
+            union |= rule.mask
+            total += rule.mask.bit_count()
+        return union == full_mask(self.width) and total == (1 << self.width)
+
+    def factored(self) -> ParamState:
+        return ParamState(self.rules, self.atoms)
+
+
 def param_state(atoms, *rules: tuple[Condition, IntervalEnv]) -> ParamState:
-    """The rule state over `atoms` with one rule per (condition tree, state).
+    """The factored state over `atoms` with one rule per (condition tree, state).
 
     Each tree becomes its subset mask through `truth_table`.
     """
+    return rule_state(atoms, *rules).factored()
+
+
+def rule_state(atoms, *rules: tuple[Condition, IntervalEnv]) -> RuleList:
+    """`param_state`'s rules, as given."""
     atoms = tuple(atoms)
-    return ParamState(
-        tuple(Rule(truth_table(cond, len(atoms)), state) for cond, state in rules), atoms
-    )
+    return RuleList((Rule(truth_table(cond, len(atoms)), state) for cond, state in rules), atoms)
 
 
 _STATE_POOL = [
@@ -123,8 +179,8 @@ def random_param_state(
     width: int,
     max_unsat_extras: int = 2,
     state_pool=None,
-) -> ParamState:
-    """Random partition-respecting rule state with optional empty extras.
+) -> RuleList:
+    """Random partition-respecting rule list with optional empty extras.
 
     Masks come from a random decision tree over the atoms (a few cells
     rather than one per subset); result states repeat often so merging
@@ -143,20 +199,20 @@ def random_param_state(
             rng.randrange(width)  # unused draw: keeps each seed's sequence of states
             rules.insert(rng.randint(0, len(rules)), Rule(0, rng.choice(pool)))
     rng.shuffle(rules)
-    return ParamState(tuple(rules), fake_assumptions(width))
+    return RuleList(rules, fake_assumptions(width))
 
 
-def canonical_rule_key(state: ParamState):
+def canonical_rule_key(state):
     """Per-rule (subset mask, result state) pairs, ordered by mask."""
     return tuple(sorted(((rule.mask, rule.state) for rule in state.rules), key=lambda p: p[0]))
 
 
-def exact_merge_step(state: ParamState, pair: tuple[int, int] | None = None) -> ParamState | None:
+def exact_merge_step(state: RuleList, pair: tuple[int, int] | None = None) -> RuleList | None:
     """Merge one pair of rules with identical result states; None if no pair.
 
     Without an explicit pair, the lowest-index pair is taken. With
-    `redundancy_elim_step` this is the reference spec of `normalize`: every
-    interleaving of the two steps ends in its normal form.
+    `redundancy_elim_step` this is the spec of `reference_normalize`: every
+    interleaving of the two steps ends in the normal form.
     """
     if pair is None:
         pair = next(
@@ -175,10 +231,10 @@ def exact_merge_step(state: ParamState, pair: tuple[int, int] | None = None) -> 
         raise ValueError(f"rules {i} and {j} have different result states")
     merged = Rule(state.rules[i].mask | state.rules[j].mask, state.rules[i].state)
     rules = [merged if k == i else r for k, r in enumerate(state.rules) if k != j]
-    return ParamState(tuple(rules), state.atoms)
+    return RuleList(rules, state.atoms)
 
 
-def redundancy_elim_step(state: ParamState, index: int | None = None) -> ParamState | None:
+def redundancy_elim_step(state: RuleList, index: int | None = None) -> RuleList | None:
     """Remove one rule with an empty mask; None if none exists."""
     if index is None:
         index = next((i for i, rule in enumerate(state.rules) if rule.mask == 0), None)
@@ -187,15 +243,88 @@ def redundancy_elim_step(state: ParamState, index: int | None = None) -> ParamSt
     if state.rules[index].mask != 0:
         raise ValueError(f"rule {index} has a nonempty mask")
     rules = tuple(r for k, r in enumerate(state.rules) if k != index)
-    return ParamState(rules, state.atoms)
+    return RuleList(rules, state.atoms)
 
 
-def reference_reduce_to_budget(state: ParamState, budget: int) -> ParamState:
+# --- the rule-list operations: the spec of `paramax.param` ----------------------
+# Each takes states with `rules` and `atoms` (a `RuleList` or a `ParamState`)
+# and returns a `RuleList`.
+
+
+def reference_normalize(state) -> RuleList:
+    """The normal form: rules of equal states merged (masks ORed), empty masks
+    dropped, ordered by the lowest subset of their masks."""
+    pooled: dict[IntervalEnv, int] = {}
+    for rule in state.rules:
+        if rule.mask:
+            pooled[rule.state] = pooled.get(rule.state, 0) | rule.mask
+    rules = sorted((Rule(mask, result) for result, mask in pooled.items()), key=lambda r: r.mask & -r.mask)
+    return RuleList(rules, state.atoms)
+
+
+def reference_split(state, assumption, pi) -> RuleList:
+    """Fork every rule on taking the assumption: the taking part meets the
+    encoding, the rest keeps the state; empty parts are not produced."""
+    taking = atom_mask(assumption.index, len(state.atoms))
+    out = []
+    for rule in state.rules:
+        if rule.mask & taking:
+            out.append(Rule(rule.mask & taking, enforce(rule.state, pi)))
+        if rule.mask & ~taking:
+            out.append(Rule(rule.mask & ~taking, rule.state))
+    return RuleList(out, state.atoms)
+
+
+def reference_lift_transfer(state, fn) -> RuleList:
+    """A plain state transformer applied to every rule's state."""
+    return RuleList((Rule(r.mask, fn(r.state)) for r in state.rules), state.atoms)
+
+
+def _reference_intersect(a, b):
+    """(mask, state in `a`, state in `b`) for every nonempty intersection of two rules."""
+    if tuple(a.atoms) != tuple(b.atoms):
+        raise ValueError("mismatched assumptions")
+    for rule_a in a.rules:
+        for rule_b in b.rules:
+            if mask := rule_a.mask & rule_b.mask:
+                yield mask, rule_a.state, rule_b.state
+
+
+def reference_join_states(states) -> RuleList:
+    """Pointwise join through partition intersection, normalized."""
+    joined = RuleList(states[0].rules, states[0].atoms)
+    for state in states[1:]:
+        cells = [Rule(mask, x.join(y)) for mask, x, y in _reference_intersect(joined, state)]
+        joined = RuleList(cells, joined.atoms)
+    return reference_normalize(joined)
+
+
+def reference_widen_param(prev, nxt) -> RuleList:
+    """Widening per intersection cell of the two partitions, normalized."""
+    cells = [Rule(mask, x.widen(y)) for mask, x, y in _reference_intersect(prev, nxt)]
+    return reference_normalize(RuleList(cells, prev.atoms))
+
+
+def reference_leq_param(a, b) -> bool:
+    """Pointwise order via partition intersection."""
+    return all(x.leq(y) for _, x, y in _reference_intersect(a, b))
+
+
+def reference_approx_merge(state, i: int, j: int) -> RuleList:
+    """Rules i and j fused into one: masks ORed, states joined."""
+    i, j = sorted((i, j))
+    first, second = state.rules[i], state.rules[j]
+    merged = Rule(first.mask | second.mask, first.state.join(second.state))
+    return RuleList((merged if k == i else r for k, r in enumerate(state.rules) if k != j), state.atoms)
+
+
+def reference_reduce_to_budget(state, budget: int) -> RuleList:
     """The spec of `reduce_to_budget`: rescan every rule pair after each merge,
     merge the least-loss pair (the lowest index pair among equal losses), and
     re-normalize."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    state = RuleList(state.rules, state.atoms)
     while len(state.rules) > budget:
         best: tuple[tuple[int, int], tuple[int, int]] | None = None
         for i in range(len(state.rules)):
@@ -204,7 +333,7 @@ def reference_reduce_to_budget(state: ParamState, budget: int) -> ParamState:
                 if best is None or (loss, (i, j)) < best:
                     best = (loss, (i, j))
         assert best is not None
-        state = normalize(approx_merge(state, *best[1]))
+        state = reference_normalize(reference_approx_merge(state, *best[1]))
     return state
 
 

@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 from hypothesis import given, strategies as st
 
-from paramax import cli, conditions, engine
+from paramax import cli, conditions, engine, param
 from paramax.cli import (
     DOCUMENT_SCHEMA,
     EXIT_IMPOSSIBLE,
@@ -534,6 +534,8 @@ def _plain(value):
 
 
 def test_writer_renders_each_distinct_mask_and_state_once(monkeypatch):
+    # the tables are read off the partitions: no rule or state is built, and
+    # each distinct mask and (variable, interval) is rendered once
     cfg = parse_cfg(_independent_program(7))
     result = analyze_param(cfg, AnalysisConfig())
     doc = cli.analysis_document("independent7", cfg, result)
@@ -542,9 +544,8 @@ def test_writer_renders_each_distinct_mask_and_state_once(monkeypatch):
     expected = json.dumps(_plain(doc), indent=2)
     rules = [rule for state in result.states for rule in state.rules]
     masks = {rule.mask for rule in rules}
-    states = {rule.state for rule in rules if not rule.state.is_bottom}
-    intervals = {iv for state in states for _, iv in state.items()}
-    calls: dict[str, list] = {"render_mask": [], "members": [], "items": [], "to_json": []}
+    bindings = {(v, iv) for rule in rules if not rule.state.is_bottom for v, iv in rule.state.items()}
+    calls: dict[str, list] = {"render_mask": [], "members": [], "to_json": []}
 
     def counting(name, fn):
         def counted(first, *rest):
@@ -553,21 +554,26 @@ def test_writer_renders_each_distinct_mask_and_state_once(monkeypatch):
 
         return counted
 
+    def refuse(*args):
+        raise AssertionError("the writer built a rule or read a state")
+
+    fresh = analyze_param(cfg, AnalysisConfig())  # states whose rules were never read
+    doc = cli.analysis_document("independent7", cfg, fresh)
     monkeypatch.setattr(cli, "render_mask", counting("render_mask", cli.render_mask))
     monkeypatch.setattr(cli, "members", counting("members", cli.members))
-    monkeypatch.setattr(IntervalEnv, "items", counting("items", IntervalEnv.items))
     monkeypatch.setattr(Interval, "to_json", counting("to_json", Interval.to_json))
+    monkeypatch.setattr(param, "Rule", refuse)
+    monkeypatch.setattr(IntervalEnv, "items", refuse)
     pieces: list[str] = []
     dump(doc, pieces.append)
     assert "".join(pieces) == expected
     # every table is written rule by rule: one piece per rule, and a few per node
     assert len(rules) < len(pieces) < len(rules) + 20 * len(cfg.nodes)
-    # one text per distinct mask, state and interval, however many rules share it
+    # one text per distinct mask and (variable, interval), however many rules share it
     assert len(masks) < len(rules)
     assert calls["members"] == calls["render_mask"]
     assert sorted(calls["render_mask"]) == sorted(masks)
-    assert len(calls["items"]) == len(set(calls["items"])) == len(states) == 128
-    assert len(calls["to_json"]) == len(set(calls["to_json"])) == len(intervals)
+    assert len(calls["to_json"]) == len(bindings) == 7 * 2  # each x: top and [0, +inf]
 
 
 def test_unchanged_nodes_share_their_predecessors_state_and_rules():
@@ -674,12 +680,15 @@ def _shared_rule_states(draw):
     for _ in range(draw(st.integers(1, 3))):
         bounds = {v: interval() for v in variables}
         envs += [IntervalEnv.of(bounds), IntervalEnv.of(dict(bounds))]  # equal, not the same
-    masks = st.integers(0, (1 << (1 << width)) - 1)
-    rules = [Rule(draw(masks), draw(st.sampled_from(envs))) for _ in range(draw(st.integers(1, 5)))]
-    pool = [
-        ParamState(tuple(draw(st.lists(st.sampled_from(rules), max_size=4))), atoms)
-        for _ in range(draw(st.integers(1, 3)))
-    ]
+
+    def state():  # each subset draws one of a few rules
+        cells = draw(st.integers(1, 1 << width))
+        masks = [0] * cells
+        for subset in range(1 << width):
+            masks[draw(st.integers(0, cells - 1))] |= 1 << subset
+        return ParamState([Rule(mask, draw(st.sampled_from(envs))) for mask in masks], atoms)
+
+    pool = [state() for _ in range(draw(st.integers(1, 3)))]
     states = st.sampled_from(pool)
     items = (
         states

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from paramax import engine
+from paramax import engine, param
 from paramax.cli import main
 from paramax.conditions import And, Atom, Not, TRUE, full_mask, members, render_mask
 from paramax.engine import (
@@ -17,7 +17,7 @@ from paramax.engine import (
 )
 from paramax.frontend import Assume, parse_cfg, restrict
 from paramax.intervals import BOTTOM, NEG_INF, POS_INF, Interval, transfer
-from paramax.param import ParamState, PartitionError, Rule, leq_param, normalize
+from paramax.param import ParamState, PartitionError, Rule, leq_param
 
 from conftest import (
     CORPUS,
@@ -28,6 +28,7 @@ from conftest import (
     param_state,
     reference_equivalence,
     reference_soundness,
+    rule_state,
 )
 from test_fuzz import generate_program
 
@@ -118,7 +119,7 @@ def test_param_fixpoint_reapplication(example1_cfg):
             if isinstance(node.op, Assume):
                 inputs.append(split(result.states[p], node.op.assumption, pis[node.id]))
             else:
-                inputs.append(lift_transfer(result.states[p], lambda e: transfer(node, e)))
+                inputs.append(lift_transfer(result.states[p], node))
         again = join_states(inputs)
         assert again.rules == result.states[node.id].rules  # both in normal form
 
@@ -201,37 +202,39 @@ def test_param_ascent():
 
 
 def test_nodes_that_change_no_rule_make_no_transfer_calls(monkeypatch):
-    # one predecessor each: entry, exit, skip and assert keep its state, and a
-    # state that a transfer leaves as it was is not normalized again
+    # entry, exit, skip and assert keep their predecessor's state, a transfer
+    # runs once per cell of the variables its node mentions, and a state that
+    # a transfer leaves as it was is kept itself
     cfg = parse_cfg(
         "".join(f"x{i} := input();\nassume a{i}: x{i} >= 0;\n" for i in range(4))
         + "y := 0;\ny := 0;\nassert x0 >= 0;\nskip;\nassert x1 >= 0 && y <= 0;\n"
+        + "z := x2 + y;\nif (x3 <= z) { skip; }\n"
     )
     expected = analyze_param(cfg)
-    ops, normalized = [], []
+    ops = []
 
     def counting_transfer(node, env):
         ops.append(type(node.op).__name__)
         return transfer(node, env)
 
-    def counting_normalize(state):
-        normalized.append(state)
-        return normalize(state)
-
-    monkeypatch.setattr(engine, "transfer", counting_transfer)
-    monkeypatch.setattr(engine, "normalize", counting_normalize)
+    monkeypatch.setattr(param, "transfer", counting_transfer)
     result = analyze_param(cfg)
     assert result.states == expected.states
     assert (result.iterations, result.converged) == (expected.iterations, expected.converged)
-    assert ops.count("Assign") == 2 * 16  # once per rule at each `y := 0`
+    # each `y := 0` runs once, not once per rule; `z := x2 + y` once per cell of
+    # x2, y and z (2 x 1 x 1), and the guard once per cell of x3 and z (2 x 2)
+    assert ops.count("Input") == 4 and ops.count("Assign") == 2 + 2
+    assert ops.count("GuardFilter") == 2 * 4
     assert not {"Entry", "Exit", "Skip", "Assert"} & set(ops)
-    kept = 0
+    assert len(result.states[-1].rules) == 16
     for node in cfg.nodes[1:]:
-        (pred,) = cfg.predecessors(node.id)
-        kept += result.states[node.id] is result.states[pred]
-        if type(node.op).__name__ in ("Exit", "Skip", "Assert"):
-            assert result.states[node.id] is result.states[pred], node.render()
-    assert len(normalized) == len(cfg.nodes) - 1 - kept
+        (pred, *more) = cfg.predecessors(node.id)
+        kept = result.states[node.id] is result.states[pred]
+        if type(node.op).__name__ in ("Exit", "Skip", "Assert", "Input") and not more:
+            assert kept, node.render()
+    first, second = (node.id for node in cfg.nodes if node.render() == "assign(y := 0)")
+    assert result.states[first] is not result.states[first - 1]
+    assert result.states[second] is result.states[first]  # the second `y := 0` changes nothing
 
 
 def test_collecting_assume_filters_everything():
@@ -626,6 +629,64 @@ def test_variant_sweep_keeps_every_analysis_of_generated_programs():
     assert groups > 2000 and cut > 100
 
 
+_RELATIONAL16 = """
+x := input(); y := input(); z := input();
+assume a0: x >= 0; assume a1: x <= 40; assume a2: y >= 5; assume a3: y <= 30;
+assume a4: z >= -10; assume a5: z <= 10;
+i := 0;
+while (i < x) { i := i + 1; assume a6: i <= 50; }
+if (x <= y) { z := z + x; assume a7: z >= 0; } else { z := y - x; assume a8: z <= -1; }
+assume a9: i >= 3; assume a10: y >= 10 && y <= 25; assume a11: x = 7;
+assume a12: z <= 20; assume a13: i <= 40;
+w := x + y;
+assume a14: w >= 12; assume a15: w <= 60;
+assert i >= x;
+assert w >= 12 || z <= 0;
+"""
+
+
+def _independent16() -> str:
+    return "".join(f"x{i} := input();\nassume a{i}: x{i} >= 0;\n" for i in range(16)) + (
+        "assert x0 >= 0;\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "source, config",
+    [(_independent16(), AnalysisConfig()), (_RELATIONAL16, AnalysisConfig(widening_delay=2))],
+    ids=["independent", "relational-guard-and-widened-loop"],
+)
+def test_states_above_the_oracle_cap_match_sampled_re_analyses(source, config):
+    # at 16 assumptions the exhaustive oracles refuse; a sample of subsets is
+    # re-analyzed instead: the empty and full sets, every singleton and
+    # co-singleton, and 16 seeded subsets
+    cfg = parse_cfg(source)
+    width = len(cfg.assumptions)
+    assert width == 16
+    result = analyze_param(cfg, config)
+    assert result.converged
+    everyone = (1 << width) - 1
+    rng = random.Random(1716)
+    sample = {0, everyone, *(1 << i for i in range(width)), *(everyone ^ 1 << i for i in range(width))}
+    sample |= {rng.randrange(1 << width) for _ in range(16)}
+    exact = config.widening_delay is None
+    runs = analyze_variants(cfg, config, subsets=sum(1 << a for a in sample))
+    checked = 0
+    for group, base in runs:
+        assert base.converged
+        for accepted in members(group):
+            for node in cfg.nodes:
+                expected = base.states[node.id]
+                got = result.states[node.id].state_for(accepted)
+                assert expected == got if exact else expected.leq(got), (accepted, node.id)
+            checked += 1
+    assert checked == len(sample) >= 2 + 2 * width + 12
+    if exact:  # each variable's partition at the exit: [0, +inf] where assumed, else top
+        exit_state = result.states[cfg.exit]
+        assert exit_state.is_partition()
+        assert len(exit_state.parts) == width and all(len(part) <= 2 for part in exit_state.parts)
+
+
 def test_variant_sweep_rejects_subsets_outside_the_program(example1_cfg):
     assert analyze_variants(example1_cfg, subsets=0) == []
     for subsets in (-1, 1 << 4):
@@ -634,22 +695,21 @@ def test_variant_sweep_rejects_subsets_outside_the_program(example1_cfg):
 
 
 def test_verifiers_raise_on_broken_partitions(example1_cfg):
+    # rules that leave a gap or overlap do not make a state: factoring refuses them
     cfg = example1_cfg
     a = Atom(cfg.assumptions[0])
-    gap = param_state(cfg.assumptions, (a, env(x=(NEG_INF, POS_INF))))
-    overlap = param_state(cfg.assumptions, (TRUE, env(x=(5, 5))), (Not(a), env(x=(5, 5))))
+    gap = rule_state(cfg.assumptions, (a, env(x=(NEG_INF, POS_INF))))
+    overlap = rule_state(cfg.assumptions, (TRUE, env(x=(5, 5))), (Not(a), env(x=(5, 5))))
     contradiction = param_state(
         cfg.assumptions, (TRUE, env(x=(5, 5))), (And((a, Not(a))), BOTTOM)
     )
     for broken in (gap, overlap):
-        param = analyze_param(cfg)
-        param.states[3] = broken
         with pytest.raises(PartitionError):
-            verify_soundness(cfg, input_range=(-2, 2), param=param)
+            broken.factored()
+        param = analyze_param(cfg)
+        param.states[3] = broken  # a rule list in place of the state
         with pytest.raises(PartitionError):
             reference_soundness(cfg, input_range=(-2, 2), param=param)
-        with pytest.raises(PartitionError):
-            verify_equivalence(cfg, param=param)
     # an unsatisfiable extra rule is no gap and no overlap
     param = analyze_param(cfg)
     param.states[3] = contradiction

@@ -5,8 +5,8 @@ import pytest
 from paramax.conditions import WIDTH_CAP, And, Atom, FALSE, Not, TRUE, render_mask, truth_table
 from paramax import engine, param
 from paramax.engine import AnalysisConfig, analyze_param
-from paramax.frontend import AssumptionId, AtomicConstraint, Bound, Rel, parse_cfg
-from paramax.intervals import BOTTOM, AssumeState, NEG_INF, POS_INF
+from paramax.frontend import AssumptionId, AtomicConstraint, Bound, Entry, Exit, Rel, Skip, parse_cfg
+from paramax.intervals import BOTTOM, AssumeState, IntervalEnv, NEG_INF, POS_INF, transfer
 from paramax.param import (
     ParamState,
     PartitionError,
@@ -24,6 +24,7 @@ from paramax.param import (
 
 from conftest import (
     CORPUS,
+    RuleList,
     canonical_rule_key,
     corpus_source,
     env,
@@ -33,7 +34,14 @@ from conftest import (
     param_state,
     random_param_state,
     redundancy_elim_step,
+    reference_join_states,
+    reference_leq_param,
+    reference_lift_transfer,
+    reference_normalize,
     reference_reduce_to_budget,
+    reference_split,
+    reference_widen_param,
+    rule_state,
 )
 
 A = fake_assumptions(4)
@@ -44,6 +52,11 @@ TOP1 = env(x=(NEG_INF, POS_INF))
 def state_of(width: int, *rules) -> ParamState:
     """`param_state` over the first `width` of the atoms `A`."""
     return param_state(A[:width], *rules)
+
+
+def rules_of(width: int, *rules) -> RuleList:
+    """`rule_state` over the first `width` of the atoms `A`."""
+    return rule_state(A[:width], *rules)
 
 
 def pi_ge(c: int) -> AssumeState:
@@ -66,12 +79,23 @@ def test_state_lookup():
 
 
 def test_state_lookup_detects_broken_partition():
-    overlapping = state_of(2, (a0, TOP1), (TRUE, TOP1))
+    # rules that overlap or leave a gap do not factor; the rule lists show why
+    overlapping = rules_of(2, (a0, TOP1), (TRUE, TOP1))
+    with pytest.raises(PartitionError, match="multiple rules apply to subset 0x1"):
+        overlapping.factored()
     with pytest.raises(PartitionError):
         overlapping.state_for(0b01)
-    gappy = state_of(2, (a0, TOP1))
+    gappy = rules_of(2, (a0, TOP1))
+    with pytest.raises(PartitionError, match="no rule applies to subset 0x0"):
+        gappy.factored()
     with pytest.raises(PartitionError):
         gappy.state_for(0b00)
+    # an empty-mask rule is no overlap; a subset outside the width has no rule
+    state = rules_of(2, (TRUE, TOP1), (FALSE, env(x=(0, 0)))).factored()
+    assert state.rules == (Rule(0b1111, TOP1),)
+    for outside in (-1, 4):
+        with pytest.raises(PartitionError):
+            state.state_for(outside)
 
 
 def test_states_hash_and_print_without_hashing_atoms(monkeypatch):
@@ -91,41 +115,57 @@ def test_states_hash_and_print_without_hashing_atoms(monkeypatch):
 
 def test_exact_merge_step():
     five = env(x=(5, 5))
-    state = state_of(1, (a0, five), (Not(a0), five))
+    state = rules_of(1, (a0, five), (Not(a0), five))
     merged = exact_merge_step(state)
     assert merged is not None
     assert len(merged.rules) == 1
     assert merged.rules[0].state == five
     assert merged.rules[0].mask == 0b11
 
-    distinct = state_of(1, (a0, five), (Not(a0), TOP1))
+    distinct = rules_of(1, (a0, five), (Not(a0), TOP1))
     assert exact_merge_step(distinct) is None
 
-    triple = state_of(2, (a0, five), (And((Not(a0), a1)), five), (And((Not(a0), Not(a1))), five))
+    triple = rules_of(2, (a0, five), (And((Not(a0), a1)), five), (And((Not(a0), Not(a1))), five))
     one_step = exact_merge_step(triple)
     assert one_step is not None and len(one_step.rules) == 2  # one pair per step
 
 
 def test_redundancy_elim_step():
     contradiction = And((Not(a0), a0))
-    state = state_of(1, (contradiction, env(x=(1, 2))), (TRUE, TOP1))
+    state = rules_of(1, (contradiction, env(x=(1, 2))), (TRUE, TOP1))
     out = redundancy_elim_step(state)
-    assert out is not None and out.rules == state_of(1, (TRUE, TOP1)).rules
+    assert out is not None and out.rules == rules_of(1, (TRUE, TOP1)).rules
 
-    sat_state = state_of(1, (a0, TOP1), (Not(a0), env(x=(0, 0))))
+    sat_state = rules_of(1, (a0, TOP1), (Not(a0), env(x=(0, 0))))
     assert redundancy_elim_step(sat_state) is None
 
-    falsy = state_of(1, (FALSE, env(x=(0, 0))), (TRUE, TOP1))
-    assert redundancy_elim_step(falsy).rules == state_of(1, (TRUE, TOP1)).rules
+    falsy = rules_of(1, (FALSE, env(x=(0, 0))), (TRUE, TOP1))
+    assert redundancy_elim_step(falsy).rules == rules_of(1, (TRUE, TOP1)).rules
 
 
 def test_normalize_merges_and_simplifies():
+    # factoring merges rules of equal states; the rules come back in normal form
     five = env(x=(5, 5))
     state = state_of(1, (a0, five), (Not(a0), five))
-    assert normalize(state).rules == state_of(1, (TRUE, five)).rules
+    assert state.rules == rules_of(1, (TRUE, five)).rules
+    assert reference_normalize(rules_of(1, (a0, five), (Not(a0), five))).rules == state.rules
 
-    already = state_of(1, (Not(a0), TOP1), (a0, five))
-    assert normalize(already) == already  # fixpoint, canonical order kept
+    already = rules_of(1, (Not(a0), TOP1), (a0, five))
+    assert already.factored().rules == already.rules  # fixpoint, canonical order kept
+
+    # `normalize` pools cells of equal intervals and keeps what did not change
+    two = state_of(2, (a0, env(x=(1, 3), y=(0, 0))), (Not(a0), env(x=(5, 5), y=(0, 0))))
+    x_cells = list(two.parts[0].items())
+    assert normalize(two, two.reach, [x_cells, two.parts[1]]) is two
+    pooled = normalize(two, two.reach, [[(iv(0, 9), 0b0101), (iv(0, 9), 0b1010)], two.parts[1]])
+    assert pooled.parts[0] == {iv(0, 9): 0b1111} and pooled.parts[1] is two.parts[1]
+    assert pooled.rules == (Rule(0b1111, env(x=(0, 9), y=(0, 0))),)
+    # subsets outside the reach become bottom in every partition
+    cut = normalize(two, 0b0011, two.parts)
+    assert cut.rules == (Rule(0b0001, env(x=(5, 5), y=(0, 0))), Rule(0b0010, env(x=(1, 3), y=(0, 0))),
+                         Rule(0b1100, BOTTOM))
+    assert cut.is_partition() and cut.parts[1] == {iv(0, 0): 0b0011, None: 0b1100}
+    assert normalize(two, 0, two.parts) == ParamState.bottom(A[:2])
 
 
 def test_normalize_matches_enumeration_oracle():
@@ -133,7 +173,7 @@ def test_normalize_matches_enumeration_oracle():
     for _ in range(150):
         width = rng.randint(1, 4)
         state = random_param_state(rng, width)
-        normalized = normalize(state)
+        normalized = state.factored()
         # oracle: group subsets by their looked-up state, via plain enumeration
         groups = {}
         for accepted in range(1 << width):
@@ -151,6 +191,24 @@ def test_normalize_matches_enumeration_oracle():
         assert all(r.mask for r in normalized.rules)
 
 
+_NODES = parse_cfg(
+    "x := input(); y := input(); x := x; y := 2*x - 3; x := x + y; x := 7;"
+    "if (x <= y) { skip; } if (x < y) { skip; } if (x = y) { skip; } if (x != y) { skip; }"
+    "if (x >= 2) { skip; } if (y > x) { skip; } if (3 <= 2) { skip; }"
+).nodes
+
+
+def _two_variable_pool(rng: random.Random) -> list:
+    """States over x and y, some of them bottom, with a few shared intervals."""
+    bounds = [NEG_INF, -2, 0, 1, 3, POS_INF]
+
+    def interval():
+        lo, hi = sorted(rng.sample(bounds, 2))
+        return (lo, hi) if lo != hi or lo not in (NEG_INF, POS_INF) else (0, 0)
+
+    return [BOTTOM] + [env(x=interval(), y=interval()) for _ in range(rng.randint(1, 5))]
+
+
 def test_unchanged_states_are_returned_themselves():
     box = env(x=(0, 5), y=(NEG_INF, POS_INF))
     assert box.updated("x", iv(0, 5)) is box
@@ -159,22 +217,95 @@ def test_unchanged_states_are_returned_themselves():
     assert moved is not box and moved == env(x=(0, 6), y=(NEG_INF, POS_INF))
     assert BOTTOM.updated("x", iv(0, 1)) is BOTTOM
 
+    keep = next(node for node in _NODES if node.render() == "assign(x := x)")
     rng = random.Random(1212)
     for _ in range(100):
-        state = random_param_state(rng, rng.randint(0, 4))
-        assert lift_transfer(state, lambda e: e) is state
-        # sending one state to bottom rebuilds its rules and keeps the others
-        first = state.rules[0].state
-        lifted = lift_transfer(state, lambda e: BOTTOM if e is first else e)
-        assert (lifted is state) == (first is BOTTOM)
-        for new, old in zip(lifted.rules, state.rules):
-            assert new == (Rule(old.mask, BOTTOM) if old.state is first else old)
-            assert (new is old) == (old.state is not first or first is BOTTOM)
-        normal = normalize(state)
-        assert normalize(normal) is normal
-        assert (normal is state) == (normal.rules == state.rules)
-        lows = [rule.mask & -rule.mask for rule in normal.rules]
+        state = random_param_state(rng, rng.randint(0, 4), state_pool=_two_variable_pool(rng))
+        factored = state.factored()
+        # entry, exit, skip and `x := x` give the state itself
+        for node in (*_NODES[:1], *_NODES[-1:], keep, *(n for n in _NODES if n.render() == "skip")):
+            assert lift_transfer(factored, node) is factored
+        # a transfer that changes one variable keeps the other's partition itself
+        y_node = next(node for node in _NODES if node.render() == "assign(y := 2*x - 3)")
+        moved = lift_transfer(factored, y_node)
+        assert moved.rules == reference_normalize(
+            reference_lift_transfer(state, lambda e: transfer(y_node, e))
+        ).rules
+        if moved.reach:
+            assert moved.parts[0] is factored.parts[0]
+        assert factored.is_partition() and moved.is_partition()
+        lows = [rule.mask & -rule.mask for rule in factored.rules]
         assert lows == sorted(set(lows)) and all(lows)  # ordered by lowest subset
+
+
+def test_factoring_then_expanding_is_the_identity_on_normal_states():
+    rng = random.Random(17)
+    no_variables = [BOTTOM, IntervalEnv.of({})]
+    for _ in range(300):
+        width = rng.randint(0, 5)
+        pool = rng.choice([None, no_variables, _two_variable_pool(rng)])
+        rules = random_param_state(rng, width, state_pool=pool)
+        normal = reference_normalize(rules)
+        state = normal.factored()
+        assert state.rules == normal.rules
+        assert rules.factored() == state  # any rule list of the function factors alike
+        assert ParamState(state.rules, state.atoms) == state
+        assert state.is_partition()
+        assert state.cells() == [(rule.mask, rule.state) for rule in normal.rules]
+        assert len(state) == len(normal.rules)
+        for accepted in range(1 << width):
+            assert state.state_for(accepted) == rules.state_for(accepted)
+
+
+def _assume_state(rng: random.Random) -> AssumeState:
+    """An assumption bounding x, y or both, sometimes contradictory."""
+    bounds = [
+        Bound(rng.choice("xy"), rng.choice([Rel.LE, Rel.GE, Rel.EQ]), rng.randint(-2, 3))
+        for _ in range(rng.randint(1, 3))
+    ]
+    return AssumeState.from_constraint(AtomicConstraint(tuple(bounds)))
+
+
+def test_factored_operations_expand_to_the_reference():
+    # random walks of transfers (relational guards included), multi-variable
+    # assumes, joins, widenings and budget reductions, in lock step with the
+    # rule-list operations; bottom cells come from the pools and the guards
+    rng = random.Random(2026)
+    nodes = [node for node in _NODES if not isinstance(node.op, (Entry, Exit, Skip))]
+    seen = set()
+    for _ in range(250):
+        width = rng.randint(0, 4)
+        pool = _two_variable_pool(rng)
+        expected = reference_normalize(random_param_state(rng, width, state_pool=pool))
+        got = expected.factored()
+        for _ in range(6):
+            other = reference_normalize(random_param_state(rng, width, state_pool=pool))
+            step = rng.choice(["transfer", "assume", "join", "widen", "leq", "budget"])
+            if step == "transfer":
+                node = rng.choice(nodes)
+                got = lift_transfer(got, node)
+                expected = reference_lift_transfer(expected, lambda e: transfer(node, e))
+            elif step == "assume" and width:
+                atom, pi = A[rng.randrange(width)], _assume_state(rng)
+                got, expected = split(got, atom, pi), reference_split(expected, atom, pi)
+            elif step == "join":
+                got = join_states([got, other.factored()])
+                expected = reference_join_states([expected, other])
+            elif step == "widen":
+                got = widen_param(got, other.factored())
+                expected = reference_widen_param(expected, other)
+            elif step == "leq":
+                assert leq_param(got, other.factored()) == reference_leq_param(expected, other)
+                assert leq_param(got, join_states([got, other.factored()]))
+            elif step == "budget":
+                budget = rng.randint(1, 4)
+                got, expected = reduce_to_budget(got, budget), reference_reduce_to_budget(expected, budget)
+            expected = reference_normalize(expected)
+            assert got.rules == expected.rules, (step, got, expected)
+            assert got.is_partition()
+            seen.add(step)
+            seen.update(f"bottom {r.state.is_bottom}" for r in got.rules)
+    assert {"transfer", "assume", "join", "widen", "leq", "budget", "bottom True"} <= seen
 
 
 def test_split_fresh_atom():
@@ -186,26 +317,29 @@ def test_split_fresh_atom():
 
 
 def test_split_skips_unsatisfiable_branch():
-    state = state_of(1, (Not(a0), TOP1))
+    state = state_of(1, (Not(a0), TOP1), (a0, BOTTOM))
     out = split(state, A[0], pi_ge(1))
-    assert out.rules == state.rules
+    assert out is state  # no reached subset takes the assumption
 
 
 def test_split_reuses_deciding_condition():
-    state = state_of(1, (a0, env(x=(0, 9))))
+    state = state_of(1, (a0, env(x=(0, 9))), (Not(a0), BOTTOM))
     out = split(state, A[0], pi_ge(1))
-    assert out.rules == state_of(1, (a0, env(x=(1, 9)))).rules  # the mask kept whole
+    assert out.rules == state_of(1, (a0, env(x=(1, 9))), (Not(a0), BOTTOM)).rules  # the mask kept whole
+    empty = AssumeState.from_constraint(AtomicConstraint((Bound("x", Rel.GE, 3), Bound("x", Rel.LE, 2))))
+    assert split(state, A[0], empty) == ParamState.bottom(A[:1])
 
 
 def test_split_preserves_partition_and_semantics():
     rng = random.Random(7)
     for _ in range(100):
         width = rng.randint(1, 4)
-        state = normalize(random_param_state(rng, width))
+        state = random_param_state(rng, width).factored()
         index = rng.randrange(width)
         pi = pi_ge(rng.randint(-2, 5))
         out = split(state, A[index], pi)
         assert out.is_partition()
+        assert out.rules == reference_normalize(reference_split(state, A[index], pi)).rules
         for accepted in range(1 << width):
             before = state.state_for(accepted)
             expect = before.meet(pi) if (accepted >> index) & 1 else before
@@ -226,15 +360,16 @@ def test_join_pointwise_hull():
 def test_join_with_bottom_is_identity():
     split_state = state_of(1, (a0, env(x=(1, 2))), (Not(a0), env(x=(3, 4))))
     bottom = ParamState.bottom(A[:1])
-    joined = join_states([split_state, bottom])
-    assert canonical_rule_key(joined) == canonical_rule_key(normalize(split_state))
+    assert join_states([split_state, bottom]) is split_state
+    assert join_states([bottom, split_state]) is split_state
+    assert canonical_rule_key(join_states([bottom, split_state])) == canonical_rule_key(split_state)
 
 
 def test_join_realizes_pointwise_join():
     rng = random.Random(99)
     for _ in range(60):
         width = rng.randint(1, 3)
-        states = [normalize(random_param_state(rng, width)) for _ in range(rng.randint(1, 3))]
+        states = [random_param_state(rng, width).factored() for _ in range(rng.randint(1, 3))]
         joined = join_states(states)
         assert joined.is_partition()
         for accepted in range(1 << width):
@@ -257,8 +392,10 @@ def test_approx_merge():
     state = state_of(1, (a0, env(x=(1, 3))), (Not(a0), env(x=(10, 12))))
     merged = approx_merge(state, 0, 1)
     assert merged.rules == state_of(1, (TRUE, env(x=(1, 12)))).rules
-    same = state_of(1, (a0, env(x=(7, 7))), (Not(a0), env(x=(7, 7))))
-    assert approx_merge(same, 0, 1).rules[0].state == env(x=(7, 7))
+    # a merge that makes two rules equal leaves them one rule
+    three = state_of(2, (And((a0, a1)), env(x=(7, 7))), (And((a0, Not(a1))), env(x=(8, 8))),
+                     (Not(a0), env(x=(7, 8))))
+    assert approx_merge(three, 1, 2).rules == state_of(2, (TRUE, env(x=(7, 8)))).rules
     with pytest.raises(IndexError):
         approx_merge(state, 0, 5)
     with pytest.raises(IndexError):
@@ -269,7 +406,7 @@ def test_approx_merge_overapproximates_randomly():
     rng = random.Random(4242)
     for _ in range(200):
         width = rng.randint(1, 4)
-        state = normalize(random_param_state(rng, width))
+        state = random_param_state(rng, width).factored()
         if len(state.rules) < 2:
             continue
         i = rng.randrange(len(state.rules))
@@ -314,7 +451,7 @@ def test_reduce_preserves_partition_and_overapproximates():
     rng = random.Random(11)
     for _ in range(100):
         width = rng.randint(1, 4)
-        state = normalize(random_param_state(rng, width))
+        state = random_param_state(rng, width).factored()
         budget = rng.randint(1, 3)
         reduced = reduce_to_budget(state, budget)
         assert len(reduced.rules) <= budget
@@ -339,19 +476,18 @@ def _many_rules(rng: random.Random, width: int) -> ParamState:
         masks[rng.randrange(cells)] |= 1 << subset
     rules = [Rule(mask, rng.choice(pool)) for mask in masks]
     rng.shuffle(rules)
-    return ParamState(tuple(rules), fake_assumptions(width))
+    return RuleList(rules, fake_assumptions(width))
 
 
 def test_reduce_to_budget_chooses_as_the_full_rescan_does():
+    # a factored state's rules are in normal form, so the rescan starts there
     rng = random.Random(16)
     for _ in range(400):
-        state = _many_rules(rng, rng.randint(0, 5))
-        for given in (state, normalize(state)):
-            budget = rng.randint(1, len(given.rules) + 1)
-            assert reduce_to_budget(given, budget) == reference_reduce_to_budget(given, budget), (
-                given,
-                budget,
-            )
+        given = _many_rules(rng, rng.randint(0, 5)).factored()
+        for budget in (rng.randint(1, len(given.rules) + 1), rng.randint(1, 4)):
+            got = reduce_to_budget(given, budget)
+            assert got.rules == reference_reduce_to_budget(given, budget).rules, (given, budget)
+            assert len(got) == len(got.rules) <= budget
 
 
 def test_reduce_to_budget_analyzes_the_corpus_as_the_full_rescan_does(monkeypatch):
@@ -362,7 +498,9 @@ def test_reduce_to_budget_analyzes_the_corpus_as_the_full_rescan_does(monkeypatc
         for budget in range(1, 9):
             config = AnalysisConfig(widening_delay=delay, merge_budget=budget)
             runs.append((entry.name, budget, cfg, config, analyze_param(cfg, config)))
-    monkeypatch.setattr(engine, "reduce_to_budget", reference_reduce_to_budget)
+    monkeypatch.setattr(
+        engine, "reduce_to_budget", lambda s, b: reference_reduce_to_budget(s, b).factored()
+    )
     for name, budget, cfg, config, got in runs:
         expected = analyze_param(cfg, config)
         assert got.states == expected.states, (name, budget)
@@ -376,7 +514,7 @@ def test_reduce_to_budget_computes_each_pair_loss_once(monkeypatch):
     result = analyze_param(parse_cfg(source))
     state = result.states[-1]
     r = len(state.rules)
-    assert r == 128 and normalize(state) is state
+    assert r == 128
     calls = []
 
     def counting(a, b):
@@ -412,7 +550,7 @@ def test_normal_form_unique_for_any_reduction_order():
     for _ in range(50):
         width = rng.randint(1, 4)
         state = random_param_state(rng, width)
-        expected = canonical_rule_key(normalize(state))
+        expected = canonical_rule_key(state.factored())
         for _ in range(20):
             current = state
             while True:

@@ -1,3 +1,5 @@
+import random
+
 from paramax.conditions import members, render_mask
 from paramax.engine import AnalysisConfig, OracleReport, analyze_baseline, analyze_param
 from paramax.frontend import parse_cfg, render_assert, restrict
@@ -249,3 +251,60 @@ def test_solutions_and_minimal_match_the_members_of_the_condition():
             assert outcome.minimal == tuple(s for s in every if s.bit_count() == least)
             if verdict is not SynthesisVerdict.SOLUTIONS:
                 assert outcome.minimal == () and outcome.solutions == ()
+
+
+def _per_rule_reference(result, cfg):
+    """Each assertion's (rule mask, verdict) rows, one `proves` per rule of its
+    node, and the mask of the subsets proving every assertion."""
+    rows, condition = {}, (1 << (1 << len(cfg.assumptions))) - 1
+    for node in cfg.assert_nodes():
+        rows[node.id] = tuple((r.mask, proves(r.state, node.op.test)) for r in result.states[node.id].rules)
+        condition &= sum(mask for mask, verdict in rows[node.id] if verdict is ProofVerdict.PROVED)
+    return rows, condition
+
+
+def _mixed_verdicts_program(rng: random.Random) -> str:
+    """Three inputs, bounds assumed on them, and nested `&&`/`||` assertions
+    whose parts are proved, refuted or unknown under different subsets."""
+    names = ["x", "y", "z"]
+
+    def operand():
+        return rng.choice(names) if rng.random() < 0.7 else str(rng.randint(-2, 2))
+
+    def test(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return f"{rng.choice(names)} {rng.choice(['<=', '<', '>=', '>', '='])} {operand()}"
+        parts = [test(depth - 1) for _ in range(rng.randint(2, 3))]
+        return "(" + rng.choice([" && ", " || "]).join(parts) + ")"
+
+    lines = [f"{v} := input();" for v in names]
+    for i in range(rng.randint(2, 5)):
+        lines.append(f"assume a{i}: {rng.choice(names)} {rng.choice(['<=', '>=', '='])} {rng.randint(-2, 2)};")
+    lines += [f"assert {test(2)};" for _ in range(2)]
+    return "\n".join(lines)
+
+
+def test_verdicts_per_cell_match_the_per_rule_reference():
+    # an assertion is checked once per cell of the variables it compares; the
+    # rows still list every rule, subsets where it is unreached proving it
+    from test_fuzz import generate_program
+
+    sources = [corpus_cfg(entry.name) for entry in CORPUS]
+    sources += [parse_cfg(generate_program(seed)) for seed in range(40)]
+    sources += [parse_cfg(_mixed_verdicts_program(random.Random(seed))) for seed in range(40)]
+    sources.append(parse_cfg(
+        "x := input(); y := input(); assume a: x >= 5; assume b: x <= 2; assume c: y >= 0;"
+        "assert x >= 10; assert y >= 0 || x <= y;"
+    ))
+    bottoms = 0
+    for cfg in sources:
+        for config in (AnalysisConfig(widening_delay=2), AnalysisConfig(merge_budget=2, widening_delay=2)):
+            result = analyze_param(cfg, config)
+            outcome = synthesize(result, cfg)
+            rows, condition = _per_rule_reference(result, cfg)
+            assert outcome.per_assertion == rows
+            assert outcome.condition == condition
+            bottoms += sum(r.state.is_bottom for n in cfg.assert_nodes() for r in result.states[n.id].rules)
+    assert bottoms  # some assertions are unreached under some subsets
+    last = synthesize(analyze_param(sources[-1]), sources[-1])
+    assert last.solutions == (0b011, 0b111) and last.minimal == (0b011,)  # a and b: unreached
