@@ -76,7 +76,6 @@ from .param import (
     ParamState,
     PartitionError,
     Rule,
-    approx_merge,
     join_states,
     leq_param,
     merge_loss,

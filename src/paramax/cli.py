@@ -19,17 +19,10 @@ from . import consistency as consistency_mod
 from . import synthesis as synthesis_mod
 from .conditions import format_subset, members, render_mask
 from .engine import (
-    AnalysisConfig,
-    ParamAnalysisResult,
-    WidthCapError,
-    analyze_param,
-    verify_equivalence,
-    verify_soundness,
+    AnalysisConfig, ParamAnalysisResult, analyze_param, verify_equivalence, verify_soundness,
 )
 from .frontend import Cfg, ParseError, dump_cfg, parse_cfg
 from .param import ParamState
-
-WIDTH_CAP_ENV = "PARAMAX_WIDTH_CAP"
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -132,18 +125,10 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _make_config(args: SimpleNamespace) -> AnalysisConfig:
-    cap = os.environ.get(WIDTH_CAP_ENV)
-    extra = {}
-    if cap is not None:
-        try:
-            extra["condition_width_cap"] = int(cap)
-        except ValueError:
-            raise ValueError(f"{WIDTH_CAP_ENV} must be an integer, got {cap!r}")
     return AnalysisConfig(
         max_iterations=args.max_iters,
         widening_delay=_parse_widen(args.widen),
         merge_budget=args.max_rules,
-        **extra,
     )
 
 
@@ -332,6 +317,8 @@ def _format_subsets(subsets, cfg: Cfg, truncated: bool = False) -> str:
 def _cmd_synthesize(args: SimpleNamespace) -> int:
     name, cfg = _load(args.source)
     config = _make_config(args)
+    if args.verify_solutions < 0:
+        raise ValueError(f"--verify-solutions must be at least 0, got {args.verify_solutions}")
     result = analyze_param(cfg, config)
     if not result.converged:
         print("analysis did not converge; try --widen", file=sys.stderr)
@@ -493,7 +480,6 @@ COMMANDS = {
     )),
     "check-oracle": (_cmd_check_oracle, "brute-force verification sweeps", _COMMON + (
         ("--theorem1", "theorem1", None, False, "", "per-subset equality with fresh analyses"),
-        ("--equivalence", "theorem1", None, False, "", "the same as --theorem1"),
         ("--soundness", "soundness", None, False, "", "concrete states inside abstract ones"),
         ("--input-range", "input_range", str, "-8:8", "LO:HI", "values of unannotated inputs"),
         ("--max-steps", "max_steps", int, 100_000, "N", "steps of each concrete run"),
@@ -583,7 +569,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(f"{args.source}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (WidthCapError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

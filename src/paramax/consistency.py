@@ -17,7 +17,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .conditions import atom_mask, full_mask, members
-from .engine import ParamAnalysisResult
+from .engine import ORACLE_CAP, ParamAnalysisResult, _check_oracle_cap
 from .frontend import Assume, AssumptionId, Cfg, Record, op_variables
 from .intervals import AssumeState, feasible
 
@@ -138,15 +138,12 @@ def consistency_bounds(
 
 
 def brute_force_fixpoints(
-    result: ParamAnalysisResult,
-    cfg: Cfg,
-    max_assumptions: int = 12,
-    tables: list[int] | None = None,
+    result: ParamAnalysisResult, cfg: Cfg, tables: list[int] | None = None
 ) -> list[int]:
-    """All subsets the operator maps to themselves; the oracle for bounds."""
+    """All subsets the operator maps to themselves; the oracle for bounds.
+    A program with more than `ORACLE_CAP` assumptions raises ValueError."""
     width = len(cfg.assumptions)
-    if width > max_assumptions:
-        raise ValueError(f"refusing to enumerate 2**{width} subsets (cap {max_assumptions})")
+    _check_oracle_cap(width)
     if tables is None:
         tables = _refuting_tables(result, cfg)
     fixed = full_mask(width)
@@ -159,12 +156,11 @@ def consistency_report(
     result: ParamAnalysisResult,
     cfg: Cfg,
     include_phi_table: bool | None = None,
-    include_fixpoints: bool | None = None,
 ) -> ConsistencyReport:
     """Classify each assumption against the consistency bounds.
 
-    The full operator table and the brute-forced fixpoints are attached for
-    small assumption counts (or on request).
+    The full operator table is attached up to 6 assumptions (or on
+    request), and the brute-forced fixpoints up to `ORACLE_CAP`.
     """
     width = len(cfg.assumptions)
     tables = _refuting_tables(result, cfg)
@@ -181,11 +177,9 @@ def consistency_report(
 
     if include_phi_table is None:
         include_phi_table = width <= 6
-    if include_fixpoints is None:
-        include_fixpoints = width <= 12
     phi_table = _phi_table(tables, cfg.assumptions) if include_phi_table else None
     fixpoints = (
-        tuple(brute_force_fixpoints(result, cfg, tables=tables)) if include_fixpoints else None
+        tuple(brute_force_fixpoints(result, cfg, tables)) if width <= ORACLE_CAP else None
     )
     return ConsistencyReport(
         core=core,

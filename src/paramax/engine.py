@@ -34,15 +34,17 @@ from .intervals import (
 from .param import ParamState, join_states, lift_transfer, reduce_to_budget, split, widen_param
 
 
+ORACLE_CAP = 12  # most assumptions whose 2**n subsets the exhaustive oracles enumerate
+
+
 class WidthCapError(ValueError):
-    """The program has more assumptions than the configured condition width."""
+    """The program has more assumptions than the condition width cap."""
 
 
 class AnalysisConfig(Record):
     max_iterations: int = 1000  # node evaluations before giving up
     widening_delay: int | None = None  # widen loop heads from this visit on; None = off
     merge_budget: int | None = None  # max rules kept per node; None = exact
-    condition_width_cap: int = WIDTH_CAP
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -52,15 +54,13 @@ class AnalysisConfig(Record):
             raise ValueError("widening delay must be at least 1")
         if self.merge_budget is not None and self.merge_budget < 1:
             raise ValueError("merge budget must be at least 1")
-        if not 0 <= self.condition_width_cap <= WIDTH_CAP:
-            raise ValueError(f"condition width cap must be within 0..{WIDTH_CAP}")
 
     def to_json(self) -> dict:
         return {
             "max_iterations": self.max_iterations,
             "widening": "off" if self.widening_delay is None else self.widening_delay,
             "merge_budget": self.merge_budget,
-            "condition_width_cap": self.condition_width_cap,
+            "condition_width_cap": WIDTH_CAP,
         }
 
 
@@ -320,10 +320,8 @@ def analyze_param(
     """One-pass analysis over rule states covering every assumption subset."""
     config = config or AnalysisConfig()
     width = len(cfg.assumptions)
-    if width > config.condition_width_cap:
-        raise WidthCapError(
-            f"program has {width} assumptions; configured width cap is {config.condition_width_cap}"
-        )
+    if width > WIDTH_CAP:
+        raise WidthCapError(f"program has {width} assumptions; configured width cap is {WIDTH_CAP}")
     pis, budget = _assume_states(cfg), config.merge_budget
     seed = ParamState.of_state(IntervalEnv.top(cfg.variables), cfg.assumptions)
     bottom = ParamState.bottom(cfg.assumptions)
@@ -481,10 +479,14 @@ def run_collecting(
     return CollectingResult(labelled, truncated_subsets, cfg.variables, given)
 
 
+def _check_oracle_cap(width: int) -> None:
+    if width > ORACLE_CAP:
+        raise ValueError(f"refusing to enumerate 2**{width} subsets (cap {ORACLE_CAP})")
+
+
 def verify_equivalence(
     cfg: Cfg,
     config: AnalysisConfig | None = None,
-    max_assumptions: int = 12,
     program_name: str = "<program>",
     param: ParamAnalysisResult | None = None,
 ) -> OracleReport:
@@ -499,12 +501,12 @@ def verify_equivalence(
     iterations are not guaranteed to widen in lock step. Non-convergent runs
     are recorded as skipped, never passed. `param`, if given, is the
     one-pass result of `analyze_param(cfg, config)`, reused instead of
-    analyzing again.
+    analyzing again. A program with more than `ORACLE_CAP` assumptions
+    raises ValueError.
     """
     config = config or AnalysisConfig()
     width = len(cfg.assumptions)
-    if width > max_assumptions:
-        raise ValueError(f"refusing to enumerate 2**{width} subsets (cap {max_assumptions})")
+    _check_oracle_cap(width)
     exact = config.widening_delay is None and config.merge_budget is None
     mode = "equality" if exact else "containment"
     report = OracleReport("equivalence", program_name, 1 << width, mode)
@@ -545,7 +547,6 @@ def verify_soundness(
     config: AnalysisConfig | None = None,
     input_range: tuple[int, int] = (-8, 8),
     step_bound: int = 100_000,
-    max_assumptions: int = 12,
     program_name: str = "<program>",
     param: ParamAnalysisResult | None = None,
 ) -> OracleReport:
@@ -559,12 +560,12 @@ def verify_soundness(
     per subset in both; a node whose rules each hold the bounding box of
     every group of equally labelled states they meet needs no such test.
     Subsets whose exploration was truncated are recorded as partial
-    evidence. `param` is reused as in `verify_equivalence`.
+    evidence. `param` is reused, and the cap enforced, as in
+    `verify_equivalence`.
     """
     config = config or AnalysisConfig()
     width = len(cfg.assumptions)
-    if width > max_assumptions:
-        raise ValueError(f"refusing to enumerate 2**{width} subsets (cap {max_assumptions})")
+    _check_oracle_cap(width)
     report = OracleReport("soundness", program_name, 1 << width, "membership")
     param = param or analyze_param(cfg, config)
     if not param.converged:

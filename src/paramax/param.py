@@ -18,8 +18,8 @@ factors them; `expand` gives the product with any payload per cell.
 `lift_transfer` and `split` change the partitions of the variables a node
 mentions, through the product of their cells; `join_states`, `widen_param`
 and `leq_param` go variable by variable; `normalize` pools the new cells.
-`approx_merge` and `reduce_to_budget` merge expanded rules, guided by a
-loss score, and factor the result.
+`reduce_to_budget` merges expanded rules, guided by a loss score, and
+factors the result.
 """
 
 from __future__ import annotations
@@ -386,21 +386,6 @@ def leq_param(a: ParamState, b: ParamState) -> bool:
     return True
 
 
-def approx_merge(state: ParamState, i: int, j: int) -> ParamState:
-    """Fuse rules i and j into one, ORing masks, joining states.
-
-    The result denotes a pointwise-larger function: precision traded for a
-    smaller rule set.
-    """
-    rules = state.rules
-    n = len(rules)
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"invalid rule pair ({i}, {j}) for {n} rules")
-    i, j = min(i, j), max(i, j)
-    merged = Rule(rules[i].mask | rules[j].mask, rules[i].state.join(rules[j].state))
-    return ParamState((merged if k == i else r for k, r in enumerate(rules) if k != j), state.atoms)
-
-
 def merge_loss(a: IntervalEnv, b: IntervalEnv) -> tuple[int, int]:
     """Precision lost by joining two result states, lexicographically.
 
@@ -426,7 +411,8 @@ def merge_loss(a: IntervalEnv, b: IntervalEnv) -> tuple[int, int]:
 
 
 def reduce_to_budget(state: ParamState, budget: int) -> ParamState:
-    """Greedily merge minimum-loss rule pairs until at most `budget` rules.
+    """Greedily merge minimum-loss rule pairs until at most `budget` rules,
+    as in the budgeted disjunctions of Sankaranarayanan et al. (SAS 2006).
 
     The state's rules are expanded and merged as rules; ties break toward
     the lowest index pair, and the rules are re-normalized after every

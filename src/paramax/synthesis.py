@@ -29,6 +29,8 @@ from .frontend import (
 from .intervals import ProofVerdict, proves
 from .param import ParamState
 
+SOLUTION_CAP = 256  # most solutions an outcome lists, lowest subsets first
+
 
 class SynthesisVerdict(Enum):
     SOLUTIONS = "solutions"
@@ -39,7 +41,7 @@ class SynthesisVerdict(Enum):
 class SynthesisOutcome(Record):
     condition: int  # mask of the subsets under which every assertion is proved
     verdict: SynthesisVerdict
-    solutions: tuple[int, ...]  # present when verdict is SOLUTIONS (capped)
+    solutions: tuple[int, ...]  # present when verdict is SOLUTIONS (at most SOLUTION_CAP)
     minimal: tuple[int, ...]  # minimum-cardinality solutions, ascending
     per_assertion: dict[int, tuple[tuple[int, ProofVerdict], ...]]  # (rule mask, verdict)
     truncated: bool
@@ -91,14 +93,13 @@ def _verdicts(state: ParamState, test: AssertExpr, full: int) -> tuple[int, int]
     return proved, refuted
 
 
-def synthesize(
-    result: ParamAnalysisResult, cfg: Cfg, solution_cap: int = 256
-) -> SynthesisOutcome:
+def synthesize(result: ParamAnalysisResult, cfg: Cfg) -> SynthesisOutcome:
     """Intersect, across assertions, the masks of the subsets whose states prove them.
 
     An assertion's masks come from the cells of the variables it compares
     (`_verdicts`); its rows give the verdict of every rule of its node, in
-    the rules' order.
+    the rules' order. The solutions listed are the first `SOLUTION_CAP`
+    members of the condition, and `truncated` says whether more exist.
     """
     width = len(cfg.assumptions)
     full = full_mask(width)
@@ -135,7 +136,7 @@ def synthesize(
             layer = nxt
     solutions = []
     rest = condition
-    while rest and len(solutions) < solution_cap:
+    while rest and len(solutions) < SOLUTION_CAP:
         low = rest & -rest
         solutions.append(low.bit_length() - 1)
         rest ^= low
@@ -159,9 +160,12 @@ def verify_solutions(
 ) -> OracleReport:
     """Re-analyze restricted variants and re-prove every assertion.
 
-    Checks up to `limit` of the reported solutions with the plain analysis
-    (one `analyze_variants` sweep); any assertion not proved is a mismatch.
+    Checks the first `limit` (at least 0) of the reported solutions with the
+    plain analysis (one `analyze_variants` sweep); any assertion not proved
+    is a mismatch.
     """
+    if limit < 0:
+        raise ValueError(f"limit must be at least 0, got {limit}")
     if outcome.verdict is not SynthesisVerdict.SOLUTIONS:
         raise ValueError("can only verify a solutions outcome")
     config = config or AnalysisConfig()

@@ -104,6 +104,13 @@ def env(**bounds) -> IntervalEnv:
     return IntervalEnv.of({v: Interval(lo, hi) for v, (lo, hi) in bounds.items()})
 
 
+def independent_source(n: int) -> str:
+    """n inputs, each under its own assumption, and one assertion on the first."""
+    return "".join(f"x{i} := input();\nassume a{i}: x{i} >= 0;\n" for i in range(n)) + (
+        "assert x0 >= 0;\n"
+    )
+
+
 def fake_assumptions(width: int) -> tuple[AssumptionId, ...]:
     return tuple(AssumptionId(i, f"a{i + 1}", i) for i in range(width))
 

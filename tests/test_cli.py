@@ -28,13 +28,13 @@ from paramax.cli import (
 )
 from paramax.conditions import WIDTH_CAP
 from paramax.consistency import ConsistencyReport
-from paramax.engine import AnalysisConfig, OracleReport, analyze_param
+from paramax.engine import ORACLE_CAP, AnalysisConfig, OracleReport, analyze_param
 from paramax.frontend import MAX_NESTING, AssumptionId, parse_cfg
 from paramax.intervals import BOTTOM, NEG_INF, POS_INF, Interval, IntervalEnv
 from paramax.param import ParamState, Rule
 from paramax.synthesis import SynthesisOutcome
 
-from conftest import CORPUS, CORPUS_DIR
+from conftest import CORPUS, CORPUS_DIR, independent_source
 
 
 def run(capsys, *argv):
@@ -466,11 +466,34 @@ def test_usage_error_exit():
     assert main(["frobnicate", "x.pwl"]) == EXIT_USAGE
 
 
-def test_width_cap_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("PARAMAX_WIDTH_CAP", "4")
-    code, _, err = run(capsys, "analyze", corpus_path("chain8.pwl"))
-    assert code == EXIT_USAGE
-    assert "width cap" in err
+def test_programs_above_the_width_cap_are_refused(tmp_path, capsys):
+    # `consistency`, not `analyze`: at the cap each node's table has 65,536 rules
+    for n, expected in ((WIDTH_CAP, EXIT_OK), (WIDTH_CAP + 1, EXIT_USAGE)):
+        path = tmp_path / f"independent{n}.pwl"
+        path.write_text(independent_source(n))
+        code, out, err = run(capsys, "consistency", str(path))
+        assert code == expected, n
+        assert ("width cap" in err) == (code == EXIT_USAGE) == (out == ""), n
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: program has 17 assumptions; configured width cap is 16\n"
+
+
+def test_check_oracle_above_the_oracle_cap_is_refused(tmp_path, capsys):
+    path = tmp_path / "independent13.pwl"
+    path.write_text(independent_source(ORACLE_CAP + 1))
+    code, out, err = run(capsys, "check-oracle", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: refusing to enumerate 2**13 subsets (cap 12)\n"
+
+
+def test_synthesize_rejects_a_negative_verification_limit(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "analyze_param", None)  # rejected before analyzing
+    code, out, err = run(
+        capsys, "synthesize", corpus_path("chain8.pwl"), "--verify-solutions", "-1"
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: --verify-solutions must be at least 0, got -1\n"
 
 
 def test_deterministic_output(capsys):
@@ -734,7 +757,7 @@ OPTIONS = {
     "synthesize": COMMON_OPTIONS + ("--verify-solutions",),
     "consistency": COMMON_OPTIONS + ("--phi-table",),
     "check-oracle": COMMON_OPTIONS
-    + ("--theorem1", "--equivalence", "--soundness", "--input-range", "--max-steps"),
+    + ("--theorem1", "--soundness", "--input-range", "--max-steps"),
     "dump-cfg": (),
 }
 # option -> (attribute, value on the command line or None for a flag, parsed value)
@@ -746,7 +769,6 @@ SAMPLES = {
     "--verify-solutions": ("verify_solutions", "0", 0),
     "--phi-table": ("phi_table", None, True),
     "--theorem1": ("theorem1", None, True),
-    "--equivalence": ("theorem1", None, True),
     "--soundness": ("soundness", None, True),
     "--input-range": ("input_range", "-2:2", "-2:2"),
     "--max-steps": ("max_steps", "7", 7),
@@ -782,9 +804,9 @@ def test_options_before_the_source_and_negative_values_run(capsys):
     joined = run(capsys, "check-oracle", "--input-range=-2:13", fig1, "--soundness")
     assert after == before == joined
     assert after[0] == EXIT_OK and "soundness: pass" in after[1] and "equivalence" not in after[1]
-    alias = run(capsys, "check-oracle", corpus_path("example1.pwl"), "--equivalence")
-    assert alias == run(capsys, "check-oracle", corpus_path("example1.pwl"), "--theorem1")
-    assert "equivalence: pass" in alias[1] and "soundness" not in alias[1]
+    code, out, err = run(capsys, "check-oracle", corpus_path("example1.pwl"), "--equivalence")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.splitlines()[1] == "paramax: error: unknown option --equivalence"
 
 
 @pytest.mark.parametrize(

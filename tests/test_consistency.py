@@ -183,7 +183,7 @@ def test_report_builds_refuting_tables_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(consistency, "refuting_condition", counting)
-    report = consistency_report(result, cfg, include_phi_table=True, include_fixpoints=True)
+    report = consistency_report(result, cfg, include_phi_table=True)
     assert report.phi_table is not None and report.fixpoints is not None
     assert len(calls) == len(cfg.assumptions)
 

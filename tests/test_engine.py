@@ -5,7 +5,9 @@ import pytest
 from paramax import engine, param
 from paramax.cli import main
 from paramax.conditions import And, Atom, Not, TRUE, full_mask, members, render_mask
+from paramax.consistency import brute_force_fixpoints, consistency_report
 from paramax.engine import (
+    ORACLE_CAP,
     AnalysisConfig,
     WidthCapError,
     analyze_baseline,
@@ -25,6 +27,7 @@ from conftest import (
     canonical_rule_key,
     corpus_cfg,
     env,
+    independent_source,
     param_state,
     reference_equivalence,
     reference_soundness,
@@ -175,9 +178,10 @@ def test_param_loop_resplit_drops_contradictions():
 
 
 def test_param_width_cap():
-    cfg = corpus_cfg("chain8.pwl")
-    with pytest.raises(WidthCapError):
-        analyze_param(cfg, AnalysisConfig(condition_width_cap=4))
+    assert analyze_param(parse_cfg(independent_source(16))).converged
+    with pytest.raises(WidthCapError) as caught:
+        analyze_param(parse_cfg(independent_source(17)))
+    assert str(caught.value) == "program has 17 assumptions; configured width cap is 16"
 
 
 def test_param_states_stay_partitions():
@@ -645,15 +649,33 @@ assert w >= 12 || z <= 0;
 """
 
 
-def _independent16() -> str:
-    return "".join(f"x{i} := input();\nassume a{i}: x{i} >= 0;\n" for i in range(16)) + (
-        "assert x0 >= 0;\n"
-    )
+def test_the_oracles_enumerate_up_to_the_cap():
+    # constants, not inputs: with inputs every assume node sets the subsets
+    # apart, and the equivalence sweep compares 4,096 fresh states with
+    # 4,096 cells per node, for seconds
+    assert ORACLE_CAP == 12
+    cfg = parse_cfg(independent_source(12).replace("input()", "1"))
+    result = analyze_param(cfg)
+    assert verify_equivalence(cfg, param=result).passed
+    assert verify_soundness(cfg, param=result).passed
+    fixpoints = brute_force_fixpoints(result, cfg)
+    assert consistency_report(result, cfg).fixpoints == tuple(fixpoints) == ((1 << 12) - 1,)
+
+    cfg = parse_cfg(independent_source(13))
+    result = analyze_param(cfg)
+    for check in (
+        lambda: verify_equivalence(cfg, param=result),
+        lambda: verify_soundness(cfg, param=result),
+        lambda: brute_force_fixpoints(result, cfg),
+    ):
+        with pytest.raises(ValueError, match=r"refusing to enumerate 2\*\*13 subsets \(cap 12\)"):
+            check()
+    assert consistency_report(result, cfg).fixpoints is None
 
 
 @pytest.mark.parametrize(
     "source, config",
-    [(_independent16(), AnalysisConfig()), (_RELATIONAL16, AnalysisConfig(widening_delay=2))],
+    [(independent_source(16), AnalysisConfig()), (_RELATIONAL16, AnalysisConfig(widening_delay=2))],
     ids=["independent", "relational-guard-and-widened-loop"],
 )
 def test_states_above_the_oracle_cap_match_sampled_re_analyses(source, config):

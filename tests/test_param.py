@@ -11,7 +11,6 @@ from paramax.param import (
     ParamState,
     PartitionError,
     Rule,
-    approx_merge,
     join_states,
     leq_param,
     lift_transfer,
@@ -383,41 +382,36 @@ def test_leq_param():
     state = state_of(1, (a0, env(x=(1, 2))), (Not(a0), env(x=(5, 6))))
     assert leq_param(state, state)
     assert leq_param(ParamState.bottom(A[:1]), state)
-    merged = approx_merge(state, 0, 1)
+    merged = reduce_to_budget(state, 1)
     assert leq_param(state, merged)
     assert not leq_param(merged, state)
 
 
-def test_approx_merge():
+def test_reduce_to_budget_joins_rules_and_fuses_equal_states():
     state = state_of(1, (a0, env(x=(1, 3))), (Not(a0), env(x=(10, 12))))
-    merged = approx_merge(state, 0, 1)
-    assert merged.rules == state_of(1, (TRUE, env(x=(1, 12)))).rules
-    # a merge that makes two rules equal leaves them one rule
-    three = state_of(2, (And((a0, a1)), env(x=(7, 7))), (And((a0, Not(a1))), env(x=(8, 8))),
-                     (Not(a0), env(x=(7, 8))))
-    assert approx_merge(three, 1, 2).rules == state_of(2, (TRUE, env(x=(7, 8)))).rules
-    with pytest.raises(IndexError):
-        approx_merge(state, 0, 5)
-    with pytest.raises(IndexError):
-        approx_merge(state, 1, 1)
+    assert reduce_to_budget(state, 1).rules == state_of(1, (TRUE, env(x=(1, 12)))).rules
+    # the least-loss pair (the first two, on ties) joins to the third rule's
+    # state, so one merge leaves one rule
+    three = state_of(
+        2,
+        (And((Not(a0), Not(a1))), env(x=(0, 0), y=(0, 10))),
+        (And((a0, Not(a1))), env(x=(0, 10), y=(0, 0))),
+        (a1, env(x=(0, 10), y=(0, 10))),
+    )
+    assert reduce_to_budget(three, 2).rules == state_of(2, (TRUE, env(x=(0, 10), y=(0, 10)))).rules
 
 
-def test_approx_merge_overapproximates_randomly():
+def test_reduce_to_budget_overapproximates_randomly():
     rng = random.Random(4242)
     for _ in range(200):
         width = rng.randint(1, 4)
         state = random_param_state(rng, width).factored()
-        if len(state.rules) < 2:
-            continue
-        i = rng.randrange(len(state.rules))
-        j = rng.randrange(len(state.rules))
-        if i == j:
-            continue
-        merged = approx_merge(state, i, j)
-        assert merged.is_partition()
-        assert leq_param(state, merged)
-        for accepted in range(1 << width):
-            assert state.state_for(accepted).leq(merged.state_for(accepted))
+        for budget in range(1, len(state)):
+            merged = reduce_to_budget(state, budget)
+            assert merged.is_partition() and len(merged) <= budget
+            assert leq_param(state, merged)
+            for accepted in range(1 << width):
+                assert state.state_for(accepted).leq(merged.state_for(accepted))
 
 
 def test_merge_loss_examples():

@@ -80,8 +80,8 @@ FROZEN = [
 MUTABLE = [
     (
         AnalysisConfig,
-        ("max_iterations", "widening_delay", "merge_budget", "condition_width_cap"),
-        (50, 2, 3, 4),
+        ("max_iterations", "widening_delay", "merge_budget"),
+        (50, 2, 3),
     ),
     (AnalysisResult, ("states", "iterations", "converged", "config"), ([BOTTOM], 3, True, AnalysisConfig())),
     (
@@ -199,16 +199,16 @@ def test_repr_text():
     assert repr(Comparison("x", Rel.LE, 3)) == "Comparison(lhs='x', op=<Rel.LE: '<='>, rhs=3)"
     assert repr(_Token("eof", "", 2, 1)) == "_Token(kind='eof', text='', line=2, col=1)"
     assert repr(AnalysisConfig()) == (
-        "AnalysisConfig(max_iterations=1000, widening_delay=None, merge_budget=None, "
-        f"condition_width_cap={WIDTH_CAP})"
+        "AnalysisConfig(max_iterations=1000, widening_delay=None, merge_budget=None)"
     )
 
 
 def test_defaults_and_keyword_construction():
     config = AnalysisConfig(widening_delay=2)
     assert (config.max_iterations, config.widening_delay) == (1000, 2)
-    assert (config.merge_budget, config.condition_width_cap) == (None, WIDTH_CAP)
-    assert AnalysisConfig() == AnalysisConfig(1000, None, None, WIDTH_CAP) != config
+    assert config.merge_budget is None
+    assert AnalysisConfig() == AnalysisConfig(1000, None, None) != config
+    assert AnalysisConfig().to_json()["condition_width_cap"] == WIDTH_CAP
     assert Input("x").input_range is None and Input("x") == Input("x", None)
     assert Input(var="x") == Input("x", None)
     assert CfgNode(0, Entry()).loop_head is False
@@ -238,13 +238,13 @@ def test_analysis_config_validates():
         {"max_iterations": 0},
         {"widening_delay": 0},
         {"merge_budget": 0},
-        {"condition_width_cap": -1},
-        {"condition_width_cap": WIDTH_CAP + 1},
     ):
         with pytest.raises(ValueError):
             AnalysisConfig(**bad)
     with pytest.raises(ValueError):
         AnalysisConfig(0)
+    with pytest.raises(TypeError):  # the width cap is fixed
+        AnalysisConfig(condition_width_cap=WIDTH_CAP)
 
 
 def test_collecting_results_compare_by_value_and_are_unhashable():

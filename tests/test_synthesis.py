@@ -1,10 +1,18 @@
 import random
 
+import pytest
+
 from paramax.conditions import members, render_mask
 from paramax.engine import AnalysisConfig, OracleReport, analyze_baseline, analyze_param
 from paramax.frontend import parse_cfg, render_assert, restrict
 from paramax.intervals import ProofVerdict, proves
-from paramax.synthesis import SynthesisOutcome, SynthesisVerdict, synthesize, verify_solutions
+from paramax.synthesis import (
+    SOLUTION_CAP,
+    SynthesisOutcome,
+    SynthesisVerdict,
+    synthesize,
+    verify_solutions,
+)
 
 from conftest import CORPUS, corpus_cfg
 
@@ -98,13 +106,23 @@ def test_minimal_rejects_other_verdicts():
 
 
 def test_solution_cap_truncates():
-    cfg = corpus_cfg("chain8.pwl")
-    result = analyze_param(cfg)
-    outcome = synthesize(result, cfg, solution_cap=10)
+    # nine assumptions that every subset proves: 512 solutions
+    assumes = "".join(f" assume a{i}: x >= 0;" for i in range(9))
+    cfg = parse_cfg("x := 1;" + assumes + " assert x >= 0;")
+    outcome = synthesize(analyze_param(cfg), cfg)
+    assert outcome.condition == (1 << 512) - 1
     assert outcome.truncated
-    assert len(outcome.solutions) == 10
+    assert outcome.solutions == tuple(range(SOLUTION_CAP))
     # minimal solutions still cover the whole space
-    assert outcome.minimal == tuple(1 << i for i in range(3, 8))
+    assert outcome.minimal == (0,)
+
+
+def test_verify_solutions_rejects_a_negative_limit():
+    cfg, _, outcome = outcome_for("chain8.pwl")
+    assert len(outcome.solutions) == 248
+    for limit in (-1, -250):
+        with pytest.raises(ValueError, match=f"limit must be at least 0, got {limit}"):
+            verify_solutions(cfg, outcome, limit=limit)
 
 
 def test_exact_completeness_against_brute_force():
@@ -241,16 +259,15 @@ def test_solutions_and_minimal_match_the_members_of_the_condition():
         cfg = parse_cfg(_stacked_program(lower, upper, assertion, first))
         assert len(cfg.assumptions) >= 12
         result = analyze_param(cfg)
-        for cap in (0, 1, 256):
-            outcome = synthesize(result, cfg, solution_cap=cap)
-            assert outcome.verdict is verdict
-            every = members(outcome.condition)
-            least = min((s.bit_count() for s in every), default=0)
-            assert outcome.solutions == tuple(every[:cap])
-            assert outcome.truncated == (len(every) > cap)
-            assert outcome.minimal == tuple(s for s in every if s.bit_count() == least)
-            if verdict is not SynthesisVerdict.SOLUTIONS:
-                assert outcome.minimal == () and outcome.solutions == ()
+        outcome = synthesize(result, cfg)
+        assert outcome.verdict is verdict
+        every = members(outcome.condition)
+        least = min((s.bit_count() for s in every), default=0)
+        assert outcome.solutions == tuple(every[:SOLUTION_CAP])
+        assert outcome.truncated == (len(every) > SOLUTION_CAP)
+        assert outcome.minimal == tuple(s for s in every if s.bit_count() == least)
+        if verdict is not SynthesisVerdict.SOLUTIONS:
+            assert outcome.minimal == () and outcome.solutions == ()
 
 
 def _per_rule_reference(result, cfg):
