@@ -11,7 +11,7 @@ subsets, labelling each reached state with the mask of the subsets whose
 restricted programs reach it. The two `verify_*` functions exhaustively
 check the per-subset equality (a fresh analysis of every subset) and the
 concretization-membership soundness claim (one labelled enumeration) against
-those oracles.
+those oracles, reading the one-pass states' partitions, never their rules.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ from .intervals import (
     gamma_contains,
     transfer,
 )
-from .param import ParamState, join_states, lift_transfer, reduce_to_budget, split, widen_param
+from .param import (
+    ParamState, join_states, lift_transfer, mismatched, reduce_to_budget, split, widen_param
+)
 
 
 ORACLE_CAP = 12  # most assumptions whose 2**n subsets the exhaustive oracles enumerate
@@ -494,11 +496,11 @@ def verify_equivalence(
 
     `analyze_variants` re-analyzes the restricted program of every
     assumption subset, in groups of subsets whose analyses agree. At each
-    node, the subsets that reach one fresh state are compared at once with
-    every rule cell they meet, and a failure is reported for each subset in
-    both. Without widening the comparison is exact equality; with widening
-    it is downgraded to containment of the fresh result, since the two
-    iterations are not guaranteed to widen in lock step. Non-convergent runs
+    node, the subsets that reach one fresh state are compared with the rule
+    state at once (`param.mismatched`), and each subset that differs is
+    reported with its state. The comparison is exact equality, or with
+    widening or a merge budget containment of the fresh result, since the
+    two analyses need not widen or merge in lock step. Non-convergent runs
     are recorded as skipped, never passed. `param`, if given, is the
     one-pass result of `analyze_param(cfg, config)`, reused instead of
     analyzing again. A program with more than `ORACLE_CAP` assumptions
@@ -514,32 +516,19 @@ def verify_equivalence(
     if not param.converged:
         report.skipped = list(range(1 << width))
         return report
-    cells = [state.cells() for state in param.states]
     runs = analyze_variants(cfg, config)
     report.skipped = members(sum(group for group, base in runs if not base.converged))
     runs = [(group, base.states) for group, base in runs if base.converged]
-    for node in cfg.nodes:
+    for node, state in zip(cfg.nodes, param.states):
         reached: dict[IntervalEnv, int] = {}  # each fresh state, to the subsets that reach it
         for group, states in runs:
             reached[states[node.id]] = reached.get(states[node.id], 0) | group
         for expected, group in reached.items():
-            for mask, got in cells[node.id]:
-                if mask & group and not (expected == got if exact else expected.leq(got)):
-                    found = {"baseline": expected.to_json(), "parameterized": got.to_json()}
-                    report.record(mask & group, node.id, **found)
+            for a in members(mismatched(state, expected, group, exact)):
+                got = state.state_for(a).to_json()
+                report.record(1 << a, node.id, baseline=expected.to_json(), parameterized=got)
     report.sort()
     return report
-
-
-def _boxes(labelled: list[tuple[ConcreteValues, int]], variables) -> dict[int, IntervalEnv]:
-    """Per label, the least interval state holding the states that carry it."""
-    groups: dict[int, list] = {}
-    for values, reached in labelled:
-        groups.setdefault(reached, []).append(values)
-    return {
-        reached: IntervalEnv.of({v: Interval(min(c), max(c)) for v, c in zip(variables, zip(*g))})
-        for reached, g in groups.items()
-    }
 
 
 def verify_soundness(
@@ -554,12 +543,12 @@ def verify_soundness(
 
     The program is executed once over the finite input ranges; every
     collected concrete state carries the mask of the assumption subsets
-    whose restricted programs reach it (see `run_collecting`). Each state
-    is tested for membership in the concretization of every rule at its
-    node whose subsets overlap that mask, and a failure is reported once
-    per subset in both; a node whose rules each hold the bounding box of
-    every group of equally labelled states they meet needs no such test.
-    Subsets whose exploration was truncated are recorded as partial
+    whose restricted programs reach it (see `run_collecting`). At each node
+    the bounding box of every group of equally labelled states is compared
+    with the node's rule state, variable by variable (`param.mismatched`);
+    the states of a group are then tested for membership in the state of
+    each subset whose state misses the box, and a failure is reported per
+    subset. Subsets whose exploration was truncated are recorded as partial
     evidence. `param` is reused, and the cap enforced, as in
     `verify_equivalence`.
     """
@@ -571,17 +560,22 @@ def verify_soundness(
     if not param.converged:
         report.skipped = list(range(1 << width))
         return report
-    cells = [state.cells() for state in param.states]
     collected = run_collecting(cfg, input_range, step_bound)
     report.partial = members(collected.truncated_subsets)
-    for node in cfg.nodes:
-        boxes = _boxes(collected.labelled[node.id], cfg.variables).items()
-        if all(box.leq(s) for m, box in boxes for mask, s in cells[node.id] if mask & m):
-            continue  # every rule holds the bounding box of each group of states it meets
-        for values, reached in collected.labelled[node.id]:
-            state = dict(zip(cfg.variables, values))
-            for mask, abstract in cells[node.id]:
-                if mask & reached and not gamma_contains(abstract, state):
-                    report.record(mask & reached, node.id, state=state)
+    names = cfg.variables
+    for node, state, labelled in zip(cfg.nodes, param.states, collected.labelled):
+        groups: dict[int, list] = {}  # per label, the states that carry it
+        for values, reached in labelled:
+            groups.setdefault(reached, []).append(values)
+        missed = {}  # per label, the subsets whose state misses the bounding box of its states
+        for reached, group in groups.items():
+            box = IntervalEnv.of({v: Interval(min(c), max(c)) for v, c in zip(names, zip(*group))})
+            if bad := mismatched(state, box, reached, exact=False):
+                missed[reached] = bad
+        for values, reached in labelled if missed else ():
+            concrete = dict(zip(names, values))
+            for a in members(missed.get(reached, 0)):
+                if not gamma_contains(state.state_for(a), concrete):
+                    report.record(1 << a, node.id, state=concrete)
     report.sort()
     return report

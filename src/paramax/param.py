@@ -11,15 +11,15 @@ equal functions have equal states.
 
 The rules, (mask, environment) pairs in normal form (distinct states,
 ordered by lowest subset), are the cells of the product of the partitions
-plus a bottom rule for the unreached subsets. `rules`, `cells`,
-`state_for`, `to_json` and `render` expand them; `ParamState(rules, atoms)`
-factors them; `expand` gives the product with any payload per cell.
+plus a bottom rule for the unreached subsets. `rules`, `to_json` and
+`render` expand them on each call (no state keeps them); `ParamState(rules,
+atoms)` factors them; `expand` gives the product with any payload per cell.
 
 `lift_transfer` and `split` change the partitions of the variables a node
-mentions, through the product of their cells; `join_states`, `widen_param`
-and `leq_param` go variable by variable; `normalize` pools the new cells.
-`reduce_to_budget` merges expanded rules, guided by a loss score, and
-factors the result.
+mentions, through the product of their cells; `join_states`, `widen_param`,
+`leq_param` and `mismatched` (the oracles' test of plain states) go variable
+by variable; `normalize` pools the new cells. `reduce_to_budget` merges the
+expanded rules, guided by a loss score, and factors the result.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def product(cover: int, columns: Iterable[Iterable[tuple[object, int]]]) -> list
 class ParamState:
     """Immutable factored state over a program's assumptions."""
 
-    __slots__ = ("atoms", "reach", "names", "parts", "_cells")
+    __slots__ = ("atoms", "reach", "names", "parts")
 
     atoms: tuple[AssumptionId, ...]
     reach: int  # the subsets whose state is not bottom
@@ -120,13 +120,11 @@ class ParamState:
             for part in parts:
                 part[None] = gone
         self.atoms, self.reach, self.names, self.parts = atoms, reach, names, tuple(parts)
-        self._cells = None
 
     @staticmethod
     def _of(atoms, reach: int, names: tuple[str, ...], parts: tuple) -> "ParamState":
         state = object.__new__(ParamState)
         state.atoms, state.reach, state.names, state.parts = atoms, reach, names, parts
-        state._cells = None
         return state
 
     @property
@@ -159,7 +157,8 @@ class ParamState:
         return f"ParamState({self.render()})"
 
     def render(self) -> str:
-        return "; ".join(f"{render_mask(m, self.atoms)} -> {s.render()}" for m, s in self.cells())
+        atoms = self.atoms
+        return "; ".join(f"{render_mask(r.mask, atoms)} -> {r.state.render()}" for r in self.rules)
 
     def columns(self, index: Iterable[int] | None = None) -> list[list[tuple[tuple, int]]]:
         """Per variable (by default every one, else those at `index`), its
@@ -193,20 +192,11 @@ class ParamState:
     @property
     def rules(self) -> tuple[Rule, ...]:
         """The rules in normal form."""
-        return tuple(Rule(mask, env) for mask, env in self.cells())
-
-    def cells(self) -> list[tuple[int, IntervalEnv]]:
-        """The (subset mask, state) pairs of the rules, expanded on the first call."""
-        if self._cells is None:
-            names = self.names
-            self._cells = tuple(
-                (mask, BOTTOM if bindings is None else IntervalEnv(bindings, names))
-                for mask, bindings in self.expand()
-            )
-        return list(self._cells)
+        names, rows = self.names, self.expand()
+        return tuple(Rule(m, BOTTOM if b is None else IntervalEnv(b, names)) for m, b in rows)
 
     def __len__(self) -> int:
-        return len(self.cells())
+        return len(self.expand())
 
     def state_for(self, accepted: int) -> IntervalEnv:
         """The state of subset `accepted`."""
@@ -238,9 +228,9 @@ class ParamState:
     def to_json(self) -> list[dict]:
         """The rules as JSON objects; `cli.dump` writes their text without them."""
         return [
-            {"condition": render_mask(mask, self.atoms), "condition_sets": members(mask),
-             "state": state.to_json()}
-            for mask, state in self.cells()
+            {"condition": render_mask(r.mask, self.atoms), "condition_sets": members(r.mask),
+             "state": r.state.to_json()}
+            for r in self.rules
         ]
 
 
@@ -386,6 +376,20 @@ def leq_param(a: ParamState, b: ParamState) -> bool:
     return True
 
 
+def mismatched(state: ParamState, env: IntervalEnv, subsets: int, exact: bool) -> int:
+    """The subsets in the mask `subsets` whose state is not `env` (`exact`) or does not hold it."""
+    if env.is_bottom:
+        return subsets & state.reach if exact else 0
+    if state.reach and env.variables() != state.names:
+        raise ValueError("mismatched variable universes")
+    bad = subsets & ~state.reach
+    for (_, x), part in zip(env.items(), state.parts):
+        for y, mask in part.items():  # the sentinel cell's subsets are in `bad` already
+            if mask & subsets & ~bad and not (x == y if exact else y.lo <= x.lo and x.hi <= y.hi):
+                bad |= mask & subsets
+    return bad
+
+
 def merge_loss(a: IntervalEnv, b: IntervalEnv) -> tuple[int, int]:
     """Precision lost by joining two result states, lexicographically.
 
@@ -421,9 +425,10 @@ def reduce_to_budget(state: ParamState, budget: int) -> ParamState:
     merged away or takes a new state. The result is factored again."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if len(state) <= budget:
+    rules = state.rules
+    if len(rules) <= budget:
         return state
-    rules = {(rule.mask & -rule.mask).bit_length(): rule for rule in state.rules}
+    rules = {(rule.mask & -rule.mask).bit_length(): rule for rule in rules}
     low_of = {rule.state: low for low, rule in rules.items()}
     stamps = dict.fromkeys(rules, 0)  # per lowest subset, bumped when its state changes
 

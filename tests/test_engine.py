@@ -579,6 +579,36 @@ def test_equivalence_matches_reference_on_mutants():
     assert mismatches > 100
 
 
+def test_the_oracles_read_the_partitions_without_expanding(monkeypatch):
+    # both oracles compare per variable and look up only mismatching
+    # subsets, so no state is expanded into its rules, on passing results
+    # and on mutants alike
+    rng = random.Random(0xFAC7)
+    runs = []
+    for entry, cfg, config in _oracle_corpus():
+        kwargs = dict(input_range=entry.input_range, step_bound=300)
+        param = analyze_param(cfg, config)
+        for mutant in [param, *_mutants(param, rng, 1)]:
+            runs.append((verify_soundness, cfg, config, dict(kwargs, param=mutant)))
+        for other in EQUIVALENCE_CONFIGS:
+            param = analyze_param(cfg, other)
+            for mutant in [param, *_narrowed(param, rng, 1)]:
+                runs.append((verify_equivalence, cfg, other, dict(param=mutant)))
+
+    def expand(self, columns=None):
+        raise AssertionError("a state was expanded")
+
+    def reports():
+        return [verify(cfg, config, **kwargs).to_json() for verify, cfg, config, kwargs in runs]
+
+    with monkeypatch.context() as patched:  # first, so no earlier run expands a state for it
+        patched.setattr(ParamState, "expand", expand)
+        got = reports()
+    assert got == reports()
+    passing = [report for report in got if not report["mismatches"]]
+    assert len(passing) > 60 and len(got) - len(passing) > 20
+
+
 def _check_sweep(cfg, config, subsets=None, label=None) -> int:
     """The sweep's groups partition the chosen subsets, and each group's result
     equals the memo-less plain analysis of every subset in it; the group count."""
@@ -650,14 +680,15 @@ assert w >= 12 || z <= 0;
 
 
 def test_the_oracles_enumerate_up_to_the_cap():
-    # constants, not inputs: with inputs every assume node sets the subsets
-    # apart, and the equivalence sweep compares 4,096 fresh states with
-    # 4,096 cells per node, for seconds
+    # every assume node sets the subsets apart: 4,096 fresh states per node;
+    # inputs in [-1, 0] take and fail each assumption, and every subset's
+    # concrete run completes
     assert ORACLE_CAP == 12
-    cfg = parse_cfg(independent_source(12).replace("input()", "1"))
+    cfg = parse_cfg(independent_source(12))
     result = analyze_param(cfg)
     assert verify_equivalence(cfg, param=result).passed
-    assert verify_soundness(cfg, param=result).passed
+    soundness = verify_soundness(cfg, input_range=(-1, 0), param=result)
+    assert soundness.passed and not soundness.partial
     fixpoints = brute_force_fixpoints(result, cfg)
     assert consistency_report(result, cfg).fixpoints == tuple(fixpoints) == ((1 << 12) - 1,)
 

@@ -15,6 +15,7 @@ from paramax.param import (
     leq_param,
     lift_transfer,
     merge_loss,
+    mismatched,
     normalize,
     reduce_to_budget,
     split,
@@ -250,7 +251,6 @@ def test_factoring_then_expanding_is_the_identity_on_normal_states():
         assert rules.factored() == state  # any rule list of the function factors alike
         assert ParamState(state.rules, state.atoms) == state
         assert state.is_partition()
-        assert state.cells() == [(rule.mask, rule.state) for rule in normal.rules]
         assert len(state) == len(normal.rules)
         for accepted in range(1 << width):
             assert state.state_for(accepted) == rules.state_for(accepted)
@@ -385,6 +385,26 @@ def test_leq_param():
     merged = reduce_to_budget(state, 1)
     assert leq_param(state, merged)
     assert not leq_param(merged, state)
+
+
+def test_mismatched_agrees_with_a_per_subset_lookup():
+    rng = random.Random(2020)
+    for _ in range(300):
+        width = rng.randint(0, 4)
+        pool = rng.choice([_two_variable_pool(rng), [BOTTOM, env(x=(0, 5)), env(x=(1, 3)), TOP1]])
+        state = random_param_state(rng, width, state_pool=pool).factored()
+        plain = rng.choice(pool)
+        subsets = rng.randrange(1 << (1 << width))
+        for exact in (True, False):
+            expected = sum(
+                1 << a for a in range(1 << width) if subsets >> a & 1
+                and not (plain == state.state_for(a) if exact else plain.leq(state.state_for(a)))
+            )
+            assert mismatched(state, plain, subsets, exact) == expected, (state, plain, exact)
+    other = state_of(1, (TRUE, env(y=(0, 0))))
+    for exact in (True, False):
+        with pytest.raises(ValueError, match="mismatched variable universes"):
+            mismatched(other, env(x=(0, 0)), 0b11, exact)
 
 
 def test_reduce_to_budget_joins_rules_and_fuses_equal_states():
@@ -526,6 +546,27 @@ def test_reduce_to_budget_computes_each_pair_loss_once(monkeypatch):
     monkeypatch.setattr("conftest.merge_loss", counting)
     reference_reduce_to_budget(state, r - 4)
     assert len(calls) > 4 * (r - 4) * (r - 5) // 2
+
+
+def test_reduce_to_budget_expands_its_input_once(monkeypatch):
+    # a state keeps no expanded copy of its rules, so one reduction must
+    # count and merge the rules of a single expansion
+    source = "".join(f"x{i} := input();\nassume a{i}: x{i} >= 0;\n" for i in range(5))
+    state = analyze_param(parse_cfg(source)).states[-1]
+    assert len(state.rules) == 32
+    calls = []
+    expand = ParamState.expand
+
+    def counting(self, columns=None):
+        calls.append(self)
+        return expand(self, columns)
+
+    monkeypatch.setattr(ParamState, "expand", counting)
+    for budget, kept in ((4, False), (31, False), (32, True), (64, True)):
+        calls.clear()
+        reduced = reduce_to_budget(state, budget)
+        assert calls == [state], budget
+        assert (reduced is state) == kept, budget
 
 
 def test_widen_param_cells():
