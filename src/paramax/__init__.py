@@ -17,11 +17,8 @@ from .conditions import (
     Not,
     Or,
     TRUE,
-    eval_condition,
     format_subset,
     formula,
-    parse_condition,
-    render,
     satisfying_sets,
     simplify,
 )

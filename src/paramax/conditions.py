@@ -5,11 +5,13 @@ A set of assumption subsets is a mask: an int with bit A set when subset A
 on masks alone. `atom_mask` builds the mask of the subsets holding one
 assumption by doubling one period of it, in O(width) int operations, and
 caches nothing. Output reads a mask's canonical cover (`_cover`: a cube, a
-negated cube, or an irredundant sum of products): `render_mask` prints it
-as text directly, and `formula` builds it as a condition tree, which
-`render` prints to the same text. `truth_table` gives the mask of a tree
-and `simplify` its canonical formula, for trees built by hand or parsed
-back. The width cap keeps masks at desk scale.
+negated cube, or an irredundant sum of products), which `render_mask`
+prints as text. The width cap keeps masks at desk scale.
+
+The condition trees are not on any command's path. `formula` builds a
+mask's cover as a tree, `truth_table` gives the mask of a tree and
+`simplify` its canonical formula; the tests' reference spec evaluates,
+prints and parses trees and checks `render_mask` against them.
 
 Condition nodes cache their hash and highest atom index at construction,
 so table memoization and set operations stay cheap on shared subtrees.
@@ -17,10 +19,9 @@ so table memoization and set operations stay cheap on shared subtrees.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from itertools import compress
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .frontend import AssumptionId
 
@@ -147,21 +148,6 @@ Condition = Union[TrueCond, FalseCond, Atom, Not, And, Or]
 
 TRUE = TrueCond()
 FALSE = FalseCond()
-
-
-def eval_condition(cond: Condition, accepted: int) -> bool:
-    """Evaluate with Atom(a) true iff a's bit is set in `accepted`."""
-    if isinstance(cond, TrueCond):
-        return True
-    if isinstance(cond, FalseCond):
-        return False
-    if isinstance(cond, Atom):
-        return bool((accepted >> cond.assumption.index) & 1)
-    if isinstance(cond, Not):
-        return not eval_condition(cond.operand, accepted)
-    if isinstance(cond, And):
-        return all(eval_condition(p, accepted) for p in cond.parts)
-    return any(eval_condition(p, accepted) for p in cond.parts)
 
 
 def atoms_of(cond: Condition) -> frozenset[AssumptionId]:
@@ -360,95 +346,6 @@ def simplify(cond: Condition) -> Condition:
     return formula(truth_table(cond, cond.max_index), atoms_of(cond))
 
 
-def render(cond: Condition) -> str:
-    """Text form with atoms as assume labels, e.g. `(a1 & !a2) | a3`."""
-    if isinstance(cond, TrueCond):
-        return "true"
-    if isinstance(cond, FalseCond):
-        return "false"
-    if isinstance(cond, Atom):
-        return cond.assumption.label
-    if isinstance(cond, Not):
-        inner = render(cond.operand)
-        if isinstance(cond.operand, (And, Or)):
-            inner = f"({inner})"
-        return f"!{inner}"
-    if isinstance(cond, And):
-        return " & ".join(
-            f"({render(p)})" if isinstance(p, Or) else render(p) for p in cond.parts
-        )
-    return " | ".join(
-        f"({render(p)})" if isinstance(p, And) else render(p) for p in cond.parts
-    )
-
-
 def format_subset(accepted: int, assumptions: Iterable[AssumptionId]) -> str:
     labels = [a.label for a in assumptions if (accepted >> a.index) & 1]
     return "{" + ", ".join(labels) + "}"
-
-
-class ConditionSyntaxError(ValueError):
-    pass
-
-
-def parse_condition(text: str, atoms: Mapping[str, AssumptionId]) -> Condition:
-    """Parse the rendered condition syntax back into a tree."""
-    tokens = re.findall(r"[()!&|]|true|false|[A-Za-z_][A-Za-z0-9_]*", text)
-    if "".join(tokens).replace(" ", "") != text.replace(" ", ""):
-        raise ConditionSyntaxError(f"cannot tokenize condition {text!r}")
-    pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected: str | None = None) -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ConditionSyntaxError("unexpected end of condition")
-        tok = tokens[pos]
-        if expected is not None and tok != expected:
-            raise ConditionSyntaxError(f"expected {expected!r}, found {tok!r}")
-        pos += 1
-        return tok
-
-    def parse_or() -> Condition:
-        parts = [parse_and()]
-        while peek() == "|":
-            take()
-            parts.append(parse_and())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-    def parse_and() -> Condition:
-        parts = [parse_unary()]
-        while peek() == "&":
-            take()
-            parts.append(parse_unary())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
-
-    def parse_unary() -> Condition:
-        tok = peek()
-        if tok == "!":
-            take()
-            return Not(parse_unary())
-        if tok == "(":
-            take()
-            inner = parse_or()
-            take(")")
-            return inner
-        if tok == "true":
-            take()
-            return TRUE
-        if tok == "false":
-            take()
-            return FALSE
-        if tok is None:
-            raise ConditionSyntaxError("unexpected end of condition")
-        take()
-        if tok not in atoms:
-            raise ConditionSyntaxError(f"unknown assumption label {tok!r}")
-        return Atom(atoms[tok])
-
-    out = parse_or()
-    if pos != len(tokens):
-        raise ConditionSyntaxError(f"trailing tokens in condition {text!r}")
-    return out

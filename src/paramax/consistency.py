@@ -112,24 +112,20 @@ def consistency_bounds(
         tables = _refuting_tables(result, cfg)
     assumptions = cfg.assumptions
 
-    def phi2(accepted: int) -> int:
-        return _phi(tables, assumptions, _phi(tables, assumptions, accepted))
+    def iterate(accepted: int) -> int:
+        """The squared operator iterated from `accepted` until it is stable."""
+        for _ in range(width + 2):
+            nxt = _phi(tables, assumptions, _phi(tables, assumptions, accepted))
+            if nxt == accepted:
+                break
+            accepted = nxt
+        return accepted
 
-    core = 0
-    for _ in range(width + 2):
-        nxt = phi2(core)
-        if nxt == core:
-            break
-        core = nxt
+    core = iterate(0)
     envelope = _phi(tables, assumptions, core)
 
     if result.config.merge_budget is None:
-        upper = (1 << width) - 1
-        for _ in range(width + 2):
-            nxt = phi2(upper)
-            if nxt == upper:
-                break
-            upper = nxt
+        upper = iterate((1 << width) - 1)
         if upper != envelope:
             raise AssertionError(
                 f"fixpoint iterations disagree: envelope {envelope:#x} vs {upper:#x}"

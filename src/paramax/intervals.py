@@ -25,8 +25,6 @@ from .frontend import (
     Operand,
     Record,
     Rel,
-    _FLIPPED,
-    _RELATIONS,
     _setattr,
 )
 
@@ -321,20 +319,8 @@ def eval_linear(expr: LinearExpr, env: IntervalEnv) -> Interval:
     return acc
 
 
-def _refine_against_const(iv: Interval, op: Rel, c: int) -> Interval | None:
-    if op is Rel.LE:
-        return iv.meet(Interval(NEG_INF, c))
-    if op is Rel.LT:
-        return iv.meet(Interval(NEG_INF, c - 1))
-    if op is Rel.GE:
-        return iv.meet(Interval(c, POS_INF))
-    if op is Rel.GT:
-        return iv.meet(Interval(c + 1, POS_INF))
-    if op is Rel.EQ:
-        return iv.meet(Interval(c, c))
-    # NE: trim an endpoint when the constant sits on it.
-    if iv.lo == iv.hi == c:
-        return None
+def _trim(iv: Interval, c: int) -> Interval:
+    """`iv` without an endpoint equal to `c`; `iv` is not [c, c]."""
     if iv.lo == c:
         return Interval(c + 1, iv.hi)
     if iv.hi == c:
@@ -343,17 +329,10 @@ def _refine_against_const(iv: Interval, op: Rel, c: int) -> Interval | None:
 
 
 def _refine_guard(env: IntervalEnv, test: Comparison) -> IntervalEnv:
+    """Tighten each side of the test from the other side's bounds. A constant
+    is a singleton side: it only decides whether the guard can hold."""
     lhs, op, rhs = test.lhs, test.op, test.rhs
-    if isinstance(lhs, int) and isinstance(rhs, int):
-        return env if _RELATIONS[op](lhs, rhs) else BOTTOM
-    if isinstance(lhs, int):
-        lhs, op, rhs = rhs, _FLIPPED[op], lhs
-    if isinstance(rhs, int):
-        refined = _refine_against_const(env.get(lhs), op, rhs)
-        return BOTTOM if refined is None else env.updated(lhs, refined)
-
-    # Variable against variable: tighten each side from the other's bounds.
-    x, y = env.get(lhs), env.get(rhs)
+    x, y = _operand_interval(env, lhs), _operand_interval(env, rhs)
     if op in (Rel.LE, Rel.LT):
         shift = 0 if op is Rel.LE else 1
         nx = x.meet(Interval(NEG_INF, y.hi - shift))
@@ -367,11 +346,15 @@ def _refine_guard(env: IntervalEnv, test: Comparison) -> IntervalEnv:
     else:  # NE: only singleton collisions can be refined soundly
         if x.lo == x.hi == y.lo == y.hi:
             return BOTTOM
-        nx = _refine_against_const(x, Rel.NE, int(y.lo)) if y.lo == y.hi else x
-        ny = _refine_against_const(y, Rel.NE, int(x.lo)) if x.lo == x.hi else y
+        nx = _trim(x, y.lo) if y.lo == y.hi else x
+        ny = _trim(y, x.lo) if x.lo == x.hi else y
     if nx is None or ny is None:
         return BOTTOM
-    return env.updated(lhs, nx).updated(rhs, ny)
+    if isinstance(lhs, str):
+        env = env.updated(lhs, nx)
+    if isinstance(rhs, str):
+        env = env.updated(rhs, ny)
+    return env
 
 
 def transfer(node: CfgNode, env: IntervalEnv) -> IntervalEnv:

@@ -195,9 +195,6 @@ class ParamState:
         names, rows = self.names, self.expand()
         return tuple(Rule(m, BOTTOM if b is None else IntervalEnv(b, names)) for m, b in rows)
 
-    def __len__(self) -> int:
-        return len(self.expand())
-
     def state_for(self, accepted: int) -> IntervalEnv:
         """The state of subset `accepted`."""
         if not 0 <= accepted < 1 << self.width:
@@ -390,28 +387,20 @@ def mismatched(state: ParamState, env: IntervalEnv, subsets: int, exact: bool) -
     return bad
 
 
-def merge_loss(a: IntervalEnv, b: IntervalEnv) -> tuple[int, int]:
-    """Precision lost by joining two result states, lexicographically.
-
-    Primary key: endpoints infinite in the join but finite in both inputs
-    (losing a bound outright is worse than any finite growth). Secondary
-    key: total finite width growth of the join over the wider input. A
-    bottom input loses nothing: the join is just the other state.
+def merge_loss(a: IntervalEnv, b: IntervalEnv) -> int:
+    """Precision lost by joining two result states: the finite width the
+    join adds over the wider input, summed over the variables. A join keeps
+    its inputs' endpoints, so it makes no endpoint infinite that both have
+    finite. A bottom input loses nothing: the join is just the other state.
     """
     if a.is_bottom or b.is_bottom:
-        return (0, 0)
-    new_infinite = 0
+        return 0
     growth = 0
-    for (var, ia), (_, ib) in zip(a.items(), b.items()):
-        joined = ia.join(ib)
-        for side in ("lo", "hi"):
-            j, x, y = getattr(joined, side), getattr(ia, side), getattr(ib, side)
-            if isinstance(j, float) and not isinstance(x, float) and not isinstance(y, float):
-                new_infinite += 1
-        wj = joined.width()
+    for (_, ia), (_, ib) in zip(a.items(), b.items()):
+        wj = ia.join(ib).width()
         if not isinstance(wj, float):
             growth += int(wj - max(ia.width(), ib.width()))
-    return (new_infinite, growth)
+    return growth
 
 
 def reduce_to_budget(state: ParamState, budget: int) -> ParamState:

@@ -3,7 +3,9 @@
 `RuleList` and the `reference_*` functions are the rule-list representation
 that `ParamState` factors: a state as a list of (subset mask, environment)
 rules and its operations rule by rule. They are the spec the factored
-operations are checked against.
+operations are checked against. `reference_merge_loss` (the lexicographic
+loss) and `reference_refine_guard` (one case per constant relation) are
+the longer forms that `merge_loss` and guard refinement must agree with.
 """
 
 from __future__ import annotations
@@ -23,7 +25,15 @@ from paramax.engine import (
     analyze_param,
     run_collecting,
 )
-from paramax.frontend import AssumptionId, parse_cfg, restrict
+from paramax.frontend import (
+    _FLIPPED,
+    _RELATIONS,
+    AssumptionId,
+    Comparison,
+    Rel,
+    parse_cfg,
+    restrict,
+)
 from paramax.intervals import (
     BOTTOM,
     Interval,
@@ -33,7 +43,7 @@ from paramax.intervals import (
     enforce,
     gamma_contains,
 )
-from paramax.param import ParamState, PartitionError, Rule, merge_loss
+from paramax.param import ParamState, PartitionError, Rule
 
 settings.register_profile("suite", deadline=None, max_examples=75)
 settings.load_profile("suite")
@@ -325,10 +335,34 @@ def reference_approx_merge(state, i: int, j: int) -> RuleList:
     return RuleList((merged if k == i else r for k, r in enumerate(state.rules) if k != j), state.atoms)
 
 
+def reference_merge_loss(a: IntervalEnv, b: IntervalEnv) -> tuple[int, int]:
+    """Precision lost by joining two result states, lexicographically.
+
+    Primary key: endpoints infinite in the join but finite in both inputs
+    (losing a bound outright is worse than any finite growth). Secondary
+    key: total finite width growth of the join over the wider input. A
+    bottom input loses nothing: the join is just the other state.
+    """
+    if a.is_bottom or b.is_bottom:
+        return (0, 0)
+    new_infinite = 0
+    growth = 0
+    for (var, ia), (_, ib) in zip(a.items(), b.items()):
+        joined = ia.join(ib)
+        for side in ("lo", "hi"):
+            j, x, y = getattr(joined, side), getattr(ia, side), getattr(ib, side)
+            if isinstance(j, float) and not isinstance(x, float) and not isinstance(y, float):
+                new_infinite += 1
+        wj = joined.width()
+        if not isinstance(wj, float):
+            growth += int(wj - max(ia.width(), ib.width()))
+    return (new_infinite, growth)
+
+
 def reference_reduce_to_budget(state, budget: int) -> RuleList:
     """The spec of `reduce_to_budget`: rescan every rule pair after each merge,
-    merge the least-loss pair (the lowest index pair among equal losses), and
-    re-normalize."""
+    merge the pair least in `reference_merge_loss` (the lowest index pair
+    among equal losses), and re-normalize."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
     state = RuleList(state.rules, state.atoms)
@@ -336,12 +370,69 @@ def reference_reduce_to_budget(state, budget: int) -> RuleList:
         best: tuple[tuple[int, int], tuple[int, int]] | None = None
         for i in range(len(state.rules)):
             for j in range(i + 1, len(state.rules)):
-                loss = merge_loss(state.rules[i].state, state.rules[j].state)
+                loss = reference_merge_loss(state.rules[i].state, state.rules[j].state)
                 if best is None or (loss, (i, j)) < best:
                     best = (loss, (i, j))
         assert best is not None
         state = reference_normalize(reference_approx_merge(state, *best[1]))
     return state
+
+
+def reference_refine_against_const(iv: Interval, op: Rel, c: int) -> Interval | None:
+    """A variable's interval under `var op c`, or None when the guard cannot hold."""
+    if op is Rel.LE:
+        return iv.meet(Interval(NEG_INF, c))
+    if op is Rel.LT:
+        return iv.meet(Interval(NEG_INF, c - 1))
+    if op is Rel.GE:
+        return iv.meet(Interval(c, POS_INF))
+    if op is Rel.GT:
+        return iv.meet(Interval(c + 1, POS_INF))
+    if op is Rel.EQ:
+        return iv.meet(Interval(c, c))
+    # NE: trim an endpoint when the constant sits on it.
+    if iv.lo == iv.hi == c:
+        return None
+    if iv.lo == c:
+        return Interval(c + 1, iv.hi)
+    if iv.hi == c:
+        return Interval(iv.lo, c - 1)
+    return iv
+
+
+def reference_refine_guard(env: IntervalEnv, test: Comparison) -> IntervalEnv:
+    """The spec of a guard's transfer: two constants decide it, a constant
+    side refines the variable through `reference_refine_against_const`, and
+    two variables tighten each other."""
+    lhs, op, rhs = test.lhs, test.op, test.rhs
+    if isinstance(lhs, int) and isinstance(rhs, int):
+        return env if _RELATIONS[op](lhs, rhs) else BOTTOM
+    if isinstance(lhs, int):
+        lhs, op, rhs = rhs, _FLIPPED[op], lhs
+    if isinstance(rhs, int):
+        refined = reference_refine_against_const(env.get(lhs), op, rhs)
+        return BOTTOM if refined is None else env.updated(lhs, refined)
+
+    # Variable against variable: tighten each side from the other's bounds.
+    x, y = env.get(lhs), env.get(rhs)
+    if op in (Rel.LE, Rel.LT):
+        shift = 0 if op is Rel.LE else 1
+        nx = x.meet(Interval(NEG_INF, y.hi - shift))
+        ny = y.meet(Interval(x.lo + shift, POS_INF))
+    elif op in (Rel.GE, Rel.GT):
+        shift = 0 if op is Rel.GE else 1
+        nx = x.meet(Interval(y.lo + shift, POS_INF))
+        ny = y.meet(Interval(NEG_INF, x.hi - shift))
+    elif op is Rel.EQ:
+        nx = ny = x.meet(y)
+    else:  # NE: only singleton collisions can be refined soundly
+        if x.lo == x.hi == y.lo == y.hi:
+            return BOTTOM
+        nx = reference_refine_against_const(x, Rel.NE, int(y.lo)) if y.lo == y.hi else x
+        ny = reference_refine_against_const(y, Rel.NE, int(x.lo)) if x.lo == x.hi else y
+    if nx is None or ny is None:
+        return BOTTOM
+    return env.updated(lhs, nx).updated(rhs, ny)
 
 
 def reference_equivalence(

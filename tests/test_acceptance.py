@@ -160,9 +160,9 @@ def test_approximate_merging_is_sound():
     while trials < 1000:
         width = rng.randint(1, 4)
         state = random_param_state(rng, width).factored()
-        if len(state) < 2:
+        if len(state.rules) < 2:
             continue
-        for budget in range(1, len(state)):
+        for budget in range(1, len(state.rules)):
             merged = reduce_to_budget(state, budget)
             assert merged.is_partition() and leq_param(state, merged)
         trials += 1

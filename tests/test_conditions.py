@@ -13,13 +13,10 @@ from paramax.conditions import (
     WidthError,
     _cube_for,
     atom_mask,
-    eval_condition,
     format_subset,
     formula,
     full_mask,
     members,
-    parse_condition,
-    render,
     render_mask,
     satisfying_sets,
     simplify,
@@ -27,6 +24,7 @@ from paramax.conditions import (
 )
 from paramax.engine import analyze_param
 
+from condition_spec import eval_condition, parse_condition, render
 from conftest import CORPUS, corpus_cfg, fake_assumptions
 
 A2 = fake_assumptions(2)

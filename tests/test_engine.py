@@ -524,6 +524,24 @@ def _inner(state) -> list:
     return out
 
 
+@pytest.mark.parametrize("n", [
+    3,
+    pytest.param(4, marks=pytest.mark.xfail(strict=True, reason=(
+        "run_collecting hits MAX_COLLECTED from 4 inputs and leaves the exit without "
+        "concrete states; the all-partial report passes (ROADMAP item 11)"
+    ))),
+])
+def test_soundness_rejects_a_bottomed_exit(n):
+    cfg = parse_cfg(independent_source(n))
+    result = analyze_param(cfg)
+    states = list(result.states)
+    states[-1] = ParamState.bottom(states[-1].atoms)
+    mutant = type(result)(states, result.iterations, result.converged, result.config)
+    report = verify_soundness(cfg, param=mutant)
+    assert not report.passed
+    assert {m["node"] for m in report.mismatches} == {len(states) - 1}
+
+
 def test_soundness_matches_reference_on_mutants():
     rng = random.Random(0x50D)
     mismatches = 0

@@ -27,7 +27,7 @@ from paramax.intervals import (
     transfer,
 )
 
-from conftest import env, iv
+from conftest import env, iv, reference_refine_guard
 
 
 def pi(*bounds: tuple[str, Rel, int]) -> AssumeState:
@@ -189,6 +189,26 @@ def test_constant_guards_and_bounds_apply_their_operator(rel):
         assert transfer(guard, state) == (state if holds else BOTTOM)
         if rel in (Rel.LE, Rel.GE, Rel.EQ):  # the operators a bound may carry
             assert Bound("x", rel, 3).holds(lhs) is holds
+
+
+def test_guards_refine_as_the_per_constant_reference():
+    # constants below, at, inside and above each endpoint, on either side of
+    # the test, and variable pairs where one side is a singleton
+    intervals = [
+        iv(NEG_INF, POS_INF), iv(NEG_INF, 3), iv(-2, POS_INF), iv(-2, 3), iv(0, 1), iv(4, 4),
+    ]
+    ends = {c for i in intervals for c in (i.lo, i.hi) if abs(c) != POS_INF}
+    constants = sorted({c + d for c in ends for d in (-1, 0, 1)} | {-9, 9})
+    for rel in Rel:
+        for x, y in itertools.product(intervals, repeat=2):
+            state = env(x=(x.lo, x.hi), y=(y.lo, y.hi))
+            tests = [Comparison("x", rel, "y"), Comparison("x", rel, "x")]
+            tests += [Comparison("x", rel, c) for c in constants]
+            tests += [Comparison(c, rel, "y") for c in constants]
+            tests += [Comparison(c, rel, 1) for c in constants]
+            for test in tests:
+                guard = CfgNode(1, GuardFilter(test))
+                assert transfer(guard, state) == reference_refine_guard(state, test), (test, state)
 
 
 def test_transfer_rejects_assume_nodes():

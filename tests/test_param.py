@@ -37,6 +37,7 @@ from conftest import (
     reference_join_states,
     reference_leq_param,
     reference_lift_transfer,
+    reference_merge_loss,
     reference_normalize,
     reference_reduce_to_budget,
     reference_split,
@@ -251,7 +252,6 @@ def test_factoring_then_expanding_is_the_identity_on_normal_states():
         assert rules.factored() == state  # any rule list of the function factors alike
         assert ParamState(state.rules, state.atoms) == state
         assert state.is_partition()
-        assert len(state) == len(normal.rules)
         for accepted in range(1 << width):
             assert state.state_for(accepted) == rules.state_for(accepted)
 
@@ -426,20 +426,50 @@ def test_reduce_to_budget_overapproximates_randomly():
     for _ in range(200):
         width = rng.randint(1, 4)
         state = random_param_state(rng, width).factored()
-        for budget in range(1, len(state)):
+        for budget in range(1, len(state.rules)):
             merged = reduce_to_budget(state, budget)
-            assert merged.is_partition() and len(merged) <= budget
+            assert merged.is_partition() and len(merged.rules) <= budget
             assert leq_param(state, merged)
             for accepted in range(1 << width):
                 assert state.state_for(accepted).leq(merged.state_for(accepted))
 
 
 def test_merge_loss_examples():
-    assert merge_loss(env(x=(1, 3)), env(x=(1, 3))) == (0, 0)
-    assert merge_loss(env(x=(1, 3)), env(x=(10, 12))) == (0, 9)
-    assert merge_loss(env(x=(0, 5)), env(x=(0, POS_INF))) == (0, 0)
-    assert merge_loss(BOTTOM, env(x=(0, 5))) == (0, 0)
-    assert merge_loss(env(x=(1, 2), y=(0, 0)), env(x=(2, 3), y=(0, 9))) == (0, 1 + 0)
+    assert merge_loss(env(x=(1, 3)), env(x=(1, 3))) == 0
+    assert merge_loss(env(x=(1, 3)), env(x=(10, 12))) == 9
+    assert merge_loss(env(x=(0, 5)), env(x=(0, POS_INF))) == 0
+    assert merge_loss(BOTTOM, env(x=(0, 5))) == 0
+    assert merge_loss(env(x=(1, 2), y=(0, 0)), env(x=(2, 3), y=(0, 9))) == 1 + 0
+
+
+def test_merge_loss_is_the_growth_of_the_lexicographic_loss():
+    # the lexicographic loss put endpoints that a join makes infinite first;
+    # a join keeps its inputs' endpoints, so that key is always 0
+    rng = random.Random(2202)
+    ends = [NEG_INF, -7, -1, 0, 2, 5, POS_INF]
+
+    def random_env():
+        if rng.random() < 0.1:
+            return BOTTOM
+        bounds = {}
+        for var in ("x", "y", "z"):
+            single = rng.random() < 0.2
+            bounds[var] = tuple(sorted([rng.choice(ends[1:-1])] * 2 if single else rng.sample(ends, 2)))
+        return env(**bounds)
+
+    infinite = 0
+    for _ in range(3000):
+        a, b = random_env(), random_env()
+        if not (a.is_bottom or b.is_bottom):
+            for (_, ia), (_, ib) in zip(a.items(), b.items()):
+                joined = ia.join(ib)
+                infinite += joined.lo == NEG_INF or joined.hi == POS_INF
+                if ia.lo != NEG_INF and ib.lo != NEG_INF:
+                    assert joined.lo != NEG_INF, (ia, ib)
+                if ia.hi != POS_INF and ib.hi != POS_INF:
+                    assert joined.hi != POS_INF, (ia, ib)
+        assert reference_merge_loss(a, b) == (0, merge_loss(a, b)), (a, b)
+    assert infinite > 1000  # infinite endpoints were drawn
 
 
 def test_reduce_to_budget():
@@ -501,7 +531,7 @@ def test_reduce_to_budget_chooses_as_the_full_rescan_does():
         for budget in (rng.randint(1, len(given.rules) + 1), rng.randint(1, 4)):
             got = reduce_to_budget(given, budget)
             assert got.rules == reference_reduce_to_budget(given, budget).rules, (given, budget)
-            assert len(got) == len(got.rules) <= budget
+            assert len(got.rules) <= budget
 
 
 def test_reduce_to_budget_analyzes_the_corpus_as_the_full_rescan_does(monkeypatch):
@@ -543,7 +573,7 @@ def test_reduce_to_budget_computes_each_pair_loss_once(monkeypatch):
         assert len(calls) <= r * (r - 1) // 2 + (r - budget) * (r - 1), budget
     # the full rescan makes about r(r-1)/2 calls per merge
     calls.clear()
-    monkeypatch.setattr("conftest.merge_loss", counting)
+    monkeypatch.setattr("conftest.reference_merge_loss", counting)
     reference_reduce_to_budget(state, r - 4)
     assert len(calls) > 4 * (r - 4) * (r - 5) // 2
 
