@@ -12,9 +12,6 @@ The condition trees are not on any command's path. `formula` builds a
 mask's cover as a tree, `truth_table` gives the mask of a tree and
 `simplify` its canonical formula; the tests' reference spec evaluates,
 prints and parses trees and checks `render_mask` against them.
-
-Condition nodes cache their hash and highest atom index at construction,
-so table memoization and set operations stay cheap on shared subtrees.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from functools import lru_cache
 from itertools import compress
 from typing import Iterable, Sequence, Union
 
-from .frontend import AssumptionId
+from .frontend import AssumptionId, Record
 
 WIDTH_CAP = 16
 
@@ -32,116 +29,28 @@ class WidthError(ValueError):
     """Raised when a condition needs more assumption atoms than configured."""
 
 
-class TrueCond:
-    __slots__ = ()
-    max_index = 0
-
-    def __repr__(self) -> str:
-        return "TrueCond()"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TrueCond)
-
-    def __hash__(self) -> int:
-        return hash("cond:true")
+class TrueCond(Record, frozen=True):
+    pass
 
 
-class FalseCond:
-    __slots__ = ()
-    max_index = 0
-
-    def __repr__(self) -> str:
-        return "FalseCond()"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FalseCond)
-
-    def __hash__(self) -> int:
-        return hash("cond:false")
+class FalseCond(Record, frozen=True):
+    pass
 
 
-class Atom:
-    __slots__ = ("assumption", "max_index", "_hash")
-
-    def __init__(self, assumption: AssumptionId):
-        self.assumption = assumption
-        self.max_index = assumption.index + 1
-        self._hash = hash(("cond:atom", assumption))
-
-    def __repr__(self) -> str:
-        return f"Atom({self.assumption!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Atom) and self.assumption == other.assumption
-
-    def __hash__(self) -> int:
-        return self._hash
+class Atom(Record, frozen=True):
+    assumption: AssumptionId
 
 
-class Not:
-    __slots__ = ("operand", "max_index", "_hash")
-
-    def __init__(self, operand: "Condition"):
-        self.operand = operand
-        self.max_index = operand.max_index
-        self._hash = hash(("cond:not", operand))
-
-    def __repr__(self) -> str:
-        return f"Not({self.operand!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Not)
-            and self._hash == other._hash
-            and self.operand == other.operand
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+class Not(Record, frozen=True):
+    operand: Condition
 
 
-class And:
-    __slots__ = ("parts", "max_index", "_hash")
-
-    def __init__(self, parts: Iterable["Condition"]):
-        self.parts = tuple(parts)
-        self.max_index = max((p.max_index for p in self.parts), default=0)
-        self._hash = hash(("cond:and", self.parts))
-
-    def __repr__(self) -> str:
-        return f"And({self.parts!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, And)
-            and self._hash == other._hash
-            and self.parts == other.parts
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+class And(Record, frozen=True):
+    parts: tuple[Condition, ...]
 
 
-class Or:
-    __slots__ = ("parts", "max_index", "_hash")
-
-    def __init__(self, parts: Iterable["Condition"]):
-        self.parts = tuple(parts)
-        self.max_index = max((p.max_index for p in self.parts), default=0)
-        self._hash = hash(("cond:or", self.parts))
-
-    def __repr__(self) -> str:
-        return f"Or({self.parts!r})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Or)
-            and self._hash == other._hash
-            and self.parts == other.parts
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+class Or(Record, frozen=True):
+    parts: tuple[Condition, ...]
 
 
 Condition = Union[TrueCond, FalseCond, Atom, Not, And, Or]
@@ -308,7 +217,7 @@ def formula(mask: int, atoms: Iterable[AssumptionId]) -> Condition:
     negated, cubes = _cover(mask, max(by_index, default=-1) + 1)
     parts = [FALSE] if not cubes else []
     for cube in cubes:
-        literals = [Atom(by_index[i]) if pos else Not(Atom(by_index[i])) for i, pos in cube]
+        literals = tuple(Atom(by_index[i]) if pos else Not(Atom(by_index[i])) for i, pos in cube)
         parts.append(And(literals) if len(literals) > 1 else literals[0] if literals else TRUE)
     if negated:
         return Not(parts[0])
@@ -343,7 +252,8 @@ def simplify(cond: Condition) -> Condition:
 
     Equivalent conditions simplify to equal trees.
     """
-    return formula(truth_table(cond, cond.max_index), atoms_of(cond))
+    atoms = atoms_of(cond)
+    return formula(truth_table(cond, max((a.index + 1 for a in atoms), default=0)), atoms)
 
 
 def format_subset(accepted: int, assumptions: Iterable[AssumptionId]) -> str:

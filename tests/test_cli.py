@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
@@ -386,9 +387,21 @@ def test_text_mode_builds_no_json_document(capsys, monkeypatch):
         assert expected_line in out, (command, name)
 
 
-def test_cli_builds_no_condition_tree_outside_the_output(capsys):
-    # the analysis and both applications work on masks; output builds its
-    # formulas with `formula`, which neither memoizes nor reads a table
+def test_cli_builds_no_condition_tree_outside_the_output(capsys, monkeypatch):
+    # the analysis and both applications work on masks, and output prints a
+    # mask's cover with `render_mask`: no command builds or reads a tree
+    calls = Counter()
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(conditions, "formula", counting("formula", conditions.formula))
+    for cls in (conditions.Atom, conditions.Not, conditions.And, conditions.Or):
+        monkeypatch.setattr(cls, "__init__", counting(cls.__name__, cls.__init__))
     conditions.truth_table.cache_clear()
     conditions.simplify.cache_clear()
     for argv in (
@@ -403,6 +416,10 @@ def test_cli_builds_no_condition_tree_outside_the_output(capsys):
         assert out, argv
     assert conditions.truth_table.cache_info().currsize == 0
     assert conditions.simplify.cache_info().currsize == 0
+    assert calls == Counter()
+    # the counters are live: one formula over one atom builds one Atom
+    conditions.formula(0b10, (AssumptionId(0, "a", 1),))
+    assert calls == Counter(formula=1, Atom=1)
 
 
 def test_synthesize_and_consistency_at_the_width_cap(tmp_path, capsys):

@@ -79,6 +79,16 @@ def test_simplify_examples():
     assert simplify(And((And((a, b)), a))) == And((a, b))
 
 
+def test_simplify_spans_one_past_the_highest_atom_index():
+    # atoms 1 and 3 only: a width of 2 (the atom count) or 3 (the highest
+    # index) would reject atom 3, so the table must span 4 atoms
+    a2, a4 = Atom(A4[1]), Atom(A4[3])
+    assert simplify(And((a4, Not(a2)))) == And((Not(a2), a4))
+    assert simplify(Or((a4, Not(a4)))) == TRUE
+    assert simplify(Not(a4)) == Not(a4)
+    assert simplify(TRUE) == TRUE and simplify(FALSE) == FALSE
+
+
 def test_satisfying_sets():
     assert satisfying_sets(TRUE, 2) == [0b00, 0b01, 0b10, 0b11]
     assert satisfying_sets(Atom(A2[0]), 1) == [0b1]

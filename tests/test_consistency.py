@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from paramax import consistency
+from paramax.cli import EXIT_OK, main
 from paramax.conditions import render_mask
 from paramax.consistency import (
     Membership,
@@ -89,6 +90,39 @@ def test_bounds_no_assumptions():
     cfg, result = analyzed("straightline.pwl")
     assert consistency_bounds(result, cfg) == (0, 0)
     assert brute_force_fixpoints(result, cfg) == [0]
+
+
+# The loop carries `x := 4` back to the assume node: accepting `a` refutes
+# it (x stays -2), rejecting it lets x reach 4 and leaves `a` unrefuted, so
+# the operator swaps {} and {a} and has no fixpoint. The iteration from the
+# empty set stops at core {} and the one from the full set at {a}, which
+# must equal the envelope. Kept out of the corpus, which the golden test reads.
+SWAPPING_LOOP = """
+x := -2;
+c := input();
+while (c >= 1) {
+  assume a: x >= 0;
+  x := 4;
+  c := input();
+}
+"""
+
+
+def test_bounds_of_an_operator_without_fixpoints():
+    cfg, result = analyzed(SWAPPING_LOOP)
+    assert consistency_bounds(result, cfg) == (0, 0b1)
+    report = consistency_report(result, cfg)
+    assert (report.core, report.envelope, report.fixpoints) == (0, 0b1, ())
+    assert report.classification == {"a": Membership.IN_SOME}
+
+
+def test_cli_prints_the_bounds_of_an_operator_without_fixpoints(tmp_path, capsys):
+    path = tmp_path / "loop.pwl"
+    path.write_text(SWAPPING_LOOP)
+    assert main(["consistency", str(path)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    for line in ("core: {}", "envelope: {a}", "consistent-sets: []"):
+        assert line in lines
 
 
 def test_mutex_classification():

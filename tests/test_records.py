@@ -1,17 +1,17 @@
 """Value semantics of paramax's record classes.
 
-Every CFG op, token, configuration, result and report is a
-record: construction by position or keyword with defaults, equality by
-exact class and field tuple, the `Name(field=value, ...)` repr, and, for
-the immutable ones, a hash equal to that of the field tuple and no field
-assignment or deletion. These tests pin that behaviour class by class.
+Every CFG op, token, condition-tree node, configuration, result and
+report is a record: construction by position or keyword with defaults,
+equality by exact class and field tuple, the `Name(field=value, ...)`
+repr, and, for the immutable ones, a hash equal to that of the field
+tuple and no field assignment or deletion. These tests pin that behaviour class by class.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from paramax.conditions import WIDTH_CAP
+from paramax.conditions import FALSE, TRUE, WIDTH_CAP, And, Atom, FalseCond, Not, Or, TrueCond
 from paramax.consistency import ConsistencyReport, Membership
 from paramax.engine import (
     AnalysisConfig,
@@ -74,6 +74,12 @@ FROZEN = [
     (Interval, ("lo", "hi"), (NEG_INF, 4)),
     (AssumeState, ("intervals", "is_empty"), ((("x", Interval(0, 5)),), False)),
     (Rule, ("mask", "state"), (0b101, env(x=(1, 2)))),
+    (TrueCond, (), ()),
+    (FalseCond, (), ()),
+    (Atom, ("assumption",), (AID,)),
+    (Not, ("operand",), (Atom(AID),)),
+    (And, ("parts",), ((Atom(AID), TRUE),)),
+    (Or, ("parts",), ((Atom(AID), FALSE),)),
 ]
 
 # the same, for every mutable record
@@ -188,6 +194,8 @@ def test_records_of_different_classes_with_equal_fields_differ():
     assert AssertAnd((CMP,)) != AssertOr((CMP,))
     assert GuardFilter(CMP) != Assert(CMP)
     assert Input("x", EXPR) != Assign("x", EXPR)
+    assert TRUE != FALSE and TRUE == TrueCond() and hash(TRUE) == hash(FALSE)
+    assert And((TRUE,)) != Or((TRUE,))
     assert Entry() == Entry() and hash(Entry()) == hash(())
 
 
@@ -198,6 +206,9 @@ def test_repr_text():
     assert repr(Input("x")) == "Input(var='x', input_range=None)"
     assert repr(Comparison("x", Rel.LE, 3)) == "Comparison(lhs='x', op=<Rel.LE: '<='>, rhs=3)"
     assert repr(_Token("eof", "", 2, 1)) == "_Token(kind='eof', text='', line=2, col=1)"
+    assert repr(Not(Atom(AID))) == (
+        "Not(operand=Atom(assumption=AssumptionId(index=0, label='a', node_id=2)))"
+    )
     assert repr(AnalysisConfig()) == (
         "AnalysisConfig(max_iterations=1000, widening_delay=None, merge_budget=None)"
     )
