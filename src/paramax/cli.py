@@ -156,19 +156,27 @@ def analysis_document(name: str, cfg: Cfg, result: ParamAnalysisResult) -> dict:
     }
 
 
-def _render_analysis_text(name: str, cfg: Cfg, result: ParamAnalysisResult) -> str:
-    lines = [f"program: {name}"]
-    lines.append("assumptions: " + (", ".join(a.label for a in cfg.assumptions) or "(none)"))
-    names: dict[int, str] = {}
+def _rows(state: ParamState, texts: dict, text: Callable) -> list:
+    """`state.expand()` with the text of each cell's (variable, interval) in
+    place of its binding, made by `text` once per key of `texts`."""
+    return state.expand([
+        [(texts.get(cell) or texts.setdefault(cell, text(*cell)), mask) for cell, mask in cells]
+        for cells in state.columns()
+    ])
+
+
+def _write_analysis_text(write, name: str, cfg: Cfg, result: ParamAnalysisResult) -> None:
+    """Write the text report of an analysis through `write`, one piece per
+    node, its rules read off the partitions (`_rows`) with no state built."""
+    atoms, names, cells = cfg.assumptions, {}, {}
+    write(f"program: {name}\nassumptions: {', '.join(a.label for a in atoms) or '(none)'}\n")
     for node in cfg.nodes:
-        lines.append(f"node {node.id} {node.render()}:")
-        for rule in result.states[node.id].rules:
-            condition = render_mask(rule.mask, cfg.assumptions, names)
-            lines.append(f"  {condition} -> {rule.state.render()}")
-    lines.append(
-        f"meta: iterations={result.iterations} converged={str(result.converged).lower()}"
-    )
-    return "\n".join(lines) + "\n"
+        lines = [f"node {node.id} {node.render()}:"]
+        for mask, env in _rows(result.states[node.id], cells, lambda v, iv: f"{v}:{iv.render()}"):
+            env = "bottom" if env is None else " ".join(env) or "{}"
+            lines.append(f"  {render_mask(mask, atoms, names)} -> {env}")
+        write("\n".join(lines) + "\n")
+    write(f"meta: iterations={result.iterations} converged={str(result.converged).lower()}\n")
 
 
 _quote = json.encoder.encode_basestring_ascii  # raises TypeError on a non-str
@@ -187,41 +195,36 @@ def _block(brackets, items: list[str], newline: str) -> str:
     return ("," + inner).join(items)
 
 
-def _table_writer(write: Callable[[str], object], names: dict[int, str], newline: str):
+def _table_writer(write: Callable[[str], object], names: dict, newline: str):
     """A function that writes a `ParamState` as `dump` writes its `to_json()`
-    where `newline` closes it, one `write` per rule. The rules are read off
-    the product of the state's partitions (`ParamState.expand`) with no
-    state built: a rule's text is made from the texts of its mask and of the
-    (variable, interval) of each of its cells, each made once for all the
-    tables, as is the text of each distinct rule (it opens with the ","
-    that parts it from a previous rule). A state written just before is
-    written again from its texts."""
+    where `newline` closes it, one `write` per rule, read off the partitions
+    (`_rows`). A rule's text is the *head* of its mask (the opening, with the
+    "," that parts it from a previous rule, "condition", "condition_sets" and
+    the "state" key), then one join of its cells' texts in fixed brackets, or
+    a bottom rule's fixed tail. Heads and cell texts are made once for all the
+    tables, rule texts only for the state written last, written again from them."""
     rule_in, key_in, item_in = (newline + "  " * depth for depth in (1, 2, 3))
-    opening = "," + rule_in + "{"
-    heads, bindings, rules = {}, {}, {}
+    sep, opening, close = "," + item_in, "{" + item_in, key_in + "}" + rule_in + "}"
+    tails = {None: '"bottom"' + rule_in + "}", (): "{}" + rule_in + "}"}  # bottom; no variable
+    heads, cells = {}, {}
     last: list = [None, ()]  # the state written last and its rules' texts
 
     def binding(var: str, iv) -> str:
-        if (text := bindings.get((var, iv))) is None:
-            interval = _block("[]", [json.dumps(x) for x in iv.to_json()], item_in)
-            text = bindings[var, iv] = _quote(var) + ": " + interval
-        return text
-
-    def rule_text(mask: int, texts: tuple | None, atoms) -> str:
-        if (head := heads.get(mask)) is None:
-            condition = _quote(render_mask(mask, atoms, names))
-            sets = _block("[]", list(map(str, members(mask))), key_in)
-            head = heads[mask] = f'"condition": {condition},{key_in}"condition_sets": {sets}'
-        env = '"bottom"' if texts is None else _block("{}", list(texts), key_in)
-        text = rules[mask, texts] = _block((opening, "}"), [head, '"state": ' + env], rule_in)
-        return text
+        return _quote(var) + ": " + _block("[]", [json.dumps(x) for x in iv.to_json()], item_in)
 
     def table(state: ParamState) -> None:
         if state is not last[0]:
-            columns = [[(binding(*c), mask) for c, mask in cells] for cells in state.columns()]
-            last[:] = state, [
-                rules.get(row) or rule_text(*row, state.atoms) for row in state.expand(columns)
-            ]
+            texts = []
+            for mask, env in _rows(state, cells, binding):
+                if (text := heads.get(mask)) is None:
+                    condition = _quote(render_mask(mask, state.atoms, names))
+                    sets = _block("[]", list(map(str, members(mask))), key_in)
+                    text = heads[mask] = (
+                        f',{rule_in}{{{key_in}"condition": {condition},'
+                        f'{key_in}"condition_sets": {sets},{key_in}"state": '
+                    )
+                texts.append(f"{text}{opening}{sep.join(env)}{close}" if env else text + tails[env])
+            last[:] = state, texts
         texts = last[1]
         write("[" + texts[0][1:])
         for text in texts[1:]:
@@ -231,11 +234,12 @@ def _table_writer(write: Callable[[str], object], names: dict[int, str], newline
     return table
 
 
-def dump(value, write: Callable[[str], object], names: dict[int, str] | None = None) -> None:
+def dump(value, write: Callable[[str], object], names: dict | None = None) -> None:
     """Write `json.dumps(value, indent=2)`, byte for byte, through `write`, with
     each `ParamState` as its `to_json()`: the outer three levels (a document,
     its nodes, each node) item by item, a `ParamState` among their items rule
-    by rule (`_table_writer`), each other deeper container with one `str.join`.
+    by rule (`_table_writer`, one per indentation, whose mask and cell texts
+    serve all its tables), each other deeper container with one `str.join`.
     `names` (see `render_mask`) serves every table and may come filled from the
     rest of the document. Tuples encode as lists; non-`str` keys and other
     types raise TypeError."""
@@ -289,13 +293,13 @@ def dumps(value) -> str:
 
 
 def _emit(args: SimpleNamespace, document: Callable, text: Callable, names=None) -> None:
-    """Print `text()`, or with --format json dump `document()`, whose rule
-    tables read and fill `names`: only one is built."""
+    """Write `text(write)`, or with --format json dump `document()`, whose rule
+    tables read and fill `names`: only one is built, and both write to stdout."""
     if args.format == "json":
         dump(document(), sys.stdout.write, names)
         sys.stdout.write("\n")
     else:
-        print(text(), end="")
+        text(sys.stdout.write)
 
 
 def _cmd_analyze(args: SimpleNamespace) -> int:
@@ -304,7 +308,7 @@ def _cmd_analyze(args: SimpleNamespace) -> int:
     _emit(
         args,
         lambda: analysis_document(name, cfg, result),
-        lambda: _render_analysis_text(name, cfg, result),
+        lambda write: _write_analysis_text(write, name, cfg, result),
     )
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
@@ -331,9 +335,9 @@ def _cmd_synthesize(args: SimpleNamespace) -> int:
             cfg, outcome, config, limit=args.verify_solutions, program_name=name
         )
 
-    names: dict[int, str] = {}  # each rule mask rendered once, in the text or the document
+    names: dict = {}  # each rule mask rendered once, in the text or the document
 
-    def text() -> str:
+    def text(write: Callable[[str], object]) -> None:
         lines = [f"program: {name}", f"verdict: {outcome.verdict.value}"]
         lines.append(f"condition: {render_mask(outcome.condition, cfg.assumptions, names)}")
         if solved:
@@ -351,7 +355,7 @@ def _cmd_synthesize(args: SimpleNamespace) -> int:
             lines.append(f"assertion at node {node_id}:")
             for mask, verdict in rows:
                 lines.append(f"  {render_mask(mask, cfg.assumptions, names)} -> {verdict.value}")
-        return "\n".join(lines) + "\n"
+        write("\n".join(lines) + "\n")
 
     def document() -> dict:
         out = analysis_document(name, cfg, result)
@@ -378,7 +382,7 @@ def _cmd_consistency(args: SimpleNamespace) -> int:
         result, cfg, include_phi_table=args.phi_table or None
     )
 
-    def text() -> str:
+    def text(write: Callable[[str], object]) -> None:
         lines = [f"program: {name}"]
         lines.append(f"core: {format_subset(report.core, cfg.assumptions)}")
         lines.append(f"envelope: {format_subset(report.envelope, cfg.assumptions)}")
@@ -393,7 +397,7 @@ def _cmd_consistency(args: SimpleNamespace) -> int:
                     f"  {format_subset(accepted, cfg.assumptions)}"
                     f" -> {format_subset(image, cfg.assumptions)}"
                 )
-        return "\n".join(lines) + "\n"
+        write("\n".join(lines) + "\n")
 
     _emit(
         args,
@@ -430,7 +434,7 @@ def _cmd_check_oracle(args: SimpleNamespace) -> int:
             )
         )
 
-    def text() -> str:
+    def text(write: Callable[[str], object]) -> None:
         lines = [f"program: {name}"]
         for report in reports:
             status = "pass" if report.passed else f"FAIL ({len(report.mismatches)} mismatches)"
@@ -441,7 +445,7 @@ def _cmd_check_oracle(args: SimpleNamespace) -> int:
             )
             for mismatch in report.mismatches[:10]:
                 lines.append(f"  mismatch: {json.dumps(mismatch)}")
-        return "\n".join(lines) + "\n"
+        write("\n".join(lines) + "\n")
 
     _emit(
         args,

@@ -4,9 +4,12 @@ A set of assumption subsets is a mask: an int with bit A set when subset A
 (bit i = the assumption with index i) belongs to the set. The analysis works
 on masks alone. `atom_mask` builds the mask of the subsets holding one
 assumption by doubling one period of it, in O(width) int operations, and
-caches nothing. Output reads a mask's canonical cover (`_cover`: a cube, a
-negated cube, or an irredundant sum of products), which `render_mask`
-prints as text. The width cap keeps masks at desk scale.
+caches nothing. Output prints a mask's canonical cover: `render_mask`
+prints a cube straight from its lowest member and free atoms, which one
+test gives (`_cube_for`), and any other mask from `_cover` (a negated
+cube, or an irredundant sum of products). `members` lists a mask's
+subsets, peeling the lowest bit off a sparse one. The width cap keeps
+masks at desk scale.
 
 The condition trees are not on any command's path. `formula` builds a
 mask's cover as a tree, `truth_table` gives the mask of a tree and
@@ -122,7 +125,13 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def members(mask: int) -> list[int]:
-    """The subsets whose bits are set in a subset mask, ascending."""
+    """The subsets of a subset mask, ascending; a sparse one's peeled off as its lowest bits."""
+    if mask.bit_count() ** 2 < mask.bit_length():
+        out = []
+        while mask:
+            out.append((low := mask & -mask).bit_length() - 1)
+            mask ^= low
+        return out
     bits = bin(mask)[:1:-1].encode().translate(_BITS)  # bit 0 first, one 0/1 byte each
     return list(compress(range(len(bits)), bits))
 
@@ -135,8 +144,8 @@ def satisfying_sets(cond: Condition, width: int) -> list[int]:
 Cube = tuple[tuple[int, bool], ...]  # (atom index, positive) literals, ascending
 
 
-def _cube_for(table: int, width: int) -> Cube | None:
-    """The literals of the cube that the nonzero `table` is exactly, if it is one.
+def _cube_for(table: int) -> tuple[int, int] | None:
+    """(lowest member, free atoms) of the cube that `table` is exactly, if any.
 
     A cube's least and greatest members differ exactly in its free atoms,
     and its mask is the least member doubled once per free atom.
@@ -145,12 +154,16 @@ def _cube_for(table: int, width: int) -> Cube | None:
     free = lo ^ (table.bit_length() - 1)
     if table.bit_count() != 1 << free.bit_count():
         return None
-    cube = 1 << lo
-    for index in range(width):
-        if free >> index & 1:
-            cube |= cube << (1 << index)
-    if cube != table:
-        return None
+    cube, rest = 1 << lo, free
+    while rest:
+        shift = rest & -rest  # 2**i for free atom i: from a subset without i to one with it
+        cube |= cube << shift
+        rest ^= shift
+    return (lo, free) if cube == table else None
+
+
+def _literals(lo: int, free: int, width: int) -> Cube:
+    """The literals of the cube (lowest member `lo`, free atoms `free`) over `width` atoms."""
     return tuple((i, bool(lo >> i & 1)) for i in range(width) if not free >> i & 1)
 
 
@@ -192,18 +205,15 @@ def _isop(lower: int, upper: int, indices: list[int], patterns: list[int]) -> tu
 
 
 def _cover(mask: int, width: int) -> tuple[bool, list[Cube]]:
-    """The canonical cover of a subset mask as (negated, cubes): no cube if
-    it is empty, else its cube if it is one, else its complement's cube,
-    negated, if that is one, else the irredundant sum of products of
+    """The canonical cover of a subset mask that is no cube (a cube covers
+    itself) as (negated, cubes): no cube if it is empty, else its complement's
+    cube, negated, if that is one, else the irredundant sum of products of
     `_isop`, literals and cubes sorted by atom index."""
     if mask == 0:
         return False, []
-    cube = _cube_for(mask, width)
-    if cube is not None:
-        return False, [cube]
-    anti = _cube_for(full_mask(width) & ~mask, width)
+    anti = _cube_for(full_mask(width) & ~mask)
     if anti is not None:
-        return True, [anti]
+        return True, [_literals(*anti, width)]
     patterns = [atom_mask(i, width) for i in range(width)]
     cubes, _ = _isop(mask, mask, list(range(width - 1, -1, -1)), patterns)
     return False, sorted(cubes)
@@ -214,7 +224,8 @@ def formula(mask: int, atoms: Iterable[AssumptionId]) -> Condition:
     `_cover` (the width is one past the highest atom index): equal masks
     give equal trees."""
     by_index = {a.index: a for a in atoms}
-    negated, cubes = _cover(mask, max(by_index, default=-1) + 1)
+    width, cube = max(by_index, default=-1) + 1, _cube_for(mask)
+    negated, cubes = (False, [_literals(*cube, width)]) if cube else _cover(mask, width)
     parts = [FALSE] if not cubes else []
     for cube in cubes:
         literals = tuple(Atom(by_index[i]) if pos else Not(Atom(by_index[i])) for i, pos in cube)
@@ -224,25 +235,32 @@ def formula(mask: int, atoms: Iterable[AssumptionId]) -> Condition:
     return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
 
-def render_mask(
-    mask: int, atoms: Sequence[AssumptionId], names: dict[int, str] | None = None
-) -> str:
-    """The text of `formula(mask, atoms)`, rendered from its cover alone.
-
-    `names`, if given, memoizes the text per mask; one output document
-    keeps one dict, since all its masks range over the same atoms.
-    """
+def render_mask(mask: int, atoms: Sequence[AssumptionId], names: dict | None = None) -> str:
+    """The text of `formula(mask, atoms)`, with no tree built: a cube's from its
+    lowest member and free atoms (`_cube_for`), any other mask's from `_cover`.
+    `names`, if given, memoizes the text per mask, and under the key -1 the
+    (negated, plain) literal texts per atom index: one output document keeps
+    one dict, since all its masks range over the same atoms."""
     names = {} if names is None else names
-    if (text := names.get(mask)) is None:
-        labels = {a.index: a.label for a in atoms}
-        negated, cubes = _cover(mask, max(labels, default=-1) + 1)
-        texts = [" & ".join(labels[i] if p else "!" + labels[i] for i, p in c) for c in cubes]
-        texts = [t or "true" for t in texts] or ["false"]
-        if negated:
-            texts[0] = f"!({texts[0]})" if len(cubes[0]) > 1 else "!" + texts[0]
-        elif len(cubes) > 1:  # a sum parenthesizes its cubes of two or more literals
-            texts = [f"({t})" if len(c) > 1 else t for c, t in zip(cubes, texts)]
-        text = names[mask] = " | ".join(texts)
+    if (text := names.get(mask)) is not None:
+        return text
+    if (literals := names.get(-1)) is None:
+        literals = names[-1] = [None] * max((a.index + 1 for a in atoms), default=0)
+        for a in atoms:
+            literals[a.index] = ("!" + a.label, a.label)
+    width = len(literals)
+    if cube := _cube_for(mask):
+        lo, free = cube
+        fixed = [literals[i][lo >> i & 1] for i in range(width) if not free >> i & 1]
+        text = names[mask] = " & ".join(fixed) or "true"
+        return text
+    negated, cubes = _cover(mask, width)
+    texts = [" & ".join([literals[i][p] for i, p in c]) for c in cubes] or ["false"]
+    if negated:
+        texts[0] = f"!({texts[0]})" if len(cubes[0]) > 1 else "!" + texts[0]
+    elif len(cubes) > 1:  # a sum parenthesizes its cubes of two or more literals
+        texts = [f"({t})" if len(c) > 1 else t for c, t in zip(cubes, texts)]
+    text = names[mask] = " | ".join(texts)
     return text
 
 

@@ -51,7 +51,7 @@ class SynthesisOutcome(Record):
     def width(self) -> int:
         return len(self.atoms)
 
-    def to_json(self, names: dict[int, str] | None = None) -> dict:
+    def to_json(self, names: dict | None = None) -> dict:
         """The outcome as JSON; `names` as in `render_mask`."""
         return {
             "syn_condition": render_mask(self.condition, self.atoms, names),

@@ -27,7 +27,7 @@ from paramax.cli import (
     dumps,
     main,
 )
-from paramax.conditions import WIDTH_CAP
+from paramax.conditions import WIDTH_CAP, render_mask
 from paramax.consistency import ConsistencyReport
 from paramax.engine import ORACLE_CAP, AnalysisConfig, OracleReport, analyze_param
 from paramax.frontend import MAX_NESTING, AssumptionId, parse_cfg
@@ -575,7 +575,8 @@ def _plain(value):
 
 def test_writer_renders_each_distinct_mask_and_state_once(monkeypatch):
     # the tables are read off the partitions: no rule or state is built, and
-    # each distinct mask and (variable, interval) is rendered once
+    # each distinct mask and (variable, interval) is rendered once; every mask
+    # of a product of single-assumption cells is a cube, printed with no cover
     cfg = parse_cfg(_independent_program(7))
     result = analyze_param(cfg, AnalysisConfig())
     doc = cli.analysis_document("independent7", cfg, result)
@@ -595,7 +596,7 @@ def test_writer_renders_each_distinct_mask_and_state_once(monkeypatch):
         return counted
 
     def refuse(*args):
-        raise AssertionError("the writer built a rule or read a state")
+        raise AssertionError("the writer built a rule, read a state or covered a cube")
 
     fresh = analyze_param(cfg, AnalysisConfig())  # states whose rules were never read
     doc = cli.analysis_document("independent7", cfg, fresh)
@@ -604,6 +605,7 @@ def test_writer_renders_each_distinct_mask_and_state_once(monkeypatch):
     monkeypatch.setattr(Interval, "to_json", counting("to_json", Interval.to_json))
     monkeypatch.setattr(param, "Rule", refuse)
     monkeypatch.setattr(IntervalEnv, "items", refuse)
+    monkeypatch.setattr(conditions, "_cover", refuse)
     pieces: list[str] = []
     dump(doc, pieces.append)
     assert "".join(pieces) == expected
@@ -647,6 +649,45 @@ def test_json_output_peak_memory_stays_below_one_and_a_half_times_its_size(tmp_p
     size = len(out.getvalue())
     assert size > 1_000_000
     assert peak < 1.5 * size, (peak, size)
+
+
+class _Pieces(io.StringIO):
+    """A stdout that also counts its writes."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_text_analyze_streams_node_by_node_below_three_times_its_size(tmp_path):
+    path = tmp_path / "independent8.pwl"
+    path.write_text(_independent_program(8))
+    cfg = parse_cfg(path.read_text())
+    result = analyze_param(cfg, AnalysisConfig())
+    # the report as it was built before streaming: one line per expanded rule, joined
+    labels = ", ".join(a.label for a in cfg.assumptions)
+    lines = ["program: independent8.pwl", f"assumptions: {labels}"]
+    for node in cfg.nodes:
+        lines.append(f"node {node.id} {node.render()}:")
+        for rule in result.states[node.id].rules:
+            lines.append(f"  {render_mask(rule.mask, cfg.assumptions)} -> {rule.state.render()}")
+    lines.append(f"meta: iterations={result.iterations} converged=true")
+    out = _Pieces()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(["analyze", str(path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert out.getvalue() == "\n".join(lines) + "\n"
+    assert out.writes == len(cfg.nodes) + 2  # the header, one piece per node, the meta line
+    size = len(out.getvalue())
+    assert size > 150_000
+    assert peak < 3 * size, (peak, size)
 
 
 # escapes, control characters, non-ASCII text and a lone surrogate

@@ -12,6 +12,7 @@ from paramax.conditions import (
     TRUE,
     WidthError,
     _cube_for,
+    _literals,
     atom_mask,
     format_subset,
     formula,
@@ -23,6 +24,7 @@ from paramax.conditions import (
     truth_table,
 )
 from paramax.engine import analyze_param
+from paramax.frontend import AssumptionId
 
 from condition_spec import eval_condition, parse_condition, render
 from conftest import CORPUS, corpus_cfg, fake_assumptions
@@ -206,12 +208,16 @@ def test_satisfying_sets_matches_reference(cond, width):
 
 
 def test_members_matches_reference():
+    # the sparse path, which peels low bits, and the dense one, up to the 2**16-bit masks
     rng = random.Random(0xB175)
     for width in range(17):
-        size = 1 << width
-        masks = [0, 1, 1 << (size - 1), full_mask(width), atom_mask(0, width)]
+        size, full = 1 << width, full_mask(width)
+        masks = [0, 1, 1 << (size - 1), full, atom_mask(0, width), 1 << rng.randrange(size)]
         masks += [atom_mask(max(width - 1, 0), width), rng.getrandbits(size)]  # the last one dense
-        masks += [rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)]  # sparse
+        masks += [rng.getrandbits(size) & rng.getrandbits(size) & rng.getrandbits(size)]
+        masks += [full & ~(1 << rng.randrange(size))]
+        for count in (2, 3, 5, 17, 100):  # sparse
+            masks.append(sum(1 << bit for bit in rng.sample(range(size), min(count, size))))
         for mask in masks:
             assert members(mask) == reference_members(mask, width), (width, mask)
 
@@ -295,11 +301,23 @@ def reference_cube_for(table, width, patterns):
     return tuple(literals) if cube == table else None
 
 
+def cube_literals(table, width):
+    """The literals of `_cube_for(table)` over `width` atoms, or None; its
+    lowest member leaves every free atom out."""
+    cube = _cube_for(table)
+    if cube is None:
+        return None
+    lo, free = cube
+    assert lo == (table & -table).bit_length() - 1 and not lo & free, (table, cube)
+    return _literals(lo, free, width)
+
+
 def test_cube_for_matches_the_atom_mask_version():
+    assert _cube_for(0) is None
     for width in range(4):
         patterns = [reference_atom_mask(i, width) for i in range(width)]
         for table in range(1, 1 << (1 << width)):
-            assert _cube_for(table, width) == reference_cube_for(table, width, patterns)
+            assert cube_literals(table, width) == reference_cube_for(table, width, patterns)
     rng = random.Random(1107)
     for width in range(4, 17):
         patterns = [reference_atom_mask(i, width) for i in range(width)]
@@ -312,8 +330,8 @@ def test_cube_for_matches_the_atom_mask_version():
             for table in (cube, other, cube | other << 1 & full, rng.getrandbits(1 << width)):
                 if table:
                     expected = reference_cube_for(table, width, patterns)
-                    assert _cube_for(table, width) == expected, (width, table)
-            assert _cube_for(cube, width) is not None
+                    assert cube_literals(table, width) == expected, (width, table)
+            assert _cube_for(cube) is not None
 
 
 def test_render_mask_matches_the_rendered_tree_at_small_widths():
@@ -326,9 +344,51 @@ def test_render_mask_matches_the_rendered_tree_at_small_widths():
             assert render_mask(mask, atoms, names) == expected and names[mask] == expected
 
 
+def test_render_mask_matches_the_rendered_tree_on_every_width_4_mask():
+    atoms = fake_assumptions(4)
+    names: dict[int, str] = {}
+    for mask in range(1 << 16):
+        assert render_mask(mask, atoms, names) == render(formula(mask, atoms)), mask
+
+
+def _cubes(width):
+    """Every cube over `width` atoms: each atom positive, negative or free."""
+    full, cubes = full_mask(width), [full_mask(width)]
+    for index in range(width):
+        pattern = atom_mask(index, width)
+        cubes = [c & choice for c in cubes for choice in (pattern, full & ~pattern, full)]
+    return cubes
+
+
+def test_render_mask_matches_the_rendered_tree_on_every_cube_and_its_complement():
+    for width in range(7):
+        atoms, full = fake_assumptions(width), full_mask(width)
+        names: dict[int, str] = {}
+        cubes = _cubes(width)
+        assert len(set(cubes)) == 3**width
+        for mask in cubes + [full & ~cube for cube in cubes]:
+            expected = render(formula(mask, atoms))
+            assert render_mask(mask, atoms) == expected, (width, mask)
+            assert render_mask(mask, atoms, names) == expected, (width, mask)
+
+
+def test_render_mask_matches_the_rendered_tree_when_atom_indices_skip():
+    # atoms 1 and 3 only: the width is 4, and every mask that reads no other atom
+    atoms = (AssumptionId(1, "b", 0), AssumptionId(3, "d", 1))
+    b, d, full = atom_mask(1, 4), atom_mask(3, 4), full_mask(4)
+    names: dict[int, str] = {}
+    quarters = [b & d, b & ~d & full, ~b & d & full, ~(b | d) & full]
+    for pick in range(16):
+        mask = sum(q for k, q in enumerate(quarters) if pick >> k & 1)
+        expected = render(formula(mask, atoms))
+        assert render_mask(mask, atoms) == expected == render_mask(mask, atoms, names), pick
+    assert render_mask(b & ~d & full, atoms) == "b & !d"
+
+
 def test_render_mask_matches_the_rendered_tree_on_random_masks_and_cubes():
-    # unions and differences of random cubes, and fully random masks up to width 12
-    # (a random mask at width 16 has an irredundant cover of thousands of cubes)
+    # random cubes, their complements, unions and differences, `true`, `false`, single
+    # subsets, and fully random masks up to width 12 (a random mask at width 16 has an
+    # irredundant cover of thousands of cubes)
     rng = random.Random(1211)
 
     def random_cube(width):
@@ -344,6 +404,7 @@ def test_render_mask_matches_the_rendered_tree_on_random_masks_and_cubes():
         for _ in range(6):
             cube, other, third = random_cube(width), random_cube(width), random_cube(width)
             masks = [cube, full & ~cube, cube | other, cube | other | third, cube & ~other, 1]
+            masks += [full, 0, 1 << rng.randrange(1 << width), 1 << (full.bit_length() - 1)]
             if width <= 12:
                 masks.append(rng.getrandbits(1 << width))
             for mask in masks:
