@@ -81,15 +81,20 @@ class ParamAnalysisResult(Record):
 
 
 ConcreteValues = tuple[int, ...]  # one concrete state, values in `Cfg.variables` order
+Entry = tuple[ConcreteValues, int]  # a state and the mask of the subsets reaching it
 
 
 class CollectingResult(Record):
-    """Concrete states per node, sorted, each subset's as in `restrict(cfg, subset)`."""
+    """Concrete states per node, as found, each subset's as in `restrict(cfg, subset)`."""
 
-    labelled: list[list[tuple[ConcreteValues, int]]]  # (values, mask of the subsets reaching it)
+    reached: list[dict[ConcreteValues, int]]  # per node: values -> mask of the subsets reaching them
     truncated_subsets: int  # mask of the subsets whose runs hit the step bound
     variables: tuple[str, ...]  # the program's, naming the values
     given: int  # the bit of the subset that accepts every assumption
+
+    @property
+    def labelled(self) -> list[list[tuple[ConcreteValues, int]]]:  # per node, sorted (values, mask)
+        return [sorted(node.items()) for node in self.reached]
 
     @property
     def states(self) -> list[list[dict[str, int]]]:  # the program as given
@@ -366,28 +371,39 @@ def _concrete_test(
 
 
 def _concrete_step(
-    op, slot: Mapping[str, int], input_range: tuple[int, int]
-) -> Callable[[ConcreteValues], Iterable[ConcreteValues]]:
-    """The successor states of one concrete state through a node, drawn lazily.
+    op, slot: Mapping[str, int], input_range: tuple[int, int], width: int
+) -> Callable[[Iterable[Entry]], Iterable[Entry]]:
+    """The successor entries of a batch of (values, mask) entries through one node.
 
-    Assume nodes pass every state: `run_collecting` filters their subsets.
+    An assume node keeps only the bits of the subsets that decline its
+    assumption where its constraint fails, and drops an entry left with
+    none. An input site draws its values lazily.
     """
     if isinstance(op, Assign):
         i = slot[op.var]
         constant = op.expr.constant
         terms = [(coef, slot[var]) for coef, var in op.expr.terms]
-        return lambda values: [
-            values[:i] + (constant + sum(coef * values[j] for coef, j in terms),) + values[i + 1 :]
+        return lambda batch: [
+            (values[:i] + (constant + sum(coef * values[j] for coef, j in terms),) + values[i + 1 :], mask)
+            for values, mask in batch
         ]
     if isinstance(op, Input):
         i = slot[op.var]
         lo, hi = op.input_range if op.input_range is not None else input_range
         sites = range(lo, hi + 1)
-        return lambda values: (values[:i] + (value,) + values[i + 1 :] for value in sites)
+        return lambda batch: (
+            (values[:i] + (value,) + values[i + 1 :], mask) for values, mask in batch for value in sites
+        )
     if isinstance(op, GuardFilter):
         test = _concrete_test(op, slot)
-        return lambda values: [values] if test(values) else []
-    return lambda values: [values]  # entry, exit, skip, assert, assume
+        return lambda batch: [entry for entry in batch if test(entry[0])]
+    if isinstance(op, Assume):
+        holds = _concrete_test(op, slot)
+        declined = full_mask(width) & ~atom_mask(op.assumption.index, width)
+        return lambda batch: [
+            (values, kept) for values, mask in batch if (kept := mask if holds(values) else mask & declined)
+        ]
+    return lambda batch: batch  # entry, exit, skip, assert
 
 
 MAX_COLLECTED = 250_000  # (node, state) entries one `run_collecting` may hold
@@ -411,13 +427,16 @@ def run_collecting(
     reached in `restrict(cfg, A)`). An assume node whose constraint fails
     keeps only the bits of the subsets that decline it, and an entry moves
     on only with the bits that are new to its (node, state), so each subset
-    advances through the layers of its own breadth-first run. Paths stop at
+    advances through the layers of its own breadth-first run. Each layer
+    steps a node's new entries across an edge as one batch. Paths stop at
     `step_bound` steps; the subsets whose runs would reach a new (node,
-    state) with one more step form `truncated_subsets`. The enumeration
-    also stops once it holds `MAX_COLLECTED` entries; every subset with
-    states left to expand is then truncated too. `states` and
-    `truncated` describe the program as given, with every assumption
-    accepted.
+    state) with one more step form `truncated_subsets`. That last layer
+    goes one entry at a time, so an entry stops drawing input values once
+    every subset it carries is truncated. The enumeration also stops once
+    it holds `MAX_COLLECTED` entries; every subset with states left to
+    expand is then truncated too, and which entries of the cut layer were
+    kept depends on the order of the layer. `states` and `truncated`
+    describe the program as given, with every assumption accepted.
     """
     if input_range[0] > input_range[1]:
         raise ValueError("empty input range")
@@ -426,59 +445,49 @@ def run_collecting(
     width = len(cfg.assumptions)
     everyone = full_mask(width)
     slot = {var: i for i, var in enumerate(cfg.variables)}
-    moves = [_concrete_step(node.op, slot, input_range) for node in cfg.nodes]
-    filters = {
-        node.id: (
-            _concrete_test(node.op, slot),
-            everyone & ~atom_mask(node.op.assumption.index, width),  # the subsets declining it
-        )
-        for node in cfg.nodes
-        if isinstance(node.op, Assume)
-    }
+    steps = [_concrete_step(node.op, slot, input_range, width) for node in cfg.nodes]
     successors = [cfg.successors(node.id) for node in cfg.nodes]
     init: ConcreteValues = (0,) * len(cfg.variables)
     seen: list[dict[ConcreteValues, int]] = [{} for _ in cfg.nodes]
     seen[cfg.entry][init] = everyone
-    frontier: dict[tuple[int, ConcreteValues], int] = {(cfg.entry, init): everyone}
+    frontier = {cfg.entry: {init: everyone}}  # per node, the entries new in the last layer
     truncated_subsets = depth = 0
     collected = 1  # entries in `seen`
     try:
-        while frontier:
-            nxt: dict[tuple[int, ConcreteValues], int] = {}
-            for (v, values), mask in frontier.items():
-                for w in successors[v]:
-                    passed = mask
-                    if w in filters:
-                        holds, declined = filters[w]
-                        if not holds(values):
-                            passed &= declined
-                            if not passed:
-                                continue
-                    reached = seen[w]
-                    for out in moves[w](values):
-                        old = reached.get(out, 0)
-                        new = passed & ~old
-                        if not new:
-                            continue
-                        if depth == step_bound:  # one step too many: not collected
-                            truncated_subsets |= new
-                            if not passed & ~truncated_subsets:
-                                break  # the other successors add no subset
-                        elif not old and collected == MAX_COLLECTED:
-                            raise _OutOfRoom
-                        else:
-                            collected += not old  # a new entry
+        while frontier and depth < step_bound:
+            nxt: dict[int, dict[ConcreteValues, int]] = {}
+            for v, entries in frontier.items():
+                for w in successors[v] if entries else ():  # an empty batch ends its path
+                    reached, ahead = seen[w], nxt.setdefault(w, {})
+                    for out, passed in steps[w](entries.items()):
+                        old = reached.get(out)
+                        if old is None:
+                            if collected == MAX_COLLECTED:
+                                raise _OutOfRoom
+                            collected += 1
+                            reached[out] = ahead[out] = passed
+                        elif new := passed & ~old:
                             reached[out] = old | new
-                            nxt[w, out] = nxt.get((w, out), 0) | new
+                            ahead[out] = ahead.get(out, 0) | new
             frontier = nxt
             depth += 1
     except _OutOfRoom:  # every subset with states left to expand is cut short
-        for mask in frontier.values():  # `nxt` holds only subsets of these masks
-            truncated_subsets |= mask
+        for entries in frontier.values():  # `nxt` holds only subsets of these masks
+            for mask in entries.values():
+                truncated_subsets |= mask
+    else:  # one step too many: nothing is collected
+        for v, entries in frontier.items():
+            for w in successors[v]:
+                reached = seen[w]
+                for entry in entries.items():
+                    for out, passed in steps[w]((entry,)):
+                        if new := passed & ~reached.get(out, 0):
+                            truncated_subsets |= new
+                            if not passed & ~truncated_subsets:
+                                break  # the entry's other successors add no subset
 
     given = 1 << ((1 << width) - 1)  # the bit of the subset accepting every assumption
-    labelled = [sorted(reached.items()) for reached in seen]
-    return CollectingResult(labelled, truncated_subsets, cfg.variables, given)
+    return CollectingResult(seen, truncated_subsets, cfg.variables, given)
 
 
 def _check_oracle_cap(width: int) -> None:
@@ -544,13 +553,14 @@ def verify_soundness(
     The program is executed once over the finite input ranges; every
     collected concrete state carries the mask of the assumption subsets
     whose restricted programs reach it (see `run_collecting`). At each node
-    the bounding box of every group of equally labelled states is compared
-    with the node's rule state, variable by variable (`param.mismatched`);
-    the states of a group are then tested for membership in the state of
-    each subset whose state misses the box, and a failure is reported per
-    subset. Subsets whose exploration was truncated are recorded as partial
-    evidence. `param` is reused, and the cap enforced, as in
-    `verify_equivalence`.
+    the states are grouped by that label, in the order they were found, and
+    the bounding box of each group is compared with the node's rule state,
+    variable by variable (`param.mismatched`). Only the states of the groups
+    whose box some subset's state misses are sorted and tested for
+    membership in those subsets' states, and a failure is reported per
+    subset, in the order of the states' values. Subsets whose exploration
+    was truncated are recorded as partial evidence. `param` is reused, and
+    the cap enforced, as in `verify_equivalence`.
     """
     config = config or AnalysisConfig()
     width = len(cfg.assumptions)
@@ -562,19 +572,19 @@ def verify_soundness(
         return report
     collected = run_collecting(cfg, input_range, step_bound)
     report.partial = members(collected.truncated_subsets)
-    names = cfg.variables
-    for node, state, labelled in zip(cfg.nodes, param.states, collected.labelled):
+    names = cfg.variables  # sorted, as a box's bindings are
+    for node, state, reached in zip(cfg.nodes, param.states, collected.reached):
         groups: dict[int, list] = {}  # per label, the states that carry it
-        for values, reached in labelled:
-            groups.setdefault(reached, []).append(values)
+        for values, label in reached.items():
+            groups.setdefault(label, []).append(values)
         missed = {}  # per label, the subsets whose state misses the bounding box of its states
-        for reached, group in groups.items():
-            box = IntervalEnv.of({v: Interval(min(c), max(c)) for v, c in zip(names, zip(*group))})
-            if bad := mismatched(state, box, reached, exact=False):
-                missed[reached] = bad
-        for values, reached in labelled if missed else ():
+        for label, group in groups.items():
+            box = IntervalEnv(tuple(zip(names, [Interval(min(c), max(c)) for c in zip(*group)])), names)
+            if bad := mismatched(state, box, label, exact=False):
+                missed[label] = bad
+        for values, label in sorted((values, label) for label in missed for values in groups[label]):
             concrete = dict(zip(names, values))
-            for a in members(missed.get(reached, 0)):
+            for a in members(missed[label]):
                 if not gamma_contains(state.state_for(a), concrete):
                     report.record(1 << a, node.id, state=concrete)
     report.sort()

@@ -6,6 +6,9 @@ rules and its operations rule by rule. They are the spec the factored
 operations are checked against. `reference_merge_loss` (the lexicographic
 loss) and `reference_refine_guard` (one case per constant relation) are
 the longer forms that `merge_loss` and guard refinement must agree with.
+`reference_run_collecting` steps one concrete entry at a time where
+`run_collecting` steps a batch per edge; the per-subset soundness
+reference runs on it, so it shares no enumeration code with the oracle.
 """
 
 from __future__ import annotations
@@ -17,19 +20,25 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from paramax import engine
 from paramax.conditions import Condition, atom_mask, full_mask, render_mask, truth_table
 from paramax.engine import (
     AnalysisConfig,
+    CollectingResult,
     OracleReport,
+    _concrete_test,
     analyze_baseline,
     analyze_param,
-    run_collecting,
 )
 from paramax.frontend import (
     _FLIPPED,
     _RELATIONS,
+    Assign,
+    Assume,
     AssumptionId,
     Comparison,
+    GuardFilter,
+    Input,
     Rel,
     parse_cfg,
     restrict,
@@ -476,6 +485,102 @@ def reference_equivalence(
     return report
 
 
+def _reference_concrete_step(op, slot, input_range):
+    """The successor states of one concrete state through a node, drawn lazily.
+
+    Assume nodes pass every state: `reference_run_collecting` filters their subsets.
+    """
+    if isinstance(op, Assign):
+        i = slot[op.var]
+        constant = op.expr.constant
+        terms = [(coef, slot[var]) for coef, var in op.expr.terms]
+        return lambda values: [
+            values[:i] + (constant + sum(coef * values[j] for coef, j in terms),) + values[i + 1 :]
+        ]
+    if isinstance(op, Input):
+        i = slot[op.var]
+        lo, hi = op.input_range if op.input_range is not None else input_range
+        sites = range(lo, hi + 1)
+        return lambda values: (values[:i] + (value,) + values[i + 1 :] for value in sites)
+    if isinstance(op, GuardFilter):
+        test = _concrete_test(op, slot)
+        return lambda values: [values] if test(values) else []
+    return lambda values: [values]  # entry, exit, skip, assert, assume
+
+
+def reference_run_collecting(
+    cfg,
+    input_range: tuple[int, int] = (-8, 8),
+    step_bound: int = 100_000,
+) -> CollectingResult:
+    """The collecting enumeration one (node, state) entry at a time: the spec of `run_collecting`.
+
+    Each entry of a layer makes one call per successor, and its mask is
+    merged into the successor's states one output at a time. It honours a
+    patched `engine.MAX_COLLECTED`; at that cap, which entries of the cut
+    layer are kept depends on the order of the layer.
+    """
+    if input_range[0] > input_range[1]:
+        raise ValueError("empty input range")
+    if step_bound < 0:
+        raise ValueError(f"step bound must be at least 0, got {step_bound}")
+    width = len(cfg.assumptions)
+    everyone = full_mask(width)
+    slot = {var: i for i, var in enumerate(cfg.variables)}
+    moves = [_reference_concrete_step(node.op, slot, input_range) for node in cfg.nodes]
+    filters = {
+        node.id: (
+            _concrete_test(node.op, slot),
+            everyone & ~atom_mask(node.op.assumption.index, width),  # the subsets declining it
+        )
+        for node in cfg.nodes
+        if isinstance(node.op, Assume)
+    }
+    successors = [cfg.successors(node.id) for node in cfg.nodes]
+    init = (0,) * len(cfg.variables)
+    seen = [{} for _ in cfg.nodes]
+    seen[cfg.entry][init] = everyone
+    frontier = {(cfg.entry, init): everyone}
+    truncated_subsets = depth = 0
+    collected = 1  # entries in `seen`
+    try:
+        while frontier:
+            nxt = {}
+            for (v, values), mask in frontier.items():
+                for w in successors[v]:
+                    passed = mask
+                    if w in filters:
+                        holds, declined = filters[w]
+                        if not holds(values):
+                            passed &= declined
+                            if not passed:
+                                continue
+                    reached = seen[w]
+                    for out in moves[w](values):
+                        old = reached.get(out, 0)
+                        new = passed & ~old
+                        if not new:
+                            continue
+                        if depth == step_bound:  # one step too many: not collected
+                            truncated_subsets |= new
+                            if not passed & ~truncated_subsets:
+                                break  # the other successors add no subset
+                        elif not old and collected == engine.MAX_COLLECTED:
+                            raise engine._OutOfRoom
+                        else:
+                            collected += not old  # a new entry
+                            reached[out] = old | new
+                            nxt[w, out] = nxt.get((w, out), 0) | new
+            frontier = nxt
+            depth += 1
+    except engine._OutOfRoom:  # every subset with states left to expand is cut short
+        for mask in frontier.values():  # `nxt` holds only subsets of these masks
+            truncated_subsets |= mask
+
+    given = 1 << ((1 << width) - 1)  # the bit of the subset accepting every assumption
+    return CollectingResult(seen, truncated_subsets, cfg.variables, given)
+
+
 def reference_soundness(
     cfg,
     config: AnalysisConfig | None = None,
@@ -486,9 +591,10 @@ def reference_soundness(
 ) -> OracleReport:
     """The soundness oracle as a per-subset loop: the spec of `verify_soundness`.
 
-    Every subset's restricted program is run on its own, each node's
-    abstract state is looked up with `state_for`, and every collected
-    concrete state is tested with `gamma_contains`.
+    Every subset's restricted program is run on its own through
+    `reference_run_collecting`, each node's abstract state is looked up with
+    `state_for`, and every collected concrete state is tested with
+    `gamma_contains`.
     """
     config = config or AnalysisConfig()
     width = len(cfg.assumptions)
@@ -498,7 +604,7 @@ def reference_soundness(
         report.skipped = list(range(1 << width))
         return report
     for accepted in range(1 << width):
-        collected = run_collecting(restrict(cfg, accepted), input_range, step_bound)
+        collected = reference_run_collecting(restrict(cfg, accepted), input_range, step_bound)
         if collected.truncated:
             report.partial.append(accepted)
         for node in cfg.nodes:

@@ -1,9 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from paramax import engine, param
-from paramax.cli import main
 from paramax.conditions import And, Atom, Not, TRUE, full_mask, members, render_mask
 from paramax.consistency import brute_force_fixpoints, consistency_report
 from paramax.engine import (
@@ -30,6 +33,7 @@ from conftest import (
     independent_source,
     param_state,
     reference_equivalence,
+    reference_run_collecting,
     reference_soundness,
     rule_state,
 )
@@ -319,15 +323,42 @@ def _wide_input_sites(tmp_path):
     return path
 
 
-def test_collecting_draws_input_values_lazily(tmp_path, monkeypatch):
+def _returns_in_time(script: str, *args: str) -> list[str]:
+    """The stdout lines of `script` run in a fresh interpreter, which must exit 0 within 60 s.
+
+    The wide site offers about 10**20 values: an enumeration that stops
+    drawing them too late runs for days, and the timeout ends it.
+    """
+    src = str(Path(engine.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_collecting_draws_input_values_lazily(tmp_path):
     # a bound that ends at the wide site takes only the values it needs; a
     # bound past it collects values until the entry cap
-    monkeypatch.setattr(engine, "MAX_COLLECTED", 1000)
-    cfg = parse_cfg(_wide_input_sites(tmp_path).read_text(encoding="utf-8"))
-    for bound in range(6):
-        result = run_collecting(cfg, (-2, 2), bound)
-        assert result.truncated, bound
-        assert sum(map(len, result.labelled)) <= engine.MAX_COLLECTED
+    script = (
+        "import sys\n"
+        "from paramax import engine\n"
+        "from paramax.frontend import parse_cfg\n"
+        "engine.MAX_COLLECTED = 1000\n"
+        "cfg = parse_cfg(open(sys.argv[1], encoding='utf-8').read())\n"
+        "for bound in range(6):\n"
+        "    result = engine.run_collecting(cfg, (-2, 2), bound)\n"
+        "    print(bound, result.truncated, sum(map(len, result.labelled)))\n"
+    )
+    lines = _returns_in_time(script, str(_wide_input_sites(tmp_path)))
+    assert len(lines) == 6
+    for bound, line in enumerate(lines):
+        shown, truncated, entries = line.split()
+        assert (int(shown), truncated) == (bound, "True") and int(entries) <= 1000, line
 
 
 def test_collecting_stops_at_the_entry_cap(monkeypatch):
@@ -342,12 +373,19 @@ def test_collecting_stops_at_the_entry_cap(monkeypatch):
     assert report.partial == [0] and report.passed
 
 
-def test_check_oracle_returns_on_a_wide_input_range(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(engine, "MAX_COLLECTED", 2000)
-    path = _wide_input_sites(tmp_path)
-    argv = ["check-oracle", str(path), "--soundness", "--input-range", "-2:2", "--max-steps", "200"]
-    assert main(argv) == 0
-    assert "soundness: pass (1 subsets, mode=membership, 1 partial)" in capsys.readouterr().out
+def test_check_oracle_returns_on_a_wide_input_range(tmp_path):
+    # one step ends the enumeration at the wide site; 200 steps go past it
+    script = (
+        "import sys\n"
+        "from paramax import cli, engine\n"
+        "engine.MAX_COLLECTED = 2000\n"
+        "for steps in ('1', '200'):\n"
+        "    print('exit', cli.main([*sys.argv[1:], '--max-steps', steps]))\n"
+    )
+    path = str(_wide_input_sites(tmp_path))
+    lines = _returns_in_time(script, "check-oracle", path, "--soundness", "--input-range", "-2:2")
+    assert lines.count("soundness: pass (1 subsets, mode=membership, 1 partial)") == 2
+    assert lines.count("exit 0") == 2
 
 
 def test_collecting_masks_match_per_subset_runs(example1_cfg):
@@ -424,6 +462,54 @@ def test_collecting_truncates_only_when_a_step_is_left():
         assert collected.truncated == truncated, bound
         assert collected.truncated_subsets == int(truncated), bound
     assert run_collecting(cfg, step_bound=1).states == [[{"x": 0}], [{"x": 0}], []]
+
+
+def _collecting_programs():
+    """(name, cfg, input range) for the corpus and the first 120 fuzz programs."""
+    for entry in CORPUS:
+        yield entry.name, corpus_cfg(entry.name), entry.input_range
+    for seed in range(120):
+        yield f"seed {seed}", parse_cfg(generate_program(seed)), (-2, 2)
+
+
+@pytest.mark.parametrize("step_bound", [0, 1, 2, 5, 50, None])
+def test_collecting_matches_the_per_entry_reference(step_bound):
+    # one batch per (node, edge) and layer must collect what one step per
+    # entry does; the default bound lets the diverging loops hit the entry cap
+    bound = {} if step_bound is None else {"step_bound": step_bound}
+    for name, cfg, input_range in _collecting_programs():
+        got = run_collecting(cfg, input_range, **bound)
+        expected = reference_run_collecting(cfg, input_range, **bound)
+        assert got.labelled == expected.labelled, (name, step_bound)
+        assert got.truncated_subsets == expected.truncated_subsets, (name, step_bound)
+        assert got == expected, (name, step_bound)  # the same entries, whatever their order
+
+
+@pytest.mark.parametrize("cap", [7, 60])
+def test_collecting_at_a_small_entry_cap_keeps_a_part_of_the_uncut_run(monkeypatch, cap):
+    # which entries of the cut layer are kept depends on the order of the
+    # layer, so only the count, the truncated subsets and each kept entry's
+    # place in the uncut run are the reference's
+    uncut = {
+        (name, bound): run_collecting(cfg, input_range, bound)
+        for name, cfg, input_range in _collecting_programs()
+        for bound in (5, 50)
+    }
+    monkeypatch.setattr(engine, "MAX_COLLECTED", cap)
+    cut_short = 0
+    for name, cfg, input_range in _collecting_programs():
+        for bound in (5, 50):
+            got = run_collecting(cfg, input_range, bound)
+            expected = reference_run_collecting(cfg, input_range, bound)
+            entries = sum(map(len, got.reached))
+            assert entries == sum(map(len, expected.reached)) <= cap, (name, bound)
+            assert got.truncated_subsets == expected.truncated_subsets, (name, bound)
+            whole = uncut[name, bound].reached
+            for node, reached in enumerate(got.reached):
+                for values, mask in reached.items():
+                    assert mask & ~whole[node].get(values, 0) == 0, (name, bound, node, values)
+            cut_short += entries < sum(map(len, whole))
+    assert cut_short > 20  # the cap cut many runs short
 
 
 NONCONVERGENT_COUNTER = """x := input();

@@ -16,6 +16,7 @@ from paramax.consistency import ConsistencyReport, Membership
 from paramax.engine import (
     AnalysisConfig,
     AnalysisResult,
+    CollectingResult,
     OracleReport,
     ParamAnalysisResult,
     run_collecting,
@@ -94,6 +95,11 @@ MUTABLE = [
         ParamAnalysisResult,
         ("states", "iterations", "converged", "config"),
         ([ParamState.bottom(())], 3, False, AnalysisConfig()),
+    ),
+    (
+        CollectingResult,
+        ("reached", "truncated_subsets", "variables", "given"),
+        ([{(2,): 0b10, (1,): 0b11}], 0b01, ("x",), 0b10),
     ),
     (
         OracleReport,
@@ -266,3 +272,21 @@ def test_collecting_results_compare_by_value_and_are_unhashable():
     assert first != tuple(vars(first).values())
     with pytest.raises(TypeError):
         hash(first)
+
+
+def test_collecting_results_derive_labelled_from_the_reached_states():
+    # `labelled` is each node's reached states sorted by values, read off
+    # `reached` when asked, never stored; the order the enumeration found
+    # the states in is no part of the value
+    cfg = parse_cfg("x := input() in [0, 2]; assume a: x >= 1;")
+    result = run_collecting(cfg)
+    assert result.labelled == [sorted(node.items()) for node in result.reached]
+    assert result.labelled[2] == [((0,), 0b01), ((1,), 0b11), ((2,), 0b11)]
+    assert list(result.reached[1]) == [(0,), (1,), (2,)]
+    for derived in ("labelled", "states", "truncated"):
+        with pytest.raises(AttributeError):
+            setattr(result, derived, None)
+    assert "labelled" not in vars(result)
+    backwards = [dict(reversed(node.items())) for node in result.reached]
+    assert list(backwards[1]) == [(2,), (1,), (0,)]
+    assert CollectingResult(backwards, 0, cfg.variables, result.given) == result
