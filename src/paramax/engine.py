@@ -46,7 +46,7 @@ class WidthCapError(ValueError):
 class AnalysisConfig(Record):
     max_iterations: int = 1000  # node evaluations before giving up
     widening_delay: int | None = None  # widen loop heads from this visit on; None = off
-    merge_budget: int | None = None  # max rules kept per node; None = exact
+    merge_budget: int | None = None  # max reached cells per variable's partition; None = exact
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -508,8 +508,9 @@ def verify_equivalence(
     node, the subsets that reach one fresh state are compared with the rule
     state at once (`param.mismatched`), and each subset that differs is
     reported with its state. The comparison is exact equality, or with
-    widening or a merge budget containment of the fresh result, since the
-    two analyses need not widen or merge in lock step. Non-convergent runs
+    widening or a cell budget containment of the fresh result: the two
+    analyses need not widen in lock step, and a budget joins intervals that
+    the fresh analysis of each variant keeps apart. Non-convergent runs
     are recorded as skipped, never passed. `param`, if given, is the
     one-pass result of `analyze_param(cfg, config)`, reused instead of
     analyzing again. A program with more than `ORACLE_CAP` assumptions

@@ -142,10 +142,6 @@ class IntervalEnv:
         names = tuple(sorted(variables))
         return IntervalEnv(tuple((v, _TOP_INTERVAL) for v in names), names)
 
-    @staticmethod
-    def of(mapping: Mapping[str, Interval]) -> "IntervalEnv":
-        return IntervalEnv(tuple(sorted(mapping.items())))
-
     @property
     def is_bottom(self) -> bool:
         return self._bindings is None

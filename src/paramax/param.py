@@ -18,15 +18,13 @@ atoms)` factors them; `expand` gives the product with any payload per cell.
 `lift_transfer` and `split` change the partitions of the variables a node
 mentions, through the product of their cells; `join_states`, `widen_param`,
 `leq_param` and `mismatched` (the oracles' test of plain states) go variable
-by variable; `normalize` pools the new cells. `reduce_to_budget` merges the
-expanded rules, guided by a loss score, and factors the result.
+by variable; `normalize` pools the new cells. `reduce_to_budget` joins the
+cells of each partition that holds more than the budget, least loss first.
 """
 
 from __future__ import annotations
 
-import heapq
 import operator
-from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from .conditions import atom_mask, full_mask, members, render_mask
@@ -205,23 +203,6 @@ class ParamState:
         cells = [next(iv for iv, mask in part.items() if mask & bit) for part in self.parts]
         return IntervalEnv(tuple(zip(self.names, cells)), self.names)
 
-    def is_partition(self) -> bool:
-        """Whether the factored form holds: each partition's masks are nonempty
-        and partition the subsets, the unreached ones in its sentinel cell."""
-        full = full_mask(self.width)
-        if self.reach & ~full or len(self.parts) != len(self.names):
-            return False
-        if not self.reach and self.parts:
-            return False
-        for part in self.parts:
-            total = sum(mask.bit_count() for mask in part.values())
-            # a sum of masks keeps all `total` of their bits only if no two overlap
-            if sum(part.values()) != full or total != 1 << self.width or not all(part.values()):
-                return False
-            if part.get(None, 0) != full ^ self.reach:
-                return False
-        return True
-
     def to_json(self) -> list[dict]:
         """The rules as JSON objects; `cli.dump` writes their text without them."""
         return [
@@ -387,59 +368,58 @@ def mismatched(state: ParamState, env: IntervalEnv, subsets: int, exact: bool) -
     return bad
 
 
-def merge_loss(a: IntervalEnv, b: IntervalEnv) -> int:
-    """Precision lost by joining two result states: the finite width the
-    join adds over the wider input, summed over the variables. A join keeps
+def merge_loss(a: Interval, b: Interval) -> int:
+    """Precision lost by joining two intervals: the finite width the join
+    adds over the wider input, 0 when the join is unbounded. A join keeps
     its inputs' endpoints, so it makes no endpoint infinite that both have
-    finite. A bottom input loses nothing: the join is just the other state.
-    """
-    if a.is_bottom or b.is_bottom:
-        return 0
-    growth = 0
-    for (_, ia), (_, ib) in zip(a.items(), b.items()):
-        wj = ia.join(ib).width()
-        if not isinstance(wj, float):
-            growth += int(wj - max(ia.width(), ib.width()))
-    return growth
+    finite."""
+    width = a.join(b).width()
+    return 0 if isinstance(width, float) else int(width - max(a.width(), b.width()))
+
+
+def _merge_cells(part: Partition, budget: int) -> list[tuple[Interval, int]]:
+    """The reached cells of `part` as (interval, mask), the least-loss pair
+    joined (the pair of lowest subsets on a tie) until at most `budget` are
+    left; a join equal to another cell's interval fuses with that cell.
+    Each pair's loss is computed once and kept under the cells' lowest
+    subsets until one of the two cells changes."""
+    cells = {(m & -m).bit_length(): (iv, m) for iv, m in part.items() if iv is not None}
+    losses: dict[tuple[int, int], tuple[int, int, int]] = {}  # (a, b) -> (loss, a, b), a < b
+
+    def score(low: int, others: Iterable[int]) -> None:
+        for a, b in ((min(k, low), max(k, low)) for k in others):
+            losses[a, b] = merge_loss(cells[a][0], cells[b][0]), a, b
+
+    for low in cells:
+        score(low, [k for k in cells if k < low])
+    while len(cells) > budget:
+        _, a, b = min(losses.values())
+        (x, mask), (y, other) = cells.pop(a), cells.pop(b)
+        joined, before = x.join(y), {a: x, b: y}  # the replaced intervals, by lowest subset
+        twin = next((k for k, (iv, _) in cells.items() if iv == joined), None)
+        if twin is not None:
+            before[twin], more = cells.pop(twin)
+            mask |= more
+        low = min(before)
+        cells[low] = (joined, mask | other)
+        if before[low] == joined:  # the cell at `low` keeps its interval and its losses
+            del before[low]
+        for gone in before:
+            for k in cells.keys() | before.keys():
+                losses.pop((min(k, gone), max(k, gone)), None)
+        if low in before:
+            score(low, cells.keys() - {low})
+    return list(cells.values())
 
 
 def reduce_to_budget(state: ParamState, budget: int) -> ParamState:
-    """Greedily merge minimum-loss rule pairs until at most `budget` rules,
-    as in the budgeted disjunctions of Sankaranarayanan et al. (SAS 2006).
-
-    The state's rules are expanded and merged as rules; ties break toward
-    the lowest index pair, and the rules are re-normalized after every
-    merge. Each pair's loss is computed once and kept in a heap under the
-    rules' lowest subsets (their order in normal form) until one of them is
-    merged away or takes a new state. The result is factored again."""
+    """The state with at most `budget` reached cells in each variable's
+    partition, as in the budgeted disjunctions of Sankaranarayanan et al.
+    (SAS 2006), taken per variable as trace partitioning does (Rival and
+    Mauborgne, TOPLAS 2007). `reach` is kept, so unreached subsets stay
+    bottom; a state within the budget comes back itself, and no state is
+    expanded into rules."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    rules = state.rules
-    if len(rules) <= budget:
-        return state
-    rules = {(rule.mask & -rule.mask).bit_length(): rule for rule in rules}
-    low_of = {rule.state: low for low, rule in rules.items()}
-    stamps = dict.fromkeys(rules, 0)  # per lowest subset, bumped when its state changes
-
-    def entry(a: int, b: int) -> tuple:
-        return merge_loss(rules[a].state, rules[b].state), a, b, stamps[a], stamps[b]
-
-    heap = [entry(a, b) for a, b in combinations(rules, 2)]
-    heapq.heapify(heap)
-    while len(rules) > budget:
-        _, a, b, stamp_a, stamp_b = heapq.heappop(heap)
-        if stamps.get(a) != stamp_a or stamps.get(b) != stamp_b:
-            continue
-        first, second = rules.pop(a), rules.pop(b)
-        del stamps[b], low_of[first.state], low_of[second.state]
-        mask, joined, low = first.mask | second.mask, first.state.join(second.state), a
-        if (twin := low_of.pop(joined, None)) is not None:  # normalize fuses equal states
-            mask |= rules.pop(twin).mask
-            low = min(a, twin)
-            del stamps[max(a, twin)]
-        rules[low], low_of[joined] = Rule(mask, joined), low
-        if low == a and joined != first.state:
-            stamps[a] += 1
-            for other in rules.keys() - {a}:
-                heapq.heappush(heap, entry(min(a, other), max(a, other)))
-    return ParamState(rules.values(), state.atoms)
+    parts = [p if len(p) - (None in p) <= budget else _merge_cells(p, budget) for p in state.parts]
+    return normalize(state, state.reach, parts)

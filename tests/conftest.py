@@ -3,7 +3,8 @@
 `RuleList` and the `reference_*` functions are the rule-list representation
 that `ParamState` factors: a state as a list of (subset mask, environment)
 rules and its operations rule by rule. They are the spec the factored
-operations are checked against. `reference_merge_loss` (the lexicographic
+operations are checked against, and `is_partition` is the invariant
+every factored state must keep. `reference_merge_loss` (the lexicographic
 loss) and `reference_refine_guard` (one case per constant relation) are
 the longer forms that `merge_loss` and guard refinement must agree with.
 `reference_run_collecting` steps one concrete entry at a time where
@@ -16,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 import pytest
 from hypothesis import settings
@@ -119,8 +121,13 @@ def iv(lo, hi) -> Interval:
     return Interval(lo, hi)
 
 
+def env_of(bindings: Mapping[str, Interval]) -> IntervalEnv:
+    """The environment of `bindings`, its variables sorted."""
+    return IntervalEnv(tuple(sorted(bindings.items())))
+
+
 def env(**bounds) -> IntervalEnv:
-    return IntervalEnv.of({v: Interval(lo, hi) for v, (lo, hi) in bounds.items()})
+    return env_of({v: Interval(lo, hi) for v, (lo, hi) in bounds.items()})
 
 
 def independent_source(n: int) -> str:
@@ -162,15 +169,26 @@ class RuleList:
             raise PartitionError(f"{len(found)} rules apply to subset {accepted:#x}: {self!r}")
         return found[0]
 
-    def is_partition(self) -> bool:
-        union = total = 0
-        for rule in self.rules:
-            union |= rule.mask
-            total += rule.mask.bit_count()
-        return union == full_mask(self.width) and total == (1 << self.width)
-
     def factored(self) -> ParamState:
         return ParamState(self.rules, self.atoms)
+
+
+def is_partition(state: ParamState) -> bool:
+    """The invariant of the factored form: each partition's masks are nonempty
+    and partition the subsets, the unreached ones in its sentinel cell."""
+    full = full_mask(state.width)
+    if state.reach & ~full or len(state.parts) != len(state.names):
+        return False
+    if not state.reach and state.parts:
+        return False
+    for part in state.parts:
+        total = sum(mask.bit_count() for mask in part.values())
+        # a sum of masks keeps all `total` of their bits only if no two overlap
+        if sum(part.values()) != full or total != 1 << state.width or not all(part.values()):
+            return False
+        if part.get(None, 0) != full ^ state.reach:
+            return False
+    return True
 
 
 def param_state(atoms, *rules: tuple[Condition, IntervalEnv]) -> ParamState:
@@ -336,55 +354,59 @@ def reference_leq_param(a, b) -> bool:
     return all(x.leq(y) for _, x, y in _reference_intersect(a, b))
 
 
-def reference_approx_merge(state, i: int, j: int) -> RuleList:
-    """Rules i and j fused into one: masks ORed, states joined."""
-    i, j = sorted((i, j))
-    first, second = state.rules[i], state.rules[j]
-    merged = Rule(first.mask | second.mask, first.state.join(second.state))
-    return RuleList((merged if k == i else r for k, r in enumerate(state.rules) if k != j), state.atoms)
-
-
-def reference_merge_loss(a: IntervalEnv, b: IntervalEnv) -> tuple[int, int]:
-    """Precision lost by joining two result states, lexicographically.
+def reference_merge_loss(a: Interval, b: Interval) -> tuple[int, int]:
+    """Precision lost by joining two intervals, lexicographically.
 
     Primary key: endpoints infinite in the join but finite in both inputs
     (losing a bound outright is worse than any finite growth). Secondary
-    key: total finite width growth of the join over the wider input. A
-    bottom input loses nothing: the join is just the other state.
+    key: the finite width growth of the join over the wider input.
     """
-    if a.is_bottom or b.is_bottom:
-        return (0, 0)
+    joined = a.join(b)
     new_infinite = 0
-    growth = 0
-    for (var, ia), (_, ib) in zip(a.items(), b.items()):
-        joined = ia.join(ib)
-        for side in ("lo", "hi"):
-            j, x, y = getattr(joined, side), getattr(ia, side), getattr(ib, side)
-            if isinstance(j, float) and not isinstance(x, float) and not isinstance(y, float):
-                new_infinite += 1
-        wj = joined.width()
-        if not isinstance(wj, float):
-            growth += int(wj - max(ia.width(), ib.width()))
+    for side in ("lo", "hi"):
+        j, x, y = getattr(joined, side), getattr(a, side), getattr(b, side)
+        if isinstance(j, float) and not isinstance(x, float) and not isinstance(y, float):
+            new_infinite += 1
+    wj = joined.width()
+    growth = 0 if isinstance(wj, float) else int(wj - max(a.width(), b.width()))
     return (new_infinite, growth)
 
 
 def reference_reduce_to_budget(state, budget: int) -> RuleList:
-    """The spec of `reduce_to_budget`: rescan every rule pair after each merge,
-    merge the pair least in `reference_merge_loss` (the lowest index pair
-    among equal losses), and re-normalize."""
+    """The spec of `reduce_to_budget`, on the expanded rules: per variable,
+    the distinct intervals of the reached rules with their masks, ordered
+    by lowest subset; while more than `budget` are left, a full rescan
+    joins the pair least in `reference_merge_loss` (the lowest index pair
+    among equal losses) and pools equal intervals. Each reached subset
+    then takes the interval of its cell of every variable."""
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    state = RuleList(state.rules, state.atoms)
-    while len(state.rules) > budget:
-        best: tuple[tuple[int, int], tuple[int, int]] | None = None
-        for i in range(len(state.rules)):
-            for j in range(i + 1, len(state.rules)):
-                loss = reference_merge_loss(state.rules[i].state, state.rules[j].state)
-                if best is None or (loss, (i, j)) < best:
-                    best = (loss, (i, j))
-        assert best is not None
-        state = reference_normalize(reference_approx_merge(state, *best[1]))
-    return state
+    reached = [rule for rule in state.rules if rule.mask and not rule.state.is_bottom]
+    names = reached[0].state.variables() if reached else ()
+    columns = []
+    for var in names:
+        cells = [(rule.state.get(var), rule.mask) for rule in reached]
+        while True:
+            pooled: dict[Interval, int] = {}
+            for interval, mask in cells:
+                pooled[interval] = pooled.get(interval, 0) | mask
+            cells = sorted(pooled.items(), key=lambda cell: cell[1] & -cell[1])
+            if len(cells) <= budget:
+                break
+            pairs = [(i, j) for i in range(len(cells)) for j in range(i + 1, len(cells))]
+            i, j = min(pairs, key=lambda p: (reference_merge_loss(cells[p[0]][0], cells[p[1]][0]), p))
+            joined = (cells[i][0].join(cells[j][0]), cells[i][1] | cells[j][1])
+            cells = [joined if k == i else cell for k, cell in enumerate(cells) if k != j]
+        columns.append(cells)
+    reach = 0
+    for rule in reached:
+        reach |= rule.mask
+    rules = [Rule(full_mask(state.width) & ~reach, BOTTOM)]
+    for subset in range(1 << state.width):
+        if reach >> subset & 1:
+            bindings = [next(iv for iv, mask in cells if mask >> subset & 1) for cells in columns]
+            rules.append(Rule(1 << subset, IntervalEnv(tuple(zip(names, bindings)))))
+    return reference_normalize(RuleList(rules, state.atoms))
 
 
 def reference_refine_against_const(iv: Interval, op: Rel, c: int) -> Interval | None:

@@ -33,6 +33,7 @@ from conftest import (
     corpus_cfg,
     env,
     exact_merge_step,
+    is_partition,
     param_state,
     random_param_state,
     redundancy_elim_step,
@@ -164,7 +165,7 @@ def test_approximate_merging_is_sound():
             continue
         for budget in range(1, len(state.rules)):
             merged = reduce_to_budget(state, budget)
-            assert merged.is_partition() and leq_param(state, merged)
+            assert is_partition(merged) and leq_param(state, merged)
         trials += 1
 
     sweeps = 0

@@ -35,7 +35,7 @@ from paramax.intervals import BOTTOM, NEG_INF, POS_INF, Interval, IntervalEnv
 from paramax.param import ParamState, Rule
 from paramax.synthesis import SynthesisOutcome
 
-from conftest import CORPUS, CORPUS_DIR, independent_source
+from conftest import CORPUS, CORPUS_DIR, env_of, independent_source
 
 
 def run(capsys, *argv):
@@ -115,6 +115,44 @@ def test_analyze_parse_error(tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize(
+    "source, line, col, message",
+    [
+        ("assume : x >= 0;", 1, 8, "expected an assumption label"),
+        ("x := 0;\nif (x >= 0 && x <= 1) { x := 1; }", 2, 12,
+         "guard conditions must be a single comparison"),
+        ("x := 2 * ;", 1, 8, "expected a variable after '*'"),
+        ("x := 0;\nassert x ;", 2, 10, "expected a comparison operator"),
+        ("x := input() in [a, 3];", 1, 18, "expected an integer"),
+    ],
+    ids=["label", "guard", "star", "comparison", "integer"],
+)
+def test_parse_errors_name_their_position(tmp_path, capsys, source, line, col, message):
+    path = tmp_path / "bad.pwl"
+    path.write_text(source)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"{path}: line {line}, col {col}: {message}\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3", "--input-range expects LO:HI, got '3'"),
+        ("a:b", "--input-range expects integers, got 'a:b'"),
+        ("3:1", "--input-range is empty"),
+    ],
+)
+def test_input_range_errors(capsys, text, message):
+    code, out, err = run(
+        capsys, "check-oracle", corpus_path("fig1.pwl"), "--soundness", "--input-range", text
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {message}\n"
+    assert "Traceback" not in err
+
+
 def _deep_programs() -> dict[str, tuple[str, int, int]]:
     """Source, line and column of the token that crosses the nesting limit."""
     col_if = len("if (x > 0) ") + 1
@@ -170,14 +208,16 @@ def test_analyze_missing_file(capsys):
     assert err
 
 
-def test_max_rules_flag(capsys):
-    code, _, _ = run(capsys, "analyze", corpus_path("mutex.pwl"), "--max-rules", "1")
+def test_max_cells_flag(capsys):
+    code, _, _ = run(capsys, "analyze", corpus_path("mutex.pwl"), "--max-cells", "1")
     assert code == EXIT_OK
     _, json_out, _ = run(
-        capsys, "analyze", corpus_path("mutex.pwl"), "--max-rules", "1", "--format", "json"
+        capsys, "analyze", corpus_path("mutex.pwl"), "--max-cells", "1", "--format", "json"
     )
     document = json.loads(json_out)
-    assert all(len(node["rules"]) <= 1 for node in document["nodes"])
+    # one cell per variable: the reached subsets of a node share one state
+    for node in document["nodes"]:
+        assert sum(rule["state"] != "bottom" for rule in node["rules"]) <= 1, node
 
 
 def test_synthesize_solutions_exit(capsys):
@@ -407,7 +447,7 @@ def test_cli_builds_no_condition_tree_outside_the_output(capsys, monkeypatch):
     for argv in (
         ["analyze", "chain8.pwl", "--format", "json"],
         ["synthesize", "synth_gate.pwl"],
-        ["synthesize", "chain8.pwl", "--format", "json", "--max-rules", "2"],
+        ["synthesize", "chain8.pwl", "--format", "json", "--max-cells", "2"],
         ["consistency", "mutex.pwl", "--phi-table"],
         ["check-oracle", "loop_assume_widen.pwl", "--widen", "2", "--input-range", "-3:3"],
     ):
@@ -536,7 +576,7 @@ def test_json_output_beyond_the_corpus_matches_the_stdlib(tmp_path, capsys):
     "flags, config",
     [
         ((), AnalysisConfig()),
-        (("--max-rules", "2"), AnalysisConfig(merge_budget=2)),
+        (("--max-cells", "2"), AnalysisConfig(merge_budget=2)),
         (("--widen", "1"), AnalysisConfig(widening_delay=1)),
     ],
 )
@@ -760,7 +800,7 @@ def _shared_rule_states(draw):
     envs = [BOTTOM]
     for _ in range(draw(st.integers(1, 3))):
         bounds = {v: interval() for v in variables}
-        envs += [IntervalEnv.of(bounds), IntervalEnv.of(dict(bounds))]  # equal, not the same
+        envs += [env_of(bounds), env_of(dict(bounds))]  # equal, not the same
 
     def state():  # each subset draws one of a few rules
         cells = draw(st.integers(1, 1 << width))
@@ -809,7 +849,7 @@ def test_dumps_rejects_unknown_types(unknown):
 
 # --- the flag table -----------------------------------------------------------
 
-COMMON_OPTIONS = ("--format", "--max-rules", "--widen", "--max-iters")
+COMMON_OPTIONS = ("--format", "--max-cells", "--widen", "--max-iters")
 OPTIONS = {
     "analyze": COMMON_OPTIONS,
     "synthesize": COMMON_OPTIONS + ("--verify-solutions",),
@@ -821,7 +861,7 @@ OPTIONS = {
 # option -> (attribute, value on the command line or None for a flag, parsed value)
 SAMPLES = {
     "--format": ("format", "json", "json"),
-    "--max-rules": ("max_rules", "3", 3),
+    "--max-cells": ("max_cells", "3", 3),
     "--widen": ("widen", "2", "2"),
     "--max-iters": ("max_iters", "-1", -1),
     "--verify-solutions": ("verify_solutions", "0", 0),

@@ -31,6 +31,7 @@ from conftest import (
     corpus_cfg,
     env,
     independent_source,
+    is_partition,
     param_state,
     reference_equivalence,
     reference_run_collecting,
@@ -195,7 +196,7 @@ def test_param_states_stay_partitions():
             continue
         result = analyze_param(cfg, entry.config)
         for state in result.states:
-            assert state.is_partition()
+            assert is_partition(state)
 
 
 def test_param_ascent():
@@ -257,6 +258,13 @@ def test_collecting_example1_filter(example1_cfg):
     collected = run_collecting(restrict(example1_cfg, 0b01), (-2, 2))
     after_assume = collected.states[2]
     assert after_assume == [{"x": 1}, {"x": 2}]
+
+
+def test_collecting_refuses_an_empty_input_range(example1_cfg):
+    with pytest.raises(ValueError, match=r"^empty input range$"):
+        run_collecting(example1_cfg, (3, 1))
+    with pytest.raises(ValueError, match=r"^empty input range$"):
+        verify_soundness(example1_cfg, input_range=(3, 1))
 
 
 def test_collecting_states_are_read_off_the_labelled_entries(example1_cfg):
@@ -840,7 +848,7 @@ def test_states_above_the_oracle_cap_match_sampled_re_analyses(source, config):
     assert checked == len(sample) >= 2 + 2 * width + 12
     if exact:  # each variable's partition at the exit: [0, +inf] where assumed, else top
         exit_state = result.states[cfg.exit]
-        assert exit_state.is_partition()
+        assert is_partition(exit_state)
         assert len(exit_state.parts) == width and all(len(part) <= 2 for part in exit_state.parts)
 
 

@@ -168,8 +168,8 @@ COMMANDS = (
     ("check-oracle", "--input-range", "-2:2", "--max-steps", "200"),
     ("dump-cfg",),
 )
-COMMON_FLAGS = (("--widen", "2"), ("--max-rules", "2"), ("--max-rules", "1"))
-BAD_FLAGS = (("--widen", "0"), ("--max-rules", "0"), ("--max-iters", "-1"), ("--widen", "x"))
+COMMON_FLAGS = (("--widen", "2"), ("--max-cells", "2"), ("--max-cells", "1"))
+BAD_FLAGS = (("--widen", "0"), ("--max-cells", "0"), ("--max-iters", "-1"), ("--widen", "x"))
 # fragments that push the parser or the analysis toward its edges
 TOKENS = (
     b"{", b"}", b"(", b")", b";", b":=", b"&&", b"assume b: ", b"assert ", b"while (x <= 3) ",

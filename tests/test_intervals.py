@@ -134,7 +134,7 @@ def test_transfer_assign():
 
 def test_transfer_scaling_is_exact():
     node = _single_node("y := -2*x + 1;", index=1)
-    cfg_env = IntervalEnv.of({"x": iv(1, 3), "y": iv(0, 0)})
+    cfg_env = env(x=(1, 3), y=(0, 0))
     out = transfer(node, cfg_env)
     assert out.get("y") == iv(-5, -1)
 

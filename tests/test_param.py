@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from paramax.conditions import WIDTH_CAP, And, Atom, FALSE, Not, TRUE, render_mask, truth_table
+from paramax.conditions import WIDTH_CAP, And, Atom, FALSE, Not, TRUE, full_mask, render_mask, truth_table
 from paramax import engine, param
 from paramax.engine import AnalysisConfig, analyze_param
 from paramax.frontend import AssumptionId, AtomicConstraint, Bound, Entry, Exit, Rel, Skip, parse_cfg
-from paramax.intervals import BOTTOM, AssumeState, IntervalEnv, NEG_INF, POS_INF, transfer
+from paramax.intervals import BOTTOM, AssumeState, NEG_INF, POS_INF, transfer
 from paramax.param import (
     ParamState,
     PartitionError,
@@ -29,7 +29,10 @@ from conftest import (
     corpus_source,
     env,
     exact_merge_step,
+    env_of,
     fake_assumptions,
+    independent_source,
+    is_partition,
     iv,
     param_state,
     random_param_state,
@@ -165,7 +168,7 @@ def test_normalize_merges_and_simplifies():
     cut = normalize(two, 0b0011, two.parts)
     assert cut.rules == (Rule(0b0001, env(x=(5, 5), y=(0, 0))), Rule(0b0010, env(x=(1, 3), y=(0, 0))),
                          Rule(0b1100, BOTTOM))
-    assert cut.is_partition() and cut.parts[1] == {iv(0, 0): 0b0011, None: 0b1100}
+    assert is_partition(cut) and cut.parts[1] == {iv(0, 0): 0b0011, None: 0b1100}
     assert normalize(two, 0, two.parts) == ParamState.bottom(A[:2])
 
 
@@ -234,14 +237,14 @@ def test_unchanged_states_are_returned_themselves():
         ).rules
         if moved.reach:
             assert moved.parts[0] is factored.parts[0]
-        assert factored.is_partition() and moved.is_partition()
+        assert is_partition(factored) and is_partition(moved)
         lows = [rule.mask & -rule.mask for rule in factored.rules]
         assert lows == sorted(set(lows)) and all(lows)  # ordered by lowest subset
 
 
 def test_factoring_then_expanding_is_the_identity_on_normal_states():
     rng = random.Random(17)
-    no_variables = [BOTTOM, IntervalEnv.of({})]
+    no_variables = [BOTTOM, env_of({})]
     for _ in range(300):
         width = rng.randint(0, 5)
         pool = rng.choice([None, no_variables, _two_variable_pool(rng)])
@@ -251,7 +254,7 @@ def test_factoring_then_expanding_is_the_identity_on_normal_states():
         assert state.rules == normal.rules
         assert rules.factored() == state  # any rule list of the function factors alike
         assert ParamState(state.rules, state.atoms) == state
-        assert state.is_partition()
+        assert is_partition(state)
         for accepted in range(1 << width):
             assert state.state_for(accepted) == rules.state_for(accepted)
 
@@ -301,7 +304,7 @@ def test_factored_operations_expand_to_the_reference():
                 got, expected = reduce_to_budget(got, budget), reference_reduce_to_budget(expected, budget)
             expected = reference_normalize(expected)
             assert got.rules == expected.rules, (step, got, expected)
-            assert got.is_partition()
+            assert is_partition(got)
             seen.add(step)
             seen.update(f"bottom {r.state.is_bottom}" for r in got.rules)
     assert {"transfer", "assume", "join", "widen", "leq", "budget", "bottom True"} <= seen
@@ -337,7 +340,7 @@ def test_split_preserves_partition_and_semantics():
         index = rng.randrange(width)
         pi = pi_ge(rng.randint(-2, 5))
         out = split(state, A[index], pi)
-        assert out.is_partition()
+        assert is_partition(out)
         assert out.rules == reference_normalize(reference_split(state, A[index], pi)).rules
         for accepted in range(1 << width):
             before = state.state_for(accepted)
@@ -370,7 +373,7 @@ def test_join_realizes_pointwise_join():
         width = rng.randint(1, 3)
         states = [random_param_state(rng, width).factored() for _ in range(rng.randint(1, 3))]
         joined = join_states(states)
-        assert joined.is_partition()
+        assert is_partition(joined)
         for accepted in range(1 << width):
             expect = BOTTOM
             for s in states:
@@ -410,36 +413,55 @@ def test_mismatched_agrees_with_a_per_subset_lookup():
 def test_reduce_to_budget_joins_rules_and_fuses_equal_states():
     state = state_of(1, (a0, env(x=(1, 3))), (Not(a0), env(x=(10, 12))))
     assert reduce_to_budget(state, 1).rules == state_of(1, (TRUE, env(x=(1, 12)))).rules
-    # the least-loss pair (the first two, on ties) joins to the third rule's
-    # state, so one merge leaves one rule
-    three = state_of(
+    # the least-loss pair of x's cells (the two lowest, on a tie at loss 0)
+    # joins to the third cell's interval, so one merge leaves two cells
+    top = env(x=(NEG_INF, POS_INF))
+    four = state_of(
         2,
-        (And((Not(a0), Not(a1))), env(x=(0, 0), y=(0, 10))),
-        (And((a0, Not(a1))), env(x=(0, 10), y=(0, 0))),
-        (a1, env(x=(0, 10), y=(0, 10))),
+        (And((Not(a0), Not(a1))), env(x=(0, POS_INF))),
+        (And((a0, Not(a1))), env(x=(NEG_INF, 0))),
+        (And((Not(a0), a1)), top),
+        (And((a0, a1)), env(x=(5, 5))),
     )
-    assert reduce_to_budget(three, 2).rules == state_of(2, (TRUE, env(x=(0, 10), y=(0, 10)))).rules
+    both = And((a0, a1))
+    assert reduce_to_budget(four, 3).rules == state_of(2, (Not(both), top), (both, env(x=(5, 5)))).rules
+    # unreached subsets stay bottom: only the reached cells count
+    gone = state_of(2, (Not(a1), BOTTOM), (And((Not(a0), a1)), env(x=(1, 1))), (both, env(x=(3, 3))))
+    assert reduce_to_budget(gone, 1).rules == state_of(2, (Not(a1), BOTTOM), (a1, env(x=(1, 3)))).rules
+    assert reduce_to_budget(state_of(1, (a0, env(x=(1, 3))), (Not(a0), BOTTOM)), 1).reach == 0b10
+    # each variable's partition is budgeted alone; one within budget is kept itself
+    pair = state_of(2, (a0, env(x=(1, 3), y=(0, 0))), (Not(a0), env(x=(10, 12), y=(0, 0))))
+    merged = reduce_to_budget(pair, 1)
+    assert merged.parts == ({iv(1, 12): 0b1111}, {iv(0, 0): 0b1111})
+    assert merged.parts[1] is pair.parts[1]
+
+
+def reached_cells(state: ParamState) -> int:
+    """The most reached cells of any variable's partition."""
+    return max((len(part) - (None in part) for part in state.parts), default=0)
 
 
 def test_reduce_to_budget_overapproximates_randomly():
     rng = random.Random(4242)
     for _ in range(200):
         width = rng.randint(1, 4)
-        state = random_param_state(rng, width).factored()
-        for budget in range(1, len(state.rules)):
+        state = random_param_state(rng, width, state_pool=_two_variable_pool(rng)).factored()
+        for budget in range(1, reached_cells(state) + 1):
             merged = reduce_to_budget(state, budget)
-            assert merged.is_partition() and len(merged.rules) <= budget
-            assert leq_param(state, merged)
+            assert is_partition(merged) and reached_cells(merged) <= budget
+            assert merged.reach == state.reach and leq_param(state, merged)
+            assert (merged is state) == (budget >= reached_cells(state))
             for accepted in range(1 << width):
                 assert state.state_for(accepted).leq(merged.state_for(accepted))
 
 
 def test_merge_loss_examples():
-    assert merge_loss(env(x=(1, 3)), env(x=(1, 3))) == 0
-    assert merge_loss(env(x=(1, 3)), env(x=(10, 12))) == 9
-    assert merge_loss(env(x=(0, 5)), env(x=(0, POS_INF))) == 0
-    assert merge_loss(BOTTOM, env(x=(0, 5))) == 0
-    assert merge_loss(env(x=(1, 2), y=(0, 0)), env(x=(2, 3), y=(0, 9))) == 1 + 0
+    assert merge_loss(iv(1, 3), iv(1, 3)) == 0
+    assert merge_loss(iv(1, 3), iv(10, 12)) == 9
+    assert merge_loss(iv(0, 5), iv(0, POS_INF)) == 0
+    assert merge_loss(iv(NEG_INF, 0), iv(0, POS_INF)) == 0
+    assert merge_loss(iv(1, 2), iv(2, 3)) == 1
+    assert merge_loss(iv(0, 0), iv(0, 9)) == merge_loss(iv(0, 9), iv(0, 0)) == 0
 
 
 def test_merge_loss_is_the_growth_of_the_lexicographic_loss():
@@ -448,26 +470,20 @@ def test_merge_loss_is_the_growth_of_the_lexicographic_loss():
     rng = random.Random(2202)
     ends = [NEG_INF, -7, -1, 0, 2, 5, POS_INF]
 
-    def random_env():
-        if rng.random() < 0.1:
-            return BOTTOM
-        bounds = {}
-        for var in ("x", "y", "z"):
-            single = rng.random() < 0.2
-            bounds[var] = tuple(sorted([rng.choice(ends[1:-1])] * 2 if single else rng.sample(ends, 2)))
-        return env(**bounds)
+    def random_interval():
+        if rng.random() < 0.2:
+            return iv(*[rng.choice(ends[1:-1])] * 2)
+        return iv(*sorted(rng.sample(ends, 2)))
 
     infinite = 0
     for _ in range(3000):
-        a, b = random_env(), random_env()
-        if not (a.is_bottom or b.is_bottom):
-            for (_, ia), (_, ib) in zip(a.items(), b.items()):
-                joined = ia.join(ib)
-                infinite += joined.lo == NEG_INF or joined.hi == POS_INF
-                if ia.lo != NEG_INF and ib.lo != NEG_INF:
-                    assert joined.lo != NEG_INF, (ia, ib)
-                if ia.hi != POS_INF and ib.hi != POS_INF:
-                    assert joined.hi != POS_INF, (ia, ib)
+        a, b = random_interval(), random_interval()
+        joined = a.join(b)
+        infinite += joined.lo == NEG_INF or joined.hi == POS_INF
+        if a.lo != NEG_INF and b.lo != NEG_INF:
+            assert joined.lo != NEG_INF, (a, b)
+        if a.hi != POS_INF and b.hi != POS_INF:
+            assert joined.hi != POS_INF, (a, b)
         assert reference_merge_loss(a, b) == (0, merge_loss(a, b)), (a, b)
     assert infinite > 1000  # infinite endpoints were drawn
 
@@ -495,12 +511,12 @@ def test_reduce_preserves_partition_and_overapproximates():
     rng = random.Random(11)
     for _ in range(100):
         width = rng.randint(1, 4)
-        state = random_param_state(rng, width).factored()
+        state = _many_rules(rng, width).factored()
         budget = rng.randint(1, 3)
         reduced = reduce_to_budget(state, budget)
-        assert len(reduced.rules) <= budget
-        assert reduced.is_partition()
-        assert leq_param(state, reduced)
+        assert reached_cells(reduced) <= budget
+        assert is_partition(reduced)
+        assert reduced.reach == state.reach and leq_param(state, reduced)
 
 
 def _many_rules(rng: random.Random, width: int) -> ParamState:
@@ -524,14 +540,26 @@ def _many_rules(rng: random.Random, width: int) -> ParamState:
 
 
 def test_reduce_to_budget_chooses_as_the_full_rescan_does():
-    # a factored state's rules are in normal form, so the rescan starts there
+    # the rescan works on the expanded rules, the merge on the partitions
     rng = random.Random(16)
+    fused = 0
     for _ in range(400):
         given = _many_rules(rng, rng.randint(0, 5)).factored()
-        for budget in (rng.randint(1, len(given.rules) + 1), rng.randint(1, 4)):
+        for budget in (rng.randint(1, reached_cells(given) + 1), rng.randint(1, 4)):
             got = reduce_to_budget(given, budget)
             assert got.rules == reference_reduce_to_budget(given, budget).rules, (given, budget)
-            assert len(got.rules) <= budget
+            assert reached_cells(got) <= budget
+            fused += reached_cells(got) < min(budget, reached_cells(given))
+    assert fused  # some joins fused with a third cell
+    # finite intervals, one per subset: the losses of a joined cell change
+    for _ in range(100):
+        width = rng.randint(2, 5)
+        bounds = [(lo, lo + rng.randint(0, 6)) for lo in (rng.randint(-9, 9) for _ in range(8))]
+        rules = [Rule(1 << s, env(x=rng.choice(bounds), y=rng.choice(bounds))) for s in range(1 << width)]
+        given = ParamState(rules, fake_assumptions(width))
+        budget = rng.randint(1, reached_cells(given))
+        got = reduce_to_budget(given, budget)
+        assert got.rules == reference_reduce_to_budget(given, budget).rules, (given, budget)
 
 
 def test_reduce_to_budget_analyzes_the_corpus_as_the_full_rescan_does(monkeypatch):
@@ -551,14 +579,20 @@ def test_reduce_to_budget_analyzes_the_corpus_as_the_full_rescan_does(monkeypatc
         assert (got.iterations, got.converged) == (expected.iterations, expected.converged)
 
 
+def _staircase(width: int) -> ParamState:
+    """One rule per subset s: x = [s, 2s] and y = [s % 5, s % 5], so x's
+    partition has 2**width cells and y's 5."""
+    rules = [Rule(1 << s, env(x=(s, 2 * s), y=(s % 5, s % 5))) for s in range(1 << width)]
+    return ParamState(rules, fake_assumptions(width))
+
+
 def test_reduce_to_budget_computes_each_pair_loss_once(monkeypatch):
-    """One reduction from r rules makes at most r(r-1)/2 + merges * (r-1)
-    `merge_loss` calls: every pair once, then the pairs of each merged rule."""
-    source = "".join(f"x{i} := input();\nassume a{i}: x{i} >= 0;\n" for i in range(7))
-    result = analyze_param(parse_cfg(source))
-    state = result.states[-1]
-    r = len(state.rules)
-    assert r == 128
+    """Per partition of c cells, one reduction makes at most c(c-1)/2 +
+    merges * (c-1) `merge_loss` calls: every pair once, then the pairs of
+    each changed cell."""
+    state = _staircase(7)
+    sizes = [len(part) for part in state.parts]
+    assert sizes == [128, 5]
     calls = []
 
     def counting(a, b):
@@ -566,37 +600,60 @@ def test_reduce_to_budget_computes_each_pair_loss_once(monkeypatch):
         return merge_loss(a, b)
 
     monkeypatch.setattr(param, "merge_loss", counting)
-    for budget in (1, 16, 64, 127):
+    for budget in (1, 4, 16, 64, 127):
         calls.clear()
         reduced = reduce_to_budget(state, budget)
-        assert len(reduced.rules) <= budget
-        assert len(calls) <= r * (r - 1) // 2 + (r - budget) * (r - 1), budget
-    # the full rescan makes about r(r-1)/2 calls per merge
+        assert reached_cells(reduced) <= budget
+        merged = [c for c in sizes if c > budget]
+        assert sum(c * (c - 1) // 2 for c in merged) <= len(calls), budget
+        assert len(calls) <= sum(c * (c - 1) // 2 + (c - budget) * (c - 1) for c in merged), budget
+    # x = [s - 32, 32 - s] on subset s < 32, bottom above: each join is the
+    # lower cell's interval, so no pair is scored again
+    rules = [Rule(1 << s, env(x=(s - 32, 32 - s))) for s in range(32)]
+    nested = ParamState(rules + [Rule(full_mask(6) ^ full_mask(5), BOTTOM)], fake_assumptions(6))
+    for budget, scored in ((1, 32 * 31 // 2), (16, 32 * 31 // 2), (32, 0), (64, 0)):
+        calls.clear()
+        assert reached_cells(reduce_to_budget(nested, budget)) == min(budget, 32)
+        assert len(calls) == scored, budget
+    # the full rescan makes about c(c-1)/2 calls per merge
     calls.clear()
     monkeypatch.setattr("conftest.reference_merge_loss", counting)
-    reference_reduce_to_budget(state, r - 4)
-    assert len(calls) > 4 * (r - 4) * (r - 5) // 2
+    reference_reduce_to_budget(state, 124)
+    assert len(calls) > 4 * 124 * 123 // 2
 
 
-def test_reduce_to_budget_expands_its_input_once(monkeypatch):
-    # a state keeps no expanded copy of its rules, so one reduction must
-    # count and merge the rules of a single expansion
-    source = "".join(f"x{i} := input();\nassume a{i}: x{i} >= 0;\n" for i in range(5))
-    state = analyze_param(parse_cfg(source)).states[-1]
-    assert len(state.rules) == 32
-    calls = []
-    expand = ParamState.expand
+def test_reduce_to_budget_never_expands_a_state(monkeypatch):
+    # the merge reads the partitions alone: no rule, no expansion, no product
+    small = analyze_param(parse_cfg(independent_source(5))).states[-1]
+    assert [len(part) for part in small.parts] == [2] * 5
+    cases = [(small, budget) for budget in (1, 2, 64)] + [(_staircase(5), b) for b in (1, 3, 8)]
+    expected = [reference_reduce_to_budget(state, budget) for state, budget in cases]
 
-    def counting(self, columns=None):
-        calls.append(self)
-        return expand(self, columns)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reduce_to_budget expanded a state")
 
-    monkeypatch.setattr(ParamState, "expand", counting)
-    for budget, kept in ((4, False), (31, False), (32, True), (64, True)):
-        calls.clear()
-        reduced = reduce_to_budget(state, budget)
-        assert calls == [state], budget
-        assert (reduced is state) == kept, budget
+    monkeypatch.setattr(ParamState, "expand", forbidden)
+    monkeypatch.setattr(ParamState, "rules", property(forbidden))
+    monkeypatch.setattr(Rule, "__init__", forbidden)
+    monkeypatch.setattr(param, "product", forbidden)
+    got = [reduce_to_budget(state, budget) for state, budget in cases]
+    monkeypatch.undo()
+    assert [reduced.rules for reduced in got] == [reference.rules for reference in expected]
+    kept = [reduced is state for reduced, (state, _) in zip(got, cases)]
+    assert kept == [False, True, True, False, False, False]
+
+
+def test_a_budget_above_the_cells_of_independent_inputs_changes_nothing():
+    # every partition of the 12-input program has at most 2 cells, so a
+    # budget of 64 keeps each state, where a bound on rules would not
+    cfg = parse_cfg(independent_source(12))
+    exact = analyze_param(cfg)
+    budgeted = analyze_param(cfg, AnalysisConfig(merge_budget=64))
+    assert budgeted.converged and budgeted.states == exact.states
+    assert max(reached_cells(state) for state in exact.states) == 2
+    single = analyze_param(cfg, AnalysisConfig(merge_budget=1))
+    assert single.converged and max(reached_cells(state) for state in single.states) == 1
+    assert all(leq_param(a, b) for a, b in zip(exact.states, single.states))
 
 
 def test_widen_param_cells():
@@ -605,7 +662,7 @@ def test_widen_param_cells():
     widened = widen_param(old, new)
     assert widened.state_for(0b1) == env(x=(0, POS_INF))
     assert widened.state_for(0b0) == env(x=(0, 0))
-    assert widened.is_partition()
+    assert is_partition(widened)
 
 
 def test_normal_form_unique_for_any_reduction_order():
