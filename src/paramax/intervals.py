@@ -108,7 +108,7 @@ class Interval(Record, frozen=True):
         return Interval.make(self.lo + other.lo, self.hi + other.hi)
 
     def scale(self, coef: int) -> "Interval":
-        if coef == 0:
+        if coef == 0:  # 0 * inf would be NaN; the parser drops zero terms, a hand-built form may not
             return Interval(0, 0)
         if coef > 0:
             return Interval.make(coef * self.lo, coef * self.hi)

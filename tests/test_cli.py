@@ -124,12 +124,22 @@ def test_analyze_parse_error(tmp_path, capsys):
         ("x := 2 * ;", 1, 8, "expected a variable after '*'"),
         ("x := 0;\nassert x ;", 2, 10, "expected a comparison operator"),
         ("x := input() in [a, 3];", 1, 18, "expected an integer"),
+        ("x := 1;\n\tx := $;", 2, 7, "unexpected character '$'"),  # a tab is one column
+        ("x := 1; # note\ny := x @ 2;", 2, 8, "unexpected character '@'"),
+        ("x := 1; é", 1, 9, "unexpected character 'é'"),
+        ("x := y * ;", 1, 10, "expected a constant after '*'"),
+        ("x := 0;\nassert ( ;", 2, 10, "expected a variable or constant"),
+        ("x := 1\n# tail", 2, 7, "expected ';'"),  # the end of input, after a comment
+        ("x := 0; assume a: x >= 0;\n  assume a: x >= 1;", 2, 10, "duplicate assume label 'a'"),
     ],
-    ids=["label", "guard", "star", "comparison", "integer"],
+    ids=[
+        "label", "guard", "star", "comparison", "integer", "tab", "comment", "non-ascii",
+        "constant", "operand", "end", "duplicate",
+    ],
 )
 def test_parse_errors_name_their_position(tmp_path, capsys, source, line, col, message):
     path = tmp_path / "bad.pwl"
-    path.write_text(source)
+    path.write_text(source, encoding="utf-8")
     code, out, err = run(capsys, "analyze", str(path))
     assert (code, out) == (EXIT_USAGE, "")
     assert err == f"{path}: line {line}, col {col}: {message}\n"

@@ -87,6 +87,19 @@ def test_assert_allows_variable_comparisons_but_not_ne():
         parse_cfg("x := 0; assert x != 0;")
 
 
+def test_accepted_forms_fold_flip_and_parenthesize():
+    cfg = parse_cfg(
+        "x := 2 * 3 + x * 3; assume a: 3 <= x; assert 0 < x || (x >= 1 && x <= 9);"
+    )
+    # a constant product folds and a coefficient may follow its variable;
+    # an assumption's constant may stand on the left
+    assert [n.render() for n in cfg.nodes[1:-1]] == [
+        "assign(x := 3*x + 6)",
+        "assume(a: x >= 3)",
+        "assert(0 < x || (x >= 1 && x <= 9))",
+    ]
+
+
 def test_build_cfg_example1_layout(example1_cfg):
     cfg = example1_cfg
     kinds = [type(n.op).__name__ for n in cfg.nodes]

@@ -9,6 +9,7 @@ from paramax.frontend import (
     CfgNode,
     Comparison,
     GuardFilter,
+    LinearExpr,
     Rel,
     parse_cfg,
 )
@@ -21,6 +22,7 @@ from paramax.intervals import (
     POS_INF,
     ProofVerdict,
     enforce,
+    eval_linear,
     feasible,
     gamma_contains,
     proves,
@@ -319,6 +321,16 @@ def test_saturating_arithmetic_only_widens():
     out = transfer(node, huge)
     assert out.get("x").hi == POS_INF
     assert out.get("x").lo <= 2**62 * 4 or out.get("x").lo == NEG_INF
+
+
+def test_saturation_below_the_most_negative_finite_endpoint():
+    assert Interval.make(-2**64, -2**64) == Interval(NEG_INF, -(2**63 - 1))
+
+
+def test_a_zero_coefficient_scales_an_unbounded_interval_to_zero():
+    # the parser drops zero coefficients, so only a hand-built form reaches
+    # scale(0): on top the general branch would compute 0 * inf, which is NaN
+    assert eval_linear(LinearExpr(0, ((0, "x"),)), IntervalEnv.top(["x"])) == Interval(0, 0)
 
 
 def test_serialization_sentinels():
