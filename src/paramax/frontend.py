@@ -249,12 +249,11 @@ def render_assert(expr: AssertExpr) -> str:
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[^\S\n]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<nl>\n)
+      \s+ | \#[^\n]*  # whitespace and comments: no group, so no token
     | (?P<number>[0-9]+)
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op>:=|<=|>=|==|!=|&&|\|\||[<>=:;{}()\[\],+\-*])
+    | (?P<bad>.)  # any other character but a newline, which \s takes
     """,
     re.VERBOSE,
 )
@@ -262,42 +261,24 @@ _TOKEN_RE = re.compile(
 _KEYWORDS = {"if", "else", "while", "assume", "assert", "skip", "input", "in"}
 
 
-class _Token(Record, frozen=True):
-    __slots__ = ("kind", "text", "line", "col")  # one per source token: written out
-    kind: str  # "number", "name", "op", "kw", "eof"
-    text: str
-    line: int
-    col: int
-
-    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
-        _setattr(self, "kind", kind)
-        _setattr(self, "text", text)
-        _setattr(self, "line", line)
-        _setattr(self, "col", col)
+def _line_col(source: str, offset: int) -> tuple[int, int]:
+    """The line and column, from 1, of an offset; only a newline ends a line."""
+    return source.count("\n", 0, offset) + 1, offset - source.rfind("\n", 0, offset)
 
 
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
-        kind = m.lastgroup
-        text = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(text)
-        else:
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    """The (kind, text, offset) tokens of `source`, a kind being "number", "name", "op"
+    or "kw", then ("eof", "", len(source)); a line and column are computed only for an error."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(source):
+        if kind := m.lastgroup:
+            text = m.group()
             if kind == "name" and text in _KEYWORDS:
                 kind = "kw"
-            tokens.append(_Token(kind, text, line, col))
-            col += len(text)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
+            elif kind == "bad":
+                raise ParseError(f"unexpected character {text!r}", *_line_col(source, m.start()))
+            tokens.append((kind, text, m.start()))
+    tokens.append(("eof", "", len(source)))
     return tokens
 
 
@@ -311,11 +292,14 @@ MAX_NESTING = 100
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Recursive descent over the tokens of `source`, kept to place a ParseError."""
+
+    def __init__(self, source: str):
+        self.source = source
+        self.tokens = _tokenize(source)
         self.pos = 0
         self.depth = 0  # open blocks and assertion parentheses
-        self.assume_labels: dict[str, _Token] = {}
+        self.assume_labels: set[str] = set()
         self.nodes: list[CfgNode] = []
         self.edges: set[tuple[int, int]] = set()
         self.assumptions: list[AssumptionId] = []
@@ -327,26 +311,25 @@ class _Parser:
         self.edges.update((src, v) for src in frontier)
         return v
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def advance(self) -> tuple[str, str, int]:
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def error(self, message: str, tok: _Token | None = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def error(self, message: str, tok: tuple[str, str, int] | None = None) -> ParseError:
+        """A ParseError at `tok`, by default the next token."""
+        return ParseError(message, *_line_col(self.source, (tok or self.peek())[2]))
 
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
-            raise self.error(f"expected {text!r}, found {tok.text!r}" if tok.text else f"expected {text!r}")
+    def expect(self, text: str) -> tuple[str, str, int]:
+        found = self.peek()[1]
+        if found != text:
+            raise self.error(f"expected {text!r}, found {found!r}" if found else f"expected {text!r}")
         return self.advance()
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "eof"
+        return self.tokens[self.pos][1] == text
 
     def open_nested(self, text: str) -> None:
         tok = self.expect(text)
@@ -377,34 +360,34 @@ class _Parser:
 
     def parse_statements(self, frontier: list[int], stop_at_brace: bool) -> list[int]:
         while True:
-            tok = self.peek()
-            if tok.kind == "eof" or (stop_at_brace and tok.text == "}"):
+            kind, text, _ = self.peek()
+            if kind == "eof" or (stop_at_brace and text == "}"):
                 return frontier
             frontier = self.parse_statement(frontier)
 
     def parse_statement(self, frontier: list[int]) -> list[int]:
-        tok = self.peek()
-        if tok.kind == "name":
+        kind, text, _ = self.peek()
+        if kind == "name":
             return self.parse_assignment(frontier)
-        if tok.kind == "kw":
-            if tok.text == "if":
+        if kind == "kw":
+            if text == "if":
                 return self.parse_if(frontier)
-            if tok.text == "while":
+            if text == "while":
                 return self.parse_while(frontier)
-            if tok.text == "assume":
+            if text == "assume":
                 return self.parse_assume(frontier)
-            if tok.text == "assert":
+            if text == "assert":
                 return self.parse_assert(frontier)
-            if tok.text == "skip":
+            if text == "skip":
                 self.advance()
                 self.expect(";")
                 return [self.add(Skip(), frontier)]
-        raise self.error(f"expected a statement, found {tok.text!r}" if tok.text else "expected a statement")
+        raise self.error(f"expected a statement, found {text!r}" if text else "expected a statement")
 
     def parse_assignment(self, frontier: list[int]) -> list[int]:
-        var = self.advance().text
+        var = self.advance()[1]
         self.expect(":=")
-        if self.peek().text == "input":
+        if self.at("input"):
             self.advance()
             self.expect("(")
             self.expect(")")
@@ -430,11 +413,11 @@ class _Parser:
         if self.at("-"):
             self.advance()
             sign = -1
-        tok = self.peek()
-        if tok.kind != "number":
+        kind, text, _ = self.peek()
+        if kind != "number":
             raise self.error("expected an integer")
         self.advance()
-        return sign * int(tok.text)
+        return sign * int(text)
 
     def parse_linear(self) -> LinearExpr:
         constant = 0
@@ -442,37 +425,37 @@ class _Parser:
 
         def add_term(sign: int) -> None:
             nonlocal constant
-            tok = self.peek()
-            if tok.kind == "number":
+            kind, text, _ = self.peek()
+            if kind == "number":
                 self.advance()
-                value = int(tok.text)
+                value = int(text)
                 if self.at("*"):
                     star = self.advance()
-                    follow = self.peek()
-                    if follow.kind == "name":
+                    follow_kind, follow, _ = self.peek()
+                    if follow_kind == "name":
                         self.advance()
-                        coefs[follow.text] = coefs.get(follow.text, 0) + sign * value
-                    elif follow.kind == "number":
+                        coefs[follow] = coefs.get(follow, 0) + sign * value
+                    elif follow_kind == "number":
                         self.advance()
-                        constant += sign * value * int(follow.text)
+                        constant += sign * value * int(follow)
                     else:
                         raise self.error("expected a variable after '*'", star)
                 else:
                     constant += sign * value
-            elif tok.kind == "name":
+            elif kind == "name":
                 self.advance()
                 coef = 1
                 if self.at("*"):
                     self.advance()
-                    follow = self.peek()
-                    if follow.kind == "number":
+                    follow_kind, follow, _ = self.peek()
+                    if follow_kind == "number":
                         self.advance()
-                        coef = int(follow.text)
-                    elif follow.kind == "name":
-                        raise self.error("non-linear expression: variable * variable", follow)
+                        coef = int(follow)
+                    elif follow_kind == "name":
+                        raise self.error("non-linear expression: variable * variable")
                     else:
                         raise self.error("expected a constant after '*'")
-                coefs[tok.text] = coefs.get(tok.text, 0) + sign * coef
+                coefs[text] = coefs.get(text, 0) + sign * coef
             else:
                 raise self.error("expected an expression term")
 
@@ -481,29 +464,28 @@ class _Parser:
             add_term(-1)
         else:
             add_term(1)
-        while self.peek().text in ("+", "-"):
-            sign = 1 if self.advance().text == "+" else -1
+        while self.peek()[1] in ("+", "-"):
+            sign = 1 if self.advance()[1] == "+" else -1
             add_term(sign)
         terms = tuple((c, v) for v, c in sorted(coefs.items()) if c != 0)
         return LinearExpr(constant, terms)
 
     def parse_operand(self) -> Operand:
-        tok = self.peek()
-        if tok.kind == "name":
+        kind, text, _ = self.peek()
+        if kind == "name":
             self.advance()
-            return tok.text
-        if tok.kind == "number" or tok.text == "-":
+            return text
+        if kind == "number" or text == "-":
             return self.parse_int()
         raise self.error("expected a variable or constant")
 
     def parse_comparison(self, allow_ne: bool) -> Comparison:
         lhs = self.parse_operand()
-        tok = self.peek()
-        rel = _REL_TOKENS.get(tok.text)
+        rel = _REL_TOKENS.get(self.peek()[1])
         if rel is None:
             raise self.error("expected a comparison operator")
         if rel is Rel.NE and not allow_ne:
-            raise self.error("operator != is not allowed here", tok)
+            raise self.error("operator != is not allowed here")
         self.advance()
         rhs = self.parse_operand()
         return Comparison(lhs, rel, rhs)
@@ -511,7 +493,7 @@ class _Parser:
     def parse_guard(self) -> Comparison:
         self.expect("(")
         cmp = self.parse_comparison(allow_ne=True)
-        if self.peek().text in ("&&", "||"):
+        if self.peek()[1] in ("&&", "||"):
             raise self.error("guard conditions must be a single comparison")
         self.expect(")")
         return cmp
@@ -544,20 +526,19 @@ class _Parser:
 
     def parse_assume(self, frontier: list[int]) -> list[int]:
         self.advance()
-        label_tok = self.peek()
-        if label_tok.kind != "name":
-            raise self.error("expected an assumption label")
-        self.advance()
-        if label_tok.text in self.assume_labels:
-            raise self.error(f"duplicate assume label {label_tok.text!r}", label_tok)
-        self.assume_labels[label_tok.text] = label_tok
+        kind, label, _ = label_tok = self.advance()
+        if kind != "name":
+            raise self.error("expected an assumption label", label_tok)
+        if label in self.assume_labels:
+            raise self.error(f"duplicate assume label {label!r}", label_tok)
+        self.assume_labels.add(label)
         self.expect(":")
         bounds = [self.parse_bound()]
         while self.at("&&"):
             self.advance()
             bounds.append(self.parse_bound())
         self.expect(";")
-        aid = AssumptionId(len(self.assumptions), label_tok.text, len(self.nodes))
+        aid = AssumptionId(len(self.assumptions), label, len(self.nodes))
         self.assumptions.append(aid)
         return [self.add(Assume(aid, AtomicConstraint(tuple(bounds))), frontier)]
 
@@ -600,7 +581,7 @@ class _Parser:
 
 def parse_cfg(source: str) -> Cfg:
     """Parse program text into its CFG, raising ParseError with line/col on bad input."""
-    return _Parser(_tokenize(source)).parse_cfg()
+    return _Parser(source).parse_cfg()
 
 
 # --- CFG ---------------------------------------------------------------

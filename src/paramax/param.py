@@ -35,7 +35,6 @@ from .frontend import (
     GuardFilter,
     Input,
     Record,
-    _setattr,
     op_variables,
 )
 from .intervals import BOTTOM, AssumeState, Interval, IntervalEnv, transfer
@@ -46,21 +45,8 @@ class PartitionError(Exception):
 
 
 class Rule(Record, frozen=True):
-    __slots__ = ("mask", "state")  # built per expanded rule: slots and methods written out
     mask: int  # bit A set when assumption subset A takes this rule
     state: IntervalEnv
-
-    def __init__(self, mask: int, state: IntervalEnv) -> None:
-        _setattr(self, "mask", mask)
-        _setattr(self, "state", state)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Rule:
-            return NotImplemented
-        return (self.mask, self.state) == (other.mask, other.state)
-
-    def __hash__(self) -> int:
-        return hash((self.mask, self.state))
 
 
 Partition = dict  # interval (None: the unreached subsets) -> nonempty subset mask

@@ -10,11 +10,15 @@ the longer forms that `merge_loss` and guard refinement must agree with.
 `reference_run_collecting` steps one concrete entry at a time where
 `run_collecting` steps a batch per edge; the per-subset soundness
 reference runs on it, so it shares no enumeration code with the oracle.
+`reference_tokenize` matches one token or whitespace run at a time and
+tracks the line and column as it goes, where `_tokenize` makes one
+`finditer` pass and keeps offsets.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -41,6 +45,7 @@ from paramax.frontend import (
     Comparison,
     GuardFilter,
     Input,
+    ParseError,
     Rel,
     parse_cfg,
     restrict,
@@ -635,3 +640,46 @@ def reference_soundness(
                 if not gamma_contains(abstract, values):
                     report.mismatches.append({"subset": accepted, "node": node.id, "state": values})
     return report
+
+
+# --- the tokenizer that tracks positions: the spec of `frontend._tokenize` ------
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>[^\S\n]+)
+    | (?P<comment>\#[^\n]*)
+    | (?P<nl>\n)
+    | (?P<number>[0-9]+)
+    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<op>:=|<=|>=|==|!=|&&|\|\||[<>=:;{}()\[\],+\-*])
+    """,
+    re.VERBOSE,
+)
+
+_REFERENCE_KEYWORDS = {"if", "else", "while", "assume", "assert", "skip", "input", "in"}
+
+
+def reference_tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, col) per token, then the "eof" token; a match per step."""
+    tokens: list[tuple[str, str, int, int]] = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(source):
+        m = _REFERENCE_TOKEN_RE.match(source, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {source[pos]!r}", line, col)
+        kind = m.lastgroup
+        text = m.group()
+        if kind == "nl":
+            line += 1
+            col = 1
+        elif kind in ("ws", "comment"):
+            col += len(text)
+        else:
+            if kind == "name" and text in _REFERENCE_KEYWORDS:
+                kind = "kw"
+            tokens.append((kind, text, line, col))
+            col += len(text)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from paramax.frontend import (
@@ -10,12 +12,15 @@ from paramax.frontend import (
     ParseError,
     Rel,
     Skip,
+    _line_col,
+    _tokenize,
     dump_cfg,
     parse_cfg,
     restrict,
 )
 
-from conftest import corpus_source
+from conftest import CORPUS_DIR, corpus_source, reference_tokenize
+from test_fuzz import generate_program
 
 EXAMPLE1 = "x := input(); assume a: x > 0; x := 5; assume b: x = 0;"
 
@@ -244,3 +249,52 @@ def test_entry_exit_invariants():
                     seen.add(s)
                     stack.append(s)
         assert seen == {n.id for n in cfg.nodes}
+
+
+# inserted by the mutations: every line break, blank and comment form, the
+# characters no token takes, and names that begin with a keyword
+_PIECES = (
+    "\t", "\r", "\r\n", "\n", "\f", " ", "# note", "#", "é", "$", "input2", "if_x", "inx",
+    "in", "x", "7", ";", ":=", "==", "(", "}",
+)
+
+
+def _mutate(rng: random.Random, source: str) -> str:
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(source) + 1)
+        roll = rng.random()
+        if roll < 0.7:
+            source = source[:at] + rng.choice(_PIECES) + source[at:]
+        elif roll < 0.85:
+            source = source[:at] + source[at + rng.randint(1, 6):]
+        else:  # a comment at the end of input, with no newline after it
+            source = source.rstrip("\n") + rng.choice(("# tail", "\n# tail", "\t#"))
+    return source
+
+
+def _outcome(tokenize, source: str):
+    try:
+        return tokenize(source)
+    except ParseError as err:
+        return (err.message, err.line, err.col)
+
+
+def test_tokens_match_the_position_tracking_reference():
+    rng = random.Random(28)
+    bases = [path.read_text(encoding="utf-8") for path in sorted(CORPUS_DIR.glob("*.pwl"))]
+    bases += [generate_program(seed) for seed in range(120)]
+    sources = bases + [_mutate(rng, rng.choice(bases)) for _ in range(1200)]
+    parsed = 0
+    for source in sources:
+        expected = _outcome(reference_tokenize, source)
+        tokens = _outcome(_tokenize, source)
+        if isinstance(expected, tuple):  # the same unexpected character, at the same place
+            assert tokens == expected, source
+            continue
+        assert [(kind, text, *_line_col(source, offset)) for kind, text, offset in tokens] == expected
+        try:
+            parse_cfg(source)
+            parsed += 1
+        except ParseError as err:  # a parse error points at a token
+            assert (err.line, err.col) in {(line, col) for *_, line, col in expected}, source
+    assert len(bases) == 139 and parsed >= 200

@@ -1,6 +1,6 @@
 """Value semantics of paramax's record classes.
 
-Every CFG op, token, condition-tree node, configuration, result and
+Every CFG op, condition-tree node, configuration, result and
 report is a record: construction by position or keyword with defaults,
 equality by exact class and field tuple, the `Name(field=value, ...)`
 repr, and, for the immutable ones, a hash equal to that of the field
@@ -39,7 +39,6 @@ from paramax.frontend import (
     LinearExpr,
     Rel,
     Skip,
-    _Token,
     parse_cfg,
 )
 from paramax.intervals import BOTTOM, NEG_INF, POS_INF, AssumeState, Interval
@@ -61,7 +60,6 @@ FROZEN = [
     (AtomicConstraint, ("bounds",), ((Bound("x", Rel.GE, 0),),)),
     (AssertAnd, ("parts",), ((CMP, CMP),)),
     (AssertOr, ("parts",), ((CMP, CMP),)),
-    (_Token, ("kind", "text", "line", "col"), ("name", "x", 1, 4)),
     (AssumptionId, ("index", "label", "node_id"), (0, "a", 2)),
     (Entry, (), ()),
     (Exit, (), ()),
@@ -211,7 +209,6 @@ def test_repr_text():
     assert repr(CfgNode(0, Entry())) == "CfgNode(id=0, op=Entry(), loop_head=False)"
     assert repr(Input("x")) == "Input(var='x', input_range=None)"
     assert repr(Comparison("x", Rel.LE, 3)) == "Comparison(lhs='x', op=<Rel.LE: '<='>, rhs=3)"
-    assert repr(_Token("eof", "", 2, 1)) == "_Token(kind='eof', text='', line=2, col=1)"
     assert repr(Not(Atom(AID))) == (
         "Not(operand=Atom(assumption=AssumptionId(index=0, label='a', node_id=2)))"
     )
