@@ -36,7 +36,6 @@ from .engine import (
     AnalysisResult,
     CollectingResult,
     OracleReport,
-    ParamAnalysisResult,
     WidthCapError,
     analyze_baseline,
     analyze_param,
@@ -71,7 +70,6 @@ from .intervals import (
 )
 from .param import (
     ParamState,
-    PartitionError,
     Rule,
     join_states,
     leq_param,

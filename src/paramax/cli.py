@@ -19,7 +19,7 @@ from . import consistency as consistency_mod
 from . import synthesis as synthesis_mod
 from .conditions import format_subset, members, render_mask
 from .engine import (
-    AnalysisConfig, ParamAnalysisResult, analyze_param, verify_equivalence, verify_soundness,
+    AnalysisConfig, AnalysisResult, analyze_param, verify_equivalence, verify_soundness,
 )
 from .frontend import Cfg, ParseError, dump_cfg, parse_cfg
 from .param import ParamState
@@ -133,14 +133,15 @@ def _make_config(args: SimpleNamespace) -> AnalysisConfig:
 
 
 def _load(path: str) -> tuple[str, Cfg]:
-    with open(path, "r", encoding="utf-8") as handle:
+    # newlines untranslated, so that an error's position is the one `parse_cfg` gives
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         source = handle.read()
     return os.path.basename(path), parse_cfg(source)
 
 
-def analysis_document(name: str, cfg: Cfg, result: ParamAnalysisResult) -> dict:
+def analysis_document(name: str, cfg: Cfg, result: AnalysisResult) -> dict:
     """The JSON document of an analysis, each node's `ParamState` itself under
-    "rules": `dump` writes it as its rule table (`ParamState.to_json`)."""
+    "rules": `dump` writes it as its rule table."""
     return {
         "program": name,
         "assumptions": [a.label for a in cfg.assumptions],
@@ -165,7 +166,7 @@ def _rows(state: ParamState, texts: dict, text: Callable) -> list:
     ])
 
 
-def _write_analysis_text(write, name: str, cfg: Cfg, result: ParamAnalysisResult) -> None:
+def _write_analysis_text(write, name: str, cfg: Cfg, result: AnalysisResult) -> None:
     """Write the text report of an analysis through `write`, one piece per
     node, its rules read off the partitions (`_rows`) with no state built."""
     atoms, names, cells = cfg.assumptions, {}, {}
@@ -196,7 +197,7 @@ def _block(brackets, items: list[str], newline: str) -> str:
 
 
 def _table_writer(write: Callable[[str], object], names: dict, newline: str):
-    """A function that writes a `ParamState` as `dump` writes its `to_json()`
+    """A function that writes a `ParamState` as `dump` writes its rule table
     where `newline` closes it, one `write` per rule, read off the partitions
     (`_rows`). A rule's text is the *head* of its mask (the opening, with the
     "," that parts it from a previous rule, "condition", "condition_sets" and
@@ -236,10 +237,13 @@ def _table_writer(write: Callable[[str], object], names: dict, newline: str):
 
 def dump(value, write: Callable[[str], object], names: dict | None = None) -> None:
     """Write `json.dumps(value, indent=2)`, byte for byte, through `write`, with
-    each `ParamState` as its `to_json()`: the outer three levels (a document,
-    its nodes, each node) item by item, a `ParamState` among their items rule
-    by rule (`_table_writer`, one per indentation, whose mask and cell texts
-    serve all its tables), each other deeper container with one `str.join`.
+    each `ParamState` as its rule table: a list of one object per rule of
+    `rules`, with its "condition" (`render_mask`), "condition_sets"
+    (`members`) and "state" (`IntervalEnv.to_json`). The outer three levels
+    (a document, its nodes, each node) go item by item, a `ParamState` among
+    their items rule by rule (`_table_writer`, one per indentation, whose mask
+    and cell texts serve all its tables), each other deeper container with one
+    `str.join`.
     `names` (see `render_mask`) serves every table and may come filled from the
     rest of the document. Tuples encode as lists; non-`str` keys and other
     types raise TypeError."""
@@ -283,13 +287,6 @@ def dump(value, write: Callable[[str], object], names: dict | None = None) -> No
         write(newline + brackets[1])
 
     stream(value, "\n", 3)
-
-
-def dumps(value) -> str:
-    """The text that `dump` writes, joined."""
-    pieces: list[str] = []
-    dump(value, pieces.append)
-    return "".join(pieces)
 
 
 def _emit(args: SimpleNamespace, document: Callable, text: Callable, names=None) -> None:

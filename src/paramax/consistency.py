@@ -17,7 +17,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .conditions import atom_mask, full_mask, members
-from .engine import ORACLE_CAP, ParamAnalysisResult, _check_oracle_cap
+from .engine import ORACLE_CAP, AnalysisResult, _check_oracle_cap
 from .frontend import Assume, AssumptionId, Cfg, Record, op_variables
 from .intervals import AssumeState, feasible
 
@@ -52,7 +52,7 @@ class ConsistencyReport(Record):
 
 
 def refuting_condition(
-    result: ParamAnalysisResult, cfg: Cfg, assumption: AssumptionId
+    result: AnalysisResult, cfg: Cfg, assumption: AssumptionId
 ) -> int:
     """The mask of the subsets whose state at the assume node has no feasible
     state, tested once per cell of the variables the assumption bounds."""
@@ -68,11 +68,11 @@ def refuting_condition(
     return refuted
 
 
-def _refuting_tables(result: ParamAnalysisResult, cfg: Cfg) -> list[int]:
+def _refuting_tables(result: AnalysisResult, cfg: Cfg) -> list[int]:
     return [refuting_condition(result, cfg, a) for a in cfg.assumptions]
 
 
-def unrefuted(result: ParamAnalysisResult, cfg: Cfg, accepted: int) -> int:
+def unrefuted(result: AnalysisResult, cfg: Cfg, accepted: int) -> int:
     """Assumptions the analysis under `accepted` does not refute."""
     return _phi(_refuting_tables(result, cfg), cfg.assumptions, accepted)
 
@@ -96,7 +96,7 @@ def _phi_table(tables: list[int], assumptions) -> dict[int, int]:
 
 
 def consistency_bounds(
-    result: ParamAnalysisResult, cfg: Cfg, tables: list[int] | None = None
+    result: AnalysisResult, cfg: Cfg, tables: list[int] | None = None
 ) -> tuple[int, int]:
     """(core, envelope): bounds sandwiching every consistent assumption set.
 
@@ -134,7 +134,7 @@ def consistency_bounds(
 
 
 def brute_force_fixpoints(
-    result: ParamAnalysisResult, cfg: Cfg, tables: list[int] | None = None
+    result: AnalysisResult, cfg: Cfg, tables: list[int] | None = None
 ) -> list[int]:
     """All subsets the operator maps to themselves; the oracle for bounds.
     A program with more than `ORACLE_CAP` assumptions raises ValueError."""
@@ -149,7 +149,7 @@ def brute_force_fixpoints(
 
 
 def consistency_report(
-    result: ParamAnalysisResult,
+    result: AnalysisResult,
     cfg: Cfg,
     include_phi_table: bool | None = None,
 ) -> ConsistencyReport:

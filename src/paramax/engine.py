@@ -67,14 +67,7 @@ class AnalysisConfig(Record):
 
 
 class AnalysisResult(Record):
-    states: list[IntervalEnv]  # indexed by node id; the state after each node
-    iterations: int
-    converged: bool
-    config: AnalysisConfig
-
-
-class ParamAnalysisResult(Record):
-    states: list[ParamState]
+    states: list  # indexed by node id: the state after each node (a `ParamState` in one pass)
     iterations: int
     converged: bool
     config: AnalysisConfig
@@ -89,21 +82,6 @@ class CollectingResult(Record):
 
     reached: list[dict[ConcreteValues, int]]  # per node: values -> mask of the subsets reaching them
     truncated_subsets: int  # mask of the subsets whose runs hit the step bound
-    variables: tuple[str, ...]  # the program's, naming the values
-    given: int  # the bit of the subset that accepts every assumption
-
-    @property
-    def labelled(self) -> list[list[tuple[ConcreteValues, int]]]:  # per node, sorted (values, mask)
-        return [sorted(node.items()) for node in self.reached]
-
-    @property
-    def states(self) -> list[list[dict[str, int]]]:  # the program as given
-        names, given = self.variables, self.given
-        return [[dict(zip(names, s)) for s, mask in node if mask & given] for node in self.labelled]
-
-    @property
-    def truncated(self) -> bool:  # whether the run of the program as given hit the step bound
-        return bool(self.truncated_subsets & self.given)
 
 
 class OracleReport(Record):
@@ -323,7 +301,7 @@ def analyze_variants(
 
 def analyze_param(
     cfg: Cfg, config: AnalysisConfig | None = None, observer: Callable | None = None
-) -> ParamAnalysisResult:
+) -> AnalysisResult:
     """One-pass analysis over rule states covering every assumption subset."""
     config = config or AnalysisConfig()
     width = len(cfg.assumptions)
@@ -352,7 +330,7 @@ def analyze_param(
         post=None if budget is None else lambda state: reduce_to_budget(state, budget),
         observer=observer,
     )
-    return ParamAnalysisResult(states, evals, converged, config)
+    return AnalysisResult(states, evals, converged, config)
 
 
 def _concrete_test(
@@ -435,8 +413,7 @@ def run_collecting(
     every subset it carries is truncated. The enumeration also stops once
     it holds `MAX_COLLECTED` entries; every subset with states left to
     expand is then truncated too, and which entries of the cut layer were
-    kept depends on the order of the layer. `states` and `truncated`
-    describe the program as given, with every assumption accepted.
+    kept depends on the order of the layer.
     """
     if input_range[0] > input_range[1]:
         raise ValueError("empty input range")
@@ -486,8 +463,7 @@ def run_collecting(
                             if not passed & ~truncated_subsets:
                                 break  # the entry's other successors add no subset
 
-    given = 1 << ((1 << width) - 1)  # the bit of the subset accepting every assumption
-    return CollectingResult(seen, truncated_subsets, cfg.variables, given)
+    return CollectingResult(seen, truncated_subsets)
 
 
 def _check_oracle_cap(width: int) -> None:
@@ -499,7 +475,7 @@ def verify_equivalence(
     cfg: Cfg,
     config: AnalysisConfig | None = None,
     program_name: str = "<program>",
-    param: ParamAnalysisResult | None = None,
+    param: AnalysisResult | None = None,
 ) -> OracleReport:
     """Check the one-pass result against a fresh analysis of every variant.
 
@@ -547,7 +523,7 @@ def verify_soundness(
     input_range: tuple[int, int] = (-8, 8),
     step_bound: int = 100_000,
     program_name: str = "<program>",
-    param: ParamAnalysisResult | None = None,
+    param: AnalysisResult | None = None,
 ) -> OracleReport:
     """Check that enumerated concrete states lie inside the abstract ones.
 

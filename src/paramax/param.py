@@ -11,9 +11,10 @@ equal functions have equal states.
 
 The rules, (mask, environment) pairs in normal form (distinct states,
 ordered by lowest subset), are the cells of the product of the partitions
-plus a bottom rule for the unreached subsets. `rules`, `to_json` and
-`render` expand them on each call (no state keeps them); `ParamState(rules,
-atoms)` factors them; `expand` gives the product with any payload per cell.
+plus a bottom rule for the unreached subsets. `rules` and `render` expand
+them on each call (no state keeps them); `expand` gives the product with
+any payload per cell. A state is only ever built from its fields:
+`of_state`, `bottom` and `normalize` are the ways in.
 
 `lift_transfer` and `split` change the partitions of the variables a node
 mentions, through the product of their cells; `join_states`, `widen_param`,
@@ -27,7 +28,7 @@ from __future__ import annotations
 import operator
 from typing import Callable, Iterable, Sequence
 
-from .conditions import atom_mask, full_mask, members, render_mask
+from .conditions import atom_mask, full_mask, render_mask
 from .frontend import (
     Assign,
     AssumptionId,
@@ -38,10 +39,6 @@ from .frontend import (
     op_variables,
 )
 from .intervals import BOTTOM, AssumeState, Interval, IntervalEnv, transfer
-
-
-class PartitionError(Exception):
-    """Rule masks that do not partition the subsets."""
 
 
 class Rule(Record, frozen=True):
@@ -72,44 +69,9 @@ class ParamState:
     names: tuple[str, ...]  # the variables, sorted; () when nothing is reached
     parts: tuple[Partition, ...]  # one partition per variable, in `names` order
 
-    def __init__(self, rules: Iterable[Rule], atoms: Sequence[AssumptionId]) -> None:
-        """Factor rules whose masks partition the subsets of `atoms`.
-
-        The rules need not be normal: empty masks and repeated states are
-        fine. A subset that no rule or several rules hold raises
-        PartitionError, the smallest such subset first."""
-        atoms, rules = tuple(atoms), tuple(rules)
-        full = full_mask(len(atoms))
-        covered = twice = reach = 0
-        envs = []
-        for rule in rules:
-            twice |= covered & rule.mask
-            covered |= rule.mask
-            if rule.mask and not rule.state.is_bottom:
-                reach |= rule.mask
-                envs.append((rule.mask, rule.state))
-        if bad := (twice | ~covered) & full:
-            subset = (bad & -bad).bit_length() - 1
-            problem = "multiple rules apply" if twice >> subset & 1 else "no rule applies"
-            given = "; ".join(f"{render_mask(r.mask, atoms)} -> {r.state.render()}" for r in rules)
-            raise PartitionError(f"{problem} to subset {subset:#x}: {given}")
-        names = envs[0][1].variables() if envs else ()
-        parts: list[Partition] = [{} for _ in names]
-        for mask, env in envs:
-            if env.variables() != names:
-                raise ValueError("mismatched variable universes")
-            for part, (_, iv) in zip(parts, env.items()):
-                part[iv] = part.get(iv, 0) | mask
-        if gone := full ^ reach:
-            for part in parts:
-                part[None] = gone
-        self.atoms, self.reach, self.names, self.parts = atoms, reach, names, tuple(parts)
-
-    @staticmethod
-    def _of(atoms, reach: int, names: tuple[str, ...], parts: tuple) -> "ParamState":
-        state = object.__new__(ParamState)
-        state.atoms, state.reach, state.names, state.parts = atoms, reach, names, parts
-        return state
+    def __init__(self, atoms, reach: int, names: tuple[str, ...], parts: tuple) -> None:
+        """Fields that form the partitions the module docstring describes; unchecked."""
+        self.atoms, self.reach, self.names, self.parts = atoms, reach, names, parts
 
     @property
     def width(self) -> int:
@@ -121,11 +83,11 @@ class ParamState:
             return ParamState.bottom(atoms)
         full = full_mask(len(atoms))
         parts = tuple({iv: full} for _, iv in state.items())
-        return ParamState._of(atoms, full, state.variables(), parts)
+        return ParamState(atoms, full, state.variables(), parts)
 
     @staticmethod
     def bottom(atoms: tuple[AssumptionId, ...]) -> "ParamState":
-        return ParamState._of(atoms, 0, (), ())
+        return ParamState(atoms, 0, (), ())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ParamState):
@@ -182,20 +144,12 @@ class ParamState:
     def state_for(self, accepted: int) -> IntervalEnv:
         """The state of subset `accepted`."""
         if not 0 <= accepted < 1 << self.width:
-            raise PartitionError(f"no rule applies to subset {accepted:#x}: {self.render()}")
+            raise ValueError(f"no rule applies to subset {accepted:#x}: {self.render()}")
         if not self.reach >> accepted & 1:
             return BOTTOM
         bit = 1 << accepted
         cells = [next(iv for iv, mask in part.items() if mask & bit) for part in self.parts]
         return IntervalEnv(tuple(zip(self.names, cells)), self.names)
-
-    def to_json(self) -> list[dict]:
-        """The rules as JSON objects; `cli.dump` writes their text without them."""
-        return [
-            {"condition": render_mask(r.mask, self.atoms), "condition_sets": members(r.mask),
-             "state": r.state.to_json()}
-            for r in self.rules
-        ]
 
 
 def normalize(state: ParamState, reach: int, parts: Sequence) -> ParamState:
@@ -227,7 +181,7 @@ def normalize(state: ParamState, reach: int, parts: Sequence) -> ParamState:
         out.append(new)
     if reach == state.reach and all(map(operator.is_, out, state.parts)):
         return state
-    return ParamState._of(state.atoms, reach, state.names, tuple(out))
+    return ParamState(state.atoms, reach, state.names, tuple(out))
 
 
 def split(state: ParamState, assumption: AssumptionId, pi: AssumeState) -> ParamState:

@@ -15,13 +15,11 @@ from __future__ import annotations
 from enum import Enum
 
 from .conditions import atom_mask, full_mask, members, render_mask
-from .engine import AnalysisConfig, OracleReport, ParamAnalysisResult, analyze_variants
+from .engine import AnalysisConfig, OracleReport, AnalysisResult, analyze_variants
 from .frontend import (
-    AssertAnd,
     AssertExpr,
     AssumptionId,
     Cfg,
-    Comparison,
     Record,
     assert_variables,
     render_assert,
@@ -71,29 +69,19 @@ class SynthesisOutcome(Record):
 
 def _verdicts(state: ParamState, test: AssertExpr, full: int) -> tuple[int, int]:
     """(proved, refuted): the masks of the subsets whose state proves or
-    refutes `test`. Each comparison is checked once per cell of the product
-    of the partitions of its variables; `&&` and `||` combine the masks as
-    `proves` combines verdicts. A bottom state proves everything."""
-    if isinstance(test, Comparison):
-        proved, refuted = full ^ state.reach, 0
-        for mask, env in state.project(assert_variables(test))[1]:
-            verdict = proves(env, test)
-            if verdict is ProofVerdict.PROVED:
-                proved |= mask
-            elif verdict is ProofVerdict.REFUTED:
-                refuted |= mask
-        return proved, refuted
-    parts = [_verdicts(state, part, full) for part in test.parts]
-    proved, refuted = parts[0]
-    for more_proved, more_refuted in parts[1:]:
-        if isinstance(test, AssertAnd):
-            proved, refuted = proved & more_proved, refuted | more_refuted
-        else:
-            proved, refuted = proved | more_proved, refuted & more_refuted
+    refutes `test`, checked once per cell of the product of the partitions
+    of the variables it compares. A bottom state proves everything."""
+    proved, refuted = full ^ state.reach, 0
+    for mask, env in state.project(assert_variables(test))[1]:
+        verdict = proves(env, test)
+        if verdict is ProofVerdict.PROVED:
+            proved |= mask
+        elif verdict is ProofVerdict.REFUTED:
+            refuted |= mask
     return proved, refuted
 
 
-def synthesize(result: ParamAnalysisResult, cfg: Cfg) -> SynthesisOutcome:
+def synthesize(result: AnalysisResult, cfg: Cfg) -> SynthesisOutcome:
     """Intersect, across assertions, the masks of the subsets whose states prove them.
 
     An assertion's masks come from the cells of the variables it compares

@@ -3,13 +3,18 @@
 `RuleList` and the `reference_*` functions are the rule-list representation
 that `ParamState` factors: a state as a list of (subset mask, environment)
 rules and its operations rule by rule. They are the spec the factored
-operations are checked against, and `is_partition` is the invariant
-every factored state must keep. `reference_merge_loss` (the lexicographic
-loss) and `reference_refine_guard` (one case per constant relation) are
-the longer forms that `merge_loss` and guard refinement must agree with.
+operations are checked against. `RuleList.factored` is the one way from
+a rule list to a `ParamState`, and `is_partition` is the invariant every
+factored state must keep. `table_json` is a state's rule table as JSON
+objects, the reference for the tables that `cli.dump` writes.
+`reference_merge_loss` (the lexicographic loss) and
+`reference_refine_guard` (one case per constant relation) are the longer
+forms that `merge_loss` and guard refinement must agree with.
 `reference_run_collecting` steps one concrete entry at a time where
 `run_collecting` steps a batch per edge; the per-subset soundness
 reference runs on it, so it shares no enumeration code with the oracle.
+`labelled`, `states_as_given` and `truncated_as_given` read a
+`CollectingResult` as sorted entries and as the program as given.
 `reference_tokenize` matches one token or whitespace run at a time and
 tracks the line and column as it goes, where `_tokenize` makes one
 `finditer` pass and keeps offsets.
@@ -27,7 +32,7 @@ import pytest
 from hypothesis import settings
 
 from paramax import engine
-from paramax.conditions import Condition, atom_mask, full_mask, render_mask, truth_table
+from paramax.conditions import Condition, atom_mask, full_mask, members, render_mask, truth_table
 from paramax.engine import (
     AnalysisConfig,
     CollectingResult,
@@ -59,7 +64,7 @@ from paramax.intervals import (
     enforce,
     gamma_contains,
 )
-from paramax.param import ParamState, PartitionError, Rule
+from paramax.param import ParamState, Rule
 
 settings.register_profile("suite", deadline=None, max_examples=75)
 settings.load_profile("suite")
@@ -171,11 +176,49 @@ class RuleList:
         """The result state of the unique rule whose mask holds the subset."""
         found = [rule.state for rule in self.rules if rule.mask >> accepted & 1]
         if len(found) != 1:
-            raise PartitionError(f"{len(found)} rules apply to subset {accepted:#x}: {self!r}")
+            raise ValueError(f"{len(found)} rules apply to subset {accepted:#x}: {self!r}")
         return found[0]
 
     def factored(self) -> ParamState:
-        return ParamState(self.rules, self.atoms)
+        """The `ParamState` of rules whose masks partition the subsets: each
+        variable's partition pools the masks of its intervals in the reached
+        rules, the unreached subsets in the sentinel cell. Empty masks and
+        repeated states are fine; a subset that no rule or several rules
+        hold raises ValueError, the smallest such subset first."""
+        full = full_mask(self.width)
+        covered = twice = reach = 0
+        reached = []
+        for rule in self.rules:
+            twice |= covered & rule.mask
+            covered |= rule.mask
+            if rule.mask and not rule.state.is_bottom:
+                reach |= rule.mask
+                reached.append(rule)
+        if bad := (twice | ~covered) & full:
+            subset = (bad & -bad).bit_length() - 1
+            problem = "multiple rules apply" if twice >> subset & 1 else "no rule applies"
+            raise ValueError(f"{problem} to subset {subset:#x}: {self!r}")
+        names = reached[0].state.variables() if reached else ()
+        parts = [{} for _ in names]
+        for rule in reached:
+            if rule.state.variables() != names:
+                raise ValueError("mismatched variable universes")
+            for part, (_, interval) in zip(parts, rule.state.items()):
+                part[interval] = part.get(interval, 0) | rule.mask
+        if gone := full ^ reach:
+            for part in parts:
+                part[None] = gone
+        return ParamState(self.atoms, reach, names, tuple(parts))
+
+
+def table_json(state) -> list[dict]:
+    """The rule table of a state as JSON objects: the reference that
+    `cli.dump` writes for a `ParamState`."""
+    return [
+        {"condition": render_mask(rule.mask, state.atoms), "condition_sets": members(rule.mask),
+         "state": rule.state.to_json()}
+        for rule in state.rules
+    ]
 
 
 def is_partition(state: ParamState) -> bool:
@@ -604,8 +647,31 @@ def reference_run_collecting(
         for mask in frontier.values():  # `nxt` holds only subsets of these masks
             truncated_subsets |= mask
 
-    given = 1 << ((1 << width) - 1)  # the bit of the subset accepting every assumption
-    return CollectingResult(seen, truncated_subsets, cfg.variables, given)
+    return CollectingResult(seen, truncated_subsets)
+
+
+def labelled(collected: CollectingResult) -> list[list[tuple[tuple[int, ...], int]]]:
+    """Per node, the reached (values, mask) pairs, sorted."""
+    return [sorted(node.items()) for node in collected.reached]
+
+
+def _given(cfg) -> int:
+    """The bit of the subset that accepts every assumption."""
+    return 1 << ((1 << len(cfg.assumptions)) - 1)
+
+
+def states_as_given(collected: CollectingResult, cfg) -> list[list[dict[str, int]]]:
+    """Per node, the sorted concrete states of the program as given, every assumption accepted."""
+    given = _given(cfg)
+    return [
+        [dict(zip(cfg.variables, values)) for values, mask in node if mask & given]
+        for node in labelled(collected)
+    ]
+
+
+def truncated_as_given(collected: CollectingResult, cfg) -> bool:
+    """Whether the run of the program as given hit the step bound."""
+    return bool(collected.truncated_subsets & _given(cfg))
 
 
 def reference_soundness(
@@ -631,12 +697,14 @@ def reference_soundness(
         report.skipped = list(range(1 << width))
         return report
     for accepted in range(1 << width):
-        collected = reference_run_collecting(restrict(cfg, accepted), input_range, step_bound)
-        if collected.truncated:
+        alone = restrict(cfg, accepted)
+        collected = reference_run_collecting(alone, input_range, step_bound)
+        if truncated_as_given(collected, alone):
             report.partial.append(accepted)
+        concrete = states_as_given(collected, alone)
         for node in cfg.nodes:
             abstract = param.states[node.id].state_for(accepted)
-            for values in collected.states[node.id]:
+            for values in concrete[node.id]:
                 if not gamma_contains(abstract, values):
                     report.mismatches.append({"subset": accepted, "node": node.id, "state": values})
     return report

@@ -24,18 +24,17 @@ from paramax.cli import (
     EXIT_UNKNOWN,
     EXIT_USAGE,
     dump,
-    dumps,
     main,
 )
 from paramax.conditions import WIDTH_CAP, render_mask
 from paramax.consistency import ConsistencyReport
 from paramax.engine import ORACLE_CAP, AnalysisConfig, OracleReport, analyze_param
-from paramax.frontend import MAX_NESTING, AssumptionId, parse_cfg
+from paramax.frontend import MAX_NESTING, AssumptionId, ParseError, dump_cfg, parse_cfg
 from paramax.intervals import BOTTOM, NEG_INF, POS_INF, Interval, IntervalEnv
 from paramax.param import ParamState, Rule
 from paramax.synthesis import SynthesisOutcome
 
-from conftest import CORPUS, CORPUS_DIR, env_of, independent_source
+from conftest import CORPUS, CORPUS_DIR, RuleList, env_of, independent_source, table_json
 
 
 def run(capsys, *argv):
@@ -144,6 +143,32 @@ def test_parse_errors_name_their_position(tmp_path, capsys, source, line, col, m
     assert (code, out) == (EXIT_USAGE, "")
     assert err == f"{path}: line {line}, col {col}: {message}\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("x := 1;\ry := $;", "line 1, col 14: unexpected character '$'"),  # `\r` ends no line
+        ("x := 1;\r\ny := $;\r\n", "line 2, col 6: unexpected character '$'"),
+        ("x := 1; # note\ry := 2;", 3),  # entry, x := 1, exit: the comment runs to the end
+        ("x := 1; # note\r\ny := 2;\r\n", 4),
+    ],
+    ids=["cr-error", "crlf-error", "cr-comment", "crlf-comment"],
+)
+def test_the_cli_reads_a_source_as_parse_cfg_does(tmp_path, capsys, source, expected):
+    # the file's bytes reach the parser untranslated, so the CLI reports the
+    # position and builds the CFG that `parse_cfg` gives on the same text
+    path = tmp_path / "newlines.pwl"
+    path.write_bytes(source.encode())
+    code, out, err = run(capsys, "dump-cfg", str(path))
+    try:
+        cfg = parse_cfg(source)
+    except ParseError as exc:
+        assert (code, out, err) == (EXIT_USAGE, "", f"{path}: {exc}\n")
+        assert str(exc) == expected
+    else:
+        assert (code, out, err) == (EXIT_OK, dump_cfg(cfg), "")
+        assert len(cfg.nodes) == expected
 
 
 @pytest.mark.parametrize(
@@ -422,7 +447,8 @@ def test_text_mode_builds_no_json_document(capsys, monkeypatch):
         raise AssertionError("text output built a JSON document")
 
     monkeypatch.setattr(cli, "analysis_document", refuse)
-    for owner in (ParamState, SynthesisOutcome, ConsistencyReport, OracleReport):
+    monkeypatch.setattr(cli, "_table_writer", refuse)
+    for owner in (SynthesisOutcome, ConsistencyReport, OracleReport):
         monkeypatch.setattr(owner, "to_json", refuse)
     cases = [
         ("analyze", "example1.pwl", EXIT_OK, "true -> x:[5,5]"),
@@ -602,7 +628,7 @@ def test_streamed_rule_tables_equal_the_plain_form(tmp_path, capsys, flags, conf
             nodes = json.loads(out)["nodes"]
             assert len(nodes) == len(result.states), (path.name, command)
             for node, state in zip(nodes, result.states):
-                assert node["rules"] == state.to_json(), (path.name, command, node["id"])
+                assert node["rules"] == table_json(state), (path.name, command, node["id"])
 
 
 def _independent_program(n: int) -> str:
@@ -613,9 +639,9 @@ def _independent_program(n: int) -> str:
 
 
 def _plain(value):
-    """`value` with each `ParamState` replaced by its `to_json()`."""
+    """`value` with each `ParamState` replaced by its `table_json`."""
     if isinstance(value, ParamState):
-        return value.to_json()
+        return table_json(value)
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -763,6 +789,13 @@ _JSON_VALUES = st.recursive(
 )
 
 
+def dumps(value) -> str:
+    """The text that `dump` writes, joined."""
+    pieces: list[str] = []
+    dump(value, pieces.append)
+    return "".join(pieces)
+
+
 @given(_JSON_VALUES)
 def test_dumps_matches_the_stdlib(value):
     assert dumps(value) == json.dumps(value, indent=2)
@@ -817,7 +850,7 @@ def _shared_rule_states(draw):
         masks = [0] * cells
         for subset in range(1 << width):
             masks[draw(st.integers(0, cells - 1))] |= 1 << subset
-        return ParamState([Rule(mask, draw(st.sampled_from(envs))) for mask in masks], atoms)
+        return RuleList([Rule(mask, draw(st.sampled_from(envs))) for mask in masks], atoms).factored()
 
     pool = [state() for _ in range(draw(st.integers(1, 3)))]
     states = st.sampled_from(pool)

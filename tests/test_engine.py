@@ -22,21 +22,25 @@ from paramax.engine import (
 )
 from paramax.frontend import Assume, parse_cfg, restrict
 from paramax.intervals import BOTTOM, NEG_INF, POS_INF, Interval, transfer
-from paramax.param import ParamState, PartitionError, Rule, leq_param
+from paramax.param import ParamState, Rule, leq_param
 
 from conftest import (
     CORPUS,
     CORPUS_DIR,
+    RuleList,
     canonical_rule_key,
     corpus_cfg,
     env,
     independent_source,
     is_partition,
+    labelled,
     param_state,
     reference_equivalence,
     reference_run_collecting,
     reference_soundness,
     rule_state,
+    states_as_given,
+    truncated_as_given,
 )
 from test_fuzz import generate_program
 
@@ -250,13 +254,13 @@ def test_collecting_assume_filters_everything():
     cfg = parse_cfg("x := 0; assume a: x >= 3;")
     collected = run_collecting(cfg, (-2, 2))
     assume_node = cfg.assumptions[0].node_id
-    assert collected.states[assume_node] == []
-    assert not collected.truncated
+    assert states_as_given(collected, cfg)[assume_node] == []
+    assert not truncated_as_given(collected, cfg)
 
 
 def test_collecting_example1_filter(example1_cfg):
-    collected = run_collecting(restrict(example1_cfg, 0b01), (-2, 2))
-    after_assume = collected.states[2]
+    cfg = restrict(example1_cfg, 0b01)
+    after_assume = states_as_given(run_collecting(cfg, (-2, 2)), cfg)[2]
     assert after_assume == [{"x": 1}, {"x": 2}]
 
 
@@ -268,45 +272,45 @@ def test_collecting_refuses_an_empty_input_range(example1_cfg):
 
 
 def test_collecting_states_are_read_off_the_labelled_entries(example1_cfg):
-    # `states` and `truncated` are the all-accepted subset's share of
-    # `labelled` and `truncated_subsets`, derived on read, never stored
-    collected = run_collecting(example1_cfg, (-2, 2), step_bound=2)
-    everyone = 1 << ((1 << len(example1_cfg.assumptions)) - 1)
-    for node in example1_cfg.nodes:
+    # the states and truncation of the program as given are the all-accepted
+    # subset's share of the labelled entries and of `truncated_subsets`
+    cfg = example1_cfg
+    collected = run_collecting(cfg, (-2, 2), step_bound=2)
+    everyone = 1 << ((1 << len(cfg.assumptions)) - 1)
+    states = states_as_given(collected, cfg)
+    for node in cfg.nodes:
         expected = [
-            dict(zip(example1_cfg.variables, values))
-            for values, mask in collected.labelled[node.id]
+            dict(zip(cfg.variables, values))
+            for values, mask in labelled(collected)[node.id]
             if mask & everyone
         ]
-        assert collected.states[node.id] == expected
-    assert collected.truncated == bool(collected.truncated_subsets & everyone)
-    assert collected.truncated and collected.states[example1_cfg.exit] == []
-    for derived in ("states", "truncated"):
-        with pytest.raises(AttributeError):
-            setattr(collected, derived, None)
+        assert states[node.id] == expected
+    assert truncated_as_given(collected, cfg) == bool(collected.truncated_subsets & everyone)
+    assert truncated_as_given(collected, cfg) and states[cfg.exit] == []
+    assert list(vars(collected)) == ["reached", "truncated_subsets"]  # nothing else is kept
 
 
 def test_collecting_no_inputs_single_path():
     cfg = parse_cfg("x := 1; y := x + 2;")
-    collected = run_collecting(cfg)
+    states = states_as_given(run_collecting(cfg), cfg)
     for node in cfg.nodes:
-        assert len(collected.states[node.id]) == 1
-    assert collected.states[cfg.exit] == [{"x": 1, "y": 3}]
+        assert len(states[node.id]) == 1
+    assert states[cfg.exit] == [{"x": 1, "y": 3}]
 
 
 def test_collecting_respects_site_ranges():
     cfg = corpus_cfg("input_sites.pwl")
-    collected = run_collecting(cfg, (-100, 100))
-    xs = {s["x"] for s in collected.states[1]}
+    states = states_as_given(run_collecting(cfg, (-100, 100)), cfg)
+    xs = {s["x"] for s in states[1]}
     assert xs == set(range(-2, 14))
-    zs = {s["z"] for s in collected.states[3]}
+    zs = {s["z"] for s in states[3]}
     assert zs == set(range(-2, 17))
 
 
 def test_collecting_truncates_infinite_loops():
     cfg = corpus_cfg("loop_diverge.pwl")
     collected = run_collecting(cfg, (-2, 2), step_bound=500)
-    assert collected.truncated
+    assert truncated_as_given(collected, cfg)
 
 
 @pytest.mark.parametrize("step_bound", [-1, -500])
@@ -360,7 +364,7 @@ def test_collecting_draws_input_values_lazily(tmp_path):
         "cfg = parse_cfg(open(sys.argv[1], encoding='utf-8').read())\n"
         "for bound in range(6):\n"
         "    result = engine.run_collecting(cfg, (-2, 2), bound)\n"
-        "    print(bound, result.truncated, sum(map(len, result.labelled)))\n"
+        "    print(bound, result.truncated_subsets == 1, sum(map(len, result.reached)))\n"
     )
     lines = _returns_in_time(script, str(_wide_input_sites(tmp_path)))
     assert len(lines) == 6
@@ -374,9 +378,9 @@ def test_collecting_stops_at_the_entry_cap(monkeypatch):
     cfg = parse_cfg("x := input(); assume a: x <= -100; while (x < 1000000) { x := x + 1; }")
     monkeypatch.setattr(engine, "MAX_COLLECTED", 50)
     result = run_collecting(cfg, (-8, 8))
-    assert sum(map(len, result.labelled)) == 50
+    assert sum(map(len, result.reached)) == 50
     assert result.truncated_subsets == 0b01  # only the subset with states left to expand
-    assert not result.truncated  # the program as given, with `a` accepted, finished
+    assert not truncated_as_given(result, cfg)  # the program as given, with `a` accepted, finished
     report = verify_soundness(cfg, AnalysisConfig(widening_delay=2))
     assert report.partial == [0] and report.passed
 
@@ -402,7 +406,7 @@ def test_collecting_masks_match_per_subset_runs(example1_cfg):
     assume_a = cfg.assumptions[0].node_id
     # x <= 0 fails `assume a: x > 0`, so only the subsets declining a (bit 0) reach it
     declines_a = 1 << 0b00 | 1 << 0b10
-    assert collected.labelled[assume_a] == [
+    assert labelled(collected)[assume_a] == [
         ((-2,), declines_a),
         ((-1,), declines_a),
         ((0,), declines_a),
@@ -410,14 +414,15 @@ def test_collecting_masks_match_per_subset_runs(example1_cfg):
         ((2,), 0b1111),
     ]
     for accepted in range(4):
-        alone = run_collecting(restrict(cfg, accepted), (-2, 2))
+        restricted = restrict(cfg, accepted)
+        alone = states_as_given(run_collecting(restricted, (-2, 2)), restricted)
         for node in cfg.nodes:
             members = [
                 dict(zip(cfg.variables, s))
-                for s, mask in collected.labelled[node.id]
+                for s, mask in labelled(collected)[node.id]
                 if mask >> accepted & 1
             ]
-            assert members == alone.states[node.id], (accepted, node.id)
+            assert members == alone[node.id], (accepted, node.id)
     assert collected.truncated_subsets == 0
 
 
@@ -429,10 +434,11 @@ def test_collecting_truncates_only_the_diverging_subsets():
     collected = run_collecting(cfg, (-2, 2), step_bound=300)
     # accepting a keeps x <= 0, so the loop never runs; declining it lets x >= 1 count up forever
     assert collected.truncated_subsets == 1 << 0b0
-    assert not collected.truncated
+    assert not truncated_as_given(collected, cfg)
     for accepted in range(2):
-        alone = run_collecting(restrict(cfg, accepted), (-2, 2), step_bound=300)
-        assert alone.truncated == (accepted == 0)
+        restricted = restrict(cfg, accepted)
+        alone = run_collecting(restricted, (-2, 2), step_bound=300)
+        assert truncated_as_given(alone, restricted) == (accepted == 0)
     report = verify_soundness(
         cfg, AnalysisConfig(widening_delay=2), input_range=(-2, 2), step_bound=300
     )
@@ -458,8 +464,10 @@ def test_collecting_truncation_follows_each_subsets_own_layers():
         collected = run_collecting(cfg, step_bound=bound)
         assert collected.truncated_subsets == expected, bound
         for accepted in range(2):
-            alone = run_collecting(restrict(cfg, accepted), step_bound=bound)
-            assert alone.truncated == bool(expected >> accepted & 1), (bound, accepted)
+            restricted = restrict(cfg, accepted)
+            alone = run_collecting(restricted, step_bound=bound)
+            truncated = bool(expected >> accepted & 1)
+            assert truncated_as_given(alone, restricted) == truncated, (bound, accepted)
 
 
 def test_collecting_truncates_only_when_a_step_is_left():
@@ -467,9 +475,9 @@ def test_collecting_truncates_only_when_a_step_is_left():
     cfg = parse_cfg("x := 0;")
     for bound, truncated in ((0, True), (1, True), (2, False), (3, False)):
         collected = run_collecting(cfg, step_bound=bound)
-        assert collected.truncated == truncated, bound
+        assert truncated_as_given(collected, cfg) == truncated, bound
         assert collected.truncated_subsets == int(truncated), bound
-    assert run_collecting(cfg, step_bound=1).states == [[{"x": 0}], [{"x": 0}], []]
+    assert states_as_given(run_collecting(cfg, step_bound=1), cfg) == [[{"x": 0}], [{"x": 0}], []]
 
 
 def _collecting_programs():
@@ -488,7 +496,7 @@ def test_collecting_matches_the_per_entry_reference(step_bound):
     for name, cfg, input_range in _collecting_programs():
         got = run_collecting(cfg, input_range, **bound)
         expected = reference_run_collecting(cfg, input_range, **bound)
-        assert got.labelled == expected.labelled, (name, step_bound)
+        assert labelled(got) == labelled(expected), (name, step_bound)
         assert got.truncated_subsets == expected.truncated_subsets, (name, step_bound)
         assert got == expected, (name, step_bound)  # the same entries, whatever their order
 
@@ -582,7 +590,7 @@ def _mutants(param, rng: random.Random, count: int):
             rules = list(states[i].rules)
             j = rng.randrange(len(rules))
             rules[j] = Rule(rules[j].mask, BOTTOM)
-            states[i] = ParamState(tuple(rules), states[i].atoms)
+            states[i] = RuleList(rules, states[i].atoms).factored()
         yield type(param)(states, param.iterations, param.converged, param.config)
 
 
@@ -600,7 +608,7 @@ def _narrowed(param, rng: random.Random, count: int):
         j = rng.choice([j for j, rule in enumerate(rules) if _inner(rule.state)])
         var, narrower = rng.choice(_inner(rules[j].state))
         rules[j] = Rule(rules[j].mask, rules[j].state.updated(var, narrower))
-        states[i] = ParamState(tuple(rules), states[i].atoms)
+        states[i] = RuleList(rules, states[i].atoms).factored()
         yield type(param)(states, param.iterations, param.converged, param.config)
 
 
@@ -869,11 +877,11 @@ def test_verifiers_raise_on_broken_partitions(example1_cfg):
         cfg.assumptions, (TRUE, env(x=(5, 5))), (And((a, Not(a))), BOTTOM)
     )
     for broken in (gap, overlap):
-        with pytest.raises(PartitionError):
+        with pytest.raises(ValueError, match="rule"):
             broken.factored()
         param = analyze_param(cfg)
         param.states[3] = broken  # a rule list in place of the state
-        with pytest.raises(PartitionError):
+        with pytest.raises(ValueError, match="rule"):
             reference_soundness(cfg, input_range=(-2, 2), param=param)
     # an unsatisfiable extra rule is no gap and no overlap
     param = analyze_param(cfg)

@@ -5,11 +5,12 @@ import pytest
 from paramax.conditions import WIDTH_CAP, And, Atom, FALSE, Not, TRUE, full_mask, render_mask, truth_table
 from paramax import engine, param
 from paramax.engine import AnalysisConfig, analyze_param
-from paramax.frontend import AssumptionId, AtomicConstraint, Bound, Entry, Exit, Rel, Skip, parse_cfg
-from paramax.intervals import BOTTOM, AssumeState, NEG_INF, POS_INF, transfer
+from paramax.frontend import (
+    AssumptionId, AtomicConstraint, Bound, Entry, Exit, LinearExpr, Rel, Skip, parse_cfg,
+)
+from paramax.intervals import BOTTOM, AssumeState, NEG_INF, POS_INF, eval_linear, transfer
 from paramax.param import (
     ParamState,
-    PartitionError,
     Rule,
     join_states,
     leq_param,
@@ -46,6 +47,7 @@ from conftest import (
     reference_split,
     reference_widen_param,
     rule_state,
+    table_json,
 )
 
 A = fake_assumptions(4)
@@ -85,36 +87,70 @@ def test_state_lookup():
 def test_state_lookup_detects_broken_partition():
     # rules that overlap or leave a gap do not factor; the rule lists show why
     overlapping = rules_of(2, (a0, TOP1), (TRUE, TOP1))
-    with pytest.raises(PartitionError, match="multiple rules apply to subset 0x1"):
+    with pytest.raises(ValueError, match="multiple rules apply to subset 0x1"):
         overlapping.factored()
-    with pytest.raises(PartitionError):
+    with pytest.raises(ValueError, match="2 rules apply to subset 0x1"):
         overlapping.state_for(0b01)
     gappy = rules_of(2, (a0, TOP1))
-    with pytest.raises(PartitionError, match="no rule applies to subset 0x0"):
+    with pytest.raises(ValueError, match="no rule applies to subset 0x0"):
         gappy.factored()
-    with pytest.raises(PartitionError):
+    with pytest.raises(ValueError, match="0 rules apply to subset 0x0"):
         gappy.state_for(0b00)
-    # an empty-mask rule is no overlap; a subset outside the width has no rule
+    # an empty-mask rule is no overlap
     state = rules_of(2, (TRUE, TOP1), (FALSE, env(x=(0, 0)))).factored()
     assert state.rules == (Rule(0b1111, TOP1),)
-    for outside in (-1, 4):
-        with pytest.raises(PartitionError):
-            state.state_for(outside)
+
+
+_X01 = state_of(1, (a0, env(x=(1, 2))), (Not(a0), TOP1))
+_X01_TEXT = "!a1 -> x:[-inf,+inf]; a1 -> x:[1,2]"
+_OTHER_ATOMS = param_state((A[1],), (TRUE, TOP1))
+_OTHER_VARIABLES = state_of(1, (TRUE, env(y=(0, 0))))
+_CFG = parse_cfg("x := 1;")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: join_states([]), "join of no parameterized states"),
+        (lambda: join_states([_X01, _OTHER_ATOMS]), "mismatched assumptions"),
+        (lambda: leq_param(_X01, _OTHER_ATOMS), "mismatched assumptions"),
+        (lambda: join_states([_X01, _OTHER_VARIABLES]), "mismatched variable universes"),
+        (lambda: leq_param(_X01, _OTHER_VARIABLES), "mismatched variable universes"),
+        (lambda: mismatched(_X01, env(y=(0, 0)), 0b11, True), "mismatched variable universes"),
+        (lambda: BOTTOM.get("x"), "bottom environment has no bindings"),
+        (lambda: BOTTOM.items(), "bottom environment has no bindings"),
+        (lambda: eval_linear(LinearExpr(1, ()), BOTTOM), "cannot evaluate in the bottom environment"),
+        (lambda: _CFG.predecessors(99), "unknown node id 99"),
+        (lambda: _CFG.successors(-1), "unknown node id -1"),
+        (lambda: _X01.state_for(-1), f"no rule applies to subset -0x1: {_X01_TEXT}"),
+        (lambda: _X01.state_for(2), f"no rule applies to subset 0x2: {_X01_TEXT}"),
+    ],
+    ids=[
+        "join-none", "join-atoms", "leq-atoms", "join-variables", "leq-variables",
+        "mismatched-variables", "get-bottom", "items-bottom", "eval-bottom", "predecessors", "successors", "state-for-negative",
+        "state-for-past-width",
+    ],
+)
+def test_defensive_raises_name_their_cause(call, message):
+    # safety checks that no analysis reaches, on hand-built values
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
 
 
 def test_states_hash_and_print_without_hashing_atoms(monkeypatch):
     state = state_of(2, (a0, env(x=(1, POS_INF))), (Not(a0), TOP1))
-    swapped = ParamState(state.rules, (A[1], A[0]))
-    document = state.to_json()
+    swapped = RuleList(state.rules, (A[1], A[0])).factored()
+    document, text = table_json(state), repr(state)
 
     def refuse(self):
         raise AssertionError("an assumption was hashed")
 
     monkeypatch.setattr(AssumptionId, "__hash__", refuse)
     assert hash(state) == hash(swapped)
-    assert state.to_json() == document
+    assert table_json(state) == document and repr(state) == text
     # equality still tells the atoms apart
-    assert state != swapped and state == ParamState(state.rules, A[:2])
+    assert state != swapped and state == RuleList(state.rules, A[:2]).factored()
 
 
 def test_exact_merge_step():
@@ -253,7 +289,7 @@ def test_factoring_then_expanding_is_the_identity_on_normal_states():
         state = normal.factored()
         assert state.rules == normal.rules
         assert rules.factored() == state  # any rule list of the function factors alike
-        assert ParamState(state.rules, state.atoms) == state
+        assert RuleList(state.rules, state.atoms).factored() == state
         assert is_partition(state)
         for accepted in range(1 << width):
             assert state.state_for(accepted) == rules.state_for(accepted)
@@ -556,7 +592,7 @@ def test_reduce_to_budget_chooses_as_the_full_rescan_does():
         width = rng.randint(2, 5)
         bounds = [(lo, lo + rng.randint(0, 6)) for lo in (rng.randint(-9, 9) for _ in range(8))]
         rules = [Rule(1 << s, env(x=rng.choice(bounds), y=rng.choice(bounds))) for s in range(1 << width)]
-        given = ParamState(rules, fake_assumptions(width))
+        given = RuleList(rules, fake_assumptions(width)).factored()
         budget = rng.randint(1, reached_cells(given))
         got = reduce_to_budget(given, budget)
         assert got.rules == reference_reduce_to_budget(given, budget).rules, (given, budget)
@@ -583,7 +619,7 @@ def _staircase(width: int) -> ParamState:
     """One rule per subset s: x = [s, 2s] and y = [s % 5, s % 5], so x's
     partition has 2**width cells and y's 5."""
     rules = [Rule(1 << s, env(x=(s, 2 * s), y=(s % 5, s % 5))) for s in range(1 << width)]
-    return ParamState(rules, fake_assumptions(width))
+    return RuleList(rules, fake_assumptions(width)).factored()
 
 
 def test_reduce_to_budget_computes_each_pair_loss_once(monkeypatch):
@@ -610,7 +646,7 @@ def test_reduce_to_budget_computes_each_pair_loss_once(monkeypatch):
     # x = [s - 32, 32 - s] on subset s < 32, bottom above: each join is the
     # lower cell's interval, so no pair is scored again
     rules = [Rule(1 << s, env(x=(s - 32, 32 - s))) for s in range(32)]
-    nested = ParamState(rules + [Rule(full_mask(6) ^ full_mask(5), BOTTOM)], fake_assumptions(6))
+    nested = RuleList(rules + [Rule(full_mask(6) ^ full_mask(5), BOTTOM)], fake_assumptions(6)).factored()
     for budget, scored in ((1, 32 * 31 // 2), (16, 32 * 31 // 2), (32, 0), (64, 0)):
         calls.clear()
         assert reached_cells(reduce_to_budget(nested, budget)) == min(budget, 32)

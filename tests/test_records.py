@@ -18,7 +18,6 @@ from paramax.engine import (
     AnalysisResult,
     CollectingResult,
     OracleReport,
-    ParamAnalysisResult,
     run_collecting,
 )
 from paramax.frontend import (
@@ -42,10 +41,10 @@ from paramax.frontend import (
     parse_cfg,
 )
 from paramax.intervals import BOTTOM, NEG_INF, POS_INF, AssumeState, Interval
-from paramax.param import ParamState, Rule
+from paramax.param import Rule
 from paramax.synthesis import SynthesisOutcome, SynthesisVerdict
 
-from conftest import env
+from conftest import env, labelled
 
 CMP = Comparison("x", Rel.LE, 3)
 EXPR = LinearExpr(1, ((2, "x"),))
@@ -90,14 +89,9 @@ MUTABLE = [
     ),
     (AnalysisResult, ("states", "iterations", "converged", "config"), ([BOTTOM], 3, True, AnalysisConfig())),
     (
-        ParamAnalysisResult,
-        ("states", "iterations", "converged", "config"),
-        ([ParamState.bottom(())], 3, False, AnalysisConfig()),
-    ),
-    (
         CollectingResult,
-        ("reached", "truncated_subsets", "variables", "given"),
-        ([{(2,): 0b10, (1,): 0b11}], 0b01, ("x",), 0b10),
+        ("reached", "truncated_subsets"),
+        ([{(2,): 0b10, (1,): 0b11}], 0b01),
     ),
     (
         OracleReport,
@@ -273,17 +267,14 @@ def test_collecting_results_compare_by_value_and_are_unhashable():
 
 def test_collecting_results_derive_labelled_from_the_reached_states():
     # `labelled` is each node's reached states sorted by values, read off
-    # `reached` when asked, never stored; the order the enumeration found
-    # the states in is no part of the value
+    # `reached`, which is all a result keeps besides `truncated_subsets`;
+    # the order the enumeration found the states in is no part of the value
     cfg = parse_cfg("x := input() in [0, 2]; assume a: x >= 1;")
     result = run_collecting(cfg)
-    assert result.labelled == [sorted(node.items()) for node in result.reached]
-    assert result.labelled[2] == [((0,), 0b01), ((1,), 0b11), ((2,), 0b11)]
+    assert labelled(result)[2] == [((0,), 0b01), ((1,), 0b11), ((2,), 0b11)]
     assert list(result.reached[1]) == [(0,), (1,), (2,)]
-    for derived in ("labelled", "states", "truncated"):
-        with pytest.raises(AttributeError):
-            setattr(result, derived, None)
-    assert "labelled" not in vars(result)
+    assert list(vars(result)) == ["reached", "truncated_subsets"]
     backwards = [dict(reversed(node.items())) for node in result.reached]
     assert list(backwards[1]) == [(2,), (1,), (0,)]
-    assert CollectingResult(backwards, 0, cfg.variables, result.given) == result
+    again = CollectingResult(backwards, 0)
+    assert again == result and labelled(again) == labelled(result)
