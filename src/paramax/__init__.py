@@ -29,7 +29,6 @@ from .consistency import (
     consistency_bounds,
     consistency_report,
     refuting_condition,
-    unrefuted,
 )
 from .engine import (
     AnalysisConfig,
@@ -73,9 +72,7 @@ from .param import (
     Rule,
     join_states,
     leq_param,
-    merge_loss,
     normalize,
-    reduce_to_budget,
     split,
     widen_param,
 )

@@ -125,11 +125,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _make_config(args: SimpleNamespace) -> AnalysisConfig:
-    return AnalysisConfig(
-        max_iterations=args.max_iters,
-        widening_delay=_parse_widen(args.widen),
-        merge_budget=args.max_cells,
-    )
+    return AnalysisConfig(max_iterations=args.max_iters, widening_delay=_parse_widen(args.widen))
 
 
 def _load(path: str) -> tuple[str, Cfg]:
@@ -466,7 +462,6 @@ def _cmd_dump_cfg(args: SimpleNamespace) -> int:
 # value. These rows alone drive parsing and the --help text.
 _COMMON = (
     ("--format", "format", ("text", "json"), "text", "text|json", "output format"),
-    ("--max-cells", "max_cells", int, None, "N", "join intervals down to N cells per variable"),
     ("--widen", "widen", str, "off", "off|K", "widen loop heads from the K-th visit"),
     ("--max-iters", "max_iters", int, 1000, "N", "stop the fixpoint after N iterations"),
 )

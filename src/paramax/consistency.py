@@ -34,7 +34,6 @@ class ConsistencyReport(Record):
     classification: dict[str, Membership]  # by label, in assumption order
     phi_table: dict[int, int] | None
     fixpoints: tuple[int, ...] | None
-    approximate: bool
     width: int
 
     def to_json(self) -> dict:
@@ -42,7 +41,6 @@ class ConsistencyReport(Record):
             "core": self.core,
             "envelope": self.envelope,
             "classification": {k: v.value for k, v in self.classification.items()},
-            "approximate": self.approximate,
         }
         if self.phi_table is not None:
             out["phi_table"] = {str(k): v for k, v in self.phi_table.items()}
@@ -72,11 +70,6 @@ def _refuting_tables(result: AnalysisResult, cfg: Cfg) -> list[int]:
     return [refuting_condition(result, cfg, a) for a in cfg.assumptions]
 
 
-def unrefuted(result: AnalysisResult, cfg: Cfg, accepted: int) -> int:
-    """Assumptions the analysis under `accepted` does not refute."""
-    return _phi(_refuting_tables(result, cfg), cfg.assumptions, accepted)
-
-
 def _phi(tables: list[int], assumptions, accepted: int) -> int:
     out = 0
     for aid, table in zip(assumptions, tables):
@@ -102,9 +95,7 @@ def consistency_bounds(
 
     The core is the least fixpoint of the squared operator, iterated from
     the empty set; the envelope is its image. The dual iteration from the
-    full set must land on the same pair; with an exact analysis this is
-    asserted, with a merge budget the operator can lose anti-monotonicity,
-    so the check is skipped and the report flagged approximate instead.
+    full set must land on the same pair, which is asserted.
     `tables`, if given, are the refuting tables of `_refuting_tables`.
     """
     width = len(cfg.assumptions)
@@ -124,12 +115,9 @@ def consistency_bounds(
     core = iterate(0)
     envelope = _phi(tables, assumptions, core)
 
-    if result.config.merge_budget is None:
-        upper = iterate((1 << width) - 1)
-        if upper != envelope:
-            raise AssertionError(
-                f"fixpoint iterations disagree: envelope {envelope:#x} vs {upper:#x}"
-            )
+    upper = iterate((1 << width) - 1)
+    if upper != envelope:
+        raise AssertionError(f"fixpoint iterations disagree: envelope {envelope:#x} vs {upper:#x}")
     return core, envelope
 
 
@@ -183,6 +171,5 @@ def consistency_report(
         classification=classification,
         phi_table=phi_table,
         fixpoints=fixpoints,
-        approximate=result.config.merge_budget is not None,
         width=width,
     )

@@ -31,9 +31,7 @@ from .intervals import (
     gamma_contains,
     transfer,
 )
-from .param import (
-    ParamState, join_states, lift_transfer, mismatched, reduce_to_budget, split, widen_param
-)
+from .param import ParamState, join_states, lift_transfer, mismatched, split, widen_param
 
 
 ORACLE_CAP = 12  # most assumptions whose 2**n subsets the exhaustive oracles enumerate
@@ -46,7 +44,6 @@ class WidthCapError(ValueError):
 class AnalysisConfig(Record):
     max_iterations: int = 1000  # node evaluations before giving up
     widening_delay: int | None = None  # widen loop heads from this visit on; None = off
-    merge_budget: int | None = None  # max reached cells per variable's partition; None = exact
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
@@ -54,14 +51,11 @@ class AnalysisConfig(Record):
             raise ValueError("max_iterations must be positive")
         if self.widening_delay is not None and self.widening_delay < 1:
             raise ValueError("widening delay must be at least 1")
-        if self.merge_budget is not None and self.merge_budget < 1:
-            raise ValueError("merge budget must be at least 1")
 
     def to_json(self) -> dict:
         return {
             "max_iterations": self.max_iterations,
             "widening": "off" if self.widening_delay is None else self.widening_delay,
-            "merge_budget": self.merge_budget,
             "condition_width_cap": WIDTH_CAP,
         }
 
@@ -149,7 +143,6 @@ def _solve(
     bottom,
     evaluate: Callable,
     widen_fn: Callable,
-    post: Callable | None,
     observer: Callable | None,
     group=None,
 ) -> list[tuple]:
@@ -157,11 +150,9 @@ def _solve(
 
     `evaluate(v, states, group)` gives the new state of node `v` for the
     run's group of program variants (`group` as given, for one analysis) as
-    [(group, state)]. More than one pair
-    forks the run: each further group goes on from this evaluation in its
-    own copy of the worklist state. `post`, if given, maps each new state
-    (after any widening) before the comparison. One (group, states,
-    evaluations, converged) per run.
+    [(group, state)]. More than one pair forks the run: each further group
+    goes on from this evaluation in its own copy of the worklist state. One
+    (group, states, evaluations, converged) per run.
     """
     rank, delay = _rpo_rank(cfg), config.widening_delay
     states = [bottom] * len(cfg.nodes)
@@ -189,8 +180,6 @@ def _solve(
                     runs.append((other, states[:], pending[:], set(queued), visits[:], evals, (v, state)))
             if delay is not None and cfg.nodes[v].loop_head and visits[v] >= delay:
                 new = widen_fn(states[v], new)
-            if post is not None:
-                new = post(new)
             if states[v] != new:
                 if observer is not None:
                     observer(v, states[v], new)
@@ -237,7 +226,6 @@ def analyze_baseline(
         bottom=BOTTOM,
         evaluate=lambda v, states, group: [(group, _plain_join(cfg, pis, v, True, states))],
         widen_fn=IntervalEnv.widen,
-        post=None,
         observer=observer,
     )
     return AnalysisResult(states, evals, converged, config)
@@ -292,7 +280,6 @@ def analyze_variants(
         bottom=BOTTOM,
         evaluate=evaluate,
         widen_fn=widen,
-        post=None,
         observer=None,
         group=subsets,
     ) if subsets else []
@@ -307,7 +294,7 @@ def analyze_param(
     width = len(cfg.assumptions)
     if width > WIDTH_CAP:
         raise WidthCapError(f"program has {width} assumptions; configured width cap is {WIDTH_CAP}")
-    pis, budget = _assume_states(cfg), config.merge_budget
+    pis = _assume_states(cfg)
     seed = ParamState.of_state(IntervalEnv.top(cfg.variables), cfg.assumptions)
     bottom = ParamState.bottom(cfg.assumptions)
 
@@ -327,7 +314,6 @@ def analyze_param(
         bottom=bottom,
         evaluate=evaluate,
         widen_fn=widen_param,
-        post=None if budget is None else lambda state: reduce_to_budget(state, budget),
         observer=observer,
     )
     return AnalysisResult(states, evals, converged, config)
@@ -484,18 +470,16 @@ def verify_equivalence(
     node, the subsets that reach one fresh state are compared with the rule
     state at once (`param.mismatched`), and each subset that differs is
     reported with its state. The comparison is exact equality, or with
-    widening or a cell budget containment of the fresh result: the two
-    analyses need not widen in lock step, and a budget joins intervals that
-    the fresh analysis of each variant keeps apart. Non-convergent runs
-    are recorded as skipped, never passed. `param`, if given, is the
-    one-pass result of `analyze_param(cfg, config)`, reused instead of
-    analyzing again. A program with more than `ORACLE_CAP` assumptions
-    raises ValueError.
+    widening containment of the fresh result: the two analyses need not
+    widen in lock step. Non-convergent runs are recorded as skipped, never
+    passed. `param`, if given, is the one-pass result of
+    `analyze_param(cfg, config)`, reused instead of analyzing again. A
+    program with more than `ORACLE_CAP` assumptions raises ValueError.
     """
     config = config or AnalysisConfig()
     width = len(cfg.assumptions)
     _check_oracle_cap(width)
-    exact = config.widening_delay is None and config.merge_budget is None
+    exact = config.widening_delay is None
     mode = "equality" if exact else "containment"
     report = OracleReport("equivalence", program_name, 1 << width, mode)
     param = param or analyze_param(cfg, config)

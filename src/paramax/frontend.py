@@ -249,7 +249,7 @@ def render_assert(expr: AssertExpr) -> str:
 
 _TOKEN_RE = re.compile(
     r"""
-      \s+ | \#[^\n]*  # whitespace and comments: no group, so no token
+      \s+ | \#[^\r\n]*  # whitespace and comments: no group, so no token
     | (?P<number>[0-9]+)
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op>:=|<=|>=|==|!=|&&|\|\||[<>=:;{}()\[\],+\-*])

@@ -19,8 +19,7 @@ any payload per cell. A state is only ever built from its fields:
 `lift_transfer` and `split` change the partitions of the variables a node
 mentions, through the product of their cells; `join_states`, `widen_param`,
 `leq_param` and `mismatched` (the oracles' test of plain states) go variable
-by variable; `normalize` pools the new cells. `reduce_to_budget` joins the
-cells of each partition that holds more than the budget, least loss first.
+by variable; `normalize` pools the new cells.
 """
 
 from __future__ import annotations
@@ -306,60 +305,3 @@ def mismatched(state: ParamState, env: IntervalEnv, subsets: int, exact: bool) -
             if mask & subsets & ~bad and not (x == y if exact else y.lo <= x.lo and x.hi <= y.hi):
                 bad |= mask & subsets
     return bad
-
-
-def merge_loss(a: Interval, b: Interval) -> int:
-    """Precision lost by joining two intervals: the finite width the join
-    adds over the wider input, 0 when the join is unbounded. A join keeps
-    its inputs' endpoints, so it makes no endpoint infinite that both have
-    finite."""
-    width = a.join(b).width()
-    return 0 if isinstance(width, float) else int(width - max(a.width(), b.width()))
-
-
-def _merge_cells(part: Partition, budget: int) -> list[tuple[Interval, int]]:
-    """The reached cells of `part` as (interval, mask), the least-loss pair
-    joined (the pair of lowest subsets on a tie) until at most `budget` are
-    left; a join equal to another cell's interval fuses with that cell.
-    Each pair's loss is computed once and kept under the cells' lowest
-    subsets until one of the two cells changes."""
-    cells = {(m & -m).bit_length(): (iv, m) for iv, m in part.items() if iv is not None}
-    losses: dict[tuple[int, int], tuple[int, int, int]] = {}  # (a, b) -> (loss, a, b), a < b
-
-    def score(low: int, others: Iterable[int]) -> None:
-        for a, b in ((min(k, low), max(k, low)) for k in others):
-            losses[a, b] = merge_loss(cells[a][0], cells[b][0]), a, b
-
-    for low in cells:
-        score(low, [k for k in cells if k < low])
-    while len(cells) > budget:
-        _, a, b = min(losses.values())
-        (x, mask), (y, other) = cells.pop(a), cells.pop(b)
-        joined, before = x.join(y), {a: x, b: y}  # the replaced intervals, by lowest subset
-        twin = next((k for k, (iv, _) in cells.items() if iv == joined), None)
-        if twin is not None:
-            before[twin], more = cells.pop(twin)
-            mask |= more
-        low = min(before)
-        cells[low] = (joined, mask | other)
-        if before[low] == joined:  # the cell at `low` keeps its interval and its losses
-            del before[low]
-        for gone in before:
-            for k in cells.keys() | before.keys():
-                losses.pop((min(k, gone), max(k, gone)), None)
-        if low in before:
-            score(low, cells.keys() - {low})
-    return list(cells.values())
-
-
-def reduce_to_budget(state: ParamState, budget: int) -> ParamState:
-    """The state with at most `budget` reached cells in each variable's
-    partition, as in the budgeted disjunctions of Sankaranarayanan et al.
-    (SAS 2006), taken per variable as trace partitioning does (Rival and
-    Mauborgne, TOPLAS 2007). `reach` is kept, so unreached subsets stay
-    bottom; a state within the budget comes back itself, and no state is
-    expanded into rules."""
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    parts = [p if len(p) - (None in p) <= budget else _merge_cells(p, budget) for p in state.parts]
-    return normalize(state, state.reach, parts)

@@ -7,9 +7,9 @@ operations are checked against. `RuleList.factored` is the one way from
 a rule list to a `ParamState`, and `is_partition` is the invariant every
 factored state must keep. `table_json` is a state's rule table as JSON
 objects, the reference for the tables that `cli.dump` writes.
-`reference_merge_loss` (the lexicographic loss) and
-`reference_refine_guard` (one case per constant relation) are the longer
-forms that `merge_loss` and guard refinement must agree with.
+`reference_refine_guard` (one case per constant relation) is the longer
+form that guard refinement must agree with. `unrefuted` is the
+consistency operator of one subset, read off `refuting_condition`.
 `reference_run_collecting` steps one concrete entry at a time where
 `run_collecting` steps a batch per edge; the per-subset soundness
 reference runs on it, so it shares no enumeration code with the oracle.
@@ -33,6 +33,7 @@ from hypothesis import settings
 
 from paramax import engine
 from paramax.conditions import Condition, atom_mask, full_mask, members, render_mask, truth_table
+from paramax.consistency import refuting_condition
 from paramax.engine import (
     AnalysisConfig,
     CollectingResult,
@@ -402,61 +403,6 @@ def reference_leq_param(a, b) -> bool:
     return all(x.leq(y) for _, x, y in _reference_intersect(a, b))
 
 
-def reference_merge_loss(a: Interval, b: Interval) -> tuple[int, int]:
-    """Precision lost by joining two intervals, lexicographically.
-
-    Primary key: endpoints infinite in the join but finite in both inputs
-    (losing a bound outright is worse than any finite growth). Secondary
-    key: the finite width growth of the join over the wider input.
-    """
-    joined = a.join(b)
-    new_infinite = 0
-    for side in ("lo", "hi"):
-        j, x, y = getattr(joined, side), getattr(a, side), getattr(b, side)
-        if isinstance(j, float) and not isinstance(x, float) and not isinstance(y, float):
-            new_infinite += 1
-    wj = joined.width()
-    growth = 0 if isinstance(wj, float) else int(wj - max(a.width(), b.width()))
-    return (new_infinite, growth)
-
-
-def reference_reduce_to_budget(state, budget: int) -> RuleList:
-    """The spec of `reduce_to_budget`, on the expanded rules: per variable,
-    the distinct intervals of the reached rules with their masks, ordered
-    by lowest subset; while more than `budget` are left, a full rescan
-    joins the pair least in `reference_merge_loss` (the lowest index pair
-    among equal losses) and pools equal intervals. Each reached subset
-    then takes the interval of its cell of every variable."""
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    reached = [rule for rule in state.rules if rule.mask and not rule.state.is_bottom]
-    names = reached[0].state.variables() if reached else ()
-    columns = []
-    for var in names:
-        cells = [(rule.state.get(var), rule.mask) for rule in reached]
-        while True:
-            pooled: dict[Interval, int] = {}
-            for interval, mask in cells:
-                pooled[interval] = pooled.get(interval, 0) | mask
-            cells = sorted(pooled.items(), key=lambda cell: cell[1] & -cell[1])
-            if len(cells) <= budget:
-                break
-            pairs = [(i, j) for i in range(len(cells)) for j in range(i + 1, len(cells))]
-            i, j = min(pairs, key=lambda p: (reference_merge_loss(cells[p[0]][0], cells[p[1]][0]), p))
-            joined = (cells[i][0].join(cells[j][0]), cells[i][1] | cells[j][1])
-            cells = [joined if k == i else cell for k, cell in enumerate(cells) if k != j]
-        columns.append(cells)
-    reach = 0
-    for rule in reached:
-        reach |= rule.mask
-    rules = [Rule(full_mask(state.width) & ~reach, BOTTOM)]
-    for subset in range(1 << state.width):
-        if reach >> subset & 1:
-            bindings = [next(iv for iv, mask in cells if mask >> subset & 1) for cells in columns]
-            rules.append(Rule(1 << subset, IntervalEnv(tuple(zip(names, bindings)))))
-    return reference_normalize(RuleList(rules, state.atoms))
-
-
 def reference_refine_against_const(iv: Interval, op: Rel, c: int) -> Interval | None:
     """A variable's interval under `var op c`, or None when the guard cannot hold."""
     if op is Rel.LE:
@@ -514,6 +460,15 @@ def reference_refine_guard(env: IntervalEnv, test: Comparison) -> IntervalEnv:
     return env.updated(lhs, nx).updated(rhs, ny)
 
 
+def unrefuted(result, cfg, accepted: int) -> int:
+    """Assumptions the analysis under `accepted` does not refute."""
+    out = 0
+    for aid in cfg.assumptions:
+        if not refuting_condition(result, cfg, aid) >> accepted & 1:
+            out |= 1 << aid.index
+    return out
+
+
 def reference_equivalence(
     cfg,
     config: AnalysisConfig | None = None,
@@ -527,7 +482,7 @@ def reference_equivalence(
     """
     config = config or AnalysisConfig()
     width = len(cfg.assumptions)
-    exact = config.widening_delay is None and config.merge_budget is None
+    exact = config.widening_delay is None
     report = OracleReport(
         "equivalence", program_name, 1 << width, "equality" if exact else "containment"
     )
@@ -715,7 +670,7 @@ def reference_soundness(
 _REFERENCE_TOKEN_RE = re.compile(
     r"""
       (?P<ws>[^\S\n]+)
-    | (?P<comment>\#[^\n]*)
+    | (?P<comment>\#[^\r\n]*)
     | (?P<nl>\n)
     | (?P<number>[0-9]+)
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)

@@ -9,7 +9,6 @@ import time
 
 from paramax.conditions import Atom, Not, TRUE, members, render_mask
 from paramax.engine import (
-    AnalysisConfig,
     analyze_baseline,
     analyze_param,
     verify_equivalence,
@@ -17,13 +16,11 @@ from paramax.engine import (
 )
 from paramax.frontend import parse_cfg, restrict
 from paramax.intervals import BOTTOM, NEG_INF, POS_INF, ProofVerdict, proves
-from paramax.param import leq_param, reduce_to_budget
 from paramax.consistency import (
     Membership,
     brute_force_fixpoints,
     consistency_bounds,
     consistency_report,
-    unrefuted,
 )
 from paramax.synthesis import SynthesisVerdict, synthesize, verify_solutions
 
@@ -33,10 +30,10 @@ from conftest import (
     corpus_cfg,
     env,
     exact_merge_step,
-    is_partition,
     param_state,
     random_param_state,
     redundancy_elim_step,
+    unrefuted,
 )
 
 
@@ -152,45 +149,6 @@ def test_normal_form_unique_for_all_orders():
         "normal form unique under any reduction order",
         states == 1000,
         f"{states} states x {orders_per_state} orders, lookups preserved, {elapsed:.1f}s",
-    )
-
-
-def test_approximate_merging_is_sound():
-    rng = random.Random(0xBEEF)
-    trials = 0
-    while trials < 1000:
-        width = rng.randint(1, 4)
-        state = random_param_state(rng, width).factored()
-        if len(state.rules) < 2:
-            continue
-        for budget in range(1, len(state.rules)):
-            merged = reduce_to_budget(state, budget)
-            assert is_partition(merged) and leq_param(state, merged)
-        trials += 1
-
-    sweeps = 0
-    for entry, cfg in kleene_corpus():
-        if len(cfg.assumptions) > 8:
-            continue
-        width = len(cfg.assumptions)
-        baselines = {
-            accepted: analyze_baseline(restrict(cfg, accepted))
-            for accepted in range(1 << width)
-        }
-        for budget in (1, 2, 3, 4):
-            budgeted = analyze_param(cfg, AnalysisConfig(merge_budget=budget))
-            assert budgeted.converged, (entry.name, budget)
-            for accepted, base in baselines.items():
-                for node in cfg.nodes:
-                    assert base.states[node.id].leq(
-                        budgeted.states[node.id].state_for(accepted)
-                    ), (entry.name, budget, accepted, node.id)
-            sweeps += 1
-    report(
-        "approximate merging over-approximates",
-        trials == 1000,
-        f"{trials} random states at every smaller budget, {sweeps} budget sweeps,"
-        " plain result always below",
     )
 
 

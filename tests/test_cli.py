@@ -34,7 +34,7 @@ from paramax.intervals import BOTTOM, NEG_INF, POS_INF, Interval, IntervalEnv
 from paramax.param import ParamState, Rule
 from paramax.synthesis import SynthesisOutcome
 
-from conftest import CORPUS, CORPUS_DIR, RuleList, env_of, independent_source, table_json
+from conftest import CORPUS, CORPUS_DIR, RuleList, corpus_source, env_of, independent_source, table_json
 
 
 def run(capsys, *argv):
@@ -150,7 +150,7 @@ def test_parse_errors_name_their_position(tmp_path, capsys, source, line, col, m
     [
         ("x := 1;\ry := $;", "line 1, col 14: unexpected character '$'"),  # `\r` ends no line
         ("x := 1;\r\ny := $;\r\n", "line 2, col 6: unexpected character '$'"),
-        ("x := 1; # note\ry := 2;", 3),  # entry, x := 1, exit: the comment runs to the end
+        ("x := 1; # note\ry := 2;", 4),  # a `\r` ends the comment
         ("x := 1; # note\r\ny := 2;\r\n", 4),
     ],
     ids=["cr-error", "crlf-error", "cr-comment", "crlf-comment"],
@@ -169,6 +169,15 @@ def test_the_cli_reads_a_source_as_parse_cfg_does(tmp_path, capsys, source, expe
     else:
         assert (code, out, err) == (EXIT_OK, dump_cfg(cfg), "")
         assert len(cfg.nodes) == expected
+
+
+def test_a_file_of_lone_carriage_returns_reads_as_its_lf_copy(tmp_path, capsys):
+    # comments end at a `\r` too, so no comment swallows the lines after it
+    source = corpus_source("example1.pwl")
+    assert "#" in source and "\r" not in source
+    path = tmp_path / "example1_cr.pwl"
+    path.write_bytes(source.replace("\n", "\r").encode())
+    assert run(capsys, "dump-cfg", str(path)) == run(capsys, "dump-cfg", corpus_path("example1.pwl"))
 
 
 @pytest.mark.parametrize(
@@ -241,18 +250,6 @@ def test_analyze_missing_file(capsys):
     code, _, err = run(capsys, "analyze", "/nonexistent/nope.pwl")
     assert code == EXIT_USAGE
     assert err
-
-
-def test_max_cells_flag(capsys):
-    code, _, _ = run(capsys, "analyze", corpus_path("mutex.pwl"), "--max-cells", "1")
-    assert code == EXIT_OK
-    _, json_out, _ = run(
-        capsys, "analyze", corpus_path("mutex.pwl"), "--max-cells", "1", "--format", "json"
-    )
-    document = json.loads(json_out)
-    # one cell per variable: the reached subsets of a node share one state
-    for node in document["nodes"]:
-        assert sum(rule["state"] != "bottom" for rule in node["rules"]) <= 1, node
 
 
 def test_synthesize_solutions_exit(capsys):
@@ -483,7 +480,7 @@ def test_cli_builds_no_condition_tree_outside_the_output(capsys, monkeypatch):
     for argv in (
         ["analyze", "chain8.pwl", "--format", "json"],
         ["synthesize", "synth_gate.pwl"],
-        ["synthesize", "chain8.pwl", "--format", "json", "--max-cells", "2"],
+        ["synthesize", "chain8.pwl", "--format", "json"],
         ["consistency", "mutex.pwl", "--phi-table"],
         ["check-oracle", "loop_assume_widen.pwl", "--widen", "2", "--input-range", "-3:3"],
     ):
@@ -612,7 +609,7 @@ def test_json_output_beyond_the_corpus_matches_the_stdlib(tmp_path, capsys):
     "flags, config",
     [
         ((), AnalysisConfig()),
-        (("--max-cells", "2"), AnalysisConfig(merge_budget=2)),
+        (("--max-iters", "5"), AnalysisConfig(max_iterations=5)),  # stopped before the fixpoint
         (("--widen", "1"), AnalysisConfig(widening_delay=1)),
     ],
 )
@@ -892,7 +889,7 @@ def test_dumps_rejects_unknown_types(unknown):
 
 # --- the flag table -----------------------------------------------------------
 
-COMMON_OPTIONS = ("--format", "--max-cells", "--widen", "--max-iters")
+COMMON_OPTIONS = ("--format", "--widen", "--max-iters")
 OPTIONS = {
     "analyze": COMMON_OPTIONS,
     "synthesize": COMMON_OPTIONS + ("--verify-solutions",),
@@ -904,7 +901,6 @@ OPTIONS = {
 # option -> (attribute, value on the command line or None for a flag, parsed value)
 SAMPLES = {
     "--format": ("format", "json", "json"),
-    "--max-cells": ("max_cells", "3", 3),
     "--widen": ("widen", "2", "2"),
     "--max-iters": ("max_iters", "-1", -1),
     "--verify-solutions": ("verify_solutions", "0", 0),
@@ -945,9 +941,10 @@ def test_options_before_the_source_and_negative_values_run(capsys):
     joined = run(capsys, "check-oracle", "--input-range=-2:13", fig1, "--soundness")
     assert after == before == joined
     assert after[0] == EXIT_OK and "soundness: pass" in after[1] and "equivalence" not in after[1]
-    code, out, err = run(capsys, "check-oracle", corpus_path("example1.pwl"), "--equivalence")
-    assert (code, out) == (EXIT_USAGE, "")
-    assert err.splitlines()[1] == "paramax: error: unknown option --equivalence"
+    for argv in (["check-oracle", "--equivalence"], ["analyze", "--max-cells", "2"]):
+        code, out, err = run(capsys, argv[0], corpus_path("example1.pwl"), *argv[1:])
+        assert (code, out) == (EXIT_USAGE, ""), argv
+        assert err.splitlines()[1] == f"paramax: error: unknown option {argv[1]}"
 
 
 @pytest.mark.parametrize(

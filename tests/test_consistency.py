@@ -12,12 +12,11 @@ from paramax.consistency import (
     consistency_bounds,
     consistency_report,
     refuting_condition,
-    unrefuted,
 )
 from paramax.engine import AnalysisConfig, analyze_param
 from paramax.frontend import parse_cfg
 
-from conftest import CORPUS, corpus_cfg, fake_assumptions
+from conftest import CORPUS, corpus_cfg, fake_assumptions, unrefuted
 
 
 def analyzed(name_or_source: str):
@@ -140,7 +139,6 @@ def test_report_fixture_classifies_never_consistent():
     cfg, result = analyzed("never_consistent.pwl")
     report = consistency_report(result, cfg)
     assert report.classification == {"a1": Membership.NEVER}
-    assert not report.approximate
 
 
 def test_phi_table_inclusion():
@@ -149,13 +147,6 @@ def test_phi_table_inclusion():
     assert report.phi_table == {0b00: 0b11, 0b01: 0b01, 0b10: 0b11, 0b11: 0b01}
     off = consistency_report(result, cfg, include_phi_table=False)
     assert off.phi_table is None
-
-
-def test_approximate_flag_under_budget():
-    cfg = corpus_cfg("mutex.pwl")
-    result = analyze_param(cfg, AnalysisConfig(merge_budget=1))
-    report = consistency_report(result, cfg)
-    assert report.approximate
 
 
 def corpus_consistency_cases():
@@ -231,7 +222,7 @@ def reference_fixpoints(tables, assumptions):
 def test_fixpoints_match_the_per_subset_definition_on_corpus():
     for entry in CORPUS:
         cfg = corpus_cfg(entry.name)
-        for config in (entry.config, AnalysisConfig(widening_delay=2, merge_budget=1)):
+        for config in (entry.config, AnalysisConfig(widening_delay=2)):
             result = analyze_param(cfg, config)
             tables = consistency._refuting_tables(result, cfg)
             expected = reference_fixpoints(tables, cfg.assumptions)
@@ -256,7 +247,7 @@ def reference_phi_table(tables, assumptions) -> dict[int, int]:
 def test_phi_table_matches_the_per_subset_images_on_corpus():
     for entry in CORPUS:
         cfg = corpus_cfg(entry.name)
-        for config in (entry.config, AnalysisConfig(widening_delay=2, merge_budget=1)):
+        for config in (entry.config, AnalysisConfig(widening_delay=2)):
             result = analyze_param(cfg, config)
             tables = consistency._refuting_tables(result, cfg)
             report = consistency_report(result, cfg, include_phi_table=True)

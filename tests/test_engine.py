@@ -671,7 +671,6 @@ def test_soundness_matches_reference_on_narrowed_rules():
 EQUIVALENCE_CONFIGS = (
     AnalysisConfig(),
     AnalysisConfig(widening_delay=2),
-    AnalysisConfig(merge_budget=2),
     AnalysisConfig(max_iterations=100),  # some variants stop early and are skipped
 )
 
@@ -946,13 +945,6 @@ def test_soundness_fig1():
     assert report.passed
 
 
-def test_soundness_under_merge_budget(example1_cfg):
-    report = verify_soundness(
-        example1_cfg, AnalysisConfig(merge_budget=1), input_range=(-3, 3)
-    )
-    assert report.passed
-
-
 def test_soundness_partial_on_truncation():
     cfg = corpus_cfg("loop_diverge.pwl")
     report = verify_soundness(
@@ -960,15 +952,3 @@ def test_soundness_partial_on_truncation():
     )
     assert report.partial == [0]
     assert report.passed
-
-
-def test_budget_keeps_baseline_below_param(example1_cfg):
-    cfg = example1_cfg
-    for budget in (1, 2, 3):
-        param = analyze_param(cfg, AnalysisConfig(merge_budget=budget))
-        for accepted in range(4):
-            base = analyze_baseline(restrict(cfg, accepted))
-            for node in cfg.nodes:
-                assert base.states[node.id].leq(
-                    param.states[node.id].state_for(accepted)
-                )

@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from paramax.conditions import WIDTH_CAP, And, Atom, FALSE, Not, TRUE, full_mask, render_mask, truth_table
-from paramax import engine, param
-from paramax.engine import AnalysisConfig, analyze_param
+from paramax.conditions import WIDTH_CAP, And, Atom, FALSE, Not, TRUE, render_mask
+from paramax.engine import analyze_param
 from paramax.frontend import (
     AssumptionId, AtomicConstraint, Bound, Entry, Exit, LinearExpr, Rel, Skip, parse_cfg,
 )
@@ -15,24 +14,19 @@ from paramax.param import (
     join_states,
     leq_param,
     lift_transfer,
-    merge_loss,
     mismatched,
     normalize,
-    reduce_to_budget,
     split,
     widen_param,
 )
 
 from conftest import (
-    CORPUS,
     RuleList,
     canonical_rule_key,
-    corpus_source,
     env,
     exact_merge_step,
     env_of,
     fake_assumptions,
-    independent_source,
     is_partition,
     iv,
     param_state,
@@ -41,9 +35,7 @@ from conftest import (
     reference_join_states,
     reference_leq_param,
     reference_lift_transfer,
-    reference_merge_loss,
     reference_normalize,
-    reference_reduce_to_budget,
     reference_split,
     reference_widen_param,
     rule_state,
@@ -306,8 +298,8 @@ def _assume_state(rng: random.Random) -> AssumeState:
 
 def test_factored_operations_expand_to_the_reference():
     # random walks of transfers (relational guards included), multi-variable
-    # assumes, joins, widenings and budget reductions, in lock step with the
-    # rule-list operations; bottom cells come from the pools and the guards
+    # assumes, joins and widenings, in lock step with the rule-list
+    # operations; bottom cells come from the pools and the guards
     rng = random.Random(2026)
     nodes = [node for node in _NODES if not isinstance(node.op, (Entry, Exit, Skip))]
     seen = set()
@@ -318,7 +310,7 @@ def test_factored_operations_expand_to_the_reference():
         got = expected.factored()
         for _ in range(6):
             other = reference_normalize(random_param_state(rng, width, state_pool=pool))
-            step = rng.choice(["transfer", "assume", "join", "widen", "leq", "budget"])
+            step = rng.choice(["transfer", "assume", "join", "widen", "leq"])
             if step == "transfer":
                 node = rng.choice(nodes)
                 got = lift_transfer(got, node)
@@ -335,15 +327,12 @@ def test_factored_operations_expand_to_the_reference():
             elif step == "leq":
                 assert leq_param(got, other.factored()) == reference_leq_param(expected, other)
                 assert leq_param(got, join_states([got, other.factored()]))
-            elif step == "budget":
-                budget = rng.randint(1, 4)
-                got, expected = reduce_to_budget(got, budget), reference_reduce_to_budget(expected, budget)
             expected = reference_normalize(expected)
             assert got.rules == expected.rules, (step, got, expected)
             assert is_partition(got)
             seen.add(step)
             seen.update(f"bottom {r.state.is_bottom}" for r in got.rules)
-    assert {"transfer", "assume", "join", "widen", "leq", "budget", "bottom True"} <= seen
+    assert {"transfer", "assume", "join", "widen", "leq", "bottom True"} <= seen
 
 
 def test_split_fresh_atom():
@@ -421,7 +410,7 @@ def test_leq_param():
     state = state_of(1, (a0, env(x=(1, 2))), (Not(a0), env(x=(5, 6))))
     assert leq_param(state, state)
     assert leq_param(ParamState.bottom(A[:1]), state)
-    merged = reduce_to_budget(state, 1)
+    merged = state_of(1, (TRUE, env(x=(1, 6))))
     assert leq_param(state, merged)
     assert not leq_param(merged, state)
 
@@ -444,252 +433,6 @@ def test_mismatched_agrees_with_a_per_subset_lookup():
     for exact in (True, False):
         with pytest.raises(ValueError, match="mismatched variable universes"):
             mismatched(other, env(x=(0, 0)), 0b11, exact)
-
-
-def test_reduce_to_budget_joins_rules_and_fuses_equal_states():
-    state = state_of(1, (a0, env(x=(1, 3))), (Not(a0), env(x=(10, 12))))
-    assert reduce_to_budget(state, 1).rules == state_of(1, (TRUE, env(x=(1, 12)))).rules
-    # the least-loss pair of x's cells (the two lowest, on a tie at loss 0)
-    # joins to the third cell's interval, so one merge leaves two cells
-    top = env(x=(NEG_INF, POS_INF))
-    four = state_of(
-        2,
-        (And((Not(a0), Not(a1))), env(x=(0, POS_INF))),
-        (And((a0, Not(a1))), env(x=(NEG_INF, 0))),
-        (And((Not(a0), a1)), top),
-        (And((a0, a1)), env(x=(5, 5))),
-    )
-    both = And((a0, a1))
-    assert reduce_to_budget(four, 3).rules == state_of(2, (Not(both), top), (both, env(x=(5, 5)))).rules
-    # unreached subsets stay bottom: only the reached cells count
-    gone = state_of(2, (Not(a1), BOTTOM), (And((Not(a0), a1)), env(x=(1, 1))), (both, env(x=(3, 3))))
-    assert reduce_to_budget(gone, 1).rules == state_of(2, (Not(a1), BOTTOM), (a1, env(x=(1, 3)))).rules
-    assert reduce_to_budget(state_of(1, (a0, env(x=(1, 3))), (Not(a0), BOTTOM)), 1).reach == 0b10
-    # each variable's partition is budgeted alone; one within budget is kept itself
-    pair = state_of(2, (a0, env(x=(1, 3), y=(0, 0))), (Not(a0), env(x=(10, 12), y=(0, 0))))
-    merged = reduce_to_budget(pair, 1)
-    assert merged.parts == ({iv(1, 12): 0b1111}, {iv(0, 0): 0b1111})
-    assert merged.parts[1] is pair.parts[1]
-
-
-def reached_cells(state: ParamState) -> int:
-    """The most reached cells of any variable's partition."""
-    return max((len(part) - (None in part) for part in state.parts), default=0)
-
-
-def test_reduce_to_budget_overapproximates_randomly():
-    rng = random.Random(4242)
-    for _ in range(200):
-        width = rng.randint(1, 4)
-        state = random_param_state(rng, width, state_pool=_two_variable_pool(rng)).factored()
-        for budget in range(1, reached_cells(state) + 1):
-            merged = reduce_to_budget(state, budget)
-            assert is_partition(merged) and reached_cells(merged) <= budget
-            assert merged.reach == state.reach and leq_param(state, merged)
-            assert (merged is state) == (budget >= reached_cells(state))
-            for accepted in range(1 << width):
-                assert state.state_for(accepted).leq(merged.state_for(accepted))
-
-
-def test_merge_loss_examples():
-    assert merge_loss(iv(1, 3), iv(1, 3)) == 0
-    assert merge_loss(iv(1, 3), iv(10, 12)) == 9
-    assert merge_loss(iv(0, 5), iv(0, POS_INF)) == 0
-    assert merge_loss(iv(NEG_INF, 0), iv(0, POS_INF)) == 0
-    assert merge_loss(iv(1, 2), iv(2, 3)) == 1
-    assert merge_loss(iv(0, 0), iv(0, 9)) == merge_loss(iv(0, 9), iv(0, 0)) == 0
-
-
-def test_merge_loss_is_the_growth_of_the_lexicographic_loss():
-    # the lexicographic loss put endpoints that a join makes infinite first;
-    # a join keeps its inputs' endpoints, so that key is always 0
-    rng = random.Random(2202)
-    ends = [NEG_INF, -7, -1, 0, 2, 5, POS_INF]
-
-    def random_interval():
-        if rng.random() < 0.2:
-            return iv(*[rng.choice(ends[1:-1])] * 2)
-        return iv(*sorted(rng.sample(ends, 2)))
-
-    infinite = 0
-    for _ in range(3000):
-        a, b = random_interval(), random_interval()
-        joined = a.join(b)
-        infinite += joined.lo == NEG_INF or joined.hi == POS_INF
-        if a.lo != NEG_INF and b.lo != NEG_INF:
-            assert joined.lo != NEG_INF, (a, b)
-        if a.hi != POS_INF and b.hi != POS_INF:
-            assert joined.hi != POS_INF, (a, b)
-        assert reference_merge_loss(a, b) == (0, merge_loss(a, b)), (a, b)
-    assert infinite > 1000  # infinite endpoints were drawn
-
-
-def test_reduce_to_budget():
-    rules = state_of(
-        2,
-        (And((a0, a1)), env(x=(1, 2))),
-        (And((a0, Not(a1))), env(x=(2, 3))),
-        (Not(a0), env(x=(100, 200))),
-    )
-    assert reduce_to_budget(rules, 3) == rules
-    reduced = reduce_to_budget(rules, 2)
-    assert len(reduced.rules) == 2
-    # the two nearby ranges merged first: their loss (0,1) beats (0,98) and (0,99)
-    assert env(x=(1, 3)) in [r.state for r in reduced.rules]
-    single = reduce_to_budget(rules, 1)
-    assert len(single.rules) == 1
-    assert single.rules[0].mask == truth_table(TRUE, 2)
-    with pytest.raises(ValueError):
-        reduce_to_budget(rules, 0)
-
-
-def test_reduce_preserves_partition_and_overapproximates():
-    rng = random.Random(11)
-    for _ in range(100):
-        width = rng.randint(1, 4)
-        state = _many_rules(rng, width).factored()
-        budget = rng.randint(1, 3)
-        reduced = reduce_to_budget(state, budget)
-        assert reached_cells(reduced) <= budget
-        assert is_partition(reduced)
-        assert reduced.reach == state.reach and leq_param(state, reduced)
-
-
-def _many_rules(rng: random.Random, width: int) -> ParamState:
-    """A random partition of the 2**width subsets into up to 2**width cells,
-    some empty, in random order; the states repeat, and joins of them often
-    equal another rule's state, so merges also fuse rules."""
-    bounds = [NEG_INF, 0, 1, 2, 3, POS_INF]
-
-    def interval():
-        lo, hi = sorted(rng.sample(bounds[:-1], 2)) if rng.random() < 0.5 else (0, rng.choice(bounds[1:]))
-        return (lo, hi)
-
-    pool = [BOTTOM] + [env(x=interval(), y=interval()) for _ in range(rng.randint(1, 12))]
-    cells = rng.randint(1, 1 << width)
-    masks = [0] * cells
-    for subset in range(1 << width):
-        masks[rng.randrange(cells)] |= 1 << subset
-    rules = [Rule(mask, rng.choice(pool)) for mask in masks]
-    rng.shuffle(rules)
-    return RuleList(rules, fake_assumptions(width))
-
-
-def test_reduce_to_budget_chooses_as_the_full_rescan_does():
-    # the rescan works on the expanded rules, the merge on the partitions
-    rng = random.Random(16)
-    fused = 0
-    for _ in range(400):
-        given = _many_rules(rng, rng.randint(0, 5)).factored()
-        for budget in (rng.randint(1, reached_cells(given) + 1), rng.randint(1, 4)):
-            got = reduce_to_budget(given, budget)
-            assert got.rules == reference_reduce_to_budget(given, budget).rules, (given, budget)
-            assert reached_cells(got) <= budget
-            fused += reached_cells(got) < min(budget, reached_cells(given))
-    assert fused  # some joins fused with a third cell
-    # finite intervals, one per subset: the losses of a joined cell change
-    for _ in range(100):
-        width = rng.randint(2, 5)
-        bounds = [(lo, lo + rng.randint(0, 6)) for lo in (rng.randint(-9, 9) for _ in range(8))]
-        rules = [Rule(1 << s, env(x=rng.choice(bounds), y=rng.choice(bounds))) for s in range(1 << width)]
-        given = RuleList(rules, fake_assumptions(width)).factored()
-        budget = rng.randint(1, reached_cells(given))
-        got = reduce_to_budget(given, budget)
-        assert got.rules == reference_reduce_to_budget(given, budget).rules, (given, budget)
-
-
-def test_reduce_to_budget_analyzes_the_corpus_as_the_full_rescan_does(monkeypatch):
-    runs = []
-    for entry in CORPUS:
-        cfg = parse_cfg(corpus_source(entry.name))
-        delay = entry.config.widening_delay if entry.config else None
-        for budget in range(1, 9):
-            config = AnalysisConfig(widening_delay=delay, merge_budget=budget)
-            runs.append((entry.name, budget, cfg, config, analyze_param(cfg, config)))
-    monkeypatch.setattr(
-        engine, "reduce_to_budget", lambda s, b: reference_reduce_to_budget(s, b).factored()
-    )
-    for name, budget, cfg, config, got in runs:
-        expected = analyze_param(cfg, config)
-        assert got.states == expected.states, (name, budget)
-        assert (got.iterations, got.converged) == (expected.iterations, expected.converged)
-
-
-def _staircase(width: int) -> ParamState:
-    """One rule per subset s: x = [s, 2s] and y = [s % 5, s % 5], so x's
-    partition has 2**width cells and y's 5."""
-    rules = [Rule(1 << s, env(x=(s, 2 * s), y=(s % 5, s % 5))) for s in range(1 << width)]
-    return RuleList(rules, fake_assumptions(width)).factored()
-
-
-def test_reduce_to_budget_computes_each_pair_loss_once(monkeypatch):
-    """Per partition of c cells, one reduction makes at most c(c-1)/2 +
-    merges * (c-1) `merge_loss` calls: every pair once, then the pairs of
-    each changed cell."""
-    state = _staircase(7)
-    sizes = [len(part) for part in state.parts]
-    assert sizes == [128, 5]
-    calls = []
-
-    def counting(a, b):
-        calls.append((a, b))
-        return merge_loss(a, b)
-
-    monkeypatch.setattr(param, "merge_loss", counting)
-    for budget in (1, 4, 16, 64, 127):
-        calls.clear()
-        reduced = reduce_to_budget(state, budget)
-        assert reached_cells(reduced) <= budget
-        merged = [c for c in sizes if c > budget]
-        assert sum(c * (c - 1) // 2 for c in merged) <= len(calls), budget
-        assert len(calls) <= sum(c * (c - 1) // 2 + (c - budget) * (c - 1) for c in merged), budget
-    # x = [s - 32, 32 - s] on subset s < 32, bottom above: each join is the
-    # lower cell's interval, so no pair is scored again
-    rules = [Rule(1 << s, env(x=(s - 32, 32 - s))) for s in range(32)]
-    nested = RuleList(rules + [Rule(full_mask(6) ^ full_mask(5), BOTTOM)], fake_assumptions(6)).factored()
-    for budget, scored in ((1, 32 * 31 // 2), (16, 32 * 31 // 2), (32, 0), (64, 0)):
-        calls.clear()
-        assert reached_cells(reduce_to_budget(nested, budget)) == min(budget, 32)
-        assert len(calls) == scored, budget
-    # the full rescan makes about c(c-1)/2 calls per merge
-    calls.clear()
-    monkeypatch.setattr("conftest.reference_merge_loss", counting)
-    reference_reduce_to_budget(state, 124)
-    assert len(calls) > 4 * 124 * 123 // 2
-
-
-def test_reduce_to_budget_never_expands_a_state(monkeypatch):
-    # the merge reads the partitions alone: no rule, no expansion, no product
-    small = analyze_param(parse_cfg(independent_source(5))).states[-1]
-    assert [len(part) for part in small.parts] == [2] * 5
-    cases = [(small, budget) for budget in (1, 2, 64)] + [(_staircase(5), b) for b in (1, 3, 8)]
-    expected = [reference_reduce_to_budget(state, budget) for state, budget in cases]
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("reduce_to_budget expanded a state")
-
-    monkeypatch.setattr(ParamState, "expand", forbidden)
-    monkeypatch.setattr(ParamState, "rules", property(forbidden))
-    monkeypatch.setattr(Rule, "__init__", forbidden)
-    monkeypatch.setattr(param, "product", forbidden)
-    got = [reduce_to_budget(state, budget) for state, budget in cases]
-    monkeypatch.undo()
-    assert [reduced.rules for reduced in got] == [reference.rules for reference in expected]
-    kept = [reduced is state for reduced, (state, _) in zip(got, cases)]
-    assert kept == [False, True, True, False, False, False]
-
-
-def test_a_budget_above_the_cells_of_independent_inputs_changes_nothing():
-    # every partition of the 12-input program has at most 2 cells, so a
-    # budget of 64 keeps each state, where a bound on rules would not
-    cfg = parse_cfg(independent_source(12))
-    exact = analyze_param(cfg)
-    budgeted = analyze_param(cfg, AnalysisConfig(merge_budget=64))
-    assert budgeted.converged and budgeted.states == exact.states
-    assert max(reached_cells(state) for state in exact.states) == 2
-    single = analyze_param(cfg, AnalysisConfig(merge_budget=1))
-    assert single.converged and max(reached_cells(state) for state in single.states) == 1
-    assert all(leq_param(a, b) for a, b in zip(exact.states, single.states))
 
 
 def test_widen_param_cells():

@@ -82,11 +82,7 @@ FROZEN = [
 
 # the same, for every mutable record
 MUTABLE = [
-    (
-        AnalysisConfig,
-        ("max_iterations", "widening_delay", "merge_budget"),
-        (50, 2, 3),
-    ),
+    (AnalysisConfig, ("max_iterations", "widening_delay"), (50, 2)),
     (AnalysisResult, ("states", "iterations", "converged", "config"), ([BOTTOM], 3, True, AnalysisConfig())),
     (
         CollectingResult,
@@ -100,8 +96,8 @@ MUTABLE = [
     ),
     (
         ConsistencyReport,
-        ("core", "envelope", "classification", "phi_table", "fixpoints", "approximate", "width"),
-        (1, 3, {"a": Membership.IN_EVERY}, {0: 1}, (1, 3), False, 2),
+        ("core", "envelope", "classification", "phi_table", "fixpoints", "width"),
+        (1, 3, {"a": Membership.IN_EVERY}, {0: 1}, (1, 3), 2),
     ),
     (
         SynthesisOutcome,
@@ -206,16 +202,13 @@ def test_repr_text():
     assert repr(Not(Atom(AID))) == (
         "Not(operand=Atom(assumption=AssumptionId(index=0, label='a', node_id=2)))"
     )
-    assert repr(AnalysisConfig()) == (
-        "AnalysisConfig(max_iterations=1000, widening_delay=None, merge_budget=None)"
-    )
+    assert repr(AnalysisConfig()) == "AnalysisConfig(max_iterations=1000, widening_delay=None)"
 
 
 def test_defaults_and_keyword_construction():
     config = AnalysisConfig(widening_delay=2)
     assert (config.max_iterations, config.widening_delay) == (1000, 2)
-    assert config.merge_budget is None
-    assert AnalysisConfig() == AnalysisConfig(1000, None, None) != config
+    assert AnalysisConfig() == AnalysisConfig(1000, None) != config
     assert AnalysisConfig().to_json()["condition_width_cap"] == WIDTH_CAP
     assert Input("x").input_range is None and Input("x") == Input("x", None)
     assert Input(var="x") == Input("x", None)
@@ -245,7 +238,6 @@ def test_analysis_config_validates():
     for bad in (
         {"max_iterations": 0},
         {"widening_delay": 0},
-        {"merge_budget": 0},
     ):
         with pytest.raises(ValueError):
             AnalysisConfig(**bad)
