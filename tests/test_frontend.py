@@ -297,4 +297,4 @@ def test_tokens_match_the_position_tracking_reference():
             parsed += 1
         except ParseError as err:  # a parse error points at a token
             assert (err.line, err.col) in {(line, col) for *_, line, col in expected}, source
-    assert len(bases) == 139 and parsed >= 200
+    assert len(bases) == 140 and parsed >= 200

@@ -207,7 +207,7 @@ def _mutate(rng: random.Random, data: bytes) -> bytes:
 
 
 def test_cli_answers_generated_and_mutated_programs(tmp_path, capsys):
-    rng = random.Random(8)
+    rng = random.Random(9)
     corpus = sorted(CORPUS_DIR.glob("*.pwl"))
     codes = set()
     json_outputs = 0
