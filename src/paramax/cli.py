@@ -306,6 +306,14 @@ def _cmd_analyze(args: SimpleNamespace) -> int:
     return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
 
 
+def _not_converged(cfg: Cfg) -> int:
+    """Say that the analysis stopped short of its fixpoint, with the option
+    that can help: `--widen` if the program has a loop, else `--max-iters`."""
+    hint = "--widen" if any(node.loop_head for node in cfg.nodes) else "--max-iters"
+    print(f"analysis did not converge; try {hint}", file=sys.stderr)
+    return EXIT_NOT_CONVERGED
+
+
 def _format_subsets(subsets, cfg: Cfg, truncated: bool = False) -> str:
     rendered = ", ".join(format_subset(s, cfg.assumptions) for s in subsets)
     return f"[{rendered}]" + (" ... (truncated)" if truncated else "")
@@ -318,8 +326,7 @@ def _cmd_synthesize(args: SimpleNamespace) -> int:
         raise ValueError(f"--verify-solutions must be at least 0, got {args.verify_solutions}")
     result = analyze_param(cfg, config)
     if not result.converged:
-        print("analysis did not converge; try --widen", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+        return _not_converged(cfg)
     outcome = synthesis_mod.synthesize(result, cfg)
     solved = outcome.verdict is synthesis_mod.SynthesisVerdict.SOLUTIONS
     report = None
@@ -369,8 +376,7 @@ def _cmd_consistency(args: SimpleNamespace) -> int:
     name, cfg = _load(args.source)
     result = analyze_param(cfg, _make_config(args))
     if not result.converged:
-        print("analysis did not converge; try --widen", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+        return _not_converged(cfg)
     report = consistency_mod.consistency_report(
         result, cfg, include_phi_table=args.phi_table or None
     )
@@ -410,8 +416,7 @@ def _cmd_check_oracle(args: SimpleNamespace) -> int:
     run_soundness = args.soundness or not (args.theorem1 or args.soundness)
     result = analyze_param(cfg, config)
     if not result.converged:
-        print("analysis did not converge; try --widen", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
+        return _not_converged(cfg)
     reports = []
     if run_equivalence:
         reports.append(verify_equivalence(cfg, config, program_name=name, param=result))

@@ -34,7 +34,6 @@ class ConsistencyReport(Record):
     classification: dict[str, Membership]  # by label, in assumption order
     phi_table: dict[int, int] | None
     fixpoints: tuple[int, ...] | None
-    width: int
 
     def to_json(self) -> dict:
         out = {
@@ -60,7 +59,7 @@ def refuting_condition(
     pi = AssumeState.from_constraint(node.op.constraint)
     state = result.states[node.id]
     refuted = full_mask(len(cfg.assumptions)) ^ state.reach  # bottom admits nothing
-    for mask, env in state.project(op_variables(node.op))[1]:
+    for mask, env in state.project(op_variables(node.op), state.reach)[1]:
         if not feasible(env, pi):
             refuted |= mask
     return refuted
@@ -171,5 +170,4 @@ def consistency_report(
         classification=classification,
         phi_table=phi_table,
         fixpoints=fixpoints,
-        width=width,
     )

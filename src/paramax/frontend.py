@@ -413,11 +413,17 @@ class _Parser:
         if self.at("-"):
             self.advance()
             sign = -1
-        kind, text, _ = self.peek()
-        if kind != "number":
+        if self.peek()[0] != "number":
             raise self.error("expected an integer")
-        self.advance()
-        return sign * int(text)
+        return sign * self.number()
+
+    def number(self) -> int:
+        """The value of the next token, a number, which it consumes."""
+        tok = self.advance()
+        try:
+            return int(tok[1])
+        except ValueError:  # more digits than the interpreter converts
+            raise self.error(f"integer literal of {len(tok[1])} digits is too long", tok) from None
 
     def parse_linear(self) -> LinearExpr:
         constant = 0
@@ -427,8 +433,7 @@ class _Parser:
             nonlocal constant
             kind, text, _ = self.peek()
             if kind == "number":
-                self.advance()
-                value = int(text)
+                value = self.number()
                 if self.at("*"):
                     star = self.advance()
                     follow_kind, follow, _ = self.peek()
@@ -436,8 +441,7 @@ class _Parser:
                         self.advance()
                         coefs[follow] = coefs.get(follow, 0) + sign * value
                     elif follow_kind == "number":
-                        self.advance()
-                        constant += sign * value * int(follow)
+                        constant += sign * value * self.number()
                     else:
                         raise self.error("expected a variable after '*'", star)
                 else:
@@ -447,10 +451,9 @@ class _Parser:
                 coef = 1
                 if self.at("*"):
                     self.advance()
-                    follow_kind, follow, _ = self.peek()
+                    follow_kind = self.peek()[0]
                     if follow_kind == "number":
-                        self.advance()
-                        coef = int(follow)
+                        coef = self.number()
                     elif follow_kind == "name":
                         raise self.error("non-linear expression: variable * variable")
                     else:

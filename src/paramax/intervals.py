@@ -88,9 +88,6 @@ class Interval(Record, frozen=True):
     def contains(self, value: int) -> bool:
         return self.lo <= value <= self.hi
 
-    def width(self) -> Endpoint:
-        return self.hi - self.lo
-
     def join(self, other: "Interval") -> "Interval":
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 

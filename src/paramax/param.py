@@ -16,10 +16,14 @@ them on each call (no state keeps them); `expand` gives the product with
 any payload per cell. A state is only ever built from its fields:
 `of_state`, `bottom` and `normalize` are the ways in.
 
-`lift_transfer` and `split` change the partitions of the variables a node
-mentions, through the product of their cells; `join_states`, `widen_param`,
-`leq_param` and `mismatched` (the oracles' test of plain states) go variable
-by variable; `normalize` pools the new cells.
+Every node's transformer is the plain analysis' own, lifted by `lift`:
+it runs once per cell of the product of the partitions of the variables
+the node mentions, within the subsets it applies to, and `normalize` pools
+the new cells. `lift_transfer` applies `intervals.transfer` to every
+subset; `split`, at an assume node, applies `intervals.enforce` to the
+subsets that take the assumption. `join_states`, `widen_param`,
+`leq_param` and `mismatched` (the oracles' test of plain states) go
+variable by variable.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .frontend import (
     Record,
     op_variables,
 )
-from .intervals import BOTTOM, AssumeState, Interval, IntervalEnv, transfer
+from .intervals import BOTTOM, AssumeState, Interval, IntervalEnv, enforce, transfer
 
 
 class Rule(Record, frozen=True):
@@ -114,13 +118,15 @@ class ParamState:
             for i in index
         ]
 
-    def project(self, variables: set[str]) -> tuple[list[int], list[tuple[int, IntervalEnv]]]:
+    def project(
+        self, variables: set[str], cover: int
+    ) -> tuple[list[int], list[tuple[int, IntervalEnv]]]:
         """The positions of `variables` among the state's, and for each cell of
-        the product of their partitions within `reach`, (mask, environment of
-        those variables alone)."""
+        the product of their partitions within `cover`, a mask of reached
+        subsets, (mask, environment of those variables alone)."""
         index = [i for i, var in enumerate(self.names) if var in variables]
         names = tuple(self.names[i] for i in index)
-        cells = product(self.reach, self.columns(index))
+        cells = product(cover, self.columns(index))
         return index, [(mask, IntervalEnv(bindings, names)) for mask, bindings in cells]
 
     def expand(self, columns: list | None = None) -> list[tuple[int, tuple | None]]:
@@ -183,53 +189,24 @@ def normalize(state: ParamState, reach: int, parts: Sequence) -> ParamState:
     return ParamState(state.atoms, reach, state.names, tuple(out))
 
 
-def split(state: ParamState, assumption: AssumptionId, pi: AssumeState) -> ParamState:
-    """Assume-node transformer: the subsets taking the assumption meet its encoding.
+def lift(
+    state: ParamState, variables: set[str], step: Callable[[IntervalEnv], IntervalEnv], within: int
+) -> ParamState:
+    """The plain transformer `step` applied to the state of every reached
+    subset in the mask `within`; the other subsets keep their cells.
 
-    Only the partitions of the variables the assumption bounds change: each
-    cell splits into its taking part, met with the bound, and the rest. A
-    taking subset whose meet is empty for any variable becomes unreached.
+    It runs once per cell of the product of the partitions of `variables`,
+    on an environment of those variables alone, and may change only them; a
+    cell whose result is bottom becomes unreached. `state` itself comes back
+    when nothing changed.
     """
-    taking = atom_mask(assumption.index, state.width) & state.reach
-    if not taking:
-        return state
-    if pi.is_empty:
-        return normalize(state, state.reach ^ taking, state.parts)
-    parts, dead = list(state.parts), 0
-    for var, bound in pi.intervals:
-        if var not in state.names:
-            continue
-        i = state.names.index(var)
-        cells = []
-        for iv, mask in parts[i].items():
-            took = mask & taking
-            if not took:  # the sentinel cell too: `taking` is reached
-                cells.append((iv, mask))
-            elif (met := iv.meet(bound)) is None:
-                dead |= took
-                cells.append((iv, mask ^ took))
-            else:
-                cells += [(met, took), (iv, mask ^ took)]
-        parts[i] = cells
-    return normalize(state, state.reach & ~dead, parts)
-
-
-def lift_transfer(state: ParamState, node: CfgNode) -> ParamState:
-    """The node's plain transfer (`intervals.transfer`, not for assume nodes)
-    applied to every subset's state.
-
-    It runs once per cell of the product of the partitions of the variables
-    the node mentions, on an environment of those variables alone; a cell
-    whose result is bottom becomes unreached. Entry, exit, skip and assert
-    nodes, and nodes that change nothing, give `state` itself.
-    """
-    if not isinstance(node.op, (Assign, Input, GuardFilter)):
-        return state
-    index, envs = state.project(op_variables(node.op))
-    cells: list[list] = [[] for _ in index]
+    cover = state.reach & within
+    rest = state.reach ^ cover
+    index, envs = state.project(variables, cover)
+    cells = [[(iv, mask & rest) for iv, mask in state.parts[i].items()] for i in index]
     dead = 0
     for mask, env in envs:
-        env = transfer(node, env)
+        env = step(env)
         if env.is_bottom:
             dead |= mask
             continue
@@ -239,6 +216,23 @@ def lift_transfer(state: ParamState, node: CfgNode) -> ParamState:
     for i, column in zip(index, cells):
         parts[i] = column
     return normalize(state, state.reach & ~dead, parts)
+
+
+def split(state: ParamState, assumption: AssumptionId, pi: AssumeState) -> ParamState:
+    """Assume-node transformer: the plain analysis' step for a taken
+    assumption, `enforce`, lifted to the subsets that take it; the others
+    keep their state."""
+    within = atom_mask(assumption.index, state.width)
+    return lift(state, {var for var, _ in pi.intervals}, lambda env: enforce(env, pi), within)
+
+
+def lift_transfer(state: ParamState, node: CfgNode) -> ParamState:
+    """The node's plain transfer (`intervals.transfer`, not for assume nodes)
+    lifted to every subset. Entry, exit, skip and assert nodes, and nodes
+    that change nothing, give `state` itself."""
+    if not isinstance(node.op, (Assign, Input, GuardFilter)):
+        return state
+    return lift(state, op_variables(node.op), lambda env: transfer(node, env), state.reach)
 
 
 def _combine(a: ParamState, b: ParamState, op: Callable[[Interval, Interval], Interval]):

@@ -72,7 +72,7 @@ def _verdicts(state: ParamState, test: AssertExpr, full: int) -> tuple[int, int]
     refutes `test`, checked once per cell of the product of the partitions
     of the variables it compares. A bottom state proves everything."""
     proved, refuted = full ^ state.reach, 0
-    for mask, env in state.project(assert_variables(test))[1]:
+    for mask, env in state.project(assert_variables(test), state.reach)[1]:
         verdict = proves(env, test)
         if verdict is ProofVerdict.PROVED:
             proved |= mask

@@ -145,6 +145,33 @@ def test_parse_errors_name_their_position(tmp_path, capsys, source, line, col, m
     assert "Traceback" not in err
 
 
+# The most digits `int` converts here; 0 where it converts any number.
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not _INT_DIGITS, reason="this interpreter converts integers of any length")
+@pytest.mark.parametrize(
+    "source, col",
+    [
+        ("x := N;", 6),
+        ("x := 2 * N;", 10),
+        ("x := y * N;", 10),
+        ("x := input() in [0, N];", 21),
+        ("x := 0;\nassert x <= -N;", 14),
+    ],
+    ids=["constant", "constant-factor", "coefficient", "input-range", "assertion"],
+)
+def test_a_literal_too_long_to_convert_names_its_position(tmp_path, capsys, source, col):
+    digits = _INT_DIGITS + 1
+    path = tmp_path / "long.pwl"
+    path.write_text(source.replace("N", "9" * digits), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    line = source.count("\n") + 1
+    message = f"integer literal of {digits} digits is too long"
+    assert err == f"{path}: line {line}, col {col}: {message}\n"
+
+
 @pytest.mark.parametrize(
     "source, expected",
     [
@@ -408,6 +435,19 @@ assume b: x <= 5;
 assume c: i >= 0;
 while (i < x) { i := i + 1; }
 """
+
+
+@pytest.mark.parametrize("command", ["synthesize", "consistency", "check-oracle"])
+def test_non_convergence_names_the_option_that_can_help(tmp_path, capsys, command):
+    # a program without a loop converges given more evaluations; a loop may need widening
+    straight = tmp_path / "straight.pwl"
+    straight.write_text("".join(f"x := x + {i};\n" for i in range(20)))
+    loop = tmp_path / "counter.pwl"
+    loop.write_text(NONCONVERGENT_COUNTER)
+    for path, flags, hint in ((straight, ("--max-iters", "10"), "--max-iters"), (loop, (), "--widen")):
+        code, out, err = run(capsys, command, str(path), *flags)
+        assert (code, out) == (EXIT_NOT_CONVERGED, "")
+        assert err == f"analysis did not converge; try {hint}\n"
 
 
 def test_check_oracle_refuses_nonconvergent_analysis(tmp_path, capsys):

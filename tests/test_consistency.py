@@ -115,6 +115,15 @@ def test_bounds_of_an_operator_without_fixpoints():
     assert report.classification == {"a": Membership.IN_SOME}
 
 
+def test_bounds_reject_tables_whose_operator_is_not_anti_monotone():
+    # table [1]: the empty subset refutes `a`, so the operator maps {} to {}
+    # and {a} to {a}; from the empty set the iteration stops at envelope {},
+    # from the full set at {a}, and the two must agree
+    cfg, result = analyzed("x := input(); assume a: x >= 0;")
+    with pytest.raises(AssertionError, match="^fixpoint iterations disagree: envelope 0x0 vs 0x1$"):
+        consistency_bounds(result, cfg, [1])
+
+
 def test_cli_prints_the_bounds_of_an_operator_without_fixpoints(tmp_path, capsys):
     path = tmp_path / "loop.pwl"
     path.write_text(SWAPPING_LOOP)

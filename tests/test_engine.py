@@ -21,7 +21,7 @@ from paramax.engine import (
     verify_soundness,
 )
 from paramax.frontend import Assume, parse_cfg, restrict
-from paramax.intervals import BOTTOM, NEG_INF, POS_INF, Interval, transfer
+from paramax.intervals import BOTTOM, NEG_INF, POS_INF, AssumeState, Interval, enforce, transfer
 from paramax.param import ParamState, Rule, leq_param
 
 from conftest import (
@@ -248,6 +248,30 @@ def test_nodes_that_change_no_rule_make_no_transfer_calls(monkeypatch):
     first, second = (node.id for node in cfg.nodes if node.render() == "assign(y := 0)")
     assert result.states[first] is not result.states[first - 1]
     assert result.states[second] is result.states[first]  # the second `y := 0` changes nothing
+
+
+def test_an_assume_node_enforces_once_per_cell_of_the_subsets_that_take_it(monkeypatch):
+    # `lo` and `hi` each see one cell; `box` bounds x and y, which `lo` and
+    # `hi` have split in two, so it enforces once per cell of a 2 x 2 product
+    cfg = corpus_cfg("box_assume.pwl")
+    expected = analyze_param(cfg)
+    calls = []
+
+    def counting_enforce(env, pi):
+        calls.append((pi, env.variables()))
+        return enforce(env, pi)
+
+    monkeypatch.setattr(param, "enforce", counting_enforce)
+    result = analyze_param(cfg)
+    assert result.states == expected.states
+    labels = {
+        AssumeState.from_constraint(node.op.constraint): node.op.assumption.label
+        for node in cfg.nodes
+        if isinstance(node.op, Assume)
+    }
+    assert [(labels[pi], names) for pi, names in calls] == [
+        ("lo", ("x",)), ("hi", ("y",)), *[("box", ("x", "y"))] * 4
+    ]
 
 
 def test_collecting_assume_filters_everything():

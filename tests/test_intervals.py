@@ -68,7 +68,6 @@ def test_empty_intervals_are_refused():
     for lo, hi in ((3, 2), (POS_INF, POS_INF), (NEG_INF, NEG_INF), (POS_INF, 5), (0, NEG_INF)):
         with pytest.raises(ValueError, match="empty interval"):
             Interval(lo, hi)
-    assert Interval(2, 2).width() == 0
     assert Interval(NEG_INF, POS_INF) == Interval.top()
 
 

@@ -96,8 +96,8 @@ MUTABLE = [
     ),
     (
         ConsistencyReport,
-        ("core", "envelope", "classification", "phi_table", "fixpoints", "width"),
-        (1, 3, {"a": Membership.IN_EVERY}, {0: 1}, (1, 3), 2),
+        ("core", "envelope", "classification", "phi_table", "fixpoints"),
+        (1, 3, {"a": Membership.IN_EVERY}, {0: 1}, (1, 3)),
     ),
     (
         SynthesisOutcome,
