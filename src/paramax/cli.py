@@ -153,23 +153,15 @@ def analysis_document(name: str, cfg: Cfg, result: AnalysisResult) -> dict:
     }
 
 
-def _rows(state: ParamState, texts: dict, text: Callable) -> list:
-    """`state.expand()` with the text of each cell's (variable, interval) in
-    place of its binding, made by `text` once per key of `texts`."""
-    return state.expand([
-        [(texts.get(cell) or texts.setdefault(cell, text(*cell)), mask) for cell, mask in cells]
-        for cells in state.columns()
-    ])
-
-
 def _write_analysis_text(write, name: str, cfg: Cfg, result: AnalysisResult) -> None:
     """Write the text report of an analysis through `write`, one piece per
-    node, its rules read off the partitions (`_rows`) with no state built."""
+    node, its rules read off the partitions (`ParamState.expand`) with no
+    state built."""
     atoms, names, cells = cfg.assumptions, {}, {}
     write(f"program: {name}\nassumptions: {', '.join(a.label for a in atoms) or '(none)'}\n")
     for node in cfg.nodes:
         lines = [f"node {node.id} {node.render()}:"]
-        for mask, env in _rows(result.states[node.id], cells, lambda v, iv: f"{v}:{iv.render()}"):
+        for mask, env in result.states[node.id].expand(lambda v, iv: f"{v}:{iv.render()}", cells):
             env = "bottom" if env is None else " ".join(env) or "{}"
             lines.append(f"  {render_mask(mask, atoms, names)} -> {env}")
         write("\n".join(lines) + "\n")
@@ -195,11 +187,12 @@ def _block(brackets, items: list[str], newline: str) -> str:
 def _table_writer(write: Callable[[str], object], names: dict, newline: str):
     """A function that writes a `ParamState` as `dump` writes its rule table
     where `newline` closes it, one `write` per rule, read off the partitions
-    (`_rows`). A rule's text is the *head* of its mask (the opening, with the
-    "," that parts it from a previous rule, "condition", "condition_sets" and
-    the "state" key), then one join of its cells' texts in fixed brackets, or
-    a bottom rule's fixed tail. Heads and cell texts are made once for all the
-    tables, rule texts only for the state written last, written again from them."""
+    (`ParamState.expand`). A rule's text is the *head* of its mask (the
+    opening, with the "," that parts it from a previous rule, "condition",
+    "condition_sets" and the "state" key), then one join of its cells' texts
+    in fixed brackets, or a bottom rule's fixed tail. Heads and cell texts are
+    made once for all the tables, rule texts only for the state written last,
+    written again from them."""
     rule_in, key_in, item_in = (newline + "  " * depth for depth in (1, 2, 3))
     sep, opening, close = "," + item_in, "{" + item_in, key_in + "}" + rule_in + "}"
     tails = {None: '"bottom"' + rule_in + "}", (): "{}" + rule_in + "}"}  # bottom; no variable
@@ -212,7 +205,7 @@ def _table_writer(write: Callable[[str], object], names: dict, newline: str):
     def table(state: ParamState) -> None:
         if state is not last[0]:
             texts = []
-            for mask, env in _rows(state, cells, binding):
+            for mask, env in state.expand(binding, cells):
                 if (text := heads.get(mask)) is None:
                     condition = _quote(render_mask(mask, state.atoms, names))
                     sets = _block("[]", list(map(str, members(mask))), key_in)

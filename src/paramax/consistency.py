@@ -58,11 +58,8 @@ def refuting_condition(
         raise ValueError(f"node {assumption.node_id} is not an assume node")
     pi = AssumeState.from_constraint(node.op.constraint)
     state = result.states[node.id]
-    refuted = full_mask(len(cfg.assumptions)) ^ state.reach  # bottom admits nothing
-    for mask, env in state.project(op_variables(node.op), state.reach)[1]:
-        if not feasible(env, pi):
-            refuted |= mask
-    return refuted
+    infeasible = state.tally(op_variables(node.op), lambda env: feasible(env, pi)).get(False, 0)
+    return full_mask(len(cfg.assumptions)) ^ state.reach | infeasible  # bottom admits nothing
 
 
 def _refuting_tables(result: AnalysisResult, cfg: Cfg) -> list[int]:

@@ -173,64 +173,42 @@ class IntervalEnv:
         if self.variables() != other.variables():
             raise ValueError("mismatched variable universes")
 
-    def join(self, other: "IntervalEnv") -> "IntervalEnv":
+    def _combine(self, other: "IntervalEnv", op) -> "IntervalEnv":
+        """The pointwise `op` of two environments, bottom its identity."""
         self._check_universe(other)
         if self._bindings is None:
             return other
         if other._bindings is None:
             return self
         pairs = zip(self._bindings, other._bindings)
-        return IntervalEnv(tuple((v, a.join(b)) for (v, a), (_, b) in pairs), self._names)
+        return IntervalEnv(tuple((v, op(a, b)) for (v, a), (_, b) in pairs), self._names)
 
-    def meet(self, other: "IntervalEnv | AssumeState") -> "IntervalEnv":
-        if isinstance(other, AssumeState):
-            return self._meet_partial(other)
-        self._check_universe(other)
-        if self._bindings is None or other._bindings is None:
-            return BOTTOM
-        out = []
-        for (v, a), (_, b) in zip(self._bindings, other._bindings):
-            m = a.meet(b)
-            if m is None:
-                return BOTTOM
-            out.append((v, m))
-        return IntervalEnv(tuple(out), self._names)
-
-    def _meet_partial(self, state: "AssumeState") -> "IntervalEnv":
-        if self._bindings is None or state.is_empty:
-            return BOTTOM
-        bounds = dict(state.intervals)
-        out = []
-        for v, a in self._bindings:
-            b = bounds.get(v)
-            if b is None:
-                out.append((v, a))
-                continue
-            m = a.meet(b)
-            if m is None:
-                return BOTTOM
-            out.append((v, m))
-        return IntervalEnv(tuple(out), self._names)
-
-    def leq(self, other: "IntervalEnv") -> bool:
-        if self._bindings is None:
-            return True
-        if other._bindings is None:
-            return False
-        self._check_universe(other)
-        return all(
-            b.lo <= a.lo and a.hi <= b.hi
-            for (_, a), (_, b) in zip(self._bindings, other._bindings)
-        )
+    def join(self, other: "IntervalEnv") -> "IntervalEnv":
+        return self._combine(other, Interval.join)
 
     def widen(self, nxt: "IntervalEnv") -> "IntervalEnv":
-        if self._bindings is None:
-            return nxt
-        if nxt._bindings is None:
-            return self
-        self._check_universe(nxt)
-        pairs = zip(self._bindings, nxt._bindings)
-        return IntervalEnv(tuple((v, a.widen(b)) for (v, a), (_, b) in pairs), self._names)
+        return self._combine(nxt, Interval.widen)
+
+    def leq(self, other: "IntervalEnv") -> bool:
+        return self.join(other) == other
+
+    def meet(self, other: "IntervalEnv | AssumeState") -> "IntervalEnv":
+        """The meet with an assumption's encoding, or with an environment as
+        the encoding that bounds every variable."""
+        if isinstance(other, IntervalEnv):
+            self._check_universe(other)
+            bounds, empty = other._bindings, other._bindings is None
+        else:
+            bounds, empty = other.intervals, other.is_empty
+        if self._bindings is None or empty:
+            return BOTTOM
+        bounds = dict(bounds)
+        out = []
+        for v, a in self._bindings:
+            if (b := bounds.get(v)) is not None and (a := a.meet(b)) is None:
+                return BOTTOM
+            out.append((v, a))
+        return IntervalEnv(tuple(out), self._names)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntervalEnv):

@@ -106,8 +106,9 @@ class ParamState:
         return f"ParamState({self.render()})"
 
     def render(self) -> str:
-        atoms = self.atoms
-        return "; ".join(f"{render_mask(r.mask, atoms)} -> {r.state.render()}" for r in self.rules)
+        atoms, names = self.atoms, self.names
+        envs = ((mask, BOTTOM if b is None else IntervalEnv(b, names)) for mask, b in self.expand())
+        return "; ".join(f"{render_mask(mask, atoms)} -> {env.render()}" for mask, env in envs)
 
     def columns(self, index: Iterable[int] | None = None) -> list[list[tuple[tuple, int]]]:
         """Per variable (by default every one, else those at `index`), its
@@ -129,12 +130,28 @@ class ParamState:
         cells = product(cover, self.columns(index))
         return index, [(mask, IntervalEnv(bindings, names)) for mask, bindings in cells]
 
-    def expand(self, columns: list | None = None) -> list[tuple[int, tuple | None]]:
-        """The rules in lowest-subset order, each as (mask, payloads): the
-        payloads of its cell of every column (by default `columns()`, so they
-        are the environment's bindings), or None for the bottom rule. Given
-        columns must partition `reach` between them, as the variables do."""
-        rows = product(self.reach, self.columns() if columns is None else columns)
+    def tally(self, variables: set[str], fn: Callable[[IntervalEnv], object]) -> dict:
+        """For each value of `fn` on the cells of the product of the partitions
+        of `variables` (environments of those variables alone), the mask of
+        the reached subsets whose cell yields it."""
+        out: dict = {}
+        for mask, env in self.project(variables, self.reach)[1]:
+            value = fn(env)
+            out[value] = out.get(value, 0) | mask
+        return out
+
+    def expand(self, text: Callable | None = None, texts: dict | None = None) -> list:
+        """The rules in lowest-subset order, each as (mask, cells): its cell of
+        every variable, a (name, interval) binding or, given `text`, its text
+        `text(name, interval)`, made once per key of the memo `texts`; None
+        for the bottom rule."""
+        columns = self.columns()
+        if text is not None:
+            columns = [
+                [(texts.get(c) or texts.setdefault(c, text(*c)), mask) for c, mask in cells]
+                for cells in columns
+            ]
+        rows = product(self.reach, columns)
         if gone := full_mask(self.width) ^ self.reach:
             rows.append((gone, None))
         rows.sort(key=lambda row: row[0] & -row[0])
@@ -272,19 +289,8 @@ def widen_param(prev: ParamState, nxt: ParamState) -> ParamState:
 
 
 def leq_param(a: ParamState, b: ParamState) -> bool:
-    """Pointwise order on the denoted functions, variable by variable."""
-    if a.atoms != b.atoms:
-        raise ValueError("mismatched assumptions")
-    if a.reach & ~b.reach:
-        return False
-    if a.reach and a.names != b.names:
-        raise ValueError("mismatched variable universes")
-    for pa, pb in zip(a.parts, b.parts):
-        if pa is not pb:
-            cells = product(a.reach, (pa.items(), pb.items()))
-            if not all(y.lo <= x.lo and x.hi <= y.hi for _, (x, y) in cells):
-                return False
-    return True
+    """Pointwise order on the denoted functions: joining `a` into `b` leaves `b`."""
+    return _combine(b, a, Interval.join) == b
 
 
 def mismatched(state: ParamState, env: IntervalEnv, subsets: int, exact: bool) -> int:

@@ -17,7 +17,6 @@ from enum import Enum
 from .conditions import atom_mask, full_mask, members, render_mask
 from .engine import AnalysisConfig, OracleReport, AnalysisResult, analyze_variants
 from .frontend import (
-    AssertExpr,
     AssumptionId,
     Cfg,
     Record,
@@ -25,7 +24,6 @@ from .frontend import (
     render_assert,
 )
 from .intervals import ProofVerdict, proves
-from .param import ParamState
 
 SOLUTION_CAP = 256  # most solutions an outcome lists, lowest subsets first
 
@@ -67,27 +65,14 @@ class SynthesisOutcome(Record):
         }
 
 
-def _verdicts(state: ParamState, test: AssertExpr, full: int) -> tuple[int, int]:
-    """(proved, refuted): the masks of the subsets whose state proves or
-    refutes `test`, checked once per cell of the product of the partitions
-    of the variables it compares. A bottom state proves everything."""
-    proved, refuted = full ^ state.reach, 0
-    for mask, env in state.project(assert_variables(test), state.reach)[1]:
-        verdict = proves(env, test)
-        if verdict is ProofVerdict.PROVED:
-            proved |= mask
-        elif verdict is ProofVerdict.REFUTED:
-            refuted |= mask
-    return proved, refuted
-
-
 def synthesize(result: AnalysisResult, cfg: Cfg) -> SynthesisOutcome:
     """Intersect, across assertions, the masks of the subsets whose states prove them.
 
-    An assertion's masks come from the cells of the variables it compares
-    (`_verdicts`); its rows give the verdict of every rule of its node, in
-    the rules' order. The solutions listed are the first `SOLUTION_CAP`
-    members of the condition, and `truncated` says whether more exist.
+    An assertion is checked once per cell of the variables it compares
+    (`ParamState.tally`), and a bottom state proves it; its rows give the
+    verdict of every rule of its node, in the rules' order. The solutions
+    listed are the first `SOLUTION_CAP` members of the condition, and
+    `truncated` says whether more exist.
     """
     width = len(cfg.assumptions)
     full = full_mask(width)
@@ -96,7 +81,10 @@ def synthesize(result: AnalysisResult, cfg: Cfg) -> SynthesisOutcome:
     per_assertion: dict[int, tuple[tuple[int, ProofVerdict], ...]] = {}
     for node in cfg.assert_nodes():
         state = result.states[node.id]
-        proved, refuted = _verdicts(state, node.op.test, full)
+        test = node.op.test
+        verdicts = state.tally(assert_variables(test), lambda env: proves(env, test))
+        proved = verdicts.get(ProofVerdict.PROVED, 0) | full ^ state.reach
+        refuted = verdicts.get(ProofVerdict.REFUTED, 0)
         condition &= proved
         refuted_anywhere |= refuted
         per_assertion[node.id] = tuple(
