@@ -4,7 +4,7 @@ Commands: analyze, synthesize, consistency, check-oracle, dump-cfg. Output
 is deterministic text by default or JSON with --format json; documents
 follow `DOCUMENT_SCHEMA`. Exit codes: 0 success, 1 usage/parse error,
 2 analysis did not converge, 3 synthesis unknown, 4 synthesis impossible,
-5 oracle mismatch.
+5 oracle mismatch, 6 out of memory.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ EXIT_NOT_CONVERGED = 2
 EXIT_UNKNOWN = 3
 EXIT_IMPOSSIBLE = 4
 EXIT_MISMATCH = 5
+EXIT_OUT_OF_MEMORY = 6
 
 # Published shape of every JSON document the CLI emits.
 DOCUMENT_SCHEMA = {
@@ -566,6 +567,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        print(f"paramax {args.command}: out of memory", file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
 
 
 if __name__ == "__main__":

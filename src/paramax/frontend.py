@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import operator
 import re
+import sys
 from enum import Enum
 from typing import Iterable, Union
 
@@ -290,6 +291,9 @@ _REL_TOKENS = {rel.value: rel for rel in Rel} | {"==": Rel.EQ}
 # ParseError well inside Python's recursion limit.
 MAX_NESTING = 100
 
+# The most digits `str` gives an int, 0 for no limit (as before Python 3.10.7).
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
 
 class _Parser:
     """Recursive descent over the tokens of `source`, kept to place a ParseError."""
@@ -425,13 +429,21 @@ class _Parser:
         except ValueError:  # more digits than the interpreter converts
             raise self.error(f"integer literal of {len(tok[1])} digits is too long", tok) from None
 
+    def fit(self, value: int, tok: tuple[str, str, int]) -> int:
+        """`value`, or a ParseError at `tok` if it has more digits than `str`
+        converts (a value under 3 bits per digit of the limit always fits)."""
+        limit = _max_str_digits()
+        if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
+            raise self.error(f"value of more than {limit} digits is too long", tok)
+        return value
+
     def parse_linear(self) -> LinearExpr:
         constant = 0
         coefs: dict[str, int] = {}
 
         def add_term(sign: int) -> None:
             nonlocal constant
-            kind, text, _ = self.peek()
+            kind, text, _ = tok = self.peek()
             if kind == "number":
                 value = self.number()
                 if self.at("*"):
@@ -439,13 +451,13 @@ class _Parser:
                     follow_kind, follow, _ = self.peek()
                     if follow_kind == "name":
                         self.advance()
-                        coefs[follow] = coefs.get(follow, 0) + sign * value
+                        coefs[follow] = self.fit(coefs.get(follow, 0) + sign * value, tok)
                     elif follow_kind == "number":
-                        constant += sign * value * self.number()
+                        constant = self.fit(constant + sign * value * self.number(), tok)
                     else:
                         raise self.error("expected a variable after '*'", star)
                 else:
-                    constant += sign * value
+                    constant = self.fit(constant + sign * value, tok)
             elif kind == "name":
                 self.advance()
                 coef = 1
@@ -458,7 +470,7 @@ class _Parser:
                         raise self.error("non-linear expression: variable * variable")
                     else:
                         raise self.error("expected a constant after '*'")
-                coefs[text] = coefs.get(text, 0) + sign * coef
+                coefs[text] = self.fit(coefs.get(text, 0) + sign * coef, tok)
             else:
                 raise self.error("expected an expression term")
 
@@ -493,19 +505,25 @@ class _Parser:
         rhs = self.parse_operand()
         return Comparison(lhs, rel, rhs)
 
-    def parse_guard(self) -> Comparison:
+    def parse_guard(self) -> tuple[Comparison, Comparison]:
+        """A branch condition's test and the test of its negation, normalized."""
         self.expect("(")
+        tok = self.peek()
         cmp = self.parse_comparison(allow_ne=True)
         if self.peek()[1] in ("&&", "||"):
             raise self.error("guard conditions must be a single comparison")
         self.expect(")")
-        return cmp
+        tests = normalize_comparison(cmp), negate_comparison(cmp)
+        for test in tests:
+            if isinstance(test.rhs, int):
+                self.fit(test.rhs, tok)
+        return tests
 
     def parse_if(self, frontier: list[int]) -> list[int]:
         self.advance()
-        cond = self.parse_guard()
-        taken = self.add(GuardFilter(normalize_comparison(cond)), frontier)
-        declined = [self.add(GuardFilter(negate_comparison(cond)), frontier)]
+        test, negated = self.parse_guard()
+        taken = self.add(GuardFilter(test), frontier)
+        declined = [self.add(GuardFilter(negated), frontier)]
         then_out = self.parse_block([taken])
         if self.at("else"):
             self.advance()
@@ -514,10 +532,10 @@ class _Parser:
 
     def parse_while(self, frontier: list[int]) -> list[int]:
         self.advance()
-        cond = self.parse_guard()
+        test, negated = self.parse_guard()
         head = self.add(Skip(), frontier, loop_head=True)
-        body = self.add(GuardFilter(normalize_comparison(cond)), [head])
-        leave = self.add(GuardFilter(negate_comparison(cond)), [head])
+        body = self.add(GuardFilter(test), [head])
+        leave = self.add(GuardFilter(negated), [head])
         self.edges.update((v, head) for v in self.parse_block([body]))
         return [leave]
 
@@ -551,7 +569,7 @@ class _Parser:
         cmp = normalize_comparison(cmp)
         if not (isinstance(cmp.lhs, str) and isinstance(cmp.rhs, int)):
             raise self.error("assume constraints must compare one variable with a constant", tok)
-        return Bound(cmp.lhs, cmp.op, cmp.rhs)
+        return Bound(cmp.lhs, cmp.op, self.fit(cmp.rhs, tok))
 
     def parse_assert(self, frontier: list[int]) -> list[int]:
         self.advance()

@@ -3,7 +3,14 @@
 An `IntervalEnv` is either the distinguished bottom element or a total map
 from the program's variables to intervals. Endpoints are 64-bit integers
 plus infinity sentinels; arithmetic saturates at the sentinels, which only
-ever widens a result and therefore stays sound.
+ever widens a result and therefore stays sound. A program's constants may
+be longer: where one past float range meets an infinity, the infinity
+absorbs it.
+
+Each lattice operation on environments is defined once: `join` and
+`widen` share one pointwise loop, `leq` is derived from the join (a is
+below b when a joined with b is b), and `meet` takes an environment as the
+assumption encoding that bounds every variable.
 """
 
 from __future__ import annotations
@@ -102,14 +109,22 @@ class Interval(Record, frozen=True):
         return Interval(lo, hi)
 
     def add(self, other: "Interval") -> "Interval":
-        return Interval.make(self.lo + other.lo, self.hi + other.hi)
+        try:
+            return Interval.make(self.lo + other.lo, self.hi + other.hi)
+        except OverflowError:  # an int past float range met an infinity, which absorbs it
+            lo = NEG_INF if NEG_INF in (self.lo, other.lo) else self.lo + other.lo
+            hi = POS_INF if POS_INF in (self.hi, other.hi) else self.hi + other.hi
+            return Interval.make(lo, hi)
 
     def scale(self, coef: int) -> "Interval":
         if coef == 0:  # 0 * inf would be NaN; the parser drops zero terms, a hand-built form may not
             return Interval(0, 0)
-        if coef > 0:
-            return Interval.make(coef * self.lo, coef * self.hi)
-        return Interval.make(coef * self.hi, coef * self.lo)
+        try:
+            lo, hi = coef * self.lo, coef * self.hi
+        except OverflowError:  # an int past float range times an infinity: the signed infinity
+            sign = 1 if coef > 0 else -1
+            lo, hi = (x * sign if x in _INF_TEXT else coef * x for x in (self.lo, self.hi))
+        return Interval.make(lo, hi) if coef > 0 else Interval.make(hi, lo)
 
     def render(self) -> str:
         return f"[{_INF_TEXT.get(self.lo, self.lo)},{_INF_TEXT.get(self.hi, self.hi)}]"

@@ -11,9 +11,10 @@ equal functions have equal states.
 
 The rules, (mask, environment) pairs in normal form (distinct states,
 ordered by lowest subset), are the cells of the product of the partitions
-plus a bottom rule for the unreached subsets. `rules` and `render` expand
-them on each call (no state keeps them); `expand` gives the product with
-any payload per cell. A state is only ever built from its fields:
+plus a bottom rule for the unreached subsets. No state keeps them: `expand`
+gives them on each call, each cell as its binding or as a text made once
+per cell, and `rules`, `render` and the CLI's output read it, so only this
+module knows the cell layout. A state is only ever built from its fields:
 `of_state`, `bottom` and `normalize` are the ways in.
 
 Every node's transformer is the plain analysis' own, lifted by `lift`:
@@ -21,8 +22,14 @@ it runs once per cell of the product of the partitions of the variables
 the node mentions, within the subsets it applies to, and `normalize` pools
 the new cells. `lift_transfer` applies `intervals.transfer` to every
 subset; `split`, at an assume node, applies `intervals.enforce` to the
-subsets that take the assumption. `join_states`, `widen_param`,
-`leq_param` and `mismatched` (the oracles' test of plain states) go
+subsets that take the assumption. `join_states` and `widen_param` go
+variable by variable through one pointwise routine, `_combine`, and
+`leq_param` is derived from it: `a` is below `b` when joining `a` into `b`
+leaves `b`, exact because equal functions have equal normal forms.
+`tally` is the one cell-wise query: per value of a plain function on the
+cells of some variables, the mask of the subsets that yield it. Synthesis
+reads its proved and refuted masks from it, and consistency its
+infeasible ones. `mismatched` (the oracles' test of plain states) goes
 variable by variable.
 """
 

@@ -13,6 +13,9 @@ consistency operator of one subset, read off `refuting_condition`.
 `reference_run_collecting` steps one concrete entry at a time where
 `run_collecting` steps a batch per edge; the per-subset soundness
 reference runs on it, so it shares no enumeration code with the oracle.
+`reference_leq` (endpoint by endpoint) and `reference_meet` (environment
+by environment) are the lattice order and meet that `IntervalEnv.leq`
+derives from the join and `IntervalEnv.meet` shares with assumptions.
 `labelled`, `states_as_given` and `truncated_as_given` read a
 `CollectingResult` as sorted entries and as the program as given.
 `reference_tokenize` matches one token or whitespace run at a time and
@@ -400,7 +403,35 @@ def reference_widen_param(prev, nxt) -> RuleList:
 
 def reference_leq_param(a, b) -> bool:
     """Pointwise order via partition intersection."""
-    return all(x.leq(y) for _, x, y in _reference_intersect(a, b))
+    return all(reference_leq(x, y) for _, x, y in _reference_intersect(a, b))
+
+
+def _universes_agree(a: IntervalEnv, b: IntervalEnv) -> None:
+    if not (a.is_bottom or b.is_bottom) and a.variables() != b.variables():
+        raise ValueError("mismatched variable universes")
+
+
+def reference_leq(a: IntervalEnv, b: IntervalEnv) -> bool:
+    """The interval order, variable by variable, on the endpoints."""
+    if a.is_bottom:
+        return True
+    if b.is_bottom:
+        return False
+    _universes_agree(a, b)
+    return all(y.lo <= x.lo and x.hi <= y.hi for (_, x), (_, y) in zip(a.items(), b.items()))
+
+
+def reference_meet(a: IntervalEnv, b: IntervalEnv) -> IntervalEnv:
+    """The meet of two environments over one universe, variable by variable."""
+    _universes_agree(a, b)
+    if a.is_bottom or b.is_bottom:
+        return BOTTOM
+    out = []
+    for (var, x), (_, y) in zip(a.items(), b.items()):
+        if (met := x.meet(y)) is None:
+            return BOTTOM
+        out.append((var, met))
+    return IntervalEnv(tuple(out))
 
 
 def reference_refine_against_const(iv: Interval, op: Rel, c: int) -> Interval | None:

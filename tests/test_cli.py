@@ -21,6 +21,7 @@ from paramax.cli import (
     EXIT_MISMATCH,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
+    EXIT_OUT_OF_MEMORY,
     EXIT_UNKNOWN,
     EXIT_USAGE,
     dump,
@@ -170,6 +171,83 @@ def test_a_literal_too_long_to_convert_names_its_position(tmp_path, capsys, sour
     line = source.count("\n") + 1
     message = f"integer literal of {digits} digits is too long"
     assert err == f"{path}: line {line}, col {col}: {message}\n"
+
+
+@pytest.mark.skipif(not _INT_DIGITS, reason="this interpreter converts integers of any length")
+@pytest.mark.parametrize(
+    "source",
+    [
+        "x := @H * H;",
+        "x := N + @N;",
+        "x := N*y + @N*y;",
+        "x := input();\nif (@x > N) { skip; }",
+        "x := input();\nwhile (@x <= N) { skip; }",
+        "x := input();\nassume a: x >= 0 && @x > N;",
+    ],
+    ids=["product", "sum", "coefficient", "guard", "negated-guard", "bound"],
+)
+def test_a_value_folded_past_the_convertible_digits_names_its_term(tmp_path, capsys, source):
+    # each literal converts, but the value the parser makes of them does not:
+    # H * H has about twice H's digits, and N + N or N + 1 one more than N's
+    source = source.replace("H", "9" * (_INT_DIGITS // 2 + 1)).replace("N", "9" * _INT_DIGITS)
+    before, _, after = source.partition("@")
+    line, col = before.count("\n") + 1, len(before) - before.rfind("\n")
+    path = tmp_path / "folded.pwl"
+    path.write_text(before + after, encoding="utf-8")
+    message = f"value of more than {_INT_DIGITS} digits is too long"
+    for command in ("dump-cfg", "analyze"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (EXIT_USAGE, ""), command
+        assert err == f"{path}: line {line}, col {col}: {message}\n"
+
+
+# More digits than the largest finite float has: such an int has no float form.
+_PAST_FLOAT = "9" * (len(str(int(sys.float_info.max))) + 1)
+
+
+@pytest.mark.parametrize("expr", [f"{_PAST_FLOAT}*x", f"x + {_PAST_FLOAT}", f"-{_PAST_FLOAT}*x"])
+def test_a_constant_past_float_range_meets_an_unbounded_input(tmp_path, capsys, expr):
+    path = tmp_path / "wide.pwl"
+    path.write_text(f"x := input();\ny := {expr};\nassert y >= 0;\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, err) == (EXIT_OK, "")
+    assert out.count("x:[-inf,+inf] y:[-inf,+inf]") == 5
+
+
+def test_running_out_of_memory_exits_6_naming_the_command(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "analyze_param", exhausted)
+    for command in ("analyze", "synthesize", "consistency", "check-oracle"):
+        code, out, err = run(capsys, command, corpus_path("example1.pwl"))
+        assert (code, out, err) == (EXIT_OUT_OF_MEMORY, "", f"paramax {command}: out of memory\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is enforced on Linux")
+def test_an_analysis_past_an_address_space_limit_exits_6(tmp_path):
+    # 16 inputs summed: the sum's partition has 2**16 cells of 2**16-bit masks,
+    # about 512 MiB, so the child runs out under its own 250 MB limit
+    n = 16
+    path = tmp_path / "sum16.pwl"
+    sums = " + ".join(f"x{i}" for i in range(n))
+    path.write_text(independent_source(n) + f"\ns := {sums};\nassert s >= 0;\n", encoding="utf-8")
+    script = (
+        "import resource, sys\n"
+        "soft, hard = 250_000 * 1024, resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "if hard != resource.RLIM_INFINITY:\n"
+        "    soft = min(soft, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+        "import paramax.cli\n"
+        "sys.exit(paramax.cli.main(['analyze', sys.argv[1]]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (done.returncode, done.stderr) == (EXIT_OUT_OF_MEMORY, "paramax analyze: out of memory\n")
 
 
 @pytest.mark.parametrize(

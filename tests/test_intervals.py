@@ -29,7 +29,7 @@ from paramax.intervals import (
     transfer,
 )
 
-from conftest import env, iv, reference_refine_guard
+from conftest import env, env_of, iv, reference_leq, reference_meet, reference_refine_guard
 
 
 def pi(*bounds: tuple[str, Rel, int]) -> AssumeState:
@@ -326,6 +326,18 @@ def test_saturation_below_the_most_negative_finite_endpoint():
     assert Interval.make(-2**64, -2**64) == Interval(NEG_INF, -(2**63 - 1))
 
 
+def test_an_int_past_float_range_meets_an_infinity_as_the_infinity():
+    # `big * inf` and `big + inf` cannot convert `big` to a float; the
+    # infinity absorbs it, with the sign of the coefficient
+    big, limit = 10**400, 2**63 - 1
+    assert Interval(3, POS_INF).scale(big) == Interval(limit, POS_INF)
+    assert Interval(NEG_INF, -1).scale(-big) == Interval(limit, POS_INF)
+    assert Interval(NEG_INF, 0).scale(-big) == Interval(0, POS_INF)
+    assert Interval(2, big).add(Interval(5, POS_INF)) == Interval(7, POS_INF)
+    assert Interval(NEG_INF, -5).add(Interval(-big, -big)) == Interval(NEG_INF, -limit)
+    assert Interval(NEG_INF, 4).add(Interval(-big, 0)) == Interval(NEG_INF, 4)
+
+
 def test_a_zero_coefficient_scales_an_unbounded_interval_to_zero():
     # the parser drops zero coefficients, so only a hand-built form reaches
     # scale(0): on top the general branch would compute 0 * inf, which is NaN
@@ -475,3 +487,39 @@ def test_transfer_monotone(a, b, pick):
     node = pool[pick % len(pool)]
     if a.leq(b):
         assert transfer(node, a).leq(transfer(node, b))
+
+
+@st.composite
+def universe_envs(draw):
+    """An environment over one of three universes, or bottom."""
+    if draw(st.integers(0, 5)) == 0:
+        return BOTTOM
+    bounds = {}
+    for var in draw(st.sampled_from((("x", "y"), ("x", "z"), ("x",)))):
+        lo = draw(_lows)
+        bounds[var] = (lo, draw(_highs.filter(lambda h, lo=lo: lo <= h)))
+    return env(**bounds)
+
+
+def _outcome(op, a, b):
+    try:
+        return op(a, b)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(universe_envs(), universe_envs())
+def test_leq_and_meet_agree_with_the_per_variable_references(a, b):
+    assert _outcome(IntervalEnv.leq, a, b) == _outcome(reference_leq, a, b)
+    assert _outcome(IntervalEnv.meet, a, b) == _outcome(reference_meet, a, b)
+
+
+@given(universe_envs(), universe_envs(), st.sets(st.sampled_from("xyz")))
+def test_meeting_an_assumption_meets_its_encoding_over_the_whole_universe(a, b, bounded):
+    # the encoding bounds the variables of `b` in `bounded` that `a` has;
+    # every other variable of `a` is unbounded
+    names = () if a.is_bottom else a.variables()
+    bounds = () if b.is_bottom else tuple((v, i) for v, i in b.items() if v in bounded and v in names)
+    padded = env_of({**{v: Interval.top() for v in names}, **dict(bounds)})
+    expected = BOTTOM if a.is_bottom or b.is_bottom else reference_meet(a, padded)
+    assert a.meet(AssumeState(bounds, is_empty=b.is_bottom)) == expected

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
-from paramax.conditions import WIDTH_CAP, And, Atom, FALSE, Not, TRUE, render_mask
+from paramax.conditions import WIDTH_CAP, And, Atom, FALSE, Not, TRUE, full_mask, members, render_mask
 from paramax.engine import analyze_param
 from paramax.frontend import (
     AssumptionId, AtomicConstraint, Bound, Entry, Exit, LinearExpr, Rel, Skip, parse_cfg,
 )
-from paramax.intervals import BOTTOM, AssumeState, NEG_INF, POS_INF, eval_linear, transfer
+from paramax.intervals import (
+    BOTTOM, AssumeState, IntervalEnv, NEG_INF, POS_INF, eval_linear, transfer,
+)
 from paramax.param import (
     ParamState,
     Rule,
@@ -97,6 +99,7 @@ _X01 = state_of(1, (a0, env(x=(1, 2))), (Not(a0), TOP1))
 _X01_TEXT = "!a1 -> x:[-inf,+inf]; a1 -> x:[1,2]"
 _OTHER_ATOMS = param_state((A[1],), (TRUE, TOP1))
 _OTHER_VARIABLES = state_of(1, (TRUE, env(y=(0, 0))))
+_OTHER_VARIABLES_UNDER_A0 = state_of(1, (a0, env(y=(0, 0))), (Not(a0), BOTTOM))
 _CFG = parse_cfg("x := 1;")
 
 
@@ -108,6 +111,8 @@ _CFG = parse_cfg("x := 1;")
         (lambda: leq_param(_X01, _OTHER_ATOMS), "mismatched assumptions"),
         (lambda: join_states([_X01, _OTHER_VARIABLES]), "mismatched variable universes"),
         (lambda: leq_param(_X01, _OTHER_VARIABLES), "mismatched variable universes"),
+        # raised even where `_X01` reaches a subset that the other state does not
+        (lambda: leq_param(_X01, _OTHER_VARIABLES_UNDER_A0), "mismatched variable universes"),
         (lambda: mismatched(_X01, env(y=(0, 0)), 0b11, True), "mismatched variable universes"),
         (lambda: BOTTOM.get("x"), "bottom environment has no bindings"),
         (lambda: BOTTOM.items(), "bottom environment has no bindings"),
@@ -119,6 +124,7 @@ _CFG = parse_cfg("x := 1;")
     ],
     ids=[
         "join-none", "join-atoms", "leq-atoms", "join-variables", "leq-variables",
+        "leq-variables-unreached",
         "mismatched-variables", "get-bottom", "items-bottom", "eval-bottom", "predecessors", "successors", "state-for-negative",
         "state-for-past-width",
     ],
@@ -413,6 +419,34 @@ def test_leq_param():
     merged = state_of(1, (TRUE, env(x=(1, 6))))
     assert leq_param(state, merged)
     assert not leq_param(merged, state)
+
+
+_TWO_VARIABLE_POOL = [BOTTOM] + [
+    env(x=x, y=y)
+    for x in ((0, 0), (0, 5), (NEG_INF, 2))
+    for y in ((1, 1), (-3, POS_INF))
+]
+
+
+def test_tally_agrees_with_the_state_of_each_subset():
+    # per value of `fn`, the reached subsets whose cell yields it, checked
+    # against each subset's own state cut down to the variables asked for
+    rng = random.Random(33)
+    fns = [lambda e: e, lambda e: all(i.lo >= 0 for _, i in e.items())]
+    queries = ({"x"}, {"y"}, {"x", "y"}, set())
+    unreached = 0
+    for _ in range(200):
+        width = rng.randint(0, 4)
+        state = random_param_state(rng, width, state_pool=_TWO_VARIABLE_POOL).factored()
+        unreached += state.reach != full_mask(width)
+        for variables, fn in ((v, f) for v in queries for f in fns):
+            expected: dict = {}
+            for accepted in members(state.reach):
+                kept = ((v, i) for v, i in state.state_for(accepted).items() if v in variables)
+                value = fn(IntervalEnv(tuple(kept)))
+                expected[value] = expected.get(value, 0) | 1 << accepted
+            assert state.tally(variables, fn) == expected, (state, variables)
+    assert unreached
 
 
 def test_mismatched_agrees_with_a_per_subset_lookup():
