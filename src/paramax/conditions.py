@@ -126,7 +126,7 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 
 def members(mask: int) -> list[int]:
     """The subsets of a subset mask, ascending; a sparse one's peeled off as its lowest bits."""
-    if mask.bit_count() ** 2 < mask.bit_length():
+    if mask.bit_count() ** 2 <= mask.bit_length():
         out = []
         while mask:
             out.append((low := mask & -mask).bit_length() - 1)

@@ -22,15 +22,7 @@ from typing import Callable, Iterable, Mapping
 
 from .conditions import WIDTH_CAP, atom_mask, full_mask, members
 from .frontend import _RELATIONS, Assign, Assume, Cfg, GuardFilter, Input, Record
-from .intervals import (
-    BOTTOM,
-    AssumeState,
-    Interval,
-    IntervalEnv,
-    enforce,
-    gamma_contains,
-    transfer,
-)
+from .intervals import BOTTOM, AssumeState, IntervalEnv, enforce, gamma_contains, transfer
 from .param import ParamState, join_states, lift_transfer, mismatched, split, widen_param
 
 
@@ -242,7 +234,7 @@ def analyze_variants(
     in its own copy of the worklist state. Returns (group, result) pairs
     whose groups partition `subsets`: the result's states, iterations and
     convergence are those of the plain analysis of every subset in the
-    group. Node evaluations, keyed by (node, taken, predecessor states...),
+    group. Node evaluations, keyed by (node, taken, predecessors' states),
     and widenings are computed once per sweep.
     """
     config = config or AnalysisConfig()
@@ -258,16 +250,17 @@ def analyze_variants(
         return memo.setdefault(state, state)
 
     preds = [cfg.predecessors(node.id) for node in cfg.nodes]
+    keys = [operator.itemgetter(*p) if p else lambda states: () for p in preds]
 
-    def join(v: int, takes: bool, states) -> IntervalEnv:
-        key = (v, takes, *map(states.__getitem__, preds[v]))
-        return memo.get(key) or memo.setdefault(key, share(_plain_join(cfg, pis, v, takes, states)))
+    def join(key: tuple, states) -> IntervalEnv:  # key: (node, taken, its predecessors' states)
+        return memo.get(key) or memo.setdefault(key, share(_plain_join(cfg, pis, *key[:2], states)))
 
     def evaluate(v: int, states, group: int) -> list[tuple[int, IntervalEnv]]:
-        took = group & taking.get(v, 0)
+        took, pre = group & taking.get(v, 0), keys[v](states)
         if not took or took == group:
-            return [(group, join(v, bool(took), states))]
-        yes, no = join(v, True, states), join(v, False, states)
+            key = (v, bool(took), pre)
+            return [(group, memo.get(key) or join(key, states))]  # `join`'s lookup inlined for the hits
+        yes, no = join((v, True, pre), states), join((v, False, pre), states)
         return [(group, yes)] if yes == no else [(took, yes), (group ^ took, no)]
 
     def widen(old: IntervalEnv, new: IntervalEnv) -> IntervalEnv:
@@ -319,13 +312,18 @@ def analyze_param(
     return AnalysisResult(states, evals, converged, config)
 
 
-def _concrete_test(
-    op: GuardFilter | Assume, slot: Mapping[str, int]
-) -> Callable[[ConcreteValues], bool]:
+def _concrete_test(op: GuardFilter | Assume, slot: Mapping[str, int]) -> Callable[[ConcreteValues], bool]:
     """Whether a concrete state passes a guard or satisfies an assumption."""
-    if isinstance(op, Assume):
-        bounds = [(slot[b.var], b.holds) for b in op.constraint.bounds]
-        return lambda values: all(holds(values[i]) for i, holds in bounds)
+    if isinstance(op, Assume):  # each bound read once per node, as (slot, relation, constant)
+        bounds = [(slot[b.var], _RELATIONS[b.op], b.value) for b in op.constraint.bounds]
+
+        def holds(values: ConcreteValues) -> bool:
+            for i, rel, value in bounds:
+                if not rel(values[i], value):
+                    return False
+            return True
+
+        return holds
 
     def operand(o):
         return (lambda values: o) if isinstance(o, int) else operator.itemgetter(slot[o])
@@ -344,13 +342,19 @@ def _concrete_step(
     none. An input site draws its values lazily.
     """
     if isinstance(op, Assign):
-        i = slot[op.var]
-        constant = op.expr.constant
+        i, constant = slot[op.var], op.expr.constant
         terms = [(coef, slot[var]) for coef, var in op.expr.terms]
-        return lambda batch: [
-            (values[:i] + (constant + sum(coef * values[j] for coef, j in terms),) + values[i + 1 :], mask)
-            for values, mask in batch
-        ]
+
+        def assign(batch: Iterable[Entry]) -> list[Entry]:
+            out = []
+            for values, mask in batch:
+                value = constant
+                for coef, j in terms:
+                    value += coef * values[j]
+                out.append((values[:i] + (value,) + values[i + 1 :], mask))
+            return out
+
+        return assign
     if isinstance(op, Input):
         i = slot[op.var]
         lo, hi = op.input_range if op.input_range is not None else input_range
@@ -392,7 +396,9 @@ def run_collecting(
     keeps only the bits of the subsets that decline it, and an entry moves
     on only with the bits that are new to its (node, state), so each subset
     advances through the layers of its own breadth-first run. Each layer
-    steps a node's new entries across an edge as one batch. Paths stop at
+    steps a node's new entries across an edge as one batch, through a step
+    built once per node (`_concrete_step`: terms and bounds read before the
+    enumeration, folded in plain loops). Paths stop at
     `step_bound` steps; the subsets whose runs would reach a new (node,
     state) with one more step form `truncated_subsets`. That last layer
     goes one entry at a time, so an entry stops drawing input values once
@@ -488,13 +494,15 @@ def verify_equivalence(
         return report
     runs = analyze_variants(cfg, config)
     report.skipped = members(sum(group for group, base in runs if not base.converged))
-    runs = [(group, base.states) for group, base in runs if base.converged]
-    for node, state in zip(cfg.nodes, param.states):
+    groups = [group for group, base in runs if base.converged]
+    fresh = zip(*[base.states for _, base in runs if base.converged])  # per node, each run's state
+    for node, state, found in zip(cfg.nodes, param.states, fresh):
         reached: dict[IntervalEnv, int] = {}  # each fresh state, to the subsets that reach it
-        for group, states in runs:
-            reached[states[node.id]] = reached.get(states[node.id], 0) | group
+        for env, group in zip(found, groups):
+            reached[env] = reached.get(env, 0) | group
         for expected, group in reached.items():
-            for a in members(mismatched(state, expected, group, exact)):
+            box = None if expected.is_bottom else [(iv.lo, iv.hi) for _, iv in expected.items()]
+            for a in members(mismatched(state, expected.variables(), box, group, exact)):
                 got = state.state_for(a).to_json()
                 report.record(1 << a, node.id, baseline=expected.to_json(), parameterized=got)
     report.sort()
@@ -515,10 +523,11 @@ def verify_soundness(
     collected concrete state carries the mask of the assumption subsets
     whose restricted programs reach it (see `run_collecting`). At each node
     the states are grouped by that label, in the order they were found, and
-    the bounding box of each group is compared with the node's rule state,
-    variable by variable (`param.mismatched`). Only the states of the groups
-    whose box some subset's state misses are sorted and tested for
-    membership in those subsets' states, and a failure is reported per
+    the bounding box of each group, each variable's least and greatest
+    value with no environment built, is compared with the node's rule state
+    (`param.mismatched`, the equality oracle's routine too). Only the states
+    of the groups whose box some subset's state misses are sorted and tested
+    for membership in those subsets' states, and a failure is reported per
     subset, in the order of the states' values. Subsets whose exploration
     was truncated are recorded as partial evidence. `param` is reused, and
     the cap enforced, as in `verify_equivalence`.
@@ -533,15 +542,14 @@ def verify_soundness(
         return report
     collected = run_collecting(cfg, input_range, step_bound)
     report.partial = members(collected.truncated_subsets)
-    names = cfg.variables  # sorted, as a box's bindings are
+    names = cfg.variables  # sorted, as a state's are
     for node, state, reached in zip(cfg.nodes, param.states, collected.reached):
-        groups: dict[int, list] = {}  # per label, the states that carry it
-        for values, label in reached.items():
-            groups.setdefault(label, []).append(values)
+        groups: dict[int, list] = {label: [] for label in set(reached.values())}
+        for values, label in reached.items():  # per label, the states that carry it
+            groups[label].append(values)
         missed = {}  # per label, the subsets whose state misses the bounding box of its states
         for label, group in groups.items():
-            box = IntervalEnv(tuple(zip(names, [Interval(min(c), max(c)) for c in zip(*group)])), names)
-            if bad := mismatched(state, box, label, exact=False):
+            if bad := mismatched(state, names, [(min(c), max(c)) for c in zip(*group)], label, exact=False):
                 missed[label] = bad
         for values, label in sorted((values, label) for label in missed for values in groups[label]):
             concrete = dict(zip(names, values))

@@ -206,9 +206,6 @@ class Bound(Record, frozen=True):
     def render(self) -> str:
         return f"{self.var} {self.op.value} {self.value}"
 
-    def holds(self, value: int) -> bool:
-        return _RELATIONS[self.op](value, self.value)
-
 
 class AtomicConstraint(Record, frozen=True):
     """Conjunction of single-variable bounds; always interval-representable."""

@@ -29,8 +29,8 @@ leaves `b`, exact because equal functions have equal normal forms.
 `tally` is the one cell-wise query: per value of a plain function on the
 cells of some variables, the mask of the subsets that yield it. Synthesis
 reads its proved and refuted masks from it, and consistency its
-infeasible ones. `mismatched` (the oracles' test of plain states) goes
-variable by variable.
+infeasible ones. `mismatched`, the one cell comparison of both oracles,
+tests a box of (lo, hi) endpoint pairs variable by variable.
 """
 
 from __future__ import annotations
@@ -300,15 +300,16 @@ def leq_param(a: ParamState, b: ParamState) -> bool:
     return _combine(b, a, Interval.join) == b
 
 
-def mismatched(state: ParamState, env: IntervalEnv, subsets: int, exact: bool) -> int:
-    """The subsets in the mask `subsets` whose state is not `env` (`exact`) or does not hold it."""
-    if env.is_bottom:
+def mismatched(state: ParamState, names: tuple, box: Sequence | None, subsets: int, exact: bool) -> int:
+    """The subsets in the mask `subsets` whose state is not (`exact`) or does not hold
+    `box`: a (lo, hi) pair of endpoints per variable of `names`, or None for bottom."""
+    if box is None:
         return subsets & state.reach if exact else 0
-    if state.reach and env.variables() != state.names:
+    if state.reach and names != state.names:
         raise ValueError("mismatched variable universes")
-    bad = subsets & ~state.reach
-    for (_, x), part in zip(env.items(), state.parts):
-        for y, mask in part.items():  # the sentinel cell's subsets are in `bad` already
-            if mask & subsets & ~bad and not (x == y if exact else y.lo <= x.lo and x.hi <= y.hi):
-                bad |= mask & subsets
-    return bad
+    good = subsets & state.reach  # none of them in the sentinel cell (None)
+    for (lo, hi), part in zip(box, state.parts):
+        for y, mask in part.items():
+            if mask & good and not (lo == y.lo and hi == y.hi if exact else y.lo <= lo and hi <= y.hi):
+                good &= ~mask
+    return subsets & ~good

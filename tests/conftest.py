@@ -11,8 +11,10 @@ objects, the reference for the tables that `cli.dump` writes.
 form that guard refinement must agree with. `unrefuted` is the
 consistency operator of one subset, read off `refuting_condition`.
 `reference_run_collecting` steps one concrete entry at a time where
-`run_collecting` steps a batch per edge; the per-subset soundness
-reference runs on it, so it shares no enumeration code with the oracle.
+`run_collecting` steps a batch per edge, and tests guards and assumptions
+with its own `reference_holds` and `_RELATIONS` lookups; the per-subset
+soundness reference runs on it, so it shares no enumeration code with the
+oracle.
 `reference_leq` (endpoint by endpoint) and `reference_meet` (environment
 by environment) are the lattice order and meet that `IntervalEnv.leq`
 derives from the join and `IntervalEnv.meet` shares with assumptions.
@@ -41,7 +43,6 @@ from paramax.engine import (
     AnalysisConfig,
     CollectingResult,
     OracleReport,
-    _concrete_test,
     analyze_baseline,
     analyze_param,
 )
@@ -51,6 +52,7 @@ from paramax.frontend import (
     Assign,
     Assume,
     AssumptionId,
+    Bound,
     Comparison,
     GuardFilter,
     Input,
@@ -541,6 +543,23 @@ def reference_equivalence(
     return report
 
 
+def reference_holds(bound: Bound, value: int) -> bool:
+    """Whether `value` satisfies one assumption bound, its relation looked up per call."""
+    return _RELATIONS[bound.op](value, bound.value)
+
+
+def _reference_test(op, slot):
+    """Whether a concrete state passes a guard or satisfies an assumption,
+    read off the node's records on every call."""
+    if isinstance(op, Assume):
+        return lambda values: all(reference_holds(b, values[slot[b.var]]) for b in op.constraint.bounds)
+
+    def value(operand, values):
+        return operand if isinstance(operand, int) else values[slot[operand]]
+
+    return lambda values: _RELATIONS[op.test.op](value(op.test.lhs, values), value(op.test.rhs, values))
+
+
 def _reference_concrete_step(op, slot, input_range):
     """The successor states of one concrete state through a node, drawn lazily.
 
@@ -559,7 +578,7 @@ def _reference_concrete_step(op, slot, input_range):
         sites = range(lo, hi + 1)
         return lambda values: (values[:i] + (value,) + values[i + 1 :] for value in sites)
     if isinstance(op, GuardFilter):
-        test = _concrete_test(op, slot)
+        test = _reference_test(op, slot)
         return lambda values: [values] if test(values) else []
     return lambda values: [values]  # entry, exit, skip, assert, assume
 
@@ -586,7 +605,7 @@ def reference_run_collecting(
     moves = [_reference_concrete_step(node.op, slot, input_range) for node in cfg.nodes]
     filters = {
         node.id: (
-            _concrete_test(node.op, slot),
+            _reference_test(node.op, slot),
             everyone & ~atom_mask(node.op.assumption.index, width),  # the subsets declining it
         )
         for node in cfg.nodes

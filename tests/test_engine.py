@@ -525,6 +525,44 @@ def test_collecting_matches_the_per_entry_reference(step_bound):
         assert got == expected, (name, step_bound)  # the same entries, whatever their order
 
 
+# step shapes that `generate_program` never draws: assignments of two and
+# three terms with negative coefficients and a zero constant, two bounds on
+# one variable, bounds on two variables, and `=` bounds
+CONCRETE_SHAPES = (
+    """x := input();
+y := input() in [-1, 2];
+z := x - y;
+w := -2*x + 3*y - z;
+assume a: x >= -1 && x <= 1;
+assume b: y <= 1 && z >= 0;
+assume c: w = 0;
+v := w - x - y;
+""",
+    """x := input() in [-3, 3];
+y := input();
+i := 0;
+while (i < 3) {
+  x := 2*y - x;
+  assume d: x >= -4 && y <= 1;
+  y := -1*x + y - 2*i;
+  assume e: y = 0 && x >= 0;
+  i := i + 1;
+}
+""",
+)
+
+
+@pytest.mark.parametrize("step_bound", [0, 3, 7, 12, None])
+def test_collecting_runs_multi_term_steps_and_multi_bound_assumptions_as_the_reference(step_bound):
+    bound = {} if step_bound is None else {"step_bound": step_bound}
+    for source in CONCRETE_SHAPES:
+        cfg = parse_cfg(source)
+        got = run_collecting(cfg, (-2, 2), **bound)
+        expected = reference_run_collecting(cfg, (-2, 2), **bound)
+        assert labelled(got) == labelled(expected), (source, step_bound)
+        assert got.truncated_subsets == expected.truncated_subsets, (source, step_bound)
+
+
 @pytest.mark.parametrize("cap", [7, 60])
 def test_collecting_at_a_small_entry_cap_keeps_a_part_of_the_uncut_run(monkeypatch, cap):
     # which entries of the cut layer are kept depends on the order of the
@@ -804,6 +842,21 @@ def test_variant_sweep_keeps_every_analysis_of_generated_programs():
             sparse = sum(1 << a for a in range(subsets) if rng.random() < 0.25)
             _check_sweep(cfg, config, sparse, label=(seed, config, sparse))
     assert groups > 2000 and cut > 100
+
+
+@pytest.mark.parametrize(
+    "name, config, joins, groups, iterations",
+    [("chain8.pwl", AnalysisConfig(widening_delay=2), 91, 256, 2816), ("box_assume.pwl", AnalysisConfig(), 37, 8, 64)],
+)
+def test_the_sweep_joins_each_node_once_per_key(monkeypatch, name, config, joins, groups, iterations):
+    # the memo is keyed by (node, taken, predecessors' states), so runs that
+    # reach a node from equal states share its join: 91 joins stand in for
+    # 2,816 evaluations over chain8's 256 groups
+    real, calls = engine._plain_join, []
+    monkeypatch.setattr(engine, "_plain_join", lambda *args: calls.append(args[2]) or real(*args))
+    runs = analyze_variants(corpus_cfg(name), config)
+    assert (len(runs), sum(base.iterations for _, base in runs)) == (groups, iterations)
+    assert len(calls) == joins
 
 
 _RELATIONAL16 = """

@@ -3,7 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from paramax.engine import _concrete_test
 from paramax.frontend import (
+    Assume,
+    AssumptionId,
     AtomicConstraint,
     Bound,
     CfgNode,
@@ -29,7 +32,7 @@ from paramax.intervals import (
     transfer,
 )
 
-from conftest import env, env_of, iv, reference_leq, reference_meet, reference_refine_guard
+from conftest import env, env_of, iv, reference_holds, reference_leq, reference_meet, reference_refine_guard
 
 
 def pi(*bounds: tuple[str, Rel, int]) -> AssumeState:
@@ -188,8 +191,12 @@ def test_constant_guards_and_bounds_apply_their_operator(rel):
     for lhs, holds in zip((2, 3, 4), HOLDS[rel]):
         guard = CfgNode(1, GuardFilter(Comparison(lhs, rel, 3)))
         assert transfer(guard, state) == (state if holds else BOTTOM)
+        assert _concrete_test(guard.op, {})(()) is holds
         if rel in (Rel.LE, Rel.GE, Rel.EQ):  # the operators a bound may carry
-            assert Bound("x", rel, 3).holds(lhs) is holds
+            bound = Bound("x", rel, 3)
+            assume = Assume(AssumptionId(0, "a", 1), AtomicConstraint((bound,)))
+            assert reference_holds(bound, lhs) is holds
+            assert _concrete_test(assume, {"x": 0})((lhs,)) is holds
 
 
 def test_guards_refine_as_the_per_constant_reference():

@@ -113,7 +113,7 @@ _CFG = parse_cfg("x := 1;")
         (lambda: leq_param(_X01, _OTHER_VARIABLES), "mismatched variable universes"),
         # raised even where `_X01` reaches a subset that the other state does not
         (lambda: leq_param(_X01, _OTHER_VARIABLES_UNDER_A0), "mismatched variable universes"),
-        (lambda: mismatched(_X01, env(y=(0, 0)), 0b11, True), "mismatched variable universes"),
+        (lambda: mismatched(_X01, ("y",), [(0, 0)], 0b11, True), "mismatched variable universes"),
         (lambda: BOTTOM.get("x"), "bottom environment has no bindings"),
         (lambda: BOTTOM.items(), "bottom environment has no bindings"),
         (lambda: eval_linear(LinearExpr(1, ()), BOTTOM), "cannot evaluate in the bottom environment"),
@@ -449,6 +449,11 @@ def test_tally_agrees_with_the_state_of_each_subset():
     assert unreached
 
 
+def _box(plain: IntervalEnv) -> list | None:
+    """A plain state as `mismatched` reads it: its (lo, hi) pairs, None for bottom."""
+    return None if plain.is_bottom else [(i.lo, i.hi) for _, i in plain.items()]
+
+
 def test_mismatched_agrees_with_a_per_subset_lookup():
     rng = random.Random(2020)
     for _ in range(300):
@@ -462,11 +467,12 @@ def test_mismatched_agrees_with_a_per_subset_lookup():
                 1 << a for a in range(1 << width) if subsets >> a & 1
                 and not (plain == state.state_for(a) if exact else plain.leq(state.state_for(a)))
             )
-            assert mismatched(state, plain, subsets, exact) == expected, (state, plain, exact)
+            got = mismatched(state, plain.variables(), _box(plain), subsets, exact)
+            assert got == expected, (state, plain, exact)
     other = state_of(1, (TRUE, env(y=(0, 0))))
     for exact in (True, False):
         with pytest.raises(ValueError, match="mismatched variable universes"):
-            mismatched(other, env(x=(0, 0)), 0b11, exact)
+            mismatched(other, ("x",), [(0, 0)], 0b11, exact)
 
 
 def test_widen_param_cells():
